@@ -152,10 +152,6 @@ class Monomial:
 _UNIT = Monomial((), ())
 
 
-def _merge_mismatch(a: Generator, b: Generator) -> bool:
-    return a != b
-
-
 def mul_monomials(a: Monomial, b: Monomial):
     """Product with Koszul sign: returns (monomial, sign) or None if it vanishes."""
     # merge even parts by position
@@ -170,7 +166,7 @@ def mul_monomials(a: Monomial, b: Monomial):
         elif gb.index < ga.index:
             ev.append((gb, xb)); ib += 1
         else:
-            if _merge_mismatch(ga, gb):
+            if ga != gb:
                 raise GeneratorMismatch(f"generators {ga!r} and {gb!r} share position {ga.index}")
             ev.append((ga, xa + xb)); ia += 1; ib += 1
     ev.extend(ea[ia:]); ev.extend(eb[ib:])
@@ -181,7 +177,7 @@ def mul_monomials(a: Monomial, b: Monomial):
     for g in ob:
         ga = by_index.get(g.index)
         if ga is not None:
-            if _merge_mismatch(ga, g):
+            if ga != g:
                 raise GeneratorMismatch(f"generators {ga!r} and {g!r} share position {g.index}")
             return None  # odd square
     od: list[Generator] = []
@@ -413,19 +409,6 @@ class Element:
 
     def __repr__(self):
         return self.render()
-
-
-def multiply(a: Element, b: Element) -> Element:
-    """Graded-commutative product (also available as ``a * b``)."""
-    return a * b
-
-
-def degree_of(a: Element):
-    return a.degree()
-
-
-def word_lengths(a: Element) -> set[int]:
-    return a.word_lengths()
 
 
 def enumerate_basis(generators: Sequence[Generator], degree: int) -> list[Monomial]:

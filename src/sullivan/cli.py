@@ -3,7 +3,9 @@
 Exit codes: 0 success; 1 mathematical negative result (the input is fine but
 the requested structure does not exist or a hypothesis fails); 2 input error
 (unparseable or invalid model, unsatisfiable configuration); 3 internal
-verification failure (a certified invariant broke, which indicates a bug).
+fault (a certified invariant broke, or any other unexpected exception; both
+indicate a bug).  Every error is one ``error[<code>]: message`` line on
+stderr.
 
 JSON output is key-sorted and content-addressed: identical inputs and seeds
 produce byte-identical bytes.
@@ -256,6 +258,10 @@ def main(argv=None) -> int:
     except SullivanError as ex:
         sys.stderr.write(f"error[{ex.code}]: {ex}\n")
         return EXIT_INPUT
+    except Exception as ex:  # a bug: report it on one line, never a traceback
+        detail = " ".join(f"{type(ex).__name__}: {ex}".split())
+        sys.stderr.write(f"error[internal]: {detail}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -757,14 +757,16 @@ def exhaustive_homogeneous_search(model: SullivanModel, seed: int = 0,
     while True:
         batch: list[list[Element]] = []
         budget = max_candidates - outcome.tried
+        vecs_of: dict[int, list[tuple[int, ...]]] = {}  # degree -> pool at this height
         for a in assignments:
             pools = []
             for k_d, d in zip(a, degrees):
                 if k_d == 0:
                     pools.append([()])
                     continue
-                vecs = _vector_pool(sizes[degrees.index(d)], height)
-                pools.append(list(itertools.product(range(len(vecs)), repeat=k_d)))
+                if d not in vecs_of:
+                    vecs_of[d] = _vector_pool(len(by_degree[d]), height)
+                pools.append(list(itertools.product(range(len(vecs_of[d])), repeat=k_d)))
             for pick in itertools.product(*pools):
                 work += 1
                 if work > work_budget:
@@ -777,8 +779,7 @@ def exhaustive_homogeneous_search(model: SullivanModel, seed: int = 0,
                     if k_d == 0:
                         continue
                     group = by_degree[d]
-                    vecs = _vector_pool(len(group), height)
-                    vectors = [vecs[i] for i in rows_idx]
+                    vectors = [vecs_of[d][i] for i in rows_idx]
                     frac_rows = [[Fraction(c) for c in v] for v in vectors]
                     if len(_subspace_signature(frac_rows)) < k_d:
                         rank_ok = False

@@ -8,9 +8,18 @@ indeterminate ordered above everything else.
 
 Internally polynomials are dicts mapping exponent tuples to integers; the
 Buchberger loop clears denominators and strips contents so coefficients stay
-integral.  Every basis element is tracked as a rational combination of the
-input generators, which is what turns membership tests into certificates.
+integral.  Each basis is computed once without provenance, and a small cache
+of recent bases (keyed on the exact inputs, in caller order) serves repeated
+requests for the same ideal.  Cofactors over the input generators, which turn
+membership tests into certificates, are lifted on demand by one tracked rerun
+on the same inputs, whose basis must equal the untracked one.
 All computations are deterministic for a fixed input order.
+
+A sequence of as many weighted-homogeneous elements as variables is regular
+exactly when its quotient has dimension prod(deg f_i) / prod(w_j) (Stanley,
+"Hilbert functions of graded algebras", 1978).  ``regular_sequence_failure``
+decides that success case by counting standard monomials and computes
+zero-divisor witnesses only when the identity does not hold.
 
 Set ``CHECK = True`` (done by the test suite) to re-verify every division
 identity by direct arithmetic.
@@ -18,9 +27,10 @@ identity by direct arithmetic.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .algebra import Element, Generator, Monomial
@@ -36,6 +46,11 @@ from .errors import (
 
 #: re-verify cofactor identities on every call (slow; enabled in tests)
 CHECK = False
+
+#: how many recent bases ``buchberger`` keeps; one extension asks for the
+#: same ideal about six times in a row, so a few entries catch the repeats
+_CACHE_SIZE = 8
+_CACHE: OrderedDict = OrderedDict()
 
 Exps = tuple
 
@@ -312,17 +327,33 @@ class _Engine:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis with provenance back to its input generators."""
+    """A reduced Groebner basis with provenance back to its input generators.
+
+    The provenance (each basis element as a combination of the inputs) is
+    computed on first use by ``member(..., cofactors=True)``.
+    """
 
     def __init__(self, variables: Sequence[Generator], order: MonomialOrder,
-                 inputs: Sequence[Element], polys, lms, reps):
+                 inputs: Sequence[Element], polys, lms, input_polys):
         self.variables = tuple(variables)
         self.order = order
         self.inputs = list(inputs)
         self._polys = polys
         self._lms = lms
-        self._reps = reps
+        self._input_polys = input_polys
+        self._reps = None
         self.generators = [poly_to_element(p, self.variables) for p in polys]
+
+    def _provenance(self) -> list:
+        """Each basis element over the inputs, from one tracked rerun."""
+        if self._reps is None:
+            eng = _Engine(self._input_polys, self.order, track=True)
+            eng.run()
+            polys, lms, reps = eng.reduced()
+            if polys != self._polys or lms != self._lms:
+                raise VerificationFailed("tracked rerun changed the reduced basis")
+            self._reps = reps
+        return self._reps
 
     @property
     def contains_one(self) -> bool:
@@ -342,7 +373,9 @@ def buchberger(elements: Sequence[Element], variables: Sequence[Generator],
 
     Deterministic for a fixed input order: S-pairs are processed by ascending
     weighted degree of the pair's lcm (ties by creation order) and useless
-    pairs are dropped by the product and chain criteria.
+    pairs are dropped by the product and chain criteria.  A repeated request
+    with equal variables, order and inputs (in the same order) returns the
+    same basis object from a small cache of recent results.
     """
     variables = tuple(variables)
     if len(set(variables)) != len(variables):
@@ -352,12 +385,20 @@ def buchberger(elements: Sequence[Element], variables: Sequence[Generator],
             raise OddGeneratorPresent(f"variable {g!r} has odd degree")
     if order is None:
         order = MonomialOrder(tuple(g.degree for g in variables))
+    key = (variables, order.weights, order.elim, tuple(elements))
+    gb = _CACHE.get(key)
+    if gb is not None:
+        _CACHE.move_to_end(key)
+        return gb
     inputs = [element_to_poly(e, variables) for e in elements]
-    eng = _Engine(inputs, order, track=True)
+    eng = _Engine(inputs, order, track=False)
     eng.run()
-    polys, lms, reps = eng.reduced()
-    # map engine reps (over nonzero inputs) back onto the full input list
-    return GroebnerBasis(variables, order, list(elements), polys, lms, reps)
+    polys, lms, _ = eng.reduced()
+    gb = GroebnerBasis(variables, order, list(elements), polys, lms, inputs)
+    _CACHE[key] = gb
+    if len(_CACHE) > _CACHE_SIZE:
+        _CACHE.popitem(last=False)
+    return gb
 
 
 def normal_form(f: Element, gb: GroebnerBasis) -> tuple[Element, list[Element]]:
@@ -417,10 +458,11 @@ def member(f: Element, gb: GroebnerBasis, cofactors: bool = False):
     if not ok:
         return False, None
     out: list[dict[Exps, Fraction]] = [dict() for _ in gb.inputs]
+    reps = gb._provenance()
     for k, cof in enumerate(cofs):
         if not cof:
             continue
-        rep = gb._reps[k]
+        rep = reps[k]
         for i, r in enumerate(rep):
             if not r:
                 continue
@@ -510,14 +552,20 @@ def regular_sequence_failure(seq: Sequence[Element], variables: Sequence[Generat
     """First failure of the regular-sequence property, as (1-based index, witness).
 
     Returns None when the sequence is regular.  Every element must lie in the
-    augmentation ideal (no constant term).
+    augmentation ideal (no constant term).  Success is decided by the Hilbert
+    identity when it applies; otherwise, and for every failure, each prefix
+    is tested for a zero divisor in turn.
     """
+    polys = []
+    unit = tuple(0 for _ in variables)
     for a in seq:
         p = element_to_poly(a, variables)
-        unit = tuple(0 for _ in variables)
         if p.get(unit):
             raise ConstantTermPresent(
                 f"sequence element {a.render()} has a constant term")
+        polys.append(p)
+    if _hilbert_identity_holds(seq, polys, variables):
+        return None
     gb = buchberger([], variables)
     for i, a in enumerate(seq):
         w = zero_divisor_witness(a, gb)
@@ -525,6 +573,26 @@ def regular_sequence_failure(seq: Sequence[Element], variables: Sequence[Generat
             return i + 1, w
         gb = buchberger(list(seq[: i + 1]), variables)
     return None
+
+
+def _hilbert_identity_holds(seq: Sequence[Element], polys: list[dict],
+                            variables: Sequence[Generator]) -> bool:
+    """Whether n nonzero weighted-homogeneous elements in n variables have a
+    finite-dimensional quotient of dimension prod(deg f_i) / prod(w_j), which
+    holds exactly when they form a regular sequence."""
+    weights = tuple(g.degree for g in variables)
+    if len(polys) != len(weights) or not all(polys):
+        return False
+    degrees = []
+    for p in polys:
+        ds = {sum(w * a for w, a in zip(weights, e)) for e in p}
+        if len(ds) != 1:
+            return False
+        degrees.append(ds.pop())
+    gb = buchberger(list(seq), variables)
+    if not quotient_is_finite_dimensional(gb):
+        return False
+    return quotient_dimension(gb) * prod(weights) == prod(degrees)
 
 
 def is_regular_sequence(seq: Sequence[Element], variables: Sequence[Generator]):

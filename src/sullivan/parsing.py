@@ -67,6 +67,12 @@ class _Tokens:
         return t
 
 
+#: deepest parenthesis nesting an expression may use; each level costs the
+#: recursive descent four stack frames, and this keeps it far below Python's
+#: recursion limit
+MAX_NESTING = 100
+
+
 class _ExprParser:
     """Recursive descent over + - * ^ ( ) with rational coefficients."""
 
@@ -74,6 +80,7 @@ class _ExprParser:
         self.t = _Tokens(text, line)
         self.env = env
         self.line = line
+        self.depth = 0
 
     def parse(self) -> Element:
         e = self.expr()
@@ -129,9 +136,14 @@ class _ExprParser:
                 raise UnknownGenerator(f"line {self.line}: unknown generator {v!r}")
             return e
         if (kind, v) == ("op", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ModelSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", self.line)
             e = self.expr()
             if self.t.pop() != ("op", ")"):
                 raise ModelSyntaxError("missing closing parenthesis", self.line)
+            self.depth -= 1
             return e
         raise ModelSyntaxError(
             "expected a number, generator, or parenthesized expression", self.line)

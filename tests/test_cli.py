@@ -64,6 +64,17 @@ def test_syntax_error_exit_2(tmp_path):
     assert err.startswith("error[syntax]: line 2")
 
 
+def test_deeply_nested_expression_exit_2(tmp_path):
+    deep = tmp_path / "deep.model"
+    deep.write_text('model "deep"\neven x : 2\nodd y : 3 = '
+                    + "(" * 3000 + "x^2" + ")" * 3000 + "\n")
+    code, out, err = run("validate", deep)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[syntax]: line 3: parentheses nested deeper")
+    assert err.count("\n") == 1
+
+
 def test_search_negative_exit_1():
     code, out, err = run("search", MODELS / "mixed_length.model")
     assert code == 1
@@ -179,3 +190,19 @@ def test_internal_errors_map_to_exit_3(monkeypatch):
     assert code == 3
     assert err.getvalue().startswith(
         f"error[{VerificationFailed('x').code}]")
+
+
+def test_unexpected_exceptions_map_to_exit_3(monkeypatch):
+    import sullivan.cli as cli_mod
+
+    def boom(args):
+        raise RecursionError("maximum recursion\ndepth exceeded")
+
+    monkeypatch.setattr(cli_mod, "cmd_validate", boom)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_mod.main(["validate", str(MODELS / "cp1.model")])
+    assert code == 3
+    assert out.getvalue() == ""
+    assert err.getvalue() == (
+        "error[internal]: RecursionError: maximum recursion depth exceeded\n")

@@ -12,10 +12,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sullivan import groebner
 from sullivan.algebra import Element, make_generators
+from sullivan.ellipticity import exactness_certificate
 from sullivan.errors import ConstantTermPresent, NotFiniteDimensional
+from sullivan.model import SullivanModel
 from sullivan.groebner import (
     buchberger,
     ideal_quotient,
@@ -372,3 +376,139 @@ def test_regular_sequence_classic():
     assert not ok and idx == 2
     ok, idx = is_regular_sequence([x ** 2, x * y], gens)
     assert not ok and idx == 2
+
+
+# -- properties on random weighted-homogeneous sequences ------------------------
+
+#: derandomized, so the suite draws the same examples on every run
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=40,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def homogeneous_polys(draw, gens, degree):
+    """A nonzero polynomial of the given weighted degree without linear terms."""
+    weights = [g.degree for g in gens]
+    mons = [e for e in itertools.product(range(degree // 2 + 1), repeat=len(gens))
+            if sum(w * a for w, a in zip(weights, e)) == degree and sum(e) >= 2]
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(mons),
+                           max_size=len(mons)).filter(any))
+    return groebner.poly_to_element(
+        {e: Fraction(c) for e, c in zip(mons, coeffs) if c}, gens)
+
+
+@st.composite
+def weighted_sequences(draw, counts=(0, 0, 1), degrees=(4, 6, 8), n_max=3,
+                       mixed=False):
+    """(variables, sequence): 2 to ``n_max`` variables of weight 2 or 4 (the
+    first of weight 2, so every even degree from 4 up has monomials), and
+    n + k elements for k drawn from ``counts``, each of a degree from
+    ``degrees``; with ``mixed`` an element may add a part of the next even
+    degree."""
+    n = draw(st.integers(2, n_max))
+    weights = [2] + draw(st.lists(st.sampled_from((2, 4)), min_size=n - 1,
+                                  max_size=n - 1))
+    gens = make_generators([(f"x{i + 1}", w) for i, w in enumerate(weights)])
+    seq = []
+    for _ in range(n + draw(st.sampled_from(counts))):
+        degree = draw(st.sampled_from(degrees))
+        f = draw(homogeneous_polys(gens, degree))
+        if mixed and draw(st.booleans()):
+            f = f + draw(homogeneous_polys(gens, degree + 2))
+        seq.append(f)
+    return gens, seq
+
+
+def _prefix_loop_failure(seq, gens):
+    """Reference: test each prefix for a zero divisor, success included."""
+    gb = buchberger([], gens)
+    for i, a in enumerate(seq):
+        w = zero_divisor_witness(a, gb)
+        if w is not None:
+            return i + 1, w
+        gb = buchberger(list(seq[: i + 1]), gens)
+    return None
+
+
+@PROPERTY
+@given(weighted_sequences(counts=(-1, 0, 1)))
+def test_untracked_and_tracked_runs_agree(case):
+    gens, seq = case
+    inputs = [groebner.element_to_poly(e, gens) for e in seq]
+    order = groebner.MonomialOrder(tuple(g.degree for g in gens))
+    bases = []
+    for track in (False, True):
+        eng = groebner._Engine(inputs, order, track=track)
+        eng.run()
+        polys, lms, _ = eng.reduced()
+        bases.append((polys, lms))
+    assert bases[0] == bases[1]
+    gb = buchberger(seq, gens)
+    assert (gb._polys, gb._lms) == bases[0]
+
+
+@PROPERTY
+@given(weighted_sequences(counts=(-1, 0, 1)))
+def test_cache_hit_equals_fresh_computation(case):
+    gens, seq = case
+    first = buchberger(seq, gens)
+    assert buchberger(list(seq), gens) is first
+    groebner._CACHE.clear()
+    fresh = buchberger(seq, gens)
+    assert fresh is not first
+    assert (fresh._polys, fresh._lms) == (first._polys, first._lms)
+    assert fresh.generators == first.generators
+    # rescaled inputs are new cache keys for the same ideal, so the same
+    # reduced basis
+    for k in range(2, 4 + groebner._CACHE_SIZE):
+        scaled = buchberger([Element.scalar(k) * a for a in seq], gens)
+        assert scaled.generators == first.generators
+        assert len(groebner._CACHE) <= groebner._CACHE_SIZE
+
+
+@PROPERTY
+@given(st.one_of(
+    weighted_sequences(counts=(-1, 0, 0, 1), degrees=(4, 6)),
+    # ideal quotients of mixed-degree ideals grow fast with the variables
+    weighted_sequences(counts=(-1, 0, 0, 1), degrees=(4, 6), n_max=2, mixed=True)))
+def test_hilbert_identity_agrees_with_prefix_loop(case):
+    gens, seq = case
+    reference = _prefix_loop_failure(seq, gens)
+    polys = [groebner.element_to_poly(a, gens) for a in seq]
+    if len(seq) == len(gens) and all(a.is_homogeneous() for a in seq):
+        assert groebner._hilbert_identity_holds(seq, polys, gens) == (reference is None)
+    else:
+        assert not groebner._hilbert_identity_holds(seq, polys, gens)
+    assert regular_sequence_failure(seq, gens) == reference
+
+
+@PROPERTY
+@given(weighted_sequences(), st.data())
+def test_lazily_lifted_cofactors_certify(case, data):
+    gens, seq = case
+    assert groebner.CHECK
+    groebner._CACHE.clear()
+    gb = buchberger(seq, gens)
+    assert gb._reps is None
+    f = Element.zero()
+    for a in seq:
+        f = f + data.draw(homogeneous_polys(gens, 4)) * a
+    ok, cofs = member(f, gb, cofactors=True)
+    assert ok and gb._reps is not None
+    rebuilt = Element.zero()
+    for q, a in zip(cofs, seq):
+        rebuilt = rebuilt + q * a
+    assert rebuilt == f
+    if not quotient_is_finite_dimensional(gb):
+        return
+    # a pure elliptic model whose odd generators have the sequence as images;
+    # its even generators equal ``gens`` (same names, degrees and positions)
+    odd = [(f"y{i + 1}", a.degree() - 1) for i, a in enumerate(seq)]
+    all_gens = make_generators([(g.name, g.degree) for g in gens] + odd)
+    assert all_gens[:len(gens)] == gens
+    model = SullivanModel(all_gens, dict(zip(all_gens[len(gens):], seq)),
+                          name="property")
+    for g in model.even_generators:
+        cert = exactness_certificate(model, g)
+        assert cert.verify(model)

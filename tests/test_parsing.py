@@ -8,7 +8,7 @@ from sullivan.errors import (
     ModelSyntaxError,
     UnknownGenerator,
 )
-from sullivan.parsing import load_model, parse_model, render_model
+from sullivan.parsing import MAX_NESTING, load_model, parse_model, render_model
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -109,6 +109,18 @@ def test_junk_line():
 def test_bad_expression_token():
     with pytest.raises(ModelSyntaxError):
         parse_model('model "m"\neven x : 2\nodd y : 3 = x ** 2\n')
+
+
+def test_nesting_limit_line_number():
+    def model(depth):
+        expr = "(" * depth + "x^2" + ")" * depth
+        return f'model "m"\neven x : 2\nodd y : 3 = {expr}\n'
+
+    m = parse_model(model(MAX_NESTING))
+    assert m.d(m.element("y")) == m.element("x") ** 2
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(model(MAX_NESTING + 1))
+    assert "line 3" in str(exc.value)
 
 
 def test_load_model_rejects_non_utf8(tmp_path):
