@@ -60,17 +60,42 @@ class BoundReport:
         return out
 
 
-def _resolved_length(model: SullivanModel, notes: list[str] | None = None) -> int:
+def _bound_report(model: SullivanModel, notes: list[str],
+                  tc_tags=(TAG_TC_PURE, TAG_TC_COFORMAL)) -> BoundReport:
+    """cat = dim V^odd + (l-2)*dim V^even and TC <= 2*cat + chi_pi, tagged.
+
+    Resolves the length before testing ellipticity, so NonConstantLength
+    wins over NotElliptic.  ``tc_tags`` names the TC result for l != 2 and
+    for the coformal case l = 2, where the bound provably equals the
+    generator count; that identity is re-checked.
+    """
     length = model.differential_length()
     if length.kind == "constant":
-        return length.value
-    if length.kind == "zero":
-        if notes is not None:
-            notes.append(
-                "all differentials vanish; treated as coformal (length 2)")
-        return 2
-    raise NonConstantLength(
-        f"model {model.name!r} has differential length {length.render()}")
+        l = length.value
+    elif length.kind == "zero":
+        notes.append("all differentials vanish; treated as coformal (length 2)")
+        l = 2
+    else:
+        raise NonConstantLength(
+            f"model {model.name!r} has differential length {length.render()}")
+    if not is_elliptic(model):
+        raise NotElliptic(f"model {model.name!r} is not elliptic")
+    cat = len(model.odd_generators) + (l - 2) * len(model.even_generators)
+    chi = model.chi_pi()
+    tc = 2 * cat + chi
+    coformal = l == 2
+    report = BoundReport(
+        model.name, chi, applicability_notes=notes, cat_value=cat,
+        cat_provenance=TAG_CAT_COFORMAL if coformal else TAG_CAT_CONSTANT_LENGTH,
+        tc_upper=tc, tc_provenance=tc_tags[1] if coformal else tc_tags[0])
+    if coformal:
+        if tc != model.dim_v():
+            raise VerificationFailed(
+                "coformal bound does not equal the generator count")
+        notes.append(f"coformal: bound equals dim V = {tc}")
+    if chi < -cat:
+        notes.append("bound is below the category estimate (chi_pi < -cat)")
+    return report
 
 
 def cat_estimate(model: SullivanModel) -> int:
@@ -79,10 +104,7 @@ def cat_estimate(model: SullivanModel) -> int:
     dim V^odd + (l-2)*dim V^even; the model does not have to be pure.
     """
     model.validate()
-    l = _resolved_length(model)
-    if not is_elliptic(model):
-        raise NotElliptic(f"model {model.name!r} is not elliptic")
-    return len(model.odd_generators) + (l - 2) * len(model.even_generators)
+    return _bound_report(model, []).cat_value
 
 
 def tc_upper_bound(model: SullivanModel) -> BoundReport:
@@ -94,27 +116,7 @@ def tc_upper_bound(model: SullivanModel) -> BoundReport:
     model.validate()
     if not model.is_pure():
         raise NotPure(f"model {model.name!r} is not pure")
-    notes: list[str] = []
-    l = _resolved_length(model, notes)
-    if not is_elliptic_pure(model):
-        raise NotElliptic(f"model {model.name!r} is not elliptic")
-    cat = len(model.odd_generators) + (l - 2) * len(model.even_generators)
-    chi = model.chi_pi()
-    tc = 2 * cat + chi
-    report = BoundReport(model.name, chi, cat_value=cat,
-                         tc_upper=tc, applicability_notes=notes)
-    report.cat_provenance = TAG_CAT_COFORMAL if l == 2 else TAG_CAT_CONSTANT_LENGTH
-    if l == 2:
-        if tc != model.dim_v():
-            raise VerificationFailed(
-                "coformal bound does not equal the generator count")
-        report.tc_provenance = TAG_TC_COFORMAL
-        notes.append(f"coformal: bound equals dim V = {tc}")
-    else:
-        report.tc_provenance = TAG_TC_PURE
-    if chi < -cat:
-        notes.append("bound is below the category estimate (chi_pi < -cat)")
-    return report
+    return _bound_report(model, [])
 
 
 def tc_upper_bound_nonpure(model: SullivanModel, pure_sub) -> BoundReport:
@@ -143,23 +145,5 @@ def tc_upper_bound_nonpure(model: SullivanModel, pure_sub) -> BoundReport:
         "pure sub-model on {%s}: closed under d, pure, elliptic, "
         "full even part" % ", ".join(g.name for g in sub.generators)
     ]
-    l = _resolved_length(model, notes)
-    if not is_elliptic(model):
-        raise NotElliptic(f"model {model.name!r} is not elliptic")
-    cat = len(model.odd_generators) + (l - 2) * len(model.even_generators)
-    chi = model.chi_pi()
-    tc = 2 * cat + chi
-    report = BoundReport(model.name, chi, cat_value=cat,
-                         tc_upper=tc, applicability_notes=notes)
-    report.cat_provenance = TAG_CAT_COFORMAL if l == 2 else TAG_CAT_CONSTANT_LENGTH
-    if l == 2:
-        if tc != model.dim_v():
-            raise VerificationFailed(
-                "coformal bound does not equal the generator count")
-        report.tc_provenance = TAG_TC_EXTENSION_COFORMAL
-        notes.append(f"coformal: bound equals dim V = {tc}")
-    else:
-        report.tc_provenance = TAG_TC_EXTENSION
-    if chi < -cat:
-        notes.append("bound is below the category estimate (chi_pi < -cat)")
-    return report
+    return _bound_report(model, notes,
+                         (TAG_TC_EXTENSION, TAG_TC_EXTENSION_COFORMAL))

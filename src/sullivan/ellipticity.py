@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .algebra import Element, Generator, enumerate_basis
 from .errors import (
@@ -164,15 +165,20 @@ def all_nilpotency_exponents(model: SullivanModel) -> dict[str, int]:
     return out
 
 
-# -- cohomology ranks (exact, degreewise) -------------------------------------
+# -- exact elimination (shared) ----------------------------------------------
 
-def _rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank of a sparse matrix given as rows of column->value maps."""
-    pivots: list[tuple[int, dict[int, Fraction]]] = []
-    rank = 0
+def _echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Echelon form of sparse rows of column->value maps, as {pivot: monic row}.
+
+    Each row is reduced against the pivots found before it and keeps its
+    lowest remaining column as its pivot.  The length of the result is the
+    rank, and its pivot set is that of the reduced row echelon form: every
+    vector of the span leads at one of these columns.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
     for row in rows:
         r = dict(row)
-        for col, prow in pivots:
+        for col, prow in pivots.items():
             c = r.get(col)
             if not c:
                 continue
@@ -185,12 +191,26 @@ def _rank(rows: list[dict[int, Fraction]]) -> int:
         if not r:
             continue
         col = min(r)
-        inv = Fraction(1) / r[col]
-        r = {k: v * inv for k, v in r.items()}
-        pivots.append((col, r))
-        rank += 1
-    return rank
+        if r[col] != 1:  # rows fed back by _span_key are already monic
+            inv = Fraction(1) / r[col]
+            r = {k: v * inv for k, v in r.items()}
+        pivots[col] = r
+    return pivots
 
+
+def _span_key(rows: Iterable[dict[int, Fraction]]) -> tuple:
+    """Canonical key of the span of sparse rows: its reduced row echelon form.
+
+    Feeding the echelon rows back in, largest pivot first, back-substitutes:
+    each is reduced against every larger pivot row, already reduced itself.
+    Two row sets have equal keys exactly when they span the same space.
+    """
+    pivots = _echelon(rows)
+    reduced = _echelon(pivots[col] for col in sorted(pivots, reverse=True))
+    return tuple(tuple(sorted(reduced[col].items())) for col in sorted(reduced))
+
+
+# -- cohomology ranks (exact, degreewise) -------------------------------------
 
 def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     """Dimensions of the cohomology in degrees 0 through up_to, as a list.
@@ -216,7 +236,7 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
             if not img:
                 continue
             rows.append({col_of[mm]: c for mm, c in img.items()})
-        ranks.append(_rank(rows))
+        ranks.append(len(_echelon(rows)))
     out = []
     for k in range(up_to + 1):
         n_k = len(bases[k])

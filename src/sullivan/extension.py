@@ -26,12 +26,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .algebra import Element, Generator, enumerate_basis
+from .algebra import Element, Generator
 from .ellipticity import (
     ExactnessCertificate,
-    differential_ideal_basis,
+    _echelon,
+    _span_key,
     exactness_certificate,
     is_elliptic_pure,
 )
@@ -43,6 +44,7 @@ from .errors import (
     NonConstantLength,
     SearchExhausted,
     SearchSpaceTooLarge,
+    SullivanError,
     VerificationFailed,
 )
 from .groebner import (
@@ -56,34 +58,9 @@ from .model import SullivanModel
 
 # -- small exact linear algebra helpers ---------------------------------------
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    lead = 0
-    ncols = len(m[0]) if m else 0
-    for r in range(len(m)):
-        while lead < ncols:
-            pr = next((i for i in range(r, len(m)) if m[i][lead] != 0), None)
-            if pr is None:
-                lead += 1
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = Fraction(1) / m[r][lead]
-            m[r] = [v * inv for v in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][lead] != 0:
-                    c = m[i][lead]
-                    m[i] = [a - c * b for a, b in zip(m[i], m[r])]
-            pivots.append(lead)
-            lead += 1
-            break
-    m = [row for row in m if any(row)]
-    return m, pivots
-
-
 def _coefficient_rows(elements: Sequence[Element],
-                      odd_gens: Sequence[Generator]) -> list[list[Fraction]]:
+                      odd_gens: Sequence[Generator]) -> list[dict[int, Fraction]]:
+    """Sparse rows of the elements' coefficients over the odd generators."""
     cols = {g: i for i, g in enumerate(odd_gens)}
     rows = []
     for e in elements:
@@ -91,7 +68,7 @@ def _coefficient_rows(elements: Sequence[Element],
         if lin is None:
             raise InvalidInput(
                 f"element {e.render()} is not a linear combination of odd generators")
-        row = [Fraction(0)] * len(odd_gens)
+        row = {}
         for g, c in lin.items():
             if g not in cols:
                 raise InvalidInput(
@@ -99,11 +76,6 @@ def _coefficient_rows(elements: Sequence[Element],
             row[cols[g]] = c
         rows.append(row)
     return rows
-
-
-def _subspace_signature(rows: list[list[Fraction]]):
-    red, _ = _rref(rows)
-    return tuple(tuple(r) for r in red)
 
 
 # -- first stage ---------------------------------------------------------------
@@ -200,36 +172,104 @@ class RegularChoice:
     tried: int
 
 
-def _primitive_vectors(n: int, height: int) -> list[tuple[int, ...]]:
-    """Primitive integer vectors with max |entry| == height, first nonzero > 0."""
-    out = []
-    for v in itertools.product(range(-height, height + 1), repeat=n):
-        if max(abs(a) for a in v) != height:
-            continue
-        nz = next((a for a in v if a), None)
-        if nz is None or nz < 0:
-            continue
-        g = 0
-        for a in v:
-            g = gcd(g, abs(a))
-        if g == 1:
-            out.append(v)
-    return out
-
-
 def _vector_pool(n: int, up_to_height: int) -> list[tuple[int, ...]]:
+    """Primitive integer vectors, first nonzero entry > 0, by height max |entry|."""
     pool: list[tuple[int, ...]] = []
     for h in range(1, up_to_height + 1):
-        pool.extend(_primitive_vectors(n, h))
+        for v in itertools.product(range(-h, h + 1), repeat=n):
+            if max(map(abs, v)) == h and next(a for a in v if a) > 0 and gcd(*v) == 1:
+                pool.append(v)
     return pool
 
 
-def _combine(vec: Sequence[int], gens: Sequence[Generator]) -> Element:
+def _combine(combination: dict[Generator, int],
+             terms: dict[Generator, Element]) -> Element:
+    """The sum of c * terms[g] over a combination's {generator: c}."""
     acc = Element.zero()
-    for c, g in zip(vec, gens):
-        if c:
-            acc = acc + Fraction(c) * Element.from_generator(g)
+    for g, c in combination.items():
+        acc = acc + Fraction(c) * terms[g]
     return acc
+
+
+def _candidates(gens: Sequence[Generator], p: int, seed: int,
+                max_candidates: int, error: type[SullivanError],
+                budget_message: str, start_height: int):
+    """Candidate picks of p homogeneous combinations of ``gens``, in search order.
+
+    Yields ``(tried, height, picks)``; ``picks`` holds one {generator:
+    integer coefficient} combination per element, inside a single degree.
+    First the plain p-subsets in ``itertools.combinations`` order (height
+    0); then, from ``start_height`` up, the candidates whose largest
+    |coefficient| is exactly the height, split across degrees by the
+    assignments of p in descending order, kept when their span is
+    p-dimensional and new, and shuffled once per height by one
+    ``random.Random(seed)``.  More than ``max_candidates`` tried, or 50
+    times as many enumeration steps, raises ``error``.  Returns only when
+    the plain subsets are the whole space: p equals the number of
+    generators, or every degree has one generator.
+    """
+    groups: dict[int, list[Generator]] = {}
+    for g in gens:
+        groups.setdefault(g.degree, []).append(g)
+    degrees = sorted(groups)
+    # span keys read a candidate as rows over the generators grouped by degree
+    column = {g: i for i, g in enumerate(g for d in degrees for g in groups[d])}
+
+    plain = []
+    tried = 0
+    for combo in itertools.combinations(gens, p):
+        tried += 1
+        if tried > max_candidates:
+            raise error(budget_message)
+        plain.append(combo)
+        yield tried, 0, tuple({g: 1} for g in combo)
+    if p == len(gens) or all(len(groups[d]) == 1 for d in degrees):
+        return
+
+    seen = {_span_key({column[g]: Fraction(1)} for g in combo) for combo in plain}
+    assignments = sorted(
+        (a for a in itertools.product(*(range(min(len(groups[d]), p) + 1)
+                                         for d in degrees))
+         if sum(a) == p), reverse=True)
+    rng = random.Random(seed)
+    work = 0
+    work_budget = 50 * max_candidates
+    height = start_height
+    while True:
+        batch: list[tuple[dict[Generator, int], ...]] = []
+        budget = max_candidates - tried
+        pools: dict[int, list[tuple[int, ...]]] = {}  # degree -> pool at this height
+        for a in assignments:
+            slots = [d for d, k in zip(degrees, a) for _ in range(k)]
+            first = [column[groups[d][0]] for d in slots]
+            for d in slots:
+                if d not in pools:
+                    pools[d] = _vector_pool(len(groups[d]), height)
+            for idx in itertools.product(*(range(len(pools[d])) for d in slots)):
+                work += 1
+                if work > work_budget:
+                    raise error(f"candidate enumeration stalled after {work} steps")
+                vectors = [pools[d][i] for d, i in zip(slots, idx)]
+                if max(abs(c) for v in vectors for c in v) != height:
+                    continue  # of a lower height
+                key = _span_key({f + j: Fraction(c) for j, c in enumerate(v) if c}
+                                for f, v in zip(first, vectors))
+                if len(key) < p or key in seen:
+                    continue
+                seen.add(key)
+                batch.append(tuple({g: c for g, c in zip(groups[d], v) if c}
+                                   for d, v in zip(slots, vectors)))
+                if len(batch) > budget:
+                    break
+            if len(batch) > budget:
+                break
+        rng.shuffle(batch)
+        for picks in batch:
+            tried += 1
+            if tried > max_candidates:
+                raise error(budget_message)
+            yield tried, height, picks
+        height += 1
 
 
 def find_homogeneous_regular_subset(stage: FirstStage, seed: int = 0,
@@ -237,122 +277,46 @@ def find_homogeneous_regular_subset(stage: FirstStage, seed: int = 0,
     """Pick |evens| odd combinations of the stage with regular differentials.
 
     Search order: plain subsets of the active odd generators in declaration
-    order, then tuples of primitive integer combinations with coefficients
-    bounded by 2, then widening bound.  Each candidate subspace is tested
-    once (reduced-echelon signatures deduplicate) via finite-dimensionality
+    order, then tuples of primitive integer combinations whose largest
+    |coefficient| is exactly 2, then exactly 3, and so on.  Combinations
+    with every coefficient in {-1, 0, 1} are therefore tried only as plain
+    subsets: the schedule starts at height 2.  Each candidate subspace is
+    tested once (canonical span keys deduplicate) via finite-dimensionality
     of the quotient by the candidate differentials, which for |evens| many
     elements is equivalent to regularity.  Deterministic for a fixed seed;
-    the seed only reorders candidates within one coefficient-bound batch.
+    the seed only reorders candidates within one height's batch.
 
     Existence is guaranteed for stages of elliptic models, so exhausting the
     candidate budget raises SearchExhausted as a defensive error.
     """
     p = len(stage.evens)
     active = stage.active
-    images = {g: stage.model.differential[g] for g in active}
-    tried = 0
     if p == 0:
         return RegularChoice([], [], (), 0, 0)
 
-    # rank of the image span decides feasibility up front
-    img_rank = _image_rank(stage)
+    images = {g: stage.model.differential[g] for g in active}
+    # rank of the image span over its monomials decides feasibility up front
+    cols: dict = {}
+    img_rank = len(_echelon(
+        {cols.setdefault(mon, len(cols)): c for mon, c in img.items()}
+        for img in images.values()))
     if img_rank < p:
         raise SearchExhausted(
             f"differential images of the first stage span only {img_rank} "
             f"dimensions, fewer than the {p} required")
 
-    def test(candidate_images: list[Element]) -> bool:
-        gb = buchberger(candidate_images, stage.evens)
-        return quotient_is_finite_dimensional(gb)
-
-    # plain subsets, declaration order
-    for combo in itertools.combinations(range(len(active)), p):
-        tried += 1
-        if tried > max_candidates:
-            raise SearchExhausted(
-                f"no regular pick within {max_candidates} candidates")
-        imgs = [images[active[i]] for i in combo]
-        if test(imgs):
-            els = [Element.from_generator(active[i]) for i in combo]
-            return RegularChoice(els, imgs, tuple(active[i].name for i in combo),
-                                 0, tried)
-
-    seen: set = set()
-    for combo in itertools.combinations(range(len(active)), p):
-        vecs = []
-        for i in combo:
-            row = [Fraction(0)] * len(active)
-            row[i] = Fraction(1)
-            vecs.append(row)
-        seen.add(_subspace_signature(vecs))
-
-    # combination candidates never exist with a single active generator per slot
-    if len(active) == p:
-        raise SearchExhausted(
-            "the only candidate subset fails the regularity test and the span "
-            "admits no other subspaces")
-
-    rng = random.Random(seed)
-    work = 0
-    work_budget = 50 * max_candidates
-    height = 2  # initial coefficient bound per the widening schedule
-    while True:
-        batch: list[list[tuple[int, ...]]] = []
-        pool = _vector_pool(len(active), height)
-        budget = max_candidates - tried
-        for rows_idx in itertools.product(range(len(pool)), repeat=p):
-            work += 1
-            if work > work_budget:
-                raise SearchExhausted(
-                    f"candidate enumeration stalled after {work} steps")
-            vectors = [pool[i] for i in rows_idx]
-            if max(abs(c) for v in vectors for c in v) != height:
-                continue  # covered by a smaller bound
-            frac_rows = [[Fraction(c) for c in v] for v in vectors]
-            sig = _subspace_signature(frac_rows)
-            if len(sig) < p or sig in seen:
-                continue
-            seen.add(sig)
-            batch.append(vectors)
-            if len(batch) > budget:
-                break
-        rng.shuffle(batch)
-        for vectors in batch:
-            tried += 1
-            if tried > max_candidates:
-                raise SearchExhausted(
-                    f"no regular pick within {max_candidates} candidates")
-            imgs = [_image_combination(v, active, images) for v in vectors]
-            if test(imgs):
-                els = [_combine(v, active) for v in vectors]
-                return RegularChoice(els, imgs, None, height, tried)
-        height += 1
-
-
-def _image_combination(vec: Sequence[int], odds: Sequence[Generator],
-                       images: dict[Generator, Element]) -> Element:
-    acc = Element.zero()
-    for c, g in zip(vec, odds):
-        if c:
-            acc = acc + Fraction(c) * images[g]
-    return acc
-
-
-def _image_rank(stage: FirstStage) -> int:
-    """Rank of the span of the active differentials, over the monomial basis."""
-    if not stage.active:
-        return 0
-    degree = stage.active[0].degree + 1
-    basis = enumerate_basis(stage.evens, degree)
-    cols = {m: i for i, m in enumerate(basis)}
-    rows = []
-    for g in stage.active:
-        row = [Fraction(0)] * len(basis)
-        for mon, c in stage.model.differential[g].items():
-            row[cols[mon]] = c
-        rows.append(row)
-    red, pivots = _rref(rows)
-    return len(pivots)
+    generators = {g: Element.from_generator(g) for g in active}
+    for tried, height, picks in _candidates(
+            active, p, seed, max_candidates, SearchExhausted,
+            f"no regular pick within {max_candidates} candidates", start_height=2):
+        imgs = [_combine(c, images) for c in picks]
+        if quotient_is_finite_dimensional(buchberger(imgs, stage.evens)):
+            els = [_combine(c, generators) for c in picks]
+            subset = tuple(e.render() for e in els) if height == 0 else None
+            return RegularChoice(els, imgs, subset, height, tried)
+    raise SearchExhausted(
+        "the only candidate subset fails the regularity test and the span "
+        "admits no other subspaces")
 
 
 # -- extension construction ------------------------------------------------------
@@ -590,8 +554,7 @@ def f0_extend(model: SullivanModel, seed: int = 0,
                                                  max_candidates=max_candidates)
         chosen.extend(choice.elements)
         rows = _coefficient_rows(choice.elements, current.odd_generators)
-        _, pivot_cols = _rref(rows)
-        pivot_gens = [current.odd_generators[i] for i in pivot_cols]
+        pivot_gens = [current.odd_generators[i] for i in sorted(_echelon(rows))]
         survivors = [g for g in current.generators
                      if g not in set(stage.evens) and g not in set(pivot_gens)]
         trace.append(StageRecord(
@@ -705,108 +668,19 @@ def exhaustive_homogeneous_search(model: SullivanModel, seed: int = 0,
         outcome.subset_complete = True
         return outcome
 
-    by_degree: dict[int, list[Generator]] = {}
-    for g in odds:
-        by_degree.setdefault(g.degree, []).append(g)
-    degrees = sorted(by_degree)
-    sizes = [len(by_degree[d]) for d in degrees]
-    seen: set = set()
-
-    def graded_signature(parts: list[tuple[int, list[list[Fraction]]]]):
-        return tuple((d, _subspace_signature(rows)) for d, rows in parts)
-
-    for combo in itertools.combinations(odds, p):
-        outcome.tried += 1
-        if outcome.tried > max_candidates:
-            raise SearchSpaceTooLarge(
-                f"search budget of {max_candidates} candidates exceeded")
-        candidate = [Element.from_generator(g) for g in combo]
-        parts = []
-        for d in degrees:
-            group = by_degree[d]
-            members = [g for g in combo if g.degree == d]
-            if not members:
-                continue
-            rows = []
-            for g in members:
-                row = [Fraction(0)] * len(group)
-                row[group.index(g)] = Fraction(1)
-                rows.append(row)
-            parts.append((d, rows))
-        seen.add(graded_signature(parts))
+    generators = {g: Element.from_generator(g) for g in odds}
+    for tried, height, picks in _candidates(
+            odds, p, seed, max_candidates, SearchSpaceTooLarge,
+            f"search budget of {max_candidates} candidates exceeded", start_height=1):
+        outcome.tried = tried
+        candidate = [_combine(c, generators) for c in picks]
         report = verify_f0_extension(model, candidate)
         if report.passed:
             outcome.found = candidate
+            outcome.subset_complete = height > 0
             return outcome
-        reject(tuple(g.name for g in combo), report)
+        reject(tuple(e.render() for e in candidate), report)
+    # the plain subsets were the whole space
     outcome.subset_complete = True
-
-    # beyond subsets the space is nonempty only when some odd degree carries
-    # two or more generators
-    if all(s == 1 for s in sizes):
-        outcome.fully_exhaustive = True
-        return outcome
-
-    assignments = [a for a in itertools.product(*(range(min(s, p) + 1) for s in sizes))
-                   if sum(a) == p]
-    assignments.sort(reverse=True)
-    rng = random.Random(seed)
-    work = 0
-    work_budget = 50 * max_candidates
-    height = 1
-    while True:
-        batch: list[list[Element]] = []
-        budget = max_candidates - outcome.tried
-        vecs_of: dict[int, list[tuple[int, ...]]] = {}  # degree -> pool at this height
-        for a in assignments:
-            pools = []
-            for k_d, d in zip(a, degrees):
-                if k_d == 0:
-                    pools.append([()])
-                    continue
-                if d not in vecs_of:
-                    vecs_of[d] = _vector_pool(len(by_degree[d]), height)
-                pools.append(list(itertools.product(range(len(vecs_of[d])), repeat=k_d)))
-            for pick in itertools.product(*pools):
-                work += 1
-                if work > work_budget:
-                    raise SearchSpaceTooLarge(
-                        f"candidate enumeration stalled after {work} steps")
-                elements: list[Element] = []
-                parts = []
-                rank_ok = True
-                for k_d, d, rows_idx in zip(a, degrees, pick):
-                    if k_d == 0:
-                        continue
-                    group = by_degree[d]
-                    vectors = [vecs_of[d][i] for i in rows_idx]
-                    frac_rows = [[Fraction(c) for c in v] for v in vectors]
-                    if len(_subspace_signature(frac_rows)) < k_d:
-                        rank_ok = False
-                        break
-                    parts.append((d, frac_rows))
-                    for v in vectors:
-                        elements.append(_combine(v, group))
-                if not rank_ok:
-                    continue
-                sig = graded_signature(parts)
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                batch.append(elements)
-                if len(batch) > budget:
-                    break
-            if len(batch) > budget:
-                break
-        rng.shuffle(batch)
-        for elements in batch:
-            outcome.tried += 1
-            if outcome.tried > max_candidates:
-                raise SearchSpaceTooLarge(
-                    f"search budget of {max_candidates} candidates exceeded")
-            report = verify_f0_extension(model, elements)
-            if report.passed:
-                outcome.found = elements
-                return outcome
-            reject(tuple(e.render() for e in elements), report)
-        height += 1
+    outcome.fully_exhaustive = True
+    return outcome

@@ -72,15 +72,46 @@ class _Tokens:
 #: recursion limit
 MAX_NESTING = 100
 
+#: most bits a product or power may give a coefficient, estimated before the
+#: expansion; with the degree bound this keeps any one-line expression cheap
+MAX_COEFFICIENT_BITS = 4096
+
+
+def _size(e: Element) -> tuple[int, int]:
+    """Largest term degree and largest coefficient bit count (floor log2) of e."""
+    degree = bits = 0
+    for m, c in e.items():
+        degree = max(degree, m.degree)
+        bits = max(bits, c.numerator.bit_length() - 1,
+                   c.denominator.bit_length() - 1)
+    return degree, bits
+
 
 class _ExprParser:
-    """Recursive descent over + - * ^ ( ) with rational coefficients."""
+    """Recursive descent over + - * ^ ( ) with rational coefficients.
 
-    def __init__(self, text: str, env: dict[str, Element], line: int):
+    A product or power is refused before it is expanded when a term would
+    exceed ``max_degree``, the image degree, or a coefficient
+    MAX_COEFFICIENT_BITS bits.
+    """
+
+    def __init__(self, text: str, env: dict[str, Element], line: int,
+                 max_degree: int):
         self.t = _Tokens(text, line)
         self.env = env
         self.line = line
+        self.max_degree = max_degree
         self.depth = 0
+
+    def _check(self, degree: int, bits: int) -> None:
+        if degree > self.max_degree:
+            raise ModelSyntaxError(
+                f"a term of degree {degree} exceeds the image degree "
+                f"{self.max_degree}", self.line)
+        if bits > MAX_COEFFICIENT_BITS:
+            raise ModelSyntaxError(
+                f"a coefficient of about {bits} bits exceeds the limit of "
+                f"{MAX_COEFFICIENT_BITS}", self.line)
 
     def parse(self) -> Element:
         e = self.expr()
@@ -113,7 +144,10 @@ class _ExprParser:
         acc = self.power()
         while self.t.peek() == ("op", "*"):
             self.t.pop()
-            acc = acc * self.power()
+            rhs = self.power()
+            (d1, b1), (d2, b2) = _size(acc), _size(rhs)
+            self._check(d1 + d2, b1 + b2)
+            acc = acc * rhs
         return acc
 
     def power(self) -> Element:
@@ -123,7 +157,10 @@ class _ExprParser:
             kind, v = self.t.pop()
             if kind != "number" or "/" in v:
                 raise ModelSyntaxError("exponent must be a positive integer", self.line)
-            return base ** int(v)
+            k = int(v)
+            degree, bits = _size(base)
+            self._check(k * degree, k * bits)
+            return base ** k
         return base
 
     def atom(self) -> Element:
@@ -195,7 +232,7 @@ def parse_model(text: str) -> SullivanModel:
     for lineno, parity, gname, deg, expr in decls:
         if expr is None:
             continue
-        img = _ExprParser(expr, env, lineno).parse()
+        img = _ExprParser(expr, env, lineno, deg + 1).parse()
         if img:
             diffs[gname] = img
     model = SullivanModel(gens, diffs, name=name)

@@ -2,6 +2,7 @@
 import io
 import json
 import pathlib
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -72,6 +73,19 @@ def test_deeply_nested_expression_exit_2(tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error[syntax]: line 3: parentheses nested deeper")
+    assert err.count("\n") == 1
+
+
+def test_oversized_power_exit_2_at_once(tmp_path):
+    big = tmp_path / "big.model"
+    big.write_text('model "big"\neven x1 : 2\neven x2 : 2\neven x3 : 2\n'
+                   "odd y : 3 = (x1+x2+x3)^150\n")
+    start = time.perf_counter()
+    code, out, err = run("validate", big)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[syntax]: line 5: a term of degree 300")
     assert err.count("\n") == 1
 
 

@@ -1,8 +1,15 @@
 """Ellipticity decisions, nilpotency exponents, certificates, cohomology ranks."""
+from fractions import Fraction
+
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sullivan import build_model
 from sullivan.ellipticity import (
+    _echelon,
+    _span_key,
     all_nilpotency_exponents,
     cohomology_dims,
     exactness_certificate,
@@ -137,3 +144,80 @@ def test_cohomology_detects_infinite(not_elliptic):
     dims = cohomology_dims(not_elliptic, 12)
     # x2 is a polynomial direction: its powers survive in every even degree
     assert all(dims[k] >= 1 for k in range(0, 13, 2))
+
+
+# -- the shared exact eliminator, against sympy ---------------------------------
+
+#: derandomized, so the suite draws the same examples on every run
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60)
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=6):
+    """A dense rational matrix with mostly small integer and some zero entries."""
+    n_rows = draw(st.integers(1, max_rows))
+    n_cols = draw(st.integers(1, max_cols))
+    entry = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    return [draw(st.lists(entry, min_size=n_cols, max_size=n_cols))
+            for _ in range(n_rows)]
+
+
+def sparse(rows):
+    return [{j: c for j, c in enumerate(r) if c} for r in rows]
+
+
+def sympy_rref(rows):
+    red, pivots = sympy.Matrix(rows).rref()
+    dense = [[Fraction(int(v.p), int(v.q)) for v in red.row(i)]
+             for i in range(len(pivots))]
+    return dense, list(pivots)
+
+
+@PROPERTY
+@given(matrices())
+def test_echelon_rank_and_pivots_match_sympy(rows):
+    pivots = _echelon(sparse(rows))
+    assert len(pivots) == sympy.Matrix(rows).rank()
+    assert sorted(pivots) == sympy_rref(rows)[1]
+    for col, row in pivots.items():
+        assert min(row) == col and row[col] == 1
+
+
+@PROPERTY
+@given(matrices())
+def test_span_key_is_the_reduced_echelon_form(rows):
+    dense, _ = sympy_rref(rows)
+    assert _span_key(sparse(rows)) == tuple(
+        tuple(sorted(r.items())) for r in sparse(dense))
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_span_key_is_invariant_under_invertible_row_operations(rows, data):
+    key = _span_key(sparse(rows))
+    moved = data.draw(st.permutations(rows))
+    assert _span_key(sparse(moved)) == key
+    n = len(moved)
+    for _ in range(data.draw(st.integers(0, 6))):
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        c = Fraction(data.draw(st.integers(-3, 3).filter(bool)),
+                     data.draw(st.integers(1, 3)))
+        if i == j:
+            moved[i] = [c * v for v in moved[i]]
+        else:
+            moved[i] = [a + c * b for a, b in zip(moved[i], moved[j])]
+    assert _span_key(sparse(moved)) == key
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_span_key_tells_spans_apart(rows, data):
+    # appending a row changes the span exactly when it raises the rank
+    extra = data.draw(st.lists(st.integers(-2, 2).map(Fraction),
+                               min_size=len(rows[0]), max_size=len(rows[0])))
+    grown = rows + [extra]
+    same_span = sympy.Matrix(grown).rank() == sympy.Matrix(rows).rank()
+    assert (_span_key(sparse(grown)) == _span_key(sparse(rows))) == same_span

@@ -1,5 +1,7 @@
 """Model file grammar: round-trips, expressions, line-numbered errors."""
 import pathlib
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +10,13 @@ from sullivan.errors import (
     ModelSyntaxError,
     UnknownGenerator,
 )
-from sullivan.parsing import MAX_NESTING, load_model, parse_model, render_model
+from sullivan.parsing import (
+    MAX_COEFFICIENT_BITS,
+    MAX_NESTING,
+    load_model,
+    parse_model,
+    render_model,
+)
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -121,6 +129,52 @@ def test_nesting_limit_line_number():
     with pytest.raises(ModelSyntaxError) as exc:
         parse_model(model(MAX_NESTING + 1))
     assert "line 3" in str(exc.value)
+
+
+def _three_evens(expr):
+    return ('model "m"\neven x1 : 2\neven x2 : 2\neven x3 : 2\n'
+            f"odd y : 3 = {expr}\n")
+
+
+@pytest.mark.parametrize("expr", [
+    "(x1+x2+x3)^150",
+    "*".join(["(x1+x2+x3)"] * 150),
+    "x1^2 + x2^99999999999999999999",
+])
+def test_degree_guard_refuses_before_expanding(expr):
+    start = time.perf_counter()
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(_three_evens(expr))
+    assert time.perf_counter() - start < 1.0
+    assert "line 5" in str(exc.value)
+    assert "exceeds the image degree 4" in str(exc.value)
+
+
+@pytest.mark.parametrize("expr", [
+    "2^100000000*x1^2",
+    "(" * 40 + "9" + ")^1000" * 40 + "*x1^2",
+    "*".join(["2^4000"] * 3000) + "*x1^2",
+    f"2^{MAX_COEFFICIENT_BITS + 1}*x1^2",
+])
+def test_coefficient_guard_refuses_before_expanding(expr):
+    start = time.perf_counter()
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(_three_evens(expr))
+    assert time.perf_counter() - start < 1.0
+    assert "line 5" in str(exc.value)
+    assert f"limit of {MAX_COEFFICIENT_BITS}" in str(exc.value)
+
+
+def test_guards_keep_in_range_powers():
+    m = parse_model(_three_evens(
+        f"x1^2 + 1/2*x2^2 + 2^{MAX_COEFFICIENT_BITS}*x3^2 + (x1+x2)*(x1-x2)"))
+    e = m.element
+    assert m.d(e("y")) == (e("x1") ** 2 + Fraction(1, 2) * e("x2") ** 2
+                           + 2 ** MAX_COEFFICIENT_BITS * e("x3") ** 2
+                           + e("x1") ** 2 - e("x2") ** 2)
+    # only an overshoot is refused early; falling short is a DegreeMismatch
+    with pytest.raises(DegreeMismatch):
+        parse_model(_three_evens("x1"))
 
 
 def test_load_model_rejects_non_utf8(tmp_path):
