@@ -45,7 +45,6 @@ from .model import (
     DifferentialLength,
     ModelReport,
     SullivanModel,
-    apply_differential,
     build_model,
 )
 from .parsing import load_model, parse_model, render_model
@@ -64,7 +63,6 @@ __all__ = [
     "SullivanModel",
     "VerificationReport",
     "all_nilpotency_exponents",
-    "apply_differential",
     "buchberger",
     "build_model",
     "cat_estimate",

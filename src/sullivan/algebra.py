@@ -93,10 +93,6 @@ class Monomial:
     even: tuple[tuple[Generator, int], ...]
     odd: tuple[Generator, ...]
 
-    @staticmethod
-    def unit() -> "Monomial":
-        return _UNIT
-
     @classmethod
     def make(cls, even: Iterable[tuple[Generator, int]] = (),
              odd: Iterable[Generator] = ()) -> "Monomial":
@@ -194,6 +190,25 @@ def mul_monomials(a: Monomial, b: Monomial):
     return Monomial(tuple(ev), tuple(od)), sign
 
 
+def _mul_into(t: dict[Monomial, Fraction], a: Iterable[tuple[Monomial, Fraction]],
+              b: Iterable[tuple[Monomial, Fraction]]) -> None:
+    """Add the product of the terms ``a`` and ``b`` into ``t``, dropping zeros.
+
+    ``b`` is iterated once per term of ``a``, so it must be re-iterable.
+    """
+    for ma, ca in a:
+        for mb, cb in b:
+            prod = mul_monomials(ma, mb)
+            if prod is None:
+                continue
+            mon, sign = prod
+            nc = t.get(mon, Fraction(0)) + sign * ca * cb
+            if nc:
+                t[mon] = nc
+            else:
+                t.pop(mon, None)
+
+
 class Element:
     """A finite rational combination of monomials."""
 
@@ -240,12 +255,6 @@ class Element:
     def items(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical order (ascending degree, then monomial order)."""
         return sorted(self._t.items(), key=lambda mc: mc[0].sort_key())
-
-    def monomials(self) -> list[Monomial]:
-        return [m for m, _ in self.items()]
-
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self._t.get(m, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._t
@@ -342,17 +351,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         t: dict[Monomial, Fraction] = {}
-        for ma, ca in self._t.items():
-            for mb, cb in other._t.items():
-                prod = mul_monomials(ma, mb)
-                if prod is None:
-                    continue
-                mon, sign = prod
-                nc = t.get(mon, Fraction(0)) + sign * ca * cb
-                if nc:
-                    t[mon] = nc
-                else:
-                    t.pop(mon, None)
+        _mul_into(t, self._t.items(), other._t.items())
         return Element._from_dict(t)
 
     def __rmul__(self, other):

@@ -528,8 +528,6 @@ def f0_extend(model: SullivanModel, seed: int = 0,
     generator receives an exactness certificate in the extension model.
     """
     model.validate()
-    if not model.is_pure():
-        raise NotPure(f"model {model.name!r} is not pure")
     if not is_elliptic_pure(model):
         raise NotElliptic(f"model {model.name!r} is not elliptic")
     length = model.differential_length()
@@ -641,8 +639,6 @@ def exhaustive_homogeneous_search(model: SullivanModel, seed: int = 0,
     raises SearchSpaceTooLarge.
     """
     model.validate()
-    if not model.is_pure():
-        raise NotPure(f"model {model.name!r} is not pure")
     if not is_elliptic_pure(model):
         raise NotElliptic(f"model {model.name!r} is not elliptic")
     p = len(model.even_generators)

@@ -16,6 +16,7 @@ from .algebra import (
     Element,
     Generator,
     Monomial,
+    _mul_into,
     enumerate_basis,
     make_generators,
 )
@@ -28,7 +29,6 @@ from .errors import (
     NotDifferentialIdeal,
     NotElliptic,
     NotMinimal,
-    NotPure,
     UnknownGenerator,
     VerificationFailed,
 )
@@ -160,10 +160,6 @@ class SullivanModel:
     def element(self, name: str) -> Element:
         return Element.from_generator(self.generator(name))
 
-    def elements(self) -> dict[str, Element]:
-        """Name -> generator element map, handy for building expressions."""
-        return {g.name: Element.from_generator(g) for g in self.generators}
-
     @property
     def even_generators(self) -> list[Generator]:
         return [g for g in self.generators if g.is_even]
@@ -181,33 +177,34 @@ class SullivanModel:
         return self.differential.get(self.generator(g), Element.zero())
 
     def d(self, e: Element | Generator) -> Element:
-        """Extend the differential to any element as a degree +1 derivation."""
+        """Extend the differential to any element as a degree +1 derivation.
+
+        With images of degree |g| + 1 (as ``validate`` checks), even
+        generators and odd generators' images commute with everything, so a
+        term c*m contributes k*c*d(g)*(m/g) for each even factor g^k and
+        (-1)^j*c*d(y)*(m/y) for the j-th odd factor y.
+        """
         if isinstance(e, Generator):
             return self.d_generator(e)
         foreign = e.generators_used() - self._gen_set
         if foreign:
             raise GeneratorMismatch(
                 "element uses foreign generators: " + ", ".join(sorted(x.name for x in foreign)))
-        total = Element.zero()
+        t: dict[Monomial, Fraction] = {}
         for mon, coeff in e._t.items():
-            factors = list(mon.factors())
-            prefix_degree = 0
-            for i, (g, exp) in enumerate(factors):
+            even, odd = mon.even, mon.odd
+            for i, (g, k) in enumerate(even):
                 dg = self.differential.get(g)
                 if dg is not None:
-                    sign = -1 if prefix_degree % 2 else 1
-                    pre = Element._from_dict({Monomial.make(
-                        [(h, x) for h, x in factors[:i] if h.is_even],
-                        [h for h, _ in factors[:i] if not h.is_even]): Fraction(1)})
-                    rest = factors[i + 1:]
-                    mid = [(g, exp - 1)] if g.is_even and exp > 1 else []
-                    post = Element._from_dict({Monomial.make(
-                        mid + [(h, x) for h, x in rest if h.is_even],
-                        [h for h, _ in rest if not h.is_even]): Fraction(1)})
-                    mult = exp if g.is_even else 1
-                    total = total + pre * dg * post * (coeff * sign * mult)
-                prefix_degree += g.degree * exp
-        return total
+                    lower = ((g, k - 1),) if k > 1 else ()
+                    rest = Monomial(even[:i] + lower + even[i + 1:], odd)
+                    _mul_into(t, dg._t.items(), ((rest, k * coeff),))
+            for j, y in enumerate(odd):
+                dy = self.differential.get(y)
+                if dy is not None:
+                    rest = Monomial(even, odd[:j] + odd[j + 1:])
+                    _mul_into(t, dy._t.items(), ((rest, -coeff if j % 2 else coeff),))
+        return Element._from_dict(t)
 
     # -- structural predicates --------------------------------------------
 
@@ -279,8 +276,6 @@ class SullivanModel:
         degree - 1).  Requires ellipticity; validated here.
         """
         self.validate()
-        if not self.is_pure():
-            raise NotPure(f"model {self.name!r} is not pure")
         from .ellipticity import is_elliptic_pure
         if not is_elliptic_pure(self):
             raise NotElliptic(f"model {self.name!r} is not elliptic")
@@ -349,12 +344,6 @@ class SullivanModel:
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
         return f"SullivanModel({self.name!r}; {gens})"
-
-
-def apply_differential(model: SullivanModel, e: Element) -> Element:
-    """Functional spelling of ``model.d(e)``: the degree +1 derivation
-    extending the generator assignments with the graded Leibniz rule."""
-    return model.d(e)
 
 
 def build_model(pairs: Sequence[tuple[str, int]],

@@ -166,7 +166,10 @@ class _ExprParser:
     def atom(self) -> Element:
         kind, v = self.t.pop()
         if kind == "number":
-            return Element.scalar(Fraction(v))
+            try:
+                return Element.scalar(Fraction(v))
+            except ZeroDivisionError:
+                raise ModelSyntaxError(f"zero denominator in {v}", self.line) from None
         if kind == "ident":
             e = self.env.get(v)
             if e is None:

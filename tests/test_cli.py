@@ -76,6 +76,15 @@ def test_deeply_nested_expression_exit_2(tmp_path):
     assert err.count("\n") == 1
 
 
+def test_zero_denominator_exit_2(tmp_path):
+    bad = tmp_path / "zero.model"
+    bad.write_text('model "zero"\neven x : 2\nodd y : 3 = x^2 + 1/0\n')
+    code, out, err = run("validate", bad)
+    assert code == 2
+    assert out == ""
+    assert err == "error[syntax]: line 3: zero denominator in 1/0\n"
+
+
 def test_oversized_power_exit_2_at_once(tmp_path):
     big = tmp_path / "big.model"
     big.write_text('model "big"\neven x1 : 2\neven x2 : 2\neven x3 : 2\n'

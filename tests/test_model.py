@@ -1,8 +1,13 @@
 """Model construction, validation, derivation rule, quotients and sub-models."""
+import random
+
 import pytest
+from conftest import make_random_model
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sullivan import build_model
-from sullivan.algebra import Element
+from sullivan.algebra import Element, Generator, enumerate_basis
 from sullivan.errors import (
     DegreeMismatch,
     DifferentialNotSquareZero,
@@ -10,6 +15,7 @@ from sullivan.errors import (
     NotMinimal,
     UnknownGenerator,
 )
+from sullivan.model import SullivanModel
 
 
 def cp(n):
@@ -33,9 +39,7 @@ def test_differential_is_derivation(mixed_model):
     rhs = m.d(y1) * y2 - y1 * m.d(y2)  # y1 is odd, sign flips on the second term
     assert lhs == rhs
     assert m.d(x1 * y1) == x1 * m.d(y1)
-    from sullivan import apply_differential
-    assert apply_differential(m, y1 * y2) == lhs
-    assert apply_differential(m, x1).is_zero()
+    assert m.d(x1).is_zero()
 
 
 def test_d_square_zero_everywhere(mixed_model):
@@ -143,3 +147,72 @@ def test_element_lookup_returns_generator_element(mixed_model):
     e = mixed_model.element("x1")
     assert isinstance(e, Element)
     assert e.degree() == 6
+
+
+# -- properties of the derivation ---------------------------------------------
+
+#: derandomized, so the suite draws the same examples on every run
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def homogeneous(draw, gens, degree):
+    """A random element of the given degree, nonzero unless no monomial has it."""
+    basis = enumerate_basis(gens, degree)
+    if not basis:
+        return Element.zero()
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(basis),
+                           max_size=len(basis)).filter(any))
+    return Element(dict(zip(basis, coeffs)))
+
+
+@st.composite
+def free_models(draw):
+    """An unvalidated model on 1-2 even generators of degree 2 or 4 and 1-3
+    odd ones of degree 3 or 5, in shuffled positions, each with an arbitrary
+    image of degree |g| + 1: even generators get images too, and images may
+    be linear or carry odd factors, so the signs of non-pure models are
+    exercised."""
+    degrees = (draw(st.lists(st.sampled_from((2, 4)), min_size=1, max_size=2))
+               + draw(st.lists(st.sampled_from((3, 5)), min_size=1, max_size=3)))
+    order = draw(st.permutations(range(len(degrees))))
+    gens = [Generator(f"g{i}", d, order[i]) for i, d in enumerate(degrees)]
+    return SullivanModel(gens, {g: draw(homogeneous(gens, g.degree + 1)) for g in gens})
+
+
+@PROPERTY
+@given(free_models(), st.data())
+def test_d_obeys_the_leibniz_rule(m, data):
+    p, q = data.draw(st.integers(2, 8)), data.draw(st.integers(2, 8))
+    a = data.draw(homogeneous(m.generators, p))
+    b = data.draw(homogeneous(m.generators, q))
+    sign = -1 if p % 2 else 1
+    assert m.d(a * b) == m.d(a) * b + sign * a * m.d(b)
+
+
+@PROPERTY
+@given(free_models(), st.data())
+def test_d_is_linear(m, data):
+    a, b = (data.draw(homogeneous(m.generators, data.draw(st.integers(0, 8))))
+            + data.draw(homogeneous(m.generators, data.draw(st.integers(0, 8))))
+            for _ in range(2))
+    p, q = (data.draw(st.fractions(-3, 3, max_denominator=5)) for _ in range(2))
+    assert m.d(p * a + q * b) == p * m.d(a) + q * m.d(b)
+
+
+@PROPERTY
+@given(free_models())
+def test_d_of_a_generator_is_its_image(m):
+    for g in m.generators:
+        assert m.d(Element.from_generator(g)) == m.differential.get(g, Element.zero())
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32), st.data())
+def test_d_squared_vanishes_on_random_models(seed, data):
+    m = make_random_model(random.Random(seed), seed)
+    m.validate()
+    e = data.draw(homogeneous(m.generators, data.draw(st.integers(0, 16))))
+    assert m.d(m.d(e)).is_zero()
