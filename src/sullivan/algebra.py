@@ -410,6 +410,21 @@ class Element:
         return self.render()
 
 
+def basis_sizes(generators: Sequence[Generator], top: int) -> list[int]:
+    """Numbers of monomials in degrees 0 through top, without enumerating them.
+
+    They are the coefficients of prod(1 - t^|x|)^-1 * prod(1 + t^|y|) over
+    the even generators x and the odd generators y, up to t^top.
+    """
+    sizes = [1] + [0] * top if top >= 0 else []
+    for g in generators:
+        d = g.degree
+        steps = range(d, top + 1) if g.is_even else range(top, d - 1, -1)
+        for k in steps:
+            sizes[k] += sizes[k - d]
+    return sizes
+
+
 def enumerate_basis(generators: Sequence[Generator], degree: int) -> list[Monomial]:
     """All monomials of the given topological degree, canonically ordered.
 

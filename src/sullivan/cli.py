@@ -19,6 +19,7 @@ import sys
 from . import bounds as bounds_mod
 from . import ellipticity as ell
 from . import extension as ext
+from .algebra import basis_sizes
 from .errors import (
     ApplicabilityError,
     ConstantTermPresent,
@@ -42,6 +43,12 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+#: most monomials ``cohomology`` may enumerate (degrees 0 through --up-to + 1),
+#: counted before any work; the shipped models need at most 19,414 at the
+#: --max-degree default of 200, and five S^2 pieces at --up-to 26 (93,980)
+#: take about 20 s (Python 3.11, one core of a 2-core virtual machine)
+MAX_COHOMOLOGY_BASIS = 100_000
 
 _INPUT_ERRORS = (
     ModelSyntaxError,
@@ -171,6 +178,11 @@ def cmd_cohomology(args) -> int:
     if args.up_to > args.max_degree:
         raise InvalidInput(
             f"--up-to {args.up_to} exceeds --max-degree {args.max_degree}")
+    size = sum(basis_sizes(model.generators, args.up_to + 1))
+    if size > MAX_COHOMOLOGY_BASIS:
+        raise InvalidInput(
+            f"cohomology through degree {args.up_to} needs {size} basis monomials, "
+            f"over the limit of {MAX_COHOMOLOGY_BASIS}; lower --up-to")
     dims = ell.cohomology_dims(model, args.up_to)
     _say(_model_summary(model), args)
     for k, d in enumerate(dims):

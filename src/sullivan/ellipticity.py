@@ -227,15 +227,16 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
         {m: i for i, m in enumerate(b)}
         for b in bases
     ]
+    one = Fraction(1)
     ranks = []
     for k in range(up_to + 1):
         rows = []
         col_of = index[k + 1]
         for m in bases[k]:
-            img = model.d(Element({m: Fraction(1)}))
+            img = model.d(Element._from_dict({m: one}))
             if not img:
                 continue
-            rows.append({col_of[mm]: c for mm, c in img.items()})
+            rows.append({col_of[mm]: c for mm, c in img._t.items()})
         ranks.append(len(_echelon(rows)))
     out = []
     for k in range(up_to + 1):

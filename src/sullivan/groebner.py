@@ -6,13 +6,18 @@ ties broken reverse-lexicographically against the declared variable order.
 Ideal quotients use the same machinery with one auxiliary elimination
 indeterminate ordered above everything else.
 
-Internally polynomials are dicts mapping exponent tuples to integers; the
-Buchberger loop clears denominators and strips contents so coefficients stay
-integral.  Each basis is computed once without provenance, and a small cache
-of recent bases (keyed on the exact inputs, in caller order) serves repeated
-requests for the same ideal.  Cofactors over the input generators, which turn
-membership tests into certificates, are lifted on demand by one tracked rerun
-on the same inputs, whose basis must equal the untracked one.
+Internally polynomials are dicts mapping exponent tuples to integers, and a
+basis is kept as primitive integer polynomials g_k with positive leading
+coefficients (the monic ``generators`` are derived from them).  Each basis is
+computed once without provenance, and a small cache of recent bases (keyed on
+the exact inputs, in caller order) serves repeated requests for the same
+ideal.  Cofactors over the input generators f_i, which turn membership tests
+into certificates, are lifted on demand by one tracked rerun on the same
+inputs, whose basis must equal the untracked one.  The whole path stays in
+integers, fraction-free (Bareiss, 1968): the rerun keeps each g_k as
+sum(R_i * f_i) / D over one integer denominator, division finds
+S * f = sum(C_k * g_k) + R for one integer scale S, and lifted cofactors are
+divided by their common denominator once, at the end.
 All computations are deterministic for a fixed input order.
 
 A sequence of as many weighted-homogeneous elements as variables is regular
@@ -30,7 +35,7 @@ import itertools
 from collections import OrderedDict
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .algebra import Element, Generator, Monomial
@@ -85,15 +90,12 @@ class MonomialOrder:
         self.weights = tuple(weights)
         self.elim = elim
 
-    def wdeg(self, e: Exps) -> int:
-        return sum(w * a for w, a in zip(self.weights, e))
-
     def key(self, e: Exps):
         if self.elim:
             rest = e[1:]
             w = sum(w * a for w, a in zip(self.weights[1:], rest))
             return (e[0], w, tuple(-a for a in reversed(rest)))
-        return (self.wdeg(e), tuple(-a for a in reversed(e)))
+        return (sum(w * a for w, a in zip(self.weights, e)), tuple(-a for a in reversed(e)))
 
 
 # -- element <-> exponent-dict conversion ------------------------------------
@@ -102,7 +104,7 @@ def element_to_poly(e: Element, variables: Sequence[Generator]) -> dict[Exps, Fr
     pos = {g: i for i, g in enumerate(variables)}
     n = len(variables)
     out: dict[Exps, Fraction] = {}
-    for mon, c in e.items():
+    for mon, c in e._t.items():
         if mon.odd:
             raise OddGeneratorPresent(
                 f"term {mon.render()} has odd factors; expected an even polynomial")
@@ -116,70 +118,106 @@ def element_to_poly(e: Element, variables: Sequence[Generator]) -> dict[Exps, Fr
     return out
 
 
-def poly_to_element(p: dict[Exps, Fraction], variables: Sequence[Generator]) -> Element:
+def poly_to_element(p: dict[Exps, Fraction | int], variables: Sequence[Generator],
+                    den: int = 1) -> Element:
+    """The element p / den; ``den`` divides integer coefficients on the way out."""
     terms: dict[Monomial, Fraction] = {}
     for exps, c in p.items():
         mon = Monomial.make([(g, k) for g, k in zip(variables, exps) if k], ())
-        terms[mon] = Fraction(c)
+        terms[mon] = Fraction(c, den)
     return Element(terms)
 
 
 # -- integer polynomial primitives -------------------------------------------
 
-def _content(p: dict) -> int:
+def _integral(p: dict[Exps, Fraction | int]) -> tuple[int, dict[Exps, int]]:
+    """(den, den * p) for den the least common denominator of p's coefficients."""
+    den = lcm(*(c.denominator for c in p.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in p.items()}
+
+
+def _content(coeffs: Iterable[int]) -> int:
     g = 0
-    for c in p.values():
-        g = gcd(g, abs(c))
+    for c in coeffs:
+        g = gcd(g, c)
         if g == 1:
             break
     return g or 1
 
 
-def _scale_rep(rep: list[dict], c) -> None:
-    for r in rep:
+def _primitive(p: dict[Exps, int], order: MonomialOrder) -> tuple[int, dict[Exps, int]]:
+    """(g0, p / g0) for g0 the content of p, signed to make the leading coefficient positive."""
+    g0 = _content(p.values())
+    if p[max(p, key=order.key)] < 0:
+        g0 = -g0
+    return g0, p if g0 == 1 else {m: c // g0 for m, c in p.items()}
+
+
+def _submul(p: dict[Exps, int], q: dict[Exps, int], c: int, t: Exps) -> None:
+    """p -= c * x^t * q, in place, dropping zero terms."""
+    for m, v in q.items():
+        kk = _add(m, t)
+        nv = p.get(kk, 0) - c * v
+        if nv:
+            p[kk] = nv
+        else:
+            p.pop(kk, None)
+
+
+def _scale(polys: Iterable[dict[Exps, int]], c: int) -> None:
+    for r in polys:
         for k in r:
             r[k] *= c
 
 
-def _rep_submul(rep: list[dict], other: list[dict], c, t: Exps) -> None:
-    # rep -= c * x^t * other
-    for r, o in zip(rep, other):
-        for k, v in o.items():
-            kk = _add(k, t)
-            nv = r.get(kk, Fraction(0)) - c * v
-            if nv:
-                r[kk] = nv
-            else:
-                r.pop(kk, None)
+# A rep [D, [R_0, ..., R_{n-1}]] stands for sum(R_i * f_i) / D over the
+# engine's inputs f_i, with integer polynomials R_i and an integer D > 0.
+
+def _rep_submul(rep: list, other: list, c: int, t: Exps) -> None:
+    """rep -= c * x^t * other, over the lcm of the two denominators."""
+    d, d2 = rep[0], other[0]
+    both = lcm(d, d2)
+    if both != d:
+        _scale(rep[1], both // d)
+        rep[0] = both
+    c *= both // d2
+    for r, o in zip(rep[1], other[1]):
+        _submul(r, o, c, t)
+
+
+def _rep_divide(rep: list, g0: int) -> None:
+    """rep /= g0 (nonzero): cancel gcd(g0, content) from the R_i, the rest goes to D."""
+    h = gcd(g0, _content(c for r in rep[1] for c in r.values()))
+    if g0 < 0:
+        h = -h
+    if h != 1:
+        for r in rep[1]:
+            for k in r:
+                r[k] //= h
+    rep[0] *= g0 // h
 
 
 class _Engine:
     """Buchberger with integer arithmetic and input-combination tracking."""
 
-    def __init__(self, inputs: list[dict[Exps, Fraction]], order: MonomialOrder, track: bool):
+    def __init__(self, inputs: list[dict[Exps, Fraction | int]], order: MonomialOrder,
+                 track: bool):
         self.order = order
         self.track = track
-        self.n_inputs = len(inputs)
         self.polys: list[dict[Exps, int]] = []
         self.lms: list[Exps] = []
         self.lcs: list[int] = []
-        self.reps: list[list[dict[Exps, Fraction]]] = []
-        unit = None
+        self.reps: list = []
         for idx, f in enumerate(inputs):
             if not f:
                 continue
-            unit = tuple(0 for _ in next(iter(f)))
-            den = 1
-            for c in f.values():
-                den = den * c.denominator // gcd(den, c.denominator)
-            ints = {m: int(c * den) for m, c in f.items()}
-            g0 = _content(ints)
-            lm = max(ints, key=order.key)
-            sgn = 1 if ints[lm] > 0 else -1
-            q = Fraction(den, g0 * sgn)  # f_int = q * f
-            ints = {m: c // (g0 * sgn) for m, c in ints.items()}
-            rep = [dict() for _ in range(self.n_inputs)]
-            rep[idx][unit if unit is not None else ()] = q
+            den, ints = _integral(f)
+            g0, ints = _primitive(ints, order)
+            rep = None
+            if track:  # ints = (den / g0) * f
+                rep = [1, [dict() for _ in inputs]]
+                rep[1][idx][tuple(0 for _ in next(iter(f)))] = den
+                _rep_divide(rep, g0)
             self._append(ints, rep)
 
     def _append(self, p: dict[Exps, int], rep) -> int:
@@ -187,60 +225,42 @@ class _Engine:
         self.polys.append(p)
         self.lms.append(lm)
         self.lcs.append(p[lm])
-        self.reps.append(rep if self.track else None)
+        self.reps.append(rep)
         return len(self.polys) - 1
 
-    def _reduce(self, p: dict[Exps, int], rep):
-        """Full fraction-free reduction of p by the current basis.
+    def _reduce(self, p: dict[Exps, int], rep, basis: Iterable[int]):
+        """Full fraction-free reduction of p by the basis elements ``basis``.
 
         Returns a primitive remainder with positive leading coefficient and
-        the correspondingly rescaled rep vector.
+        the correspondingly rescaled rep.
         """
         p = dict(p)
         out: dict[Exps, int] = {}
         order = self.order
         while p:
             m = max(p, key=order.key)
-            hit = -1
-            for k in range(len(self.polys)):
+            for k in basis:
                 if _divides(self.lms[k], m):
-                    hit = k
                     break
-            if hit < 0:
+            else:
                 out[m] = p.pop(m)
                 continue
-            c = p[m]
-            lcg = self.lcs[hit]
-            if lcg != 1:
-                for d in (p, out):
-                    for kk in d:
-                        d[kk] *= lcg
+            h = gcd(p[m], self.lcs[k])
+            a, c = self.lcs[k] // h, p[m] // h  # a * p - c * x^t * g_k
+            if a != 1:
+                _scale((p, out), a)
                 if rep is not None:
-                    _scale_rep(rep, lcg)
-            t = _sub(m, self.lms[hit])
-            for mg, cg in self.polys[hit].items():
-                kk = _add(mg, t)
-                nv = p.get(kk, 0) - c * cg
-                if nv:
-                    p[kk] = nv
-                else:
-                    p.pop(kk, None)
+                    _scale(rep[1], a)
+            t = _sub(m, self.lms[k])
+            _submul(p, self.polys[k], c, t)
             if rep is not None:
-                self._rep_reduce_step(rep, hit, c, t)
+                _rep_submul(rep, self.reps[k], c, t)
         if not out:
             return {}, rep
-        g0 = _content(out)
-        lm = max(out, key=order.key)
-        if out[lm] < 0:
-            g0 = -g0
-        if g0 != 1:
-            out = {m: c // g0 for m, c in out.items()}
-            if rep is not None:
-                _scale_rep(rep, Fraction(1, g0))
+        g0, out = _primitive(out, order)
+        if g0 != 1 and rep is not None:
+            _rep_divide(rep, g0)
         return out, rep
-
-    def _rep_reduce_step(self, rep, hit: int, c: int, t: Exps) -> None:
-        _rep_submul(rep, self.reps[hit], Fraction(c), t)
 
     def run(self) -> None:
         heap: list = []
@@ -275,53 +295,40 @@ class _Engine:
             if skip:
                 continue
             ti, tj = _sub(lcm_ij, lmi), _sub(lcm_ij, lmj)
-            ci, cj = self.lcs[i], self.lcs[j]
+            h = gcd(self.lcs[i], self.lcs[j])
+            ci, cj = self.lcs[i] // h, self.lcs[j] // h
             s: dict[Exps, int] = {}
-            for m, c in self.polys[i].items():
-                s[_add(m, ti)] = cj * c
-            for m, c in self.polys[j].items():
-                kk = _add(m, tj)
-                nv = s.get(kk, 0) - ci * c
-                if nv:
-                    s[kk] = nv
-                else:
-                    s.pop(kk, None)
+            _submul(s, self.polys[i], -cj, ti)
+            _submul(s, self.polys[j], ci, tj)
             rep = None
             if self.track:
-                rep = [dict() for _ in range(self.n_inputs)]
-                _rep_submul(rep, self.reps[i], Fraction(-cj), ti)
-                _rep_submul(rep, self.reps[j], Fraction(ci), tj)
-            r, rep = self._reduce(s, rep)
+                rep = [1, [dict() for _ in self.reps[i][1]]]
+                _rep_submul(rep, self.reps[i], -cj, ti)
+                _rep_submul(rep, self.reps[j], ci, tj)
+            r, rep = self._reduce(s, rep, range(len(self.polys)))
             if r:
                 t = self._append(r, rep)
                 push_pairs(t)
 
     def reduced(self):
-        """Minimal, tail-reduced, monic basis sorted by ascending leading monomial."""
+        """Minimal, tail-reduced basis sorted by ascending leading monomial.
+
+        Each element is primitive with a positive leading coefficient, and
+        its rep (when tracked) stands for that primitive element.
+        """
         idxs = sorted(range(len(self.polys)), key=lambda i: self.order.key(self.lms[i]))
         kept: list[int] = []
         for i in idxs:
             if not any(_divides(self.lms[k], self.lms[i]) for k in kept):
                 kept.append(i)
-        out_polys: list[dict[Exps, Fraction]] = []
-        out_lms: list[Exps] = []
-        out_reps: list = []
+        out_polys, out_lms, out_reps = [], [], []
         for i in kept:
-            save = self.polys, self.lms, self.lcs, self.reps
-            others = [k for k in kept if k != i]
-            self.polys = [save[0][k] for k in others]
-            self.lms = [save[1][k] for k in others]
-            self.lcs = [save[2][k] for k in others]
-            self.reps = [save[3][k] for k in others]
-            rep = [dict(r) for r in save[3][i]] if self.track else None
-            r, rep = self._reduce(save[0][i], rep)
-            self.polys, self.lms, self.lcs, self.reps = save
-            lm = max(r, key=self.order.key)
-            lc = r[lm]
-            out_polys.append({m: Fraction(c, lc) for m, c in r.items()})
-            out_lms.append(lm)
-            if self.track:
-                _scale_rep(rep, Fraction(1, lc))
+            rep = self.reps[i]
+            if rep is not None:
+                rep = [rep[0], [dict(r) for r in rep[1]]]
+            r, rep = self._reduce(self.polys[i], rep, [k for k in kept if k != i])
+            out_polys.append(r)
+            out_lms.append(max(r, key=self.order.key))
             out_reps.append(rep)
         return out_polys, out_lms, out_reps
 
@@ -334,20 +341,22 @@ class GroebnerBasis:
     """
 
     def __init__(self, variables: Sequence[Generator], order: MonomialOrder,
-                 inputs: Sequence[Element], polys, lms, input_polys):
+                 inputs: Sequence[Element], polys, lms):
         self.variables = tuple(variables)
         self.order = order
         self.inputs = list(inputs)
-        self._polys = polys
+        self._polys = polys  # primitive integer, positive leading coefficient
         self._lms = lms
-        self._input_polys = input_polys
+        self._lcs = [p[lm] for p, lm in zip(polys, lms)]
         self._reps = None
-        self.generators = [poly_to_element(p, self.variables) for p in polys]
+        self.generators = [poly_to_element(p, self.variables, lc)
+                           for p, lc in zip(polys, self._lcs)]
 
     def _provenance(self) -> list:
         """Each basis element over the inputs, from one tracked rerun."""
         if self._reps is None:
-            eng = _Engine(self._input_polys, self.order, track=True)
+            inputs = [element_to_poly(e, self.variables) for e in self.inputs]
+            eng = _Engine(inputs, self.order, track=True)
             eng.run()
             polys, lms, reps = eng.reduced()
             if polys != self._polys or lms != self._lms:
@@ -394,7 +403,7 @@ def buchberger(elements: Sequence[Element], variables: Sequence[Generator],
     eng = _Engine(inputs, order, track=False)
     eng.run()
     polys, lms, _ = eng.reduced()
-    gb = GroebnerBasis(variables, order, list(elements), polys, lms, inputs)
+    gb = GroebnerBasis(variables, order, list(elements), polys, lms)
     _CACHE[key] = gb
     if len(_CACHE) > _CACHE_SIZE:
         _CACHE.popitem(last=False)
@@ -408,10 +417,10 @@ def normal_form(f: Element, gb: GroebnerBasis) -> tuple[Element, list[Element]]:
     remainder term is divisible by a basis leading monomial, and the result
     is deterministic (basis elements are tried in ascending order).
     """
-    p = element_to_poly(f, gb.variables)
-    rem, cofs = _nf(p, gb)
-    rem_el = poly_to_element(rem, gb.variables)
-    cof_els = [poly_to_element(c, gb.variables) for c in cofs]
+    s, cofs, rem = _nf(element_to_poly(f, gb.variables), gb, track=True)
+    rem_el = poly_to_element(rem, gb.variables, s)
+    cof_els = [poly_to_element({m: c * lc for m, c in cof.items()}, gb.variables, s)
+               for cof, lc in zip(cofs, gb._lcs)]
     if CHECK:
         acc = Element.zero()
         for c, g in zip(cof_els, gb.generators):
@@ -421,61 +430,63 @@ def normal_form(f: Element, gb: GroebnerBasis) -> tuple[Element, list[Element]]:
     return rem_el, cof_els
 
 
-def _nf(p: dict[Exps, Fraction], gb: GroebnerBasis):
-    p = dict(p)
-    rem: dict[Exps, Fraction] = {}
-    cofs: list[dict[Exps, Fraction]] = [dict() for _ in gb._polys]
+def _nf(f: dict[Exps, Fraction], gb: GroebnerBasis, track: bool):
+    """Fraction-free division of f by the primitive basis g_k = ``gb._polys``.
+
+    Returns (S, C, R) with S > 0, integer polynomials C_k and R, and
+    S * f = sum(C_k * g_k) + R; R has no term divisible by a leading
+    monomial.  Untracked, C is None and R stops at its first term, which
+    already decides membership.
+    """
+    s, p = _integral(f)
+    rem: dict[Exps, int] = {}
+    cofs = [dict() for _ in gb._polys] if track else None
     order = gb.order
     while p:
         m = max(p, key=order.key)
-        c = p.pop(m)
         for k, lmk in enumerate(gb._lms):
             if _divides(lmk, m):
-                t = _sub(m, lmk)
-                cofs[k][t] = cofs[k].get(t, Fraction(0)) + c
-                for mg, cg in gb._polys[k].items():
-                    if mg == lmk:
-                        continue
-                    kk = _add(mg, t)
-                    nv = p.get(kk, Fraction(0)) - c * cg
-                    if nv:
-                        p[kk] = nv
-                    else:
-                        p.pop(kk, None)
                 break
         else:
-            rem[m] = c
-    return rem, cofs
+            rem[m] = p.pop(m)
+            if not track:
+                break
+            continue
+        h = gcd(p[m], gb._lcs[k])
+        a, c = gb._lcs[k] // h, p[m] // h  # a * p - c * x^t * g_k
+        if a != 1:
+            s *= a
+            _scale((p, rem), a)
+            if track:
+                _scale(cofs, a)
+        t = _sub(m, lmk)
+        if track:
+            cofs[k][t] = cofs[k].get(t, 0) + c
+        _submul(p, gb._polys[k], c, t)
+    return s, cofs, rem
 
 
 def member(f: Element, gb: GroebnerBasis, cofactors: bool = False):
     """Ideal membership; optionally with cofactors over the original inputs."""
-    p = element_to_poly(f, gb.variables)
-    rem, cofs = _nf(p, gb)
+    s, cofs, rem = _nf(element_to_poly(f, gb.variables), gb, track=cofactors)
     ok = not rem
     if not cofactors:
         return ok
     if not ok:
         return False, None
-    out: list[dict[Exps, Fraction]] = [dict() for _ in gb.inputs]
+    # f = sum_k C_k * g_k / S with g_k = sum_i R_ki * f_i / D_k: accumulate
+    # over their lcm and divide once, by S * lcm
     reps = gb._provenance()
-    for k, cof in enumerate(cofs):
+    common = lcm(*(d for cof, (d, _) in zip(cofs, reps) if cof))
+    out: list[dict[Exps, int]] = [dict() for _ in gb.inputs]
+    for cof, (d, nums) in zip(cofs, reps):
         if not cof:
             continue
-        rep = reps[k]
-        for i, r in enumerate(rep):
-            if not r:
-                continue
-            dst = out[i]
+        scale = common // d
+        for dst, r in zip(out, nums):
             for m1, c1 in cof.items():
-                for m2, c2 in r.items():
-                    kk = _add(m1, m2)
-                    nv = dst.get(kk, Fraction(0)) + c1 * c2
-                    if nv:
-                        dst[kk] = nv
-                    else:
-                        dst.pop(kk, None)
-    cof_els = [poly_to_element(c, gb.variables) for c in out]
+                _submul(dst, r, -c1 * scale, m1)
+    cof_els = [poly_to_element(c, gb.variables, s * common) for c in out]
     if CHECK:
         acc = Element.zero()
         for c, g in zip(cof_els, gb.inputs):
@@ -494,29 +505,23 @@ def ideal_quotient(gb: GroebnerBasis, a: Element) -> GroebnerBasis:
     if not a:
         raise ZeroElement("ideal quotient by the zero element")
     pa = element_to_poly(a, gb.variables)
-    n = len(gb.variables)
     elim_order = MonomialOrder((1,) + tuple(g.degree for g in gb.variables), elim=True)
-    inputs: list[dict[Exps, Fraction]] = []
-    for p in gb._polys:
-        inputs.append({(1,) + m: c for m, c in p.items()})
+    inputs: list[dict] = [{(1,) + m: c for m, c in p.items()} for p in gb._polys]
     both = {(0,) + m: c for m, c in pa.items()}
-    for m, c in pa.items():
-        both[(1,) + m] = -c
+    both.update({(1,) + m: -c for m, c in pa.items()})
     inputs.append(both)
     eng = _Engine(inputs, elim_order, track=False)
     eng.run()
     polys, lms, _ = eng.reduced()
-    intersection: list[Element] = []
-    for p, lm in zip(polys, lms):
-        if lm[0] == 0:
-            if any(m[0] for m in p):
-                raise VerificationFailed("elimination produced a mixed polynomial")
-            intersection.append(poly_to_element({m[1:]: c for m, c in p.items()}, gb.variables))
     gb_a = buchberger([a], gb.variables, gb.order)
-    lc_a = element_to_poly(a, gb.variables)
-    lc = lc_a[max(lc_a, key=gb.order.key)]
+    lc = pa[max(pa, key=gb.order.key)]
     quotient_gens: list[Element] = []
-    for q in intersection:
+    for p, lm in zip(polys, lms):
+        if lm[0] != 0:
+            continue  # only t-free elements generate the intersection
+        if any(m[0] for m in p):
+            raise VerificationFailed("elimination produced a mixed polynomial")
+        q = poly_to_element({m[1:]: c for m, c in p.items()}, gb.variables, p[lm])
         rem, cofs = normal_form(q, gb_a)
         if rem:
             raise VerificationFailed("intersection generator not divisible by the quotient element")
@@ -603,32 +608,27 @@ def is_regular_sequence(seq: Sequence[Element], variables: Sequence[Generator]):
     return False, fail[0]
 
 
+def _pure_powers(gb: GroebnerBasis) -> list:
+    """Per variable, its least power among the leading monomials, or None."""
+    n = len(gb.variables)
+    return [min((lm[v] for lm in gb._lms
+                 if lm[v] > 0 and all(lm[u] == 0 for u in range(n) if u != v)),
+                default=None)
+            for v in range(n)]
+
+
 def quotient_is_finite_dimensional(gb: GroebnerBasis) -> bool:
     """True iff every variable has a pure power among the leading monomials."""
-    n = len(gb.variables)
-    if n == 0 or gb.contains_one:
-        return True
-    for v in range(n):
-        if not any(lm[v] > 0 and all(lm[u] == 0 for u in range(n) if u != v)
-                   for lm in gb._lms):
-            return False
-    return True
+    return gb.contains_one or None not in _pure_powers(gb)
 
 
 def quotient_dimension(gb: GroebnerBasis) -> int:
     """Number of standard monomials of a finite-dimensional quotient."""
-    if not quotient_is_finite_dimensional(gb):
-        raise NotFiniteDimensional("quotient ring is not finite-dimensional")
     if gb.contains_one:
         return 0
-    n = len(gb.variables)
-    if n == 0:
-        return 1
-    bounds = []
-    for v in range(n):
-        powers = [lm[v] for lm in gb._lms
-                  if lm[v] > 0 and all(lm[u] == 0 for u in range(n) if u != v)]
-        bounds.append(min(powers))
+    bounds = _pure_powers(gb)
+    if None in bounds:
+        raise NotFiniteDimensional("quotient ring is not finite-dimensional")
     count = 0
     for exps in itertools.product(*(range(b) for b in bounds)):
         if not any(_divides(lm, exps) for lm in gb._lms):

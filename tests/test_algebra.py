@@ -9,6 +9,8 @@ from sullivan.algebra import (
     Element,
     Generator,
     Monomial,
+    basis_sizes,
+    enumerate_basis,
     make_generators,
     mul_monomials,
 )
@@ -143,3 +145,11 @@ def test_monomial_merge_rejects_odd_square():
     y, = gens(("y", 3))
     m = Monomial.make(odd=(y,))
     assert mul_monomials(m, m) is None
+
+
+def test_basis_sizes_count_the_enumerated_bases():
+    for pairs in ([("x", 2)], [("y", 3)], [("x1", 2), ("x2", 4), ("y1", 3), ("y2", 5)],
+                  [("x", 6), ("y1", 3), ("y2", 3), ("y3", 7)]):
+        gs = gens(*pairs)
+        assert basis_sizes(gs, 24) == [len(enumerate_basis(gs, k)) for k in range(25)]
+    assert basis_sizes(gens(("x", 2)), -1) == []

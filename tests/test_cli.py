@@ -187,6 +187,22 @@ def test_cohomology_degree_cap():
     assert "max-degree" in err
 
 
+def test_cohomology_cost_guard_exit_2_at_once(tmp_path):
+    # five copies of S^2: 799,188 basis monomials through degree 41
+    s2x5 = tmp_path / "s2x5.model"
+    s2x5.write_text('model "s2x5"\n'
+                    + "".join(f"even x{i} : 2\n" for i in range(1, 6))
+                    + "".join(f"odd y{i} : 3 = x{i}^2\n" for i in range(1, 6)))
+    start = time.perf_counter()
+    code, out, err = run("cohomology", s2x5, "--up-to", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[invalid-input]: cohomology through degree 40 needs "
+                          "799188 basis monomials")
+    assert err.count("\n") == 1
+
+
 def test_json_byte_determinism():
     invocations = [
         ("analyze", MODELS / "mixed_length.model", "--json"),

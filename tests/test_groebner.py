@@ -387,12 +387,13 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
 
 
 @st.composite
-def homogeneous_polys(draw, gens, degree):
-    """A nonzero polynomial of the given weighted degree without linear terms."""
+def homogeneous_polys(draw, gens, degree, bound=2):
+    """A nonzero polynomial of the given weighted degree without linear terms,
+    with integer coefficients of absolute value at most ``bound``."""
     weights = [g.degree for g in gens]
     mons = [e for e in itertools.product(range(degree // 2 + 1), repeat=len(gens))
             if sum(w * a for w, a in zip(weights, e)) == degree and sum(e) >= 2]
-    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(mons),
+    coeffs = draw(st.lists(st.integers(-bound, bound), min_size=len(mons),
                            max_size=len(mons)).filter(any))
     return groebner.poly_to_element(
         {e: Fraction(c) for e, c in zip(mons, coeffs) if c}, gens)
@@ -400,12 +401,12 @@ def homogeneous_polys(draw, gens, degree):
 
 @st.composite
 def weighted_sequences(draw, counts=(0, 0, 1), degrees=(4, 6, 8), n_max=3,
-                       mixed=False):
+                       mixed=False, bound=2):
     """(variables, sequence): 2 to ``n_max`` variables of weight 2 or 4 (the
     first of weight 2, so every even degree from 4 up has monomials), and
     n + k elements for k drawn from ``counts``, each of a degree from
-    ``degrees``; with ``mixed`` an element may add a part of the next even
-    degree."""
+    ``degrees`` with coefficients bounded by ``bound``; with ``mixed`` an
+    element may add a part of the next even degree."""
     n = draw(st.integers(2, n_max))
     weights = [2] + draw(st.lists(st.sampled_from((2, 4)), min_size=n - 1,
                                   max_size=n - 1))
@@ -413,9 +414,9 @@ def weighted_sequences(draw, counts=(0, 0, 1), degrees=(4, 6, 8), n_max=3,
     seq = []
     for _ in range(n + draw(st.sampled_from(counts))):
         degree = draw(st.sampled_from(degrees))
-        f = draw(homogeneous_polys(gens, degree))
+        f = draw(homogeneous_polys(gens, degree, bound))
         if mixed and draw(st.booleans()):
-            f = f + draw(homogeneous_polys(gens, degree + 2))
+            f = f + draw(homogeneous_polys(gens, degree + 2, bound))
         seq.append(f)
     return gens, seq
 
@@ -512,3 +513,126 @@ def test_lazily_lifted_cofactors_certify(case, data):
     for g in model.even_generators:
         cert = exactness_certificate(model, g)
         assert cert.verify(model)
+
+
+# -- the fraction-free path against Fraction arithmetic -------------------------
+
+#: nonzero rationals with small numerators and denominators, either sign
+rationals = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+
+
+def _fraction_nf(p, gb):
+    """Reference: division by the monic basis in Fraction arithmetic, the
+    form the engine used before it went fraction-free.  Returns (remainder,
+    cofactors over ``gb.generators``)."""
+    monic = [groebner.element_to_poly(g, gb.variables) for g in gb.generators]
+    p = dict(p)
+    rem = {}
+    cofs = [dict() for _ in monic]
+    while p:
+        m = max(p, key=gb.order.key)
+        c = p.pop(m)
+        for k, lmk in enumerate(gb._lms):
+            if groebner._divides(lmk, m):
+                t = groebner._sub(m, lmk)
+                cofs[k][t] = cofs[k].get(t, Fraction(0)) + c
+                for mg, cg in monic[k].items():
+                    if mg == lmk:
+                        continue
+                    kk = groebner._add(mg, t)
+                    nv = p.get(kk, Fraction(0)) - c * cg
+                    if nv:
+                        p[kk] = nv
+                    else:
+                        p.pop(kk, None)
+                break
+        else:
+            rem[m] = c
+    return rem, cofs
+
+
+def _times(a, b):
+    """Product of two exponent dicts, exactly."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            kk = groebner._add(m1, m2)
+            out[kk] = out.get(kk, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _plus(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+@PROPERTY
+@given(weighted_sequences(counts=(-1, 0, 1), bound=7), st.data())
+def test_fraction_free_division_matches_fraction_reference(case, data):
+    # coefficients up to 7 give leading coefficients other than 1, so the
+    # division rescales; with n - 1 elements the remainder starts early
+    gens, seq = case
+    gb = buchberger(seq, gens)
+    inside = Element.zero()
+    for a in seq:
+        inside = inside + Element.scalar(data.draw(rationals)) * data.draw(
+            homogeneous_polys(gens, 4)) * a
+    # parts in three degrees, so remainder terms are found between reductions
+    outside = Element.zero()
+    for degree in (8, 6, 4):
+        outside = outside + Element.scalar(data.draw(rationals)) * data.draw(
+            homogeneous_polys(gens, degree, 7))
+    for f in (inside, inside + outside):
+        p = groebner.element_to_poly(f, gens)
+        rem_ref, cofs_ref = _fraction_nf(p, gb)
+        s, cofs, rem = groebner._nf(p, gb, track=True)
+        assert s > 0
+        assert {m: Fraction(c, s) for m, c in rem.items()} == rem_ref
+        assert [{m: Fraction(c * lc, s) for m, c in cof.items()}
+                for cof, lc in zip(cofs, gb._lcs)] == cofs_ref
+        assert groebner._nf(p, gb, track=False)[1] is None
+        assert member(f, gb) == (not rem_ref)
+        r_el, cof_els = normal_form(f, gb)
+        assert r_el == groebner.poly_to_element(rem_ref, gens)
+        assert cof_els == [groebner.poly_to_element(c, gens) for c in cofs_ref]
+    # lifted cofactors: the reference composes the Fraction cofactors with
+    # the provenance of the monic generators
+    ok, lifted = member(inside, gb, cofactors=True)
+    assert ok
+    ref = [dict() for _ in seq]
+    _, cofs_ref = _fraction_nf(groebner.element_to_poly(inside, gens), gb)
+    for cof, (d, nums), lc in zip(cofs_ref, gb._provenance(), gb._lcs):
+        for i, r in enumerate(nums):
+            ref[i] = _plus(ref[i], _times(cof, {m: Fraction(c, d * lc) for m, c in r.items()}))
+    assert lifted == [groebner.poly_to_element(c, gens) for c in ref]
+
+
+@PROPERTY
+@given(weighted_sequences(counts=(-1, 0, 1), bound=7),
+       st.lists(rationals, min_size=4, max_size=4))
+def test_tracked_reps_rebuild_the_primitive_basis(case, scalars):
+    gens, seq = case
+    # rational coefficients and negative leading coefficients exercise the
+    # signed content division and the lcm of denominators
+    seq = [Element.scalar(q) * a for q, a in zip(scalars, seq)]
+    inputs = [groebner.element_to_poly(e, gens) for e in seq]
+    eng = groebner._Engine(inputs, groebner.MonomialOrder(tuple(g.degree for g in gens)),
+                           track=True)
+    eng.run()
+
+    def rebuilt(rep):
+        d, nums = rep
+        assert d > 0 and len(nums) == len(inputs)
+        acc = {}
+        for r, f in zip(nums, inputs):
+            acc = _plus(acc, _times(r, f))
+        return {m: c / d for m, c in acc.items()}
+
+    for p, rep in zip(eng.polys, eng.reps):
+        assert rebuilt(rep) == p
+    polys, lms, reps = eng.reduced()
+    for p, lm, rep in zip(polys, lms, reps):
+        assert rebuilt(rep) == p
+        assert p[lm] > 0 and groebner._content(p.values()) == 1
