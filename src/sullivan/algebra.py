@@ -6,17 +6,45 @@ ones; products follow the Koszul sign rule, so swapping two odd factors flips
 the sign and the square of an odd generator vanishes.  Coefficients are exact
 ``fractions.Fraction`` values throughout.
 
+A monomial is one packed int, the key of an ``Element`` term and of a
+Groebner polynomial alike (Bachmann and Schoenemann, "Monomial
+representations for Groebner bases computations", ISSAC 1998).  Position i
+owns the 16-bit field at bit 16*i holding exponent * generator degree, its
+top bit a guard; only odd generators give odd fields, so the odd square test
+and the Koszul sign are popcounts on the fields' lowest bits.  For fields P
+and degree D the int is (D << 512) - P: multiplication is addition, and ints
+compare as weighted-degree grevlex monomials.  MAX_GENERATORS positions and
+degrees up to MAX_DEGREE keep every guard bit clear; a product beyond that
+raises InvalidInput, and generators stay below MAX_DEGREE so that their
+differential images fit.  An element keeps a table of its generators by
+position for names; the canonical term order is computed when terms are listed.
+
 Elements are immutable by convention: every operation returns a fresh value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import neg, or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import GeneratorMismatch, InvalidModel
+from .errors import GeneratorMismatch, InvalidInput, InvalidModel
 
 Scalar = Union[int, Fraction]
+
+#: generator positions the packed layout holds
+MAX_GENERATORS = 32
+#: largest degree of a monomial; no field can then reach its guard bit
+MAX_DEGREE = (1 << 15) - 1
+
+_W = 16                              # bits per position
+_S = _W * MAX_GENERATORS             # the degree sits above the fields
+_FIELD = (1 << _W) - 1
+_FIELDS = (1 << _S) - 1
+_LOW = _FIELDS // _FIELD             # bit 0 of every field: odd factors
+_GUARD = _LOW << (_W - 1)
+_LIMIT = MAX_DEGREE << _S            # k > _LIMIT exactly when its degree exceeds MAX_DEGREE
 
 
 class SpecialDegree:
@@ -51,6 +79,11 @@ class Generator:
                 f"generator {self.name!r} has degree {self.degree}; "
                 "simply connected models need degree >= 2"
             )
+        if self.degree >= MAX_DEGREE or not 0 <= self.index < MAX_GENERATORS:
+            raise InvalidModel(  # a differential image has degree |g| + 1
+                f"generator {self.name!r} (degree {self.degree}, position "
+                f"{self.index}) is outside the monomial layout: degrees below "
+                f"{MAX_DEGREE}, positions 0 to {MAX_GENERATORS - 1}")
 
     @property
     def is_even(self) -> bool:
@@ -81,53 +114,75 @@ def make_generators(pairs: Sequence[tuple[str, int]]) -> list[Generator]:
     return [Generator(n, d, i) for i, (n, d) in enumerate(ordered)]
 
 
-@dataclass(frozen=True)
+def _key(g: Generator) -> int:
+    """The packed monomial of one generator."""
+    return (g.degree << _S) - (g.degree << (g.index * _W))
+
+
+def _degree(k: int) -> int:
+    return -(-k >> _S)
+
+
+def _too_large(k: int) -> InvalidInput:
+    return InvalidInput(
+        f"a monomial of degree {_degree(k)} exceeds the largest degree the "
+        f"monomial layout holds, {MAX_DEGREE}")
+
+
+def _used(keys: Iterable[int]) -> int:
+    """The union of the fields the monomials occupy."""
+    return reduce(or_, map(neg, keys), 0) & _FIELDS
+
+
 class Monomial:
-    """A product of generators: even part with exponents, odd part square-free.
+    """A product of generators: its packed int ``key`` and the table of the
+    generators it names, by position."""
 
-    ``even`` holds (generator, exponent) pairs with exponent >= 1 and ``odd``
-    holds distinct odd generators; both are sorted by generator position, so
-    equal monomials compare equal structurally.
-    """
+    __slots__ = ("key", "_g")
 
-    even: tuple[tuple[Generator, int], ...]
-    odd: tuple[Generator, ...]
+    def __init__(self, key: int, table: Mapping[int, Generator]):
+        self.key = key
+        self._g = table
 
     @classmethod
     def make(cls, even: Iterable[tuple[Generator, int]] = (),
              odd: Iterable[Generator] = ()) -> "Monomial":
-        ev = tuple(sorted(((g, e) for g, e in even if e), key=lambda p: p[0].index))
-        od = tuple(sorted(odd, key=lambda g: g.index))
-        for g, e in ev:
+        key, table = 0, {}
+        for g, e in even:
             if not g.is_even or e < 0:
                 raise InvalidModel(f"bad even factor {g}^{e}")
-        if any(g.is_even for g in od):
-            raise InvalidModel("even generator in odd part")
-        if len(set(g.index for g in od)) != len(od):
-            raise InvalidModel("repeated odd generator has square zero")
-        return cls(ev, od)
+            if e:
+                key += e * _key(g)
+                table[g.index] = g
+        for g in odd:
+            if g.is_even:
+                raise InvalidModel("even generator in odd part")
+            if g.index in table:
+                raise InvalidModel("repeated odd generator has square zero")
+            key += _key(g)
+            table[g.index] = g
+        if key > _LIMIT:
+            raise _too_large(key)
+        return cls(key, table)
 
     @property
     def degree(self) -> int:
-        return sum(g.degree * e for g, e in self.even) + sum(g.degree for g in self.odd)
+        return _degree(self.key)
 
     @property
     def word_length(self) -> int:
-        return sum(e for _, e in self.even) + len(self.odd)
+        return sum(e for _, e in self.factors())
 
-    def factors(self) -> Iterator[tuple[Generator, int]]:
-        """All factors as (generator, exponent), sorted by position."""
-        yield from self.even
-        for g in self.odd:
-            yield g, 1
-
-    def generators(self) -> Iterator[Generator]:
-        for g, _ in self.even:
-            yield g
-        yield from self.odd
+    def factors(self) -> list[tuple[Generator, int]]:
+        """All factors as (generator, exponent): the even ones by position,
+        then the odd ones by position."""
+        p = -self.key & _FIELDS
+        fs = [(g, p >> (i * _W) & _FIELD) for i, g in sorted(self._g.items())]
+        return ([(g, f // g.degree) for g, f in fs if f and g.is_even]
+                + [(g, 1) for g, f in fs if f and not g.is_even])
 
     def is_unit(self) -> bool:
-        return not self.even and not self.odd
+        return not self.key
 
     def sort_key(self) -> tuple:
         # ascending degree, then higher powers of earlier generators first
@@ -136,125 +191,172 @@ class Monomial:
     def render(self) -> str:
         if self.is_unit():
             return "1"
-        parts = []
-        for g, e in self.factors():
-            parts.append(g.name if e == 1 else f"{g.name}^{e}")
-        return "*".join(parts)
+        return "*".join(g.name if e == 1 else f"{g.name}^{e}" for g, e in self.factors())
+
+    def __eq__(self, other):
+        return isinstance(other, Monomial) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     def __repr__(self):
         return self.render()
 
 
-_UNIT = Monomial((), ())
-
-
-def mul_monomials(a: Monomial, b: Monomial):
-    """Product with Koszul sign: returns (monomial, sign) or None if it vanishes."""
-    # merge even parts by position
-    ev: list[tuple[Generator, int]] = []
-    ia, ib = 0, 0
-    ea, eb = a.even, b.even
-    while ia < len(ea) and ib < len(eb):
-        ga, xa = ea[ia]
-        gb, xb = eb[ib]
-        if ga.index < gb.index:
-            ev.append((ga, xa)); ia += 1
-        elif gb.index < ga.index:
-            ev.append((gb, xb)); ib += 1
-        else:
-            if ga != gb:
-                raise GeneratorMismatch(f"generators {ga!r} and {gb!r} share position {ga.index}")
-            ev.append((ga, xa + xb)); ia += 1; ib += 1
-    ev.extend(ea[ia:]); ev.extend(eb[ib:])
-
-    # merge odd parts, counting the transpositions that interleave them
-    oa, ob = a.odd, b.odd
-    by_index = {g.index: g for g in oa}
-    for g in ob:
-        ga = by_index.get(g.index)
-        if ga is not None:
-            if ga != g:
-                raise GeneratorMismatch(f"generators {ga!r} and {g!r} share position {g.index}")
-            return None  # odd square
-    od: list[Generator] = []
-    inv = 0
-    ia, ib = 0, 0
-    while ia < len(oa) and ib < len(ob):
-        if oa[ia].index < ob[ib].index:
-            od.append(oa[ia]); ia += 1
-        else:
-            od.append(ob[ib]); ib += 1
-            inv += len(oa) - ia  # this factor jumps over the rest of a's odd part
-    od.extend(oa[ia:]); od.extend(ob[ib:])
-    sign = -1 if inv % 2 else 1
-    return Monomial(tuple(ev), tuple(od)), sign
-
-
-def _mul_into(t: dict[Monomial, Fraction], a: Iterable[tuple[Monomial, Fraction]],
-              b: Iterable[tuple[Monomial, Fraction]]) -> None:
+def _mul_into(t: dict[int, Fraction], a: Iterable[tuple[int, Fraction]],
+              b: Iterable[tuple[int, Fraction]]) -> None:
     """Add the product of the terms ``a`` and ``b`` into ``t``, dropping zeros.
 
-    ``b`` is iterated once per term of ``a``, so it must be re-iterable.
+    ``b`` is iterated once per term of ``a``, so it must be re-iterable.  A
+    term product vanishes when the factors share an odd generator.  Its
+    Koszul sign is the parity of the pairs of odd factors, j of b below i of
+    a, that it swaps: field i of ob * _LOW counts the odd factors of b at or
+    below position i, so the pairs are a popcount.
     """
-    for ma, ca in a:
-        for mb, cb in b:
-            prod = mul_monomials(ma, mb)
-            if prod is None:
-                continue
-            mon, sign = prod
-            nc = t.get(mon, Fraction(0)) + sign * ca * cb
+    for ka, ca in a:
+        oa = -ka & _LOW
+        for kb, cb in b:
+            k = ka + kb
+            if k > _LIMIT:
+                raise _too_large(k)
+            c = ca * cb
+            if oa:
+                ob = -kb & _LOW
+                if oa & ob:
+                    continue  # odd square
+                if (ob * _LOW & oa).bit_count() & 1:
+                    c = -c
+            nc = t.get(k, 0) + c
             if nc:
-                t[mon] = nc
+                t[k] = nc
             else:
-                t.pop(mon, None)
+                t.pop(k, None)
+
+
+def _derive_into(t: dict[int, Fraction], m: int, c: Fraction,
+                 images: Iterable[tuple[Generator, "Element"]]) -> None:
+    """Add d(c*m) into t, for d of degree +1 with images of degree |g| + 1.
+
+    Even generators and odd generators' images then commute with
+    everything, so each even factor g^k gives k*c*d(g)*(m/g) and an odd
+    factor y with j odd factors before it gives (-1)^j*c*d(y)*(m/y).
+    """
+    fields = -m
+    for g, image in images:
+        at = g.index * _W
+        f = fields >> at & _FIELD
+        if not f:
+            continue
+        if f & 1:  # odd: the sign counts the odd factors before it
+            cf = -c if (fields & _LOW & ((1 << at) - 1)).bit_count() & 1 else c
+        else:
+            cf = f // g.degree * c
+        _mul_into(t, image._t.items(), ((m - _key(g), cf),))
+
+
+# -- monomial operations of the Groebner layer --------------------------------
+
+#: the elimination indeterminate of ideal quotients: one more field, above a
+#: 32-bit degree, so that it dominates the order; its exponent never exceeds
+#: the inputs' 1, as no Buchberger step raises a leading one
+_T = _S + 2 * _W
+_ELIM = 1 << _T
+#: guard bits of the exponent fields and of the elimination exponent's field
+_GUARDS = _GUARD | 1 << (_S + _W - 1)
+
+
+def _check(m: int) -> None:
+    """Raise unless monomial m, leaving out its elimination exponent, fits the layout."""
+    if m & _ELIM - 1 > _LIMIT:
+        raise _too_large(m & _ELIM - 1)
+
+
+def _exponents(m: int) -> int:
+    """m's exponent fields, with the elimination exponent in one more above."""
+    return -m & _FIELDS | m >> _T << _S
+
+
+def _divisors(m: int, exps: list[int], among: Iterable[int]) -> Iterator[int]:
+    """The k among ``among`` whose monomial, with ``_exponents`` exps[k], divides
+    m: no field exceeds m's, so (m's | guards) - exps[k] keeps every guard bit."""
+    em = _exponents(m) | _GUARDS
+    return (k for k in among if (em - exps[k]) & _GUARDS == _GUARDS)
+
+
+def _lcm(a: int, b: int) -> int:
+    """The lcm of monomials a and b: each field the larger one (a's where its
+    guard bit survives subtracting b's), the degree their sum."""
+    pa, pb = -a & _FIELDS, -b & _FIELDS
+    mask = (((pa | _GUARD) - pb & _GUARD) >> (_W - 1)) * _FIELD
+    p = pa & mask | pb & ~mask
+    return (max(a >> _T, b >> _T) << _T) + (p % _FIELD << _S) - p
+
+
+def _union(a: "Element", b: "Element") -> dict[int, Generator]:
+    """The generator table of a combination of a and b: a position both use
+    must hold one generator, an entry no term uses gives way to the other's."""
+    ga, gb = a._g, b._g
+    if gb.items() <= ga.items():
+        return ga
+    if ga.items() <= gb.items():
+        return gb
+    out = {**ga, **gb}
+    for i in ga.keys() & gb.keys():
+        if ga[i] != gb[i] and _used(a._t) >> (i * _W) & _FIELD:
+            if _used(b._t) >> (i * _W) & _FIELD:
+                raise GeneratorMismatch(f"{ga[i]!r} and {gb[i]!r} share position {i}")
+            out[i] = ga[i]
+    return out
 
 
 class Element:
     """A finite rational combination of monomials."""
 
-    __slots__ = ("_t",)
+    __slots__ = ("_t", "_g")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        t: dict[Monomial, Fraction] = {}
+        t: dict[int, Fraction] = {}
+        table: dict[int, Generator] = {}
         if terms:
             for m, c in terms.items():
                 c = Fraction(c)
                 if c:
-                    t[m] = c
+                    t[m.key] = c
+                    if any(table.setdefault(i, g) != g for i, g in m._g.items()):
+                        raise GeneratorMismatch("two generators share a position")
         self._t = t
+        self._g = table
 
     @staticmethod
-    def _from_dict(t: dict[Monomial, Fraction]) -> "Element":
+    def _from_dict(t: dict[int, Fraction], table: dict[int, Generator]) -> "Element":
         e = Element.__new__(Element)
         e._t = t
+        e._g = table
         return e
 
     @staticmethod
     def zero() -> "Element":
-        return Element._from_dict({})
+        return Element._from_dict({}, {})
 
     @staticmethod
     def one() -> "Element":
-        return Element._from_dict({_UNIT: Fraction(1)})
+        return Element._from_dict({0: Fraction(1)}, {})
 
     @staticmethod
     def scalar(c: Scalar) -> "Element":
         c = Fraction(c)
-        return Element._from_dict({_UNIT: c} if c else {})
+        return Element._from_dict({0: c} if c else {}, {})
 
     @staticmethod
     def from_generator(g: Generator) -> "Element":
-        if g.is_even:
-            mon = Monomial(((g, 1),), ())
-        else:
-            mon = Monomial((), (g,))
-        return Element._from_dict({mon: Fraction(1)})
+        return Element._from_dict({_key(g): Fraction(1)}, {g.index: g})
 
     # -- inspection ----------------------------------------------------
 
     def items(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical order (ascending degree, then monomial order)."""
-        return sorted(self._t.items(), key=lambda mc: mc[0].sort_key())
+        return sorted(((Monomial(k, self._g), c) for k, c in self._t.items()),
+                      key=lambda mc: mc[0].sort_key())
 
     def is_zero(self) -> bool:
         return not self._t
@@ -266,41 +368,39 @@ class Element:
         """Common degree of all terms, ANY_DEGREE for 0, MIXED_DEGREES otherwise."""
         if not self._t:
             return ANY_DEGREE
-        degs = {m.degree for m in self._t}
+        degs = {_degree(k) for k in self._t}
         return degs.pop() if len(degs) == 1 else MIXED_DEGREES
 
     def is_homogeneous(self) -> bool:
-        return len({m.degree for m in self._t}) <= 1
+        return len({_degree(k) for k in self._t}) <= 1
 
     def word_lengths(self) -> set[int]:
-        return {m.word_length for m in self._t}
+        return {Monomial(k, self._g).word_length for k in self._t}
 
     def generators_used(self) -> set[Generator]:
-        out: set[Generator] = set()
-        for m in self._t:
-            out.update(m.generators())
-        return out
+        used = _used(self._t)
+        return {g for i, g in self._g.items() if used >> (i * _W) & _FIELD}
 
     def is_even_polynomial(self) -> bool:
         """True when no term carries an odd factor."""
-        return all(not m.odd for m in self._t)
+        return not _used(self._t) & _LOW
 
     def odd_linear_part(self) -> dict[Generator, Fraction] | None:
         """Coefficients when the element is a combination of odd generators, else None."""
         out: dict[Generator, Fraction] = {}
-        for m, c in self._t.items():
-            if m.even or len(m.odd) != 1:
+        for k, c in self._t.items():
+            p = -k & _FIELDS
+            low = (p & -p).bit_length() - 1  # bit 0 of the first field, if that factor is odd
+            if low % _W or p >> (low + _W):
                 return None
-            out[m.odd[0]] = c
+            out[self._g[low // _W]] = c
         return out
 
     def substitute_zero(self, killed: Iterable[Generator]) -> "Element":
         """Drop every term containing one of the killed generators."""
-        ks = {g.index for g in killed}
-        return Element._from_dict({
-            m: c for m, c in self._t.items()
-            if not any(g.index in ks for g in m.generators())
-        })
+        fields = sum(_FIELD << (g.index * _W) for g in set(killed))
+        return Element._from_dict(
+            {k: c for k, c in self._t.items() if not -k & fields}, self._g)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -317,18 +417,18 @@ class Element:
         if o is None:
             return NotImplemented
         t = dict(self._t)
-        for m, c in o._t.items():
-            nc = t.get(m, Fraction(0)) + c
+        for k, c in o._t.items():
+            nc = t.get(k, 0) + c
             if nc:
-                t[m] = nc
+                t[k] = nc
             else:
-                t.pop(m, None)
-        return Element._from_dict(t)
+                t.pop(k, None)
+        return Element._from_dict(t, _union(self, o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Element._from_dict({m: -c for m, c in self._t.items()})
+        return Element._from_dict({k: -c for k, c in self._t.items()}, self._g)
 
     def __sub__(self, other):
         o = Element._lift(other)
@@ -347,12 +447,12 @@ class Element:
             c = Fraction(other)
             if not c:
                 return Element.zero()
-            return Element._from_dict({m: c * v for m, v in self._t.items()})
+            return Element._from_dict({k: c * v for k, v in self._t.items()}, self._g)
         if not isinstance(other, Element):
             return NotImplemented
-        t: dict[Monomial, Fraction] = {}
+        t: dict[int, Fraction] = {}
         _mul_into(t, self._t.items(), other._t.items())
-        return Element._from_dict(t)
+        return Element._from_dict(t, _union(self, other))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -410,19 +510,25 @@ class Element:
         return self.render()
 
 
-def basis_sizes(generators: Sequence[Generator], top: int) -> list[int]:
-    """Numbers of monomials in degrees 0 through top, without enumerating them.
-
-    They are the coefficients of prod(1 - t^|x|)^-1 * prod(1 + t^|y|) over
-    the even generators x and the odd generators y, up to t^top.
-    """
+def _sizes(generators: Sequence[Generator], top: int) -> list[list[int]]:
+    """For each j, the numbers of monomials in degrees 0 through top over
+    generators[:j]: the coefficients of prod(1 - t^|x|)^-1 * prod(1 + t^|y|)
+    over those even generators x and odd generators y, up to t^top."""
     sizes = [1] + [0] * top if top >= 0 else []
+    out = [sizes]
     for g in generators:
+        sizes = list(sizes)
         d = g.degree
         steps = range(d, top + 1) if g.is_even else range(top, d - 1, -1)
         for k in steps:
             sizes[k] += sizes[k - d]
-    return sizes
+        out.append(sizes)
+    return out
+
+
+def basis_sizes(generators: Sequence[Generator], top: int) -> list[int]:
+    """Numbers of monomials in degrees 0 through top, without enumerating them."""
+    return _sizes(generators, top)[-1]
 
 
 def enumerate_basis(generators: Sequence[Generator], degree: int) -> list[Monomial]:
@@ -432,37 +538,18 @@ def enumerate_basis(generators: Sequence[Generator], degree: int) -> list[Monomi
     """
     if degree < 0:
         return []
-    ordered = sorted(generators, key=lambda g: g.index)
-    evens = [g for g in ordered if g.is_even]
-    odds = [g for g in ordered if not g.is_even]
-    out: list[Monomial] = []
-
-    def even_part(i: int, rem: int, acc: list[tuple[Generator, int]], odd_acc: tuple[Generator, ...]):
-        if rem == 0:
-            out.append(Monomial(tuple(acc), odd_acc))
-            return
-        if i == len(evens):
-            return
-        g = evens[i]
-        even_part(i + 1, rem, acc, odd_acc)
-        e = 1
-        while g.degree * e <= rem:
-            acc.append((g, e))
-            even_part(i + 1, rem - g.degree * e, acc, odd_acc)
-            acc.pop()
-            e += 1
-
-    def odd_part(i: int, rem: int, acc: list[Generator]):
-        if i == len(odds):
-            even_part(0, rem, [], tuple(acc))
-            return
-        odd_part(i + 1, rem, acc)
-        g = odds[i]
-        if g.degree <= rem:
-            acc.append(g)
-            odd_part(i + 1, rem - g.degree, acc)
-            acc.pop()
-
-    odd_part(0, degree, [])
-    out.sort(key=Monomial.sort_key)
-    return out
+    if degree > MAX_DEGREE:
+        raise _too_large(degree << _S)
+    gens = sorted(generators, key=lambda g: (not g.is_even, g.index))  # factor order
+    # fits[j][r]: how many monomials of degree r gens[j:] make, so that only
+    # partial products that can still be completed are kept
+    fits = _sizes(gens[::-1], degree)[::-1]
+    partial = [(0, degree, ())]  # (monomial, degree still to fill, factors for sort_key)
+    for g, fit in zip(gens, fits[1:]):
+        d, k, top = g.degree, _key(g), degree if g.is_even else 1
+        partial = [(m + e * k, rest - e * d, key + ((g.index, -e),) if e else key)
+                   for m, rest, key in partial
+                   for e in range(min(top, rest // d) + 1) if fit[rest - e * d]]
+    partial.sort(key=lambda mk: mk[2])
+    table = {g.index: g for g in gens}
+    return [Monomial(m, table) for m, _, _ in partial]

@@ -41,12 +41,8 @@ def pure_projection_images(model: SullivanModel) -> list[Element]:
     For a pure model this is just the list of differentials.  Zero images are
     kept so positions line up with ``model.odd_generators``.
     """
-    out = []
-    for g in model.odd_generators:
-        img = model.differential.get(g, Element.zero())
-        even_terms = {m: c for m, c in img.items() if not m.odd}
-        out.append(Element(even_terms))
-    return out
+    odd = model.odd_generators
+    return [model.differential.get(g, Element.zero()).substitute_zero(odd) for g in odd]
 
 
 def differential_ideal_basis(model: SullivanModel) -> GroebnerBasis:
@@ -223,17 +219,14 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     model.validate()
     gens = model.generators
     bases = [enumerate_basis(gens, k) for k in range(up_to + 2)]
-    index = [
-        {m: i for i, m in enumerate(b)}
-        for b in bases
-    ]
+    index = [{m.key: i for i, m in enumerate(b)} for b in bases]
     one = Fraction(1)
     ranks = []
     for k in range(up_to + 1):
         rows = []
         col_of = index[k + 1]
         for m in bases[k]:
-            img = model.d(Element._from_dict({m: one}))
+            img = model.d(Element._from_dict({m.key: one}, m._g))
             if not img:
                 continue
             rows.append({col_of[mm]: c for mm, c in img._t.items()})

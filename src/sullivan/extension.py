@@ -298,7 +298,7 @@ def find_homogeneous_regular_subset(stage: FirstStage, seed: int = 0,
     # rank of the image span over its monomials decides feasibility up front
     cols: dict = {}
     img_rank = len(_echelon(
-        {cols.setdefault(mon, len(cols)): c for mon, c in img.items()}
+        {cols.setdefault(m, len(cols)): c for m, c in img._t.items()}
         for img in images.values()))
     if img_rank < p:
         raise SearchExhausted(

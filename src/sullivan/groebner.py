@@ -2,12 +2,14 @@
 
 The monomial order is weighted-degree grevlex: monomials compare first by
 total topological degree (each variable weighted by its generator degree),
-ties broken reverse-lexicographically against the declared variable order.
-Ideal quotients use the same machinery with one auxiliary elimination
-indeterminate ordered above everything else.
+ties broken reverse-lexicographically against the variable positions.  It is
+the order of the packed monomial ints of ``algebra``, so polynomials here are
+dicts keyed by the same ints as ``Element`` terms, comparing monomials is
+comparing ints, and multiplying them is adding.  Ideal quotients use one
+auxiliary elimination indeterminate, one more field above the degree, which
+dominates the order.
 
-Internally polynomials are dicts mapping exponent tuples to integers, and a
-basis is kept as primitive integer polynomials g_k with positive leading
+A basis is kept as primitive integer polynomials g_k with positive leading
 coefficients (the monic ``generators`` are derived from them).  Each basis is
 computed once without provenance, and a small cache of recent bases (keyed on
 the exact inputs, in caller order) serves repeated requests for the same
@@ -17,8 +19,10 @@ inputs, whose basis must equal the untracked one.  The whole path stays in
 integers, fraction-free (Bareiss, 1968): the rerun keeps each g_k as
 sum(R_i * f_i) / D over one integer denominator, division finds
 S * f = sum(C_k * g_k) + R for one integer scale S, and lifted cofactors are
-divided by their common denominator once, at the end.
-All computations are deterministic for a fixed input order.
+divided by their common denominator once, at the end.  Each leading monomial
+of a Buchberger reduction step and each tracked combination is checked against
+the layout's MAX_DEGREE before it is multiplied further.  All computations are
+deterministic for a fixed input order.
 
 A sequence of as many weighted-homogeneous elements as variables is regular
 exactly when its quotient has dimension prod(deg f_i) / prod(w_j) (Stanley,
@@ -32,13 +36,23 @@ identity by direct arithmetic.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .algebra import Element, Generator, Monomial
+from .algebra import (
+    _ELIM,
+    Element,
+    Generator,
+    Monomial,
+    _check,
+    _divisors,
+    _exponents,
+    _key,
+    _lcm,
+)
 from .errors import (
     ConstantTermPresent,
     InvalidInput,
@@ -57,80 +71,25 @@ CHECK = False
 _CACHE_SIZE = 8
 _CACHE: OrderedDict = OrderedDict()
 
-Exps = tuple
 
-# -- exponent tuple helpers -------------------------------------------------
-
-def _add(a: Exps, b: Exps) -> Exps:
-    return tuple(x + y for x, y in zip(a, b))
+#: a basis's order, for reports: variable weights, elimination (never)
+_Order = namedtuple("_Order", "weights elim")
 
 
-def _sub(a: Exps, b: Exps) -> Exps:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _lcm(a: Exps, b: Exps) -> Exps:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _divides(a: Exps, b: Exps) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-class MonomialOrder:
-    """Weighted-degree grevlex, optionally with a leading elimination slot.
-
-    ``key`` maps an exponent tuple to a sort key; larger keys are larger
-    monomials.  With ``elim`` the first exponent belongs to the auxiliary
-    indeterminate and dominates the comparison, making the order an
-    elimination order for that slot.
-    """
-
-    def __init__(self, weights: Sequence[int], elim: bool = False):
-        self.weights = tuple(weights)
-        self.elim = elim
-
-    def key(self, e: Exps):
-        if self.elim:
-            rest = e[1:]
-            w = sum(w * a for w, a in zip(self.weights[1:], rest))
-            return (e[0], w, tuple(-a for a in reversed(rest)))
-        return (sum(w * a for w, a in zip(self.weights, e)), tuple(-a for a in reversed(e)))
-
-
-# -- element <-> exponent-dict conversion ------------------------------------
-
-def element_to_poly(e: Element, variables: Sequence[Generator]) -> dict[Exps, Fraction]:
-    pos = {g: i for i, g in enumerate(variables)}
-    n = len(variables)
-    out: dict[Exps, Fraction] = {}
-    for mon, c in e._t.items():
-        if mon.odd:
-            raise OddGeneratorPresent(
-                f"term {mon.render()} has odd factors; expected an even polynomial")
-        exps = [0] * n
-        for g, k in mon.even:
-            i = pos.get(g)
-            if i is None:
-                raise UnknownGenerator(f"generator {g!r} is not among the polynomial variables")
-            exps[i] = k
-        out[tuple(exps)] = c
-    return out
-
-
-def poly_to_element(p: dict[Exps, Fraction | int], variables: Sequence[Generator],
-                    den: int = 1) -> Element:
-    """The element p / den; ``den`` divides integer coefficients on the way out."""
-    terms: dict[Monomial, Fraction] = {}
-    for exps, c in p.items():
-        mon = Monomial.make([(g, k) for g, k in zip(variables, exps) if k], ())
-        terms[mon] = Fraction(c, den)
-    return Element(terms)
+def _terms(e: Element, variables: Iterable[Generator]) -> dict:
+    """e's terms, once they are checked to use the variables alone."""
+    if not e.is_even_polynomial():
+        raise OddGeneratorPresent(
+            f"{e.render()} has odd factors; expected an even polynomial")
+    foreign = e.generators_used().difference(variables)
+    if foreign:
+        raise UnknownGenerator(f"generator {min(foreign)!r} is not among the polynomial variables")
+    return e._t
 
 
 # -- integer polynomial primitives -------------------------------------------
 
-def _integral(p: dict[Exps, Fraction | int]) -> tuple[int, dict[Exps, int]]:
+def _integral(p: dict[int, Fraction | int]) -> tuple[int, dict[int, int]]:
     """(den, den * p) for den the least common denominator of p's coefficients."""
     den = lcm(*(c.denominator for c in p.values()))
     return den, {m: c.numerator * (den // c.denominator) for m, c in p.items()}
@@ -145,18 +104,18 @@ def _content(coeffs: Iterable[int]) -> int:
     return g or 1
 
 
-def _primitive(p: dict[Exps, int], order: MonomialOrder) -> tuple[int, dict[Exps, int]]:
+def _primitive(p: dict[int, int]) -> tuple[int, dict[int, int]]:
     """(g0, p / g0) for g0 the content of p, signed to make the leading coefficient positive."""
     g0 = _content(p.values())
-    if p[max(p, key=order.key)] < 0:
+    if p[max(p)] < 0:
         g0 = -g0
     return g0, p if g0 == 1 else {m: c // g0 for m, c in p.items()}
 
 
-def _submul(p: dict[Exps, int], q: dict[Exps, int], c: int, t: Exps) -> None:
+def _submul(p: dict[int, int], q: dict[int, int], c: int, t: int) -> None:
     """p -= c * x^t * q, in place, dropping zero terms."""
     for m, v in q.items():
-        kk = _add(m, t)
+        kk = m + t
         nv = p.get(kk, 0) - c * v
         if nv:
             p[kk] = nv
@@ -164,7 +123,7 @@ def _submul(p: dict[Exps, int], q: dict[Exps, int], c: int, t: Exps) -> None:
             p.pop(kk, None)
 
 
-def _scale(polys: Iterable[dict[Exps, int]], c: int) -> None:
+def _scale(polys: Iterable[dict[int, int]], c: int) -> None:
     for r in polys:
         for k in r:
             r[k] *= c
@@ -173,7 +132,7 @@ def _scale(polys: Iterable[dict[Exps, int]], c: int) -> None:
 # A rep [D, [R_0, ..., R_{n-1}]] stands for sum(R_i * f_i) / D over the
 # engine's inputs f_i, with integer polynomials R_i and an integer D > 0.
 
-def _rep_submul(rep: list, other: list, c: int, t: Exps) -> None:
+def _rep_submul(rep: list, other: list, c: int, t: int) -> None:
     """rep -= c * x^t * other, over the lcm of the two denominators."""
     d, d2 = rep[0], other[0]
     both = lcm(d, d2)
@@ -200,49 +159,47 @@ def _rep_divide(rep: list, g0: int) -> None:
 class _Engine:
     """Buchberger with integer arithmetic and input-combination tracking."""
 
-    def __init__(self, inputs: list[dict[Exps, Fraction | int]], order: MonomialOrder,
-                 track: bool):
-        self.order = order
+    def __init__(self, inputs: list[dict[int, Fraction | int]], track: bool):
         self.track = track
-        self.polys: list[dict[Exps, int]] = []
-        self.lms: list[Exps] = []
+        self.polys: list[dict[int, int]] = []
+        self.lms: list[int] = []
+        self.exps: list[int] = []  # of the leading monomials
         self.lcs: list[int] = []
         self.reps: list = []
         for idx, f in enumerate(inputs):
             if not f:
                 continue
             den, ints = _integral(f)
-            g0, ints = _primitive(ints, order)
+            g0, ints = _primitive(ints)
             rep = None
             if track:  # ints = (den / g0) * f
                 rep = [1, [dict() for _ in inputs]]
-                rep[1][idx][tuple(0 for _ in next(iter(f)))] = den
+                rep[1][idx][0] = den
                 _rep_divide(rep, g0)
             self._append(ints, rep)
 
-    def _append(self, p: dict[Exps, int], rep) -> int:
-        lm = max(p, key=self.order.key)
+    def _append(self, p: dict[int, int], rep) -> int:
+        lm = max(p)
         self.polys.append(p)
         self.lms.append(lm)
+        self.exps.append(_exponents(lm))
         self.lcs.append(p[lm])
         self.reps.append(rep)
         return len(self.polys) - 1
 
-    def _reduce(self, p: dict[Exps, int], rep, basis: Iterable[int]):
+    def _reduce(self, p: dict[int, int], rep, basis: Iterable[int]):
         """Full fraction-free reduction of p by the basis elements ``basis``.
 
         Returns a primitive remainder with positive leading coefficient and
         the correspondingly rescaled rep.
         """
         p = dict(p)
-        out: dict[Exps, int] = {}
-        order = self.order
+        out: dict[int, int] = {}
         while p:
-            m = max(p, key=order.key)
-            for k in basis:
-                if _divides(self.lms[k], m):
-                    break
-            else:
+            m = max(p)
+            _check(m)
+            k = next(_divisors(m, self.exps, basis), None)
+            if k is None:
                 out[m] = p.pop(m)
                 continue
             h = gcd(p[m], self.lcs[k])
@@ -251,13 +208,16 @@ class _Engine:
                 _scale((p, out), a)
                 if rep is not None:
                     _scale(rep[1], a)
-            t = _sub(m, self.lms[k])
+            t = m - self.lms[k]
             _submul(p, self.polys[k], c, t)
             if rep is not None:
                 _rep_submul(rep, self.reps[k], c, t)
+        for r in rep[1] if rep is not None else ():
+            if r:
+                _check(max(r))
         if not out:
             return {}, rep
-        g0, out = _primitive(out, order)
+        g0, out = _primitive(out)
         if g0 != 1 and rep is not None:
             _rep_divide(rep, g0)
         return out, rep
@@ -268,36 +228,26 @@ class _Engine:
 
         def push_pairs(t: int) -> None:
             for i in range(t):
-                lcm_it = _lcm(self.lms[i], self.lms[t])
-                heappush(heap, (self.order.key(lcm_it), i, t))
+                heappush(heap, (_lcm(self.lms[i], self.lms[t]), i, t))
 
         for t in range(len(self.polys)):
             push_pairs(t)
         while heap:
-            _, i, j = heappop(heap)
+            lcm_ij, i, j = heappop(heap)
             if (i, j) in done:
                 continue
             done.add((i, j))
             lmi, lmj = self.lms[i], self.lms[j]
-            lcm_ij = _lcm(lmi, lmj)
-            if lcm_ij == _add(lmi, lmj):
+            if lcm_ij == lmi + lmj:
                 continue  # disjoint leading monomials never yield new elements
-            skip = False
-            for k in range(len(self.polys)):
-                if k == i or k == j:
-                    continue
-                if _divides(self.lms[k], lcm_ij):
-                    a = (min(i, k), max(i, k))
-                    b = (min(j, k), max(j, k))
-                    if a in done and b in done:
-                        skip = True
-                        break
-            if skip:
-                continue
-            ti, tj = _sub(lcm_ij, lmi), _sub(lcm_ij, lmj)
+            if any(k != i and k != j and (min(i, k), max(i, k)) in done
+                   and (min(j, k), max(j, k)) in done
+                   for k in _divisors(lcm_ij, self.exps, range(len(self.polys)))):
+                continue  # chain criterion
+            ti, tj = lcm_ij - lmi, lcm_ij - lmj
             h = gcd(self.lcs[i], self.lcs[j])
             ci, cj = self.lcs[i] // h, self.lcs[j] // h
-            s: dict[Exps, int] = {}
+            s: dict[int, int] = {}
             _submul(s, self.polys[i], -cj, ti)
             _submul(s, self.polys[j], ci, tj)
             rep = None
@@ -316,10 +266,10 @@ class _Engine:
         Each element is primitive with a positive leading coefficient, and
         its rep (when tracked) stands for that primitive element.
         """
-        idxs = sorted(range(len(self.polys)), key=lambda i: self.order.key(self.lms[i]))
+        idxs = sorted(range(len(self.polys)), key=lambda i: self.lms[i])
         kept: list[int] = []
         for i in idxs:
-            if not any(_divides(self.lms[k], self.lms[i]) for k in kept):
+            if next(_divisors(self.lms[i], self.exps, kept), None) is None:
                 kept.append(i)
         out_polys, out_lms, out_reps = [], [], []
         for i in kept:
@@ -328,7 +278,7 @@ class _Engine:
                 rep = [rep[0], [dict(r) for r in rep[1]]]
             r, rep = self._reduce(self.polys[i], rep, [k for k in kept if k != i])
             out_polys.append(r)
-            out_lms.append(max(r, key=self.order.key))
+            out_lms.append(max(r))
             out_reps.append(rep)
         return out_polys, out_lms, out_reps
 
@@ -340,23 +290,25 @@ class GroebnerBasis:
     computed on first use by ``member(..., cofactors=True)``.
     """
 
-    def __init__(self, variables: Sequence[Generator], order: MonomialOrder,
-                 inputs: Sequence[Element], polys, lms):
+    def __init__(self, variables: Sequence[Generator], inputs: Sequence[Element],
+                 polys, lms):
         self.variables = tuple(variables)
-        self.order = order
+        self.order = _Order(tuple(g.degree for g in self.variables), False)
         self.inputs = list(inputs)
+        self._table = {g.index: g for g in self.variables}
         self._polys = polys  # primitive integer, positive leading coefficient
         self._lms = lms
+        self._exps = [_exponents(lm) for lm in lms]
         self._lcs = [p[lm] for p, lm in zip(polys, lms)]
         self._reps = None
-        self.generators = [poly_to_element(p, self.variables, lc)
-                           for p, lc in zip(polys, self._lcs)]
+        self.generators = [
+            Element._from_dict({m: Fraction(c, lc) for m, c in p.items()}, self._table)
+            for p, lc in zip(polys, self._lcs)]
 
     def _provenance(self) -> list:
         """Each basis element over the inputs, from one tracked rerun."""
         if self._reps is None:
-            inputs = [element_to_poly(e, self.variables) for e in self.inputs]
-            eng = _Engine(inputs, self.order, track=True)
+            eng = _Engine([e._t for e in self.inputs], track=True)
             eng.run()
             polys, lms, reps = eng.reduced()
             if polys != self._polys or lms != self._lms:
@@ -366,44 +318,38 @@ class GroebnerBasis:
 
     @property
     def contains_one(self) -> bool:
-        return any(all(a == 0 for a in lm) for lm in self._lms)
-
-    def __len__(self):
-        return len(self._polys)
+        return 0 in self._lms
 
     def __repr__(self):
         gens = "; ".join(g.render() for g in self.generators)
         return f"GroebnerBasis[{gens}]"
 
 
-def buchberger(elements: Sequence[Element], variables: Sequence[Generator],
-               order: MonomialOrder | None = None) -> GroebnerBasis:
+def buchberger(elements: Sequence[Element], variables: Sequence[Generator]) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by even polynomials.
 
-    Deterministic for a fixed input order: S-pairs are processed by ascending
-    weighted degree of the pair's lcm (ties by creation order) and useless
-    pairs are dropped by the product and chain criteria.  A repeated request
-    with equal variables, order and inputs (in the same order) returns the
-    same basis object from a small cache of recent results.
+    The variables are even generators in ascending position.  Deterministic
+    for a fixed input order: S-pairs are processed by ascending lcm (ties by
+    creation order) and useless pairs are dropped by the product and chain
+    criteria.  A repeated request with equal variables and inputs (in the
+    same order) returns the same basis object from a small cache of recent
+    results.
     """
     variables = tuple(variables)
-    if len(set(variables)) != len(variables):
-        raise InvalidInput("polynomial variables must be distinct")
+    if any(a.index >= b.index for a, b in zip(variables, variables[1:])):
+        raise InvalidInput("polynomial variables must be distinct, in ascending position")
     for g in variables:
         if not g.is_even:
             raise OddGeneratorPresent(f"variable {g!r} has odd degree")
-    if order is None:
-        order = MonomialOrder(tuple(g.degree for g in variables))
-    key = (variables, order.weights, order.elim, tuple(elements))
+    key = (variables, tuple(elements))
     gb = _CACHE.get(key)
     if gb is not None:
         _CACHE.move_to_end(key)
         return gb
-    inputs = [element_to_poly(e, variables) for e in elements]
-    eng = _Engine(inputs, order, track=False)
+    eng = _Engine([_terms(e, variables) for e in elements], track=False)
     eng.run()
     polys, lms, _ = eng.reduced()
-    gb = GroebnerBasis(variables, order, list(elements), polys, lms)
+    gb = GroebnerBasis(variables, list(elements), polys, lms)
     _CACHE[key] = gb
     if len(_CACHE) > _CACHE_SIZE:
         _CACHE.popitem(last=False)
@@ -417,9 +363,10 @@ def normal_form(f: Element, gb: GroebnerBasis) -> tuple[Element, list[Element]]:
     remainder term is divisible by a basis leading monomial, and the result
     is deterministic (basis elements are tried in ascending order).
     """
-    s, cofs, rem = _nf(element_to_poly(f, gb.variables), gb, track=True)
-    rem_el = poly_to_element(rem, gb.variables, s)
-    cof_els = [poly_to_element({m: c * lc for m, c in cof.items()}, gb.variables, s)
+    s, cofs, rem = _nf(_terms(f, gb.variables), gb, track=True)
+    rem_el = Element._from_dict({m: Fraction(c, s) for m, c in rem.items()}, gb._table)
+    cof_els = [Element._from_dict({m: Fraction(c * lc, s) for m, c in cof.items() if c},
+                                  gb._table)
                for cof, lc in zip(cofs, gb._lcs)]
     if CHECK:
         acc = Element.zero()
@@ -430,7 +377,7 @@ def normal_form(f: Element, gb: GroebnerBasis) -> tuple[Element, list[Element]]:
     return rem_el, cof_els
 
 
-def _nf(f: dict[Exps, Fraction], gb: GroebnerBasis, track: bool):
+def _nf(f: dict[int, Fraction], gb: GroebnerBasis, track: bool):
     """Fraction-free division of f by the primitive basis g_k = ``gb._polys``.
 
     Returns (S, C, R) with S > 0, integer polynomials C_k and R, and
@@ -439,15 +386,12 @@ def _nf(f: dict[Exps, Fraction], gb: GroebnerBasis, track: bool):
     already decides membership.
     """
     s, p = _integral(f)
-    rem: dict[Exps, int] = {}
+    rem: dict[int, int] = {}
     cofs = [dict() for _ in gb._polys] if track else None
-    order = gb.order
-    while p:
-        m = max(p, key=order.key)
-        for k, lmk in enumerate(gb._lms):
-            if _divides(lmk, m):
-                break
-        else:
+    while p:  # in the graded order no step raises the leading degree
+        m = max(p)
+        k = next(_divisors(m, gb._exps, range(len(gb._exps))), None)
+        if k is None:
             rem[m] = p.pop(m)
             if not track:
                 break
@@ -459,7 +403,7 @@ def _nf(f: dict[Exps, Fraction], gb: GroebnerBasis, track: bool):
             _scale((p, rem), a)
             if track:
                 _scale(cofs, a)
-        t = _sub(m, lmk)
+        t = m - gb._lms[k]
         if track:
             cofs[k][t] = cofs[k].get(t, 0) + c
         _submul(p, gb._polys[k], c, t)
@@ -468,7 +412,7 @@ def _nf(f: dict[Exps, Fraction], gb: GroebnerBasis, track: bool):
 
 def member(f: Element, gb: GroebnerBasis, cofactors: bool = False):
     """Ideal membership; optionally with cofactors over the original inputs."""
-    s, cofs, rem = _nf(element_to_poly(f, gb.variables), gb, track=cofactors)
+    s, cofs, rem = _nf(_terms(f, gb.variables), gb, track=cofactors)
     ok = not rem
     if not cofactors:
         return ok
@@ -478,7 +422,7 @@ def member(f: Element, gb: GroebnerBasis, cofactors: bool = False):
     # over their lcm and divide once, by S * lcm
     reps = gb._provenance()
     common = lcm(*(d for cof, (d, _) in zip(cofs, reps) if cof))
-    out: list[dict[Exps, int]] = [dict() for _ in gb.inputs]
+    out: list[dict[int, int]] = [dict() for _ in gb.inputs]
     for cof, (d, nums) in zip(cofs, reps):
         if not cof:
             continue
@@ -486,7 +430,12 @@ def member(f: Element, gb: GroebnerBasis, cofactors: bool = False):
         for dst, r in zip(out, nums):
             for m1, c1 in cof.items():
                 _submul(dst, r, -c1 * scale, m1)
-    cof_els = [poly_to_element(c, gb.variables, s * common) for c in out]
+    for c in out:
+        if c:
+            _check(max(c))
+    den = s * common
+    cof_els = [Element._from_dict({m: Fraction(v, den) for m, v in c.items()}, gb._table)
+               for c in out]
     if CHECK:
         acc = Element.zero()
         for c, g in zip(cof_els, gb.inputs):
@@ -504,29 +453,26 @@ def ideal_quotient(gb: GroebnerBasis, a: Element) -> GroebnerBasis:
     """
     if not a:
         raise ZeroElement("ideal quotient by the zero element")
-    pa = element_to_poly(a, gb.variables)
-    elim_order = MonomialOrder((1,) + tuple(g.degree for g in gb.variables), elim=True)
-    inputs: list[dict] = [{(1,) + m: c for m, c in p.items()} for p in gb._polys]
-    both = {(0,) + m: c for m, c in pa.items()}
-    both.update({(1,) + m: -c for m, c in pa.items()})
-    inputs.append(both)
-    eng = _Engine(inputs, elim_order, track=False)
+    pa = _terms(a, gb.variables)
+    inputs: list[dict] = [{m + _ELIM: c for m, c in p.items()} for p in gb._polys]  # t * I
+    inputs.append({**pa, **{m + _ELIM: -c for m, c in pa.items()}})  # (1 - t) * a
+    eng = _Engine(inputs, track=False)
     eng.run()
     polys, lms, _ = eng.reduced()
-    gb_a = buchberger([a], gb.variables, gb.order)
-    lc = pa[max(pa, key=gb.order.key)]
+    gb_a = buchberger([a], gb.variables)
+    lc = pa[max(pa)]
     quotient_gens: list[Element] = []
     for p, lm in zip(polys, lms):
-        if lm[0] != 0:
+        if lm >= _ELIM:
             continue  # only t-free elements generate the intersection
-        if any(m[0] for m in p):
+        if any(m >= _ELIM for m in p):
             raise VerificationFailed("elimination produced a mixed polynomial")
-        q = poly_to_element({m[1:]: c for m, c in p.items()}, gb.variables, p[lm])
+        q = Element._from_dict({m: Fraction(c, p[lm]) for m, c in p.items()}, gb._table)
         rem, cofs = normal_form(q, gb_a)
         if rem:
             raise VerificationFailed("intersection generator not divisible by the quotient element")
         quotient_gens.append(cofs[0] * (Fraction(1) / lc))
-    return buchberger(quotient_gens, gb.variables, gb.order)
+    return buchberger(quotient_gens, gb.variables)
 
 
 def zero_divisor_witness(a: Element, gb: GroebnerBasis) -> Element | None:
@@ -548,11 +494,6 @@ def zero_divisor_witness(a: Element, gb: GroebnerBasis) -> Element | None:
     return None
 
 
-def is_zero_divisor(a: Element, gb: GroebnerBasis) -> bool:
-    """True iff a is in the ideal or (I : a) strictly contains I."""
-    return zero_divisor_witness(a, gb) is not None
-
-
 def regular_sequence_failure(seq: Sequence[Element], variables: Sequence[Generator]):
     """First failure of the regular-sequence property, as (1-based index, witness).
 
@@ -561,15 +502,11 @@ def regular_sequence_failure(seq: Sequence[Element], variables: Sequence[Generat
     identity when it applies; otherwise, and for every failure, each prefix
     is tested for a zero divisor in turn.
     """
-    polys = []
-    unit = tuple(0 for _ in variables)
     for a in seq:
-        p = element_to_poly(a, variables)
-        if p.get(unit):
+        if 0 in _terms(a, variables):
             raise ConstantTermPresent(
                 f"sequence element {a.render()} has a constant term")
-        polys.append(p)
-    if _hilbert_identity_holds(seq, polys, variables):
+    if _hilbert_identity_holds(seq, variables):
         return None
     gb = buchberger([], variables)
     for i, a in enumerate(seq):
@@ -580,24 +517,17 @@ def regular_sequence_failure(seq: Sequence[Element], variables: Sequence[Generat
     return None
 
 
-def _hilbert_identity_holds(seq: Sequence[Element], polys: list[dict],
-                            variables: Sequence[Generator]) -> bool:
+def _hilbert_identity_holds(seq: Sequence[Element], variables: Sequence[Generator]) -> bool:
     """Whether n nonzero weighted-homogeneous elements in n variables have a
     finite-dimensional quotient of dimension prod(deg f_i) / prod(w_j), which
     holds exactly when they form a regular sequence."""
-    weights = tuple(g.degree for g in variables)
-    if len(polys) != len(weights) or not all(polys):
+    degrees = [a.degree() for a in seq]  # not an int for zero or mixed degrees
+    if len(seq) != len(variables) or not all(isinstance(d, int) for d in degrees):
         return False
-    degrees = []
-    for p in polys:
-        ds = {sum(w * a for w, a in zip(weights, e)) for e in p}
-        if len(ds) != 1:
-            return False
-        degrees.append(ds.pop())
     gb = buchberger(list(seq), variables)
     if not quotient_is_finite_dimensional(gb):
         return False
-    return quotient_dimension(gb) * prod(weights) == prod(degrees)
+    return quotient_dimension(gb) * prod(g.degree for g in variables) == prod(degrees)
 
 
 def is_regular_sequence(seq: Sequence[Element], variables: Sequence[Generator]):
@@ -610,11 +540,13 @@ def is_regular_sequence(seq: Sequence[Element], variables: Sequence[Generator]):
 
 def _pure_powers(gb: GroebnerBasis) -> list:
     """Per variable, its least power among the leading monomials, or None."""
-    n = len(gb.variables)
-    return [min((lm[v] for lm in gb._lms
-                 if lm[v] > 0 and all(lm[u] == 0 for u in range(n) if u != v)),
-                default=None)
-            for v in range(n)]
+    powers: dict = {}
+    for lm in gb._lms:
+        factors = Monomial(lm, gb._table).factors()
+        if len(factors) == 1:
+            (g, e), = factors
+            powers[g] = min(e, powers.get(g, e))
+    return [powers.get(g) for g in gb.variables]
 
 
 def quotient_is_finite_dimensional(gb: GroebnerBasis) -> bool:
@@ -629,8 +561,10 @@ def quotient_dimension(gb: GroebnerBasis) -> int:
     bounds = _pure_powers(gb)
     if None in bounds:
         raise NotFiniteDimensional("quotient ring is not finite-dimensional")
+    keys = [_key(g) for g in gb.variables]
     count = 0
     for exps in itertools.product(*(range(b) for b in bounds)):
-        if not any(_divides(lm, exps) for lm in gb._lms):
+        m = sum(e * k for e, k in zip(exps, keys))
+        if next(_divisors(m, gb._exps, range(len(gb._exps))), None) is None:
             count += 1
     return count

@@ -16,7 +16,7 @@ from .algebra import (
     Element,
     Generator,
     Monomial,
-    _mul_into,
+    _derive_into,
     enumerate_basis,
     make_generators,
 )
@@ -142,6 +142,7 @@ class SullivanModel:
                 if img:
                     d[g] = img
         self.differential: dict[Generator, Element] = d
+        self._table = {g.index: g for g in self.generators}
         self._report: ModelReport | None = None
         self._dy_basis = None  # lazy Groebner cache, see ellipticity module
 
@@ -177,34 +178,17 @@ class SullivanModel:
         return self.differential.get(self.generator(g), Element.zero())
 
     def d(self, e: Element | Generator) -> Element:
-        """Extend the differential to any element as a degree +1 derivation.
-
-        With images of degree |g| + 1 (as ``validate`` checks), even
-        generators and odd generators' images commute with everything, so a
-        term c*m contributes k*c*d(g)*(m/g) for each even factor g^k and
-        (-1)^j*c*d(y)*(m/y) for the j-th odd factor y.
-        """
+        """Extend the differential to any element as a degree +1 derivation."""
         if isinstance(e, Generator):
             return self.d_generator(e)
-        foreign = e.generators_used() - self._gen_set
+        foreign = not e._g.items() <= self._table.items() and e.generators_used() - self._gen_set
         if foreign:
             raise GeneratorMismatch(
                 "element uses foreign generators: " + ", ".join(sorted(x.name for x in foreign)))
-        t: dict[Monomial, Fraction] = {}
-        for mon, coeff in e._t.items():
-            even, odd = mon.even, mon.odd
-            for i, (g, k) in enumerate(even):
-                dg = self.differential.get(g)
-                if dg is not None:
-                    lower = ((g, k - 1),) if k > 1 else ()
-                    rest = Monomial(even[:i] + lower + even[i + 1:], odd)
-                    _mul_into(t, dg._t.items(), ((rest, k * coeff),))
-            for j, y in enumerate(odd):
-                dy = self.differential.get(y)
-                if dy is not None:
-                    rest = Monomial(even, odd[:j] + odd[j + 1:])
-                    _mul_into(t, dy._t.items(), ((rest, -coeff if j % 2 else coeff),))
-        return Element._from_dict(t)
+        t: dict[int, Fraction] = {}
+        for m, coeff in e._t.items():
+            _derive_into(t, m, coeff, self.differential.items())
+        return Element._from_dict(t, self._table)
 
     # -- structural predicates --------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import Element, make_generators
+from .algebra import Element, _degree, make_generators
 from .errors import (
     InvalidModel,
     InvalidInput,
@@ -80,8 +80,8 @@ MAX_COEFFICIENT_BITS = 4096
 def _size(e: Element) -> tuple[int, int]:
     """Largest term degree and largest coefficient bit count (floor log2) of e."""
     degree = bits = 0
-    for m, c in e.items():
-        degree = max(degree, m.degree)
+    for m, c in e._t.items():
+        degree = max(degree, _degree(m))
         bits = max(bits, c.numerator.bit_length() - 1,
                    c.denominator.bit_length() - 1)
     return degree, bits

@@ -3,18 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sullivan.algebra import (
     ANY_DEGREE,
+    MAX_DEGREE,
+    MAX_GENERATORS,
     Element,
     Generator,
     Monomial,
     basis_sizes,
     enumerate_basis,
     make_generators,
-    mul_monomials,
 )
-from sullivan.errors import InvalidModel
+from sullivan.errors import InvalidInput, InvalidModel
 
 
 def gens(*pairs):
@@ -67,6 +70,21 @@ def test_scalar_lifting_and_division():
     assert 3 * ex == ex * 3
     assert (ex * Fraction(1, 2)) * 2 == ex
     assert (3 * ex) / 3 == ex
+
+
+def test_products_past_the_layout_raise():
+    x, y = gens(("x", 2), ("y", 3))
+    ex = Element.from_generator(x)
+    top = MAX_DEGREE // 2
+    assert (ex ** top).degree() == 2 * top
+    with pytest.raises(InvalidInput):
+        ex ** (top + 1)  # one more factor of x would reach the guard bit
+    with pytest.raises(InvalidInput):
+        Monomial.make([(x, top + 1)])
+    with pytest.raises(InvalidModel):
+        Generator("z", MAX_DEGREE, 2)
+    with pytest.raises(InvalidModel):
+        Generator("z", 2, MAX_GENERATORS)
 
 
 def test_power():
@@ -141,10 +159,78 @@ def test_associativity_randomized():
         assert a * (b + c) == a * b + a * c
 
 
+def mul_monomials(a, b):
+    """Reference product of monomials given as (even, odd): even holds
+    (generator, exponent) pairs and odd distinct odd generators, both by
+    position.  Returns (monomial, Koszul sign), or None for an odd square.
+    This is the merge the algebra used before packed monomials."""
+    ev, ia, ib = [], 0, 0
+    ea, eb = a[0], b[0]
+    while ia < len(ea) and ib < len(eb):
+        (ga, xa), (gb, xb) = ea[ia], eb[ib]
+        if ga.index < gb.index:
+            ev.append((ga, xa)); ia += 1
+        elif gb.index < ga.index:
+            ev.append((gb, xb)); ib += 1
+        else:
+            ev.append((ga, xa + xb)); ia += 1; ib += 1
+    ev.extend(ea[ia:]); ev.extend(eb[ib:])
+    oa, ob = a[1], b[1]
+    if {g.index for g in oa} & {g.index for g in ob}:
+        return None  # odd square
+    od, inv, ia, ib = [], 0, 0, 0
+    while ia < len(oa) and ib < len(ob):
+        if oa[ia].index < ob[ib].index:
+            od.append(oa[ia]); ia += 1
+        else:
+            od.append(ob[ib]); ib += 1
+            inv += len(oa) - ia  # this factor jumps over the rest of a's odd part
+    od.extend(oa[ia:]); od.extend(ob[ib:])
+    return (tuple(ev), tuple(od)), -1 if inv % 2 else 1
+
+
+def as_element(mon):
+    return Element({Monomial.make(*mon): 1})
+
+
 def test_monomial_merge_rejects_odd_square():
     y, = gens(("y", 3))
-    m = Monomial.make(odd=(y,))
+    m = ((), (y,))
     assert mul_monomials(m, m) is None
+    assert (as_element(m) * as_element(m)).is_zero()
+
+
+@st.composite
+def monomial_pairs(draw):
+    """1 to 6 generators of mixed parity at shuffled positions, and two
+    monomials over them: even exponents up to 3, odd ones 0 or 1."""
+    degrees = draw(st.lists(st.sampled_from((2, 3, 4, 5, 6, 7)), min_size=1, max_size=6))
+    positions = draw(st.permutations(range(len(degrees))))
+    gs = sorted((Generator(f"g{i}", d, p) for i, (d, p) in enumerate(zip(degrees, positions))),
+                key=lambda g: g.index)
+
+    def monomial():
+        ex = [draw(st.integers(0, 3 if g.is_even else 1)) for g in gs]
+        return (tuple((g, e) for g, e in zip(gs, ex) if e and g.is_even),
+                tuple(g for g, e in zip(gs, ex) if e and not g.is_even))
+
+    return monomial(), monomial()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(monomial_pairs())
+def test_packed_product_matches_the_merge(pair):
+    a, b = pair
+    got = as_element(a) * as_element(b)
+    ref = mul_monomials(a, b)
+    if ref is None:
+        assert got.is_zero()
+        return
+    mon, sign = ref
+    assert got == Element({Monomial.make(*mon): sign})
+    [(m, c)] = got.items()
+    assert m.key == Monomial.make(*mon).key and c == sign
+    assert list(m.factors()) == list(mon[0]) + [(g, 1) for g in mon[1]]
 
 
 def test_basis_sizes_count_the_enumerated_bases():
@@ -152,4 +238,7 @@ def test_basis_sizes_count_the_enumerated_bases():
                   [("x", 6), ("y1", 3), ("y2", 3), ("y3", 7)]):
         gs = gens(*pairs)
         assert basis_sizes(gs, 24) == [len(enumerate_basis(gs, k)) for k in range(25)]
+        for k in range(25):
+            basis = enumerate_basis(gs, k)
+            assert basis == sorted(basis, key=Monomial.sort_key)
     assert basis_sizes(gens(("x", 2)), -1) == []

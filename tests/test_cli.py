@@ -6,7 +6,10 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sullivan.algebra import MAX_DEGREE, MAX_GENERATORS
 from sullivan.cli import main
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -96,6 +99,81 @@ def test_oversized_power_exit_2_at_once(tmp_path):
     assert out == ""
     assert err.startswith("error[syntax]: line 5: a term of degree 300")
     assert err.count("\n") == 1
+
+
+def test_monomial_layout_capacity(tmp_path):
+    # generators stay below MAX_DEGREE, so that an image of degree |y| + 1
+    # fits: x of degree 2 reaches it as x^(MAX_DEGREE // 2); one more degree,
+    # or one more generator position, is refused
+    top = MAX_DEGREE // 2
+    at = tmp_path / "at.model"
+    at.write_text(f'model "at"\neven x : 2\nodd y : {2 * top - 1} = x^{top}\n')
+    assert run("validate", at)[0] == 0
+    past = tmp_path / "past.model"
+    past.write_text(f'model "past"\neven x : 2\nodd y : {MAX_DEGREE} = x^{top + 1}\n')
+    many = tmp_path / "many.model"
+    many.write_text('model "many"\n'
+                    + "".join(f"even x{i} : 2\n" for i in range(MAX_GENERATORS + 1)))
+    for path, message in ((past, f"error[syntax]: line 2: generator 'y' (degree {MAX_DEGREE}"),
+                          (many, "error[syntax]: line 2: generator 'x32'")):
+        start = time.perf_counter()
+        code, out, err = run("validate", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
+
+@st.composite
+def model_texts(draw):
+    """Model text from a small grammar: up to MAX_GENERATORS + 3 generators,
+    degrees and exponents at and past the layout's capacity, images that
+    multiply odd generators (odd squares included), and sometimes one
+    corrupted character."""
+    names = [(f"x{i}", draw(st.sampled_from((2, 2, 4, 6, MAX_DEGREE - 1, MAX_DEGREE + 1))))
+             for i in range(draw(st.integers(0, 3)))]
+    names += [(f"w{i}", 2) for i in range(draw(st.sampled_from((0,) * 7 + (MAX_GENERATORS,))))]
+    lines = ['model "fuzz"'] + [f"even {n} : {d}" for n, d in names]
+    for j in range(draw(st.integers(0, 3))):
+        degree = draw(st.sampled_from((3, 5, 7, MAX_DEGREE)))
+        if names and draw(st.booleans()):
+            factors = draw(st.lists(st.tuples(
+                st.sampled_from(names),
+                st.sampled_from((1, 1, 2, 3, MAX_DEGREE // 2, MAX_DEGREE // 2 + 1))),
+                min_size=2, max_size=3))
+            total = sum(d * e for (_, d), e in factors)
+            if total % 2 == 0 and total > 3:
+                degree = total - 1
+            image = "*".join(f"{n}^{e}" for (n, _), e in factors)
+            coefficient = draw(st.sampled_from(("", "2*", "-1/3*", "0*")))
+            lines.append(f"odd y{j} : {degree} = {coefficient}{image}")
+        else:
+            lines.append(f"odd y{j} : {degree}")
+        names.append((f"y{j}", degree))
+    text = "\n".join(lines) + "\n"
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + draw(st.sampled_from("^*()=:#-x9 \n")) + text[at + 1:]
+    return text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(model_texts())
+def test_generated_models_end_in_a_documented_exit(text):
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "fuzz.model"
+        path.write_text(text)
+        for argv in (("validate", path), ("cohomology", path, "--up-to", "8")):
+            code, out, err = run(*argv)
+            assert code in (0, 1, 2, 3)
+            if code:
+                assert err.startswith("error[") and err.count("\n") == 1
+            else:
+                assert err == ""
 
 
 def test_search_negative_exit_1():

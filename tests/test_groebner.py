@@ -15,8 +15,8 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sullivan import groebner
-from sullivan.algebra import Element, make_generators
+from sullivan import algebra, groebner
+from sullivan.algebra import Element, Generator, Monomial, make_generators
 from sullivan.ellipticity import exactness_certificate
 from sullivan.errors import ConstantTermPresent, NotFiniteDimensional
 from sullivan.model import SullivanModel
@@ -24,7 +24,6 @@ from sullivan.groebner import (
     buchberger,
     ideal_quotient,
     is_regular_sequence,
-    is_zero_divisor,
     member,
     normal_form,
     quotient_dimension,
@@ -50,10 +49,62 @@ def els(gens):
     return [Element.from_generator(g) for g in gens]
 
 
+# -- exponent tuples: the representation the engine used before packed
+# monomials, kept as an independent reference --------------------------------
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+class MonomialOrder:
+    """Weighted-degree grevlex on exponent tuples, optionally with a leading
+    elimination slot: the order key the engine computed before packed
+    monomials, kept as their reference.  Larger keys are larger monomials."""
+
+    def __init__(self, weights, elim=False):
+        self.weights = tuple(weights)
+        self.elim = elim
+
+    def key(self, e):
+        if self.elim:
+            rest = e[1:]
+            w = sum(w * a for w, a in zip(self.weights[1:], rest))
+            return (e[0], w, tuple(-a for a in reversed(rest)))
+        return (sum(w * a for w, a in zip(self.weights, e)), tuple(-a for a in reversed(e)))
+
+
+def tuples(p, variables, den=1):
+    """A dict keyed by packed monomials over ``variables``, keyed by exponent
+    tuples instead, each coefficient divided by ``den``."""
+    table = {g.index: g for g in variables}
+    pos = {g: i for i, g in enumerate(variables)}
+    out = {}
+    for k, c in p.items():
+        exps = [0] * len(variables)
+        for g, e in Monomial(k, table).factors():
+            exps[pos[g]] = e
+        out[tuple(exps)] = Fraction(c, den)
+    return out
+
+
+def element(p, variables):
+    """The element with the exponent-tuple terms p."""
+    return Element({Monomial.make([(g, k) for g, k in zip(variables, exps) if k]): c
+                    for exps, c in p.items()})
+
+
 # -- sympy bridge ------------------------------------------------------------
 
 def to_sympy(e: Element, variables, syms):
-    poly = groebner.element_to_poly(e, variables)
+    poly = tuples(e._t, variables)
     expr = sympy.Integer(0)
     for exps, c in poly.items():
         term = sympy.Rational(c.numerator, c.denominator)
@@ -204,9 +255,9 @@ def test_normal_form_identity():
             recombined = recombined + q * g
         assert recombined == f
         # remainder is fully reduced: no term divisible by a leading monomial
-        rp = groebner.element_to_poly(r, gens)
-        for exps in rp:
-            assert not any(groebner._divides(lm, exps) for lm in gb._lms)
+        lms = tuples(dict.fromkeys(gb._lms, 1), gens)
+        for exps in tuples(r._t, gens):
+            assert not any(_divides(lm, exps) for lm in lms)
 
 
 def test_membership_cofactors_reconstruct_input():
@@ -281,7 +332,7 @@ def test_regularity_matches_finiteness():
         seq = [random_poly(rng, gens), random_poly(rng, gens)]
         if not all(seq):
             continue
-        if any(groebner.element_to_poly(s, gens).get((0, 0)) for s in seq):
+        if any(tuples(s._t, gens).get((0, 0)) for s in seq):
             continue  # constant terms are rejected by design
         ok, idx = is_regular_sequence(seq, gens)
         gb = buchberger(seq, gens)
@@ -329,7 +380,6 @@ def test_zero_divisor_witness_properties(mixed_model):
     # a regular element has no witness
     x1, x2 = els(gens)
     assert zero_divisor_witness(x2, gb1) is None
-    assert not is_zero_divisor(x2, gb1)
     # an element of the ideal is witnessed by 1
     w1 = zero_divisor_witness(x1 * g1, gb1)
     assert w1 is not None and w1 == Element.one()
@@ -395,8 +445,7 @@ def homogeneous_polys(draw, gens, degree, bound=2):
             if sum(w * a for w, a in zip(weights, e)) == degree and sum(e) >= 2]
     coeffs = draw(st.lists(st.integers(-bound, bound), min_size=len(mons),
                            max_size=len(mons)).filter(any))
-    return groebner.poly_to_element(
-        {e: Fraction(c) for e, c in zip(mons, coeffs) if c}, gens)
+    return element({e: Fraction(c) for e, c in zip(mons, coeffs) if c}, gens)
 
 
 @st.composite
@@ -436,11 +485,10 @@ def _prefix_loop_failure(seq, gens):
 @given(weighted_sequences(counts=(-1, 0, 1)))
 def test_untracked_and_tracked_runs_agree(case):
     gens, seq = case
-    inputs = [groebner.element_to_poly(e, gens) for e in seq]
-    order = groebner.MonomialOrder(tuple(g.degree for g in gens))
+    inputs = [e._t for e in seq]
     bases = []
     for track in (False, True):
-        eng = groebner._Engine(inputs, order, track=track)
+        eng = groebner._Engine(inputs, track=track)
         eng.run()
         polys, lms, _ = eng.reduced()
         bases.append((polys, lms))
@@ -476,11 +524,10 @@ def test_cache_hit_equals_fresh_computation(case):
 def test_hilbert_identity_agrees_with_prefix_loop(case):
     gens, seq = case
     reference = _prefix_loop_failure(seq, gens)
-    polys = [groebner.element_to_poly(a, gens) for a in seq]
     if len(seq) == len(gens) and all(a.is_homogeneous() for a in seq):
-        assert groebner._hilbert_identity_holds(seq, polys, gens) == (reference is None)
+        assert groebner._hilbert_identity_holds(seq, gens) == (reference is None)
     else:
-        assert not groebner._hilbert_identity_holds(seq, polys, gens)
+        assert not groebner._hilbert_identity_holds(seq, gens)
     assert regular_sequence_failure(seq, gens) == reference
 
 
@@ -515,6 +562,45 @@ def test_lazily_lifted_cofactors_certify(case, data):
         assert cert.verify(model)
 
 
+# -- packed monomials against exponent tuples ------------------------------------
+
+@st.composite
+def exponent_pairs(draw):
+    """1 to 4 variables of weight 2, 4 or 6 at ascending positions with gaps,
+    and two (elimination exponent, exponent tuple) pairs over them."""
+    n = draw(st.integers(1, 4))
+    positions = sorted(draw(st.lists(st.integers(0, 31), min_size=n, max_size=n,
+                                     unique=True)))
+    gens = [Generator(f"x{i}", draw(st.sampled_from((2, 4, 6))), p)
+            for i, p in enumerate(positions)]
+    monomial = st.tuples(st.integers(0, 2), st.tuples(*(st.integers(0, 5) for _ in gens)))
+    return gens, draw(monomial), draw(monomial)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(exponent_pairs())
+def test_packed_monomials_match_exponent_tuples(case):
+    gens, (ta, ea), (tb, eb) = case
+    weights = [g.degree for g in gens]
+    ka, kb = (Monomial.make(list(zip(gens, e))).key for e in (ea, eb))
+
+    def cmp(x, y):
+        return (x > y) - (x < y)
+
+    grevlex = MonomialOrder(weights)
+    assert cmp(ka, kb) == cmp(grevlex.key(ea), grevlex.key(eb))
+    assert ka + kb == Monomial.make(list(zip(gens, _add(ea, eb)))).key
+    # the elimination indeterminate is one more field, above the degree
+    a, b = ka + ta * algebra._ELIM, kb + tb * algebra._ELIM
+    elim = MonomialOrder([1] + weights, elim=True)
+    assert cmp(a, b) == cmp(elim.key((ta,) + ea), elim.key((tb,) + eb))
+    divides = list(algebra._divisors(b, [algebra._exponents(a)], [0])) == [0]
+    assert divides == _divides((ta,) + ea, (tb,) + eb)
+    lcm = tuple(max(x, y) for x, y in zip(ea, eb))
+    assert algebra._lcm(a, b) == (Monomial.make(list(zip(gens, lcm))).key
+                                  + max(ta, tb) * algebra._ELIM)
+
+
 # -- the fraction-free path against Fraction arithmetic -------------------------
 
 #: nonzero rationals with small numerators and denominators, either sign
@@ -523,23 +609,24 @@ rationals = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 
 
 def _fraction_nf(p, gb):
     """Reference: division by the monic basis in Fraction arithmetic, the
-    form the engine used before it went fraction-free.  Returns (remainder,
-    cofactors over ``gb.generators``)."""
-    monic = [groebner.element_to_poly(g, gb.variables) for g in gb.generators]
+    form the engine used before it went fraction-free, on exponent tuples.
+    Returns (remainder, cofactors over ``gb.generators``)."""
+    monic = [tuples(g._t, gb.variables) for g in gb.generators]
+    lms = [max(g, key=MonomialOrder(gb.order.weights).key) for g in monic]
     p = dict(p)
     rem = {}
     cofs = [dict() for _ in monic]
     while p:
-        m = max(p, key=gb.order.key)
+        m = max(p, key=MonomialOrder(gb.order.weights).key)
         c = p.pop(m)
-        for k, lmk in enumerate(gb._lms):
-            if groebner._divides(lmk, m):
-                t = groebner._sub(m, lmk)
+        for k, lmk in enumerate(lms):
+            if _divides(lmk, m):
+                t = _sub(m, lmk)
                 cofs[k][t] = cofs[k].get(t, Fraction(0)) + c
                 for mg, cg in monic[k].items():
                     if mg == lmk:
                         continue
-                    kk = groebner._add(mg, t)
+                    kk = _add(mg, t)
                     nv = p.get(kk, Fraction(0)) - c * cg
                     if nv:
                         p[kk] = nv
@@ -556,7 +643,7 @@ def _times(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            kk = groebner._add(m1, m2)
+            kk = _add(m1, m2)
             out[kk] = out.get(kk, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
 
@@ -585,28 +672,27 @@ def test_fraction_free_division_matches_fraction_reference(case, data):
         outside = outside + Element.scalar(data.draw(rationals)) * data.draw(
             homogeneous_polys(gens, degree, 7))
     for f in (inside, inside + outside):
-        p = groebner.element_to_poly(f, gens)
-        rem_ref, cofs_ref = _fraction_nf(p, gb)
-        s, cofs, rem = groebner._nf(p, gb, track=True)
+        rem_ref, cofs_ref = _fraction_nf(tuples(f._t, gens), gb)
+        s, cofs, rem = groebner._nf(f._t, gb, track=True)
         assert s > 0
-        assert {m: Fraction(c, s) for m, c in rem.items()} == rem_ref
-        assert [{m: Fraction(c * lc, s) for m, c in cof.items()}
+        assert tuples(rem, gens, s) == rem_ref
+        assert [tuples({m: c * lc for m, c in cof.items()}, gens, s)
                 for cof, lc in zip(cofs, gb._lcs)] == cofs_ref
-        assert groebner._nf(p, gb, track=False)[1] is None
+        assert groebner._nf(f._t, gb, track=False)[1] is None
         assert member(f, gb) == (not rem_ref)
         r_el, cof_els = normal_form(f, gb)
-        assert r_el == groebner.poly_to_element(rem_ref, gens)
-        assert cof_els == [groebner.poly_to_element(c, gens) for c in cofs_ref]
+        assert r_el == element(rem_ref, gens)
+        assert cof_els == [element(c, gens) for c in cofs_ref]
     # lifted cofactors: the reference composes the Fraction cofactors with
     # the provenance of the monic generators
     ok, lifted = member(inside, gb, cofactors=True)
     assert ok
     ref = [dict() for _ in seq]
-    _, cofs_ref = _fraction_nf(groebner.element_to_poly(inside, gens), gb)
+    _, cofs_ref = _fraction_nf(tuples(inside._t, gens), gb)
     for cof, (d, nums), lc in zip(cofs_ref, gb._provenance(), gb._lcs):
         for i, r in enumerate(nums):
-            ref[i] = _plus(ref[i], _times(cof, {m: Fraction(c, d * lc) for m, c in r.items()}))
-    assert lifted == [groebner.poly_to_element(c, gens) for c in ref]
+            ref[i] = _plus(ref[i], _times(cof, tuples(r, gens, d * lc)))
+    assert lifted == [element(c, gens) for c in ref]
 
 
 @PROPERTY
@@ -617,22 +703,21 @@ def test_tracked_reps_rebuild_the_primitive_basis(case, scalars):
     # rational coefficients and negative leading coefficients exercise the
     # signed content division and the lcm of denominators
     seq = [Element.scalar(q) * a for q, a in zip(scalars, seq)]
-    inputs = [groebner.element_to_poly(e, gens) for e in seq]
-    eng = groebner._Engine(inputs, groebner.MonomialOrder(tuple(g.degree for g in gens)),
-                           track=True)
+    eng = groebner._Engine([e._t for e in seq], track=True)
     eng.run()
+    inputs = [tuples(e._t, gens) for e in seq]
 
     def rebuilt(rep):
         d, nums = rep
         assert d > 0 and len(nums) == len(inputs)
         acc = {}
         for r, f in zip(nums, inputs):
-            acc = _plus(acc, _times(r, f))
+            acc = _plus(acc, _times(tuples(r, gens), f))
         return {m: c / d for m, c in acc.items()}
 
     for p, rep in zip(eng.polys, eng.reps):
-        assert rebuilt(rep) == p
+        assert rebuilt(rep) == tuples(p, gens)
     polys, lms, reps = eng.reduced()
     for p, lm, rep in zip(polys, lms, reps):
-        assert rebuilt(rep) == p
+        assert rebuilt(rep) == tuples(p, gens)
         assert p[lm] > 0 and groebner._content(p.values()) == 1

@@ -136,7 +136,7 @@ def test_basis_of_degree(mixed_model):
     assert len(b14) == 1
     assert mixed_model.basis_of_degree(1) == []
     b0 = mixed_model.basis_of_degree(0)
-    assert len(b0) == 1 and b0[0].is_unit
+    assert len(b0) == 1 and b0[0].is_unit()
 
 
 def test_dim_v(mixed_model):
