@@ -3,8 +3,11 @@
 A generator carries a topological degree (>= 2) and a fixed position.  The
 algebra is polynomial on even-degree generators and exterior on odd-degree
 ones; products follow the Koszul sign rule, so swapping two odd factors flips
-the sign and the square of an odd generator vanishes.  Coefficients are exact
-``fractions.Fraction`` values throughout.
+the sign and the square of an odd generator vanishes.  Element coefficients
+are exact ``fractions.Fraction`` values.  The exact checks that only need a
+result up to a nonzero integer factor (cohomology ranks, certificate
+re-checks, and the Groebner layer's fraction-free path) clear denominators
+once (``_integral``) and then compute in Python ints.
 
 A monomial is one packed int, the key of an ``Element`` term and of a
 Groebner polynomial alike (Bachmann and Schoenemann, "Monomial
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import neg, or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -203,8 +207,8 @@ class Monomial:
         return self.render()
 
 
-def _mul_into(t: dict[int, Fraction], a: Iterable[tuple[int, Fraction]],
-              b: Iterable[tuple[int, Fraction]]) -> None:
+def _mul_into(t: dict[int, Scalar], a: Iterable[tuple[int, Scalar]],
+              b: Iterable[tuple[int, Scalar]]) -> None:
     """Add the product of the terms ``a`` and ``b`` into ``t``, dropping zeros.
 
     ``b`` is iterated once per term of ``a``, so it must be re-iterable.  A
@@ -233,9 +237,10 @@ def _mul_into(t: dict[int, Fraction], a: Iterable[tuple[int, Fraction]],
                 t.pop(k, None)
 
 
-def _derive_into(t: dict[int, Fraction], m: int, c: Fraction,
-                 images: Iterable[tuple[Generator, "Element"]]) -> None:
-    """Add d(c*m) into t, for d of degree +1 with images of degree |g| + 1.
+def _derive_into(t: dict[int, Scalar], m: int, c: Scalar,
+                 images: Iterable[tuple[Generator, Mapping[int, Scalar]]]) -> None:
+    """Add d(c*m) into t, for d of degree +1 with images (their terms) of
+    degree |g| + 1; int coefficients and images keep t in integers.
 
     Even generators and odd generators' images then commute with
     everything, so each even factor g^k gives k*c*d(g)*(m/g) and an odd
@@ -251,7 +256,14 @@ def _derive_into(t: dict[int, Fraction], m: int, c: Fraction,
             cf = -c if (fields & _LOW & ((1 << at) - 1)).bit_count() & 1 else c
         else:
             cf = f // g.degree * c
-        _mul_into(t, image._t.items(), ((m - _key(g), cf),))
+        _mul_into(t, image.items(), ((m - _key(g), cf),))
+
+
+def _integral(p: Mapping, den: int = 1) -> tuple[int, dict]:
+    """(D, D * p) with int values, for D the lcm of den and the denominators
+    of p's (int or Fraction) coefficients."""
+    den = lcm(den, *(c.denominator for c in p.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in p.items()}
 
 
 # -- monomial operations of the Groebner layer --------------------------------

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import Iterable
 
-from .algebra import Element, Generator, enumerate_basis
+from .algebra import Element, Generator, _integral, enumerate_basis
 from .errors import (
     NotElliptic,
     NotExact,
@@ -114,7 +116,16 @@ class ExactnessCertificate:
     power: Element
 
     def verify(self, model: SullivanModel) -> bool:
-        return model.d(self.witness) == self.power
+        """Whether d(witness) == power, decided in integers.
+
+        With D the witness's common denominator and L that of the
+        differential, it checks L * d(D * witness) == L * D * power: the same
+        identity scaled by the nonzero integer L * D.
+        """
+        model._check_own(self.witness)
+        den, witness = _integral(self.witness._t)
+        scale, image = model._scaled_d(witness)
+        return image == {m: scale * den * c for m, c in self.power._t.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -163,33 +174,55 @@ def all_nilpotency_exponents(model: SullivanModel) -> dict[str, int]:
 
 # -- exact elimination (shared) ----------------------------------------------
 
-def _echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Echelon form of sparse rows of column->value maps, as {pivot: monic row}.
+def _echelon(rows: Iterable[dict[int, Fraction | int]]) -> dict[int, dict[int, int]]:
+    """Echelon form of sparse rows of column->value maps, as {pivot: row}.
 
-    Each row is reduced against the pivots found before it and keeps its
-    lowest remaining column as its pivot.  The length of the result is the
-    rank, and its pivot set is that of the reduced row echelon form: every
-    vector of the span leads at one of these columns.
+    Fraction-free (Bareiss, 1968): each row's denominators are cleared once,
+    and the row is reduced in integers against the pivots found before it,
+    r <- (a/g) * r - (c/g) * prow for a the pivot row's entry and c the
+    row's at that column, g = gcd(a, c).  Only the pivot columns the row
+    holds are visited, lowest first; a pivot row has no column below its
+    pivot, so a step never brings back a column already cleared.  The row
+    that no pivot column is left in is unique up to a factor, whatever the
+    order of the steps.  It keeps its lowest remaining column as its pivot
+    and is stored primitive, with a positive pivot: a nonzero multiple of
+    the monic row that rational elimination gives.  The length of the
+    result is the rank, and its pivot set is that of the reduced row
+    echelon form: every vector of the span leads at one of these columns.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = dict(row)
-        for col, prow in pivots.items():
+        r = _integral(row)[1]
+        todo = [k for k in r if k in pivots]
+        heapify(todo)
+        while todo:
+            col = heappop(todo)
             c = r.get(col)
             if not c:
                 continue
+            prow = pivots[col]
+            a = prow[col]
+            g = gcd(a, c)
+            if g != a:
+                a //= g
+                r = {k: a * v for k, v in r.items()}
+            c //= g
             for k, v in prow.items():
-                nv = r.get(k, Fraction(0)) - c * v
+                nv = r.get(k, 0) - c * v
                 if nv:
+                    if k not in r and k in pivots:
+                        heappush(todo, k)
                     r[k] = nv
                 else:
                     r.pop(k, None)
         if not r:
             continue
         col = min(r)
-        if r[col] != 1:  # rows fed back by _span_key are already monic
-            inv = Fraction(1) / r[col]
-            r = {k: v * inv for k, v in r.items()}
+        g = gcd(*r.values())
+        if r[col] < 0:
+            g = -g
+        if g != 1:
+            r = {k: v // g for k, v in r.items()}
         pivots[col] = r
     return pivots
 
@@ -203,7 +236,9 @@ def _span_key(rows: Iterable[dict[int, Fraction]]) -> tuple:
     """
     pivots = _echelon(rows)
     reduced = _echelon(pivots[col] for col in sorted(pivots, reverse=True))
-    return tuple(tuple(sorted(reduced[col].items())) for col in sorted(reduced))
+    return tuple(tuple(sorted((k, Fraction(v, reduced[col][col]))
+                              for k, v in reduced[col].items()))
+                 for col in sorted(reduced))
 
 
 # -- cohomology ranks (exact, degreewise) -------------------------------------
@@ -212,7 +247,9 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     """Dimensions of the cohomology in degrees 0 through up_to, as a list.
 
     Works for any valid model (pure or not): ranks of the differential on
-    degreewise monomial bases, over exact rationals.
+    degreewise monomial bases.  The ranks are exact and computed in
+    integers: each row is L * d of a basis monomial (``model._scaled_d``),
+    which has the rank of d, and ``_echelon`` eliminates fraction-free.
     """
     if up_to < 0:
         return []
@@ -220,16 +257,14 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     gens = model.generators
     bases = [enumerate_basis(gens, k) for k in range(up_to + 2)]
     index = [{m.key: i for i, m in enumerate(b)} for b in bases]
-    one = Fraction(1)
     ranks = []
     for k in range(up_to + 1):
         rows = []
         col_of = index[k + 1]
         for m in bases[k]:
-            img = model.d(Element._from_dict({m.key: one}, m._g))
-            if not img:
-                continue
-            rows.append({col_of[mm]: c for mm, c in img._t.items()})
+            img = model._scaled_d({m.key: 1})[1]
+            if img:
+                rows.append({col_of[mm]: c for mm, c in img.items()})
         ranks.append(len(_echelon(rows)))
     out = []
     for k in range(up_to + 1):

@@ -50,6 +50,7 @@ from .algebra import (
     _check,
     _divisors,
     _exponents,
+    _integral,
     _key,
     _lcm,
 )
@@ -88,12 +89,6 @@ def _terms(e: Element, variables: Iterable[Generator]) -> dict:
 
 
 # -- integer polynomial primitives -------------------------------------------
-
-def _integral(p: dict[int, Fraction | int]) -> tuple[int, dict[int, int]]:
-    """(den, den * p) for den the least common denominator of p's coefficients."""
-    den = lcm(*(c.denominator for c in p.values()))
-    return den, {m: c.numerator * (den // c.denominator) for m, c in p.items()}
-
 
 def _content(coeffs: Iterable[int]) -> int:
     g = 0
@@ -554,13 +549,28 @@ def quotient_is_finite_dimensional(gb: GroebnerBasis) -> bool:
     return gb.contains_one or None not in _pure_powers(gb)
 
 
+#: most candidate monomials (the box of pure-power bounds) ``quotient_dimension``
+#: may scan, checked before any work; the largest box of any shipped model or
+#: benchmark workload is 84
+MAX_QUOTIENT_BOX = 100_000
+
+
 def quotient_dimension(gb: GroebnerBasis) -> int:
-    """Number of standard monomials of a finite-dimensional quotient."""
+    """Number of standard monomials of a finite-dimensional quotient.
+
+    Scans the box of monomials below the pure-power leading monomials, and
+    raises InvalidInput when it holds more than MAX_QUOTIENT_BOX.
+    """
     if gb.contains_one:
         return 0
     bounds = _pure_powers(gb)
     if None in bounds:
         raise NotFiniteDimensional("quotient ring is not finite-dimensional")
+    box = prod(bounds)
+    if box > MAX_QUOTIENT_BOX:
+        raise InvalidInput(
+            f"the quotient's standard monomials lie in a box of {box} monomials, "
+            f"over the limit of {MAX_QUOTIENT_BOX}")
     keys = [_key(g) for g in gb.variables]
     count = 0
     for exps in itertools.product(*(range(b) for b in bounds)):

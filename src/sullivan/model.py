@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import (
@@ -17,6 +18,7 @@ from .algebra import (
     Generator,
     Monomial,
     _derive_into,
+    _integral,
     enumerate_basis,
     make_generators,
 )
@@ -145,6 +147,7 @@ class SullivanModel:
         self._table = {g.index: g for g in self.generators}
         self._report: ModelReport | None = None
         self._dy_basis = None  # lazy Groebner cache, see ellipticity module
+        self._scaled_images = None  # lazy (L, L * images), see _scaled_d
 
     # -- lookups --------------------------------------------------------
 
@@ -181,14 +184,37 @@ class SullivanModel:
         """Extend the differential to any element as a degree +1 derivation."""
         if isinstance(e, Generator):
             return self.d_generator(e)
+        self._check_own(e)
+        images = [(g, img._t) for g, img in self.differential.items()]
+        t: dict[int, Fraction] = {}
+        for m, coeff in e._t.items():
+            _derive_into(t, m, coeff, images)
+        return Element._from_dict(t, self._table)
+
+    def _check_own(self, e: Element) -> None:
+        """Raise GeneratorMismatch when e uses a generator foreign to the model."""
         foreign = not e._g.items() <= self._table.items() and e.generators_used() - self._gen_set
         if foreign:
             raise GeneratorMismatch(
                 "element uses foreign generators: " + ", ".join(sorted(x.name for x in foreign)))
-        t: dict[int, Fraction] = {}
-        for m, coeff in e._t.items():
-            _derive_into(t, m, coeff, self.differential.items())
-        return Element._from_dict(t, self._table)
+
+    def _scaled_d(self, terms: Mapping[int, int]) -> tuple[int, dict[int, int]]:
+        """(L, L * d(terms)) in integers, for terms an {int monomial: int} map and
+        L the lcm of the denominators in the differential images.
+
+        L is 1 when every image has integer coefficients; as a nonzero scalar
+        it leaves the rank of d in every degree and the kernel unchanged.
+        """
+        if self._scaled_images is None:
+            scale = lcm(*(c.denominator for img in self.differential.values()
+                          for c in img._t.values()))
+            self._scaled_images = scale, [(g, _integral(img._t, scale)[1])
+                                          for g, img in self.differential.items()]
+        scale, images = self._scaled_images
+        t: dict[int, int] = {}
+        for m, c in terms.items():
+            _derive_into(t, m, c, images)
+        return scale, t
 
     # -- structural predicates --------------------------------------------
 

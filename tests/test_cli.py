@@ -281,6 +281,21 @@ def test_cohomology_cost_guard_exit_2_at_once(tmp_path):
     assert err.count("\n") == 1
 
 
+def test_quotient_dimension_cost_guard_exit_2_at_once(tmp_path):
+    # Q[x, z]/(x^16383, z^16383): 268,402,689 standard monomials to count
+    huge = tmp_path / "huge.model"
+    huge.write_text('model "huge"\neven x : 2\neven z : 2\n'
+                    "odd y : 32765 = x^16383\nodd w : 32765 = z^16383\n")
+    start = time.perf_counter()
+    code, out, err = run("analyze", huge)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[invalid-input]: the quotient's standard monomials "
+                          "lie in a box of 268402689 monomials")
+    assert err.count("\n") == 1
+
+
 def test_json_byte_determinism():
     invocations = [
         ("analyze", MODELS / "mixed_length.model", "--json"),

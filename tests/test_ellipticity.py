@@ -1,4 +1,6 @@
 """Ellipticity decisions, nilpotency exponents, certificates, cohomology ranks."""
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sullivan import build_model
+from sullivan.algebra import Element, Generator, make_generators
 from sullivan.ellipticity import (
+    ExactnessCertificate,
     _echelon,
     _span_key,
     all_nilpotency_exponents,
@@ -17,7 +21,14 @@ from sullivan.ellipticity import (
     is_elliptic_pure,
     nilpotency_exponent,
 )
-from sullivan.errors import NotElliptic, NotExact, NotPure, OddGeneratorPresent
+from sullivan.errors import (
+    GeneratorMismatch,
+    NotElliptic,
+    NotExact,
+    NotPure,
+    OddGeneratorPresent,
+)
+from sullivan.model import SullivanModel
 
 
 def cp(n):
@@ -96,6 +107,41 @@ def test_exactness_certificate_mixed(mixed_model):
         assert cert.witness.degree() + 1 == cert.power.degree()
 
 
+def rational_cp():
+    # rational image coefficients: the witness 3/2*y clears to D = 2, and
+    # the differential to L = 3
+    return build_model([("x", 2), ("y", 5)],
+                       {"y": lambda e: Fraction(2, 3) * e["x"] ** 3}, name="cp2/3")
+
+
+def test_exactness_certificate_rational_coefficients():
+    m = rational_cp()
+    cert = exactness_certificate(m, "x")
+    assert cert.exponent == 3
+    assert cert.witness == Fraction(3, 2) * m.element("y")
+    assert cert.verify(m)
+
+
+@pytest.mark.parametrize("which", ["cp3", "rational", "mixed"])
+def test_certificate_verify_rejects_wrong_identities(which, mixed_model):
+    m = {"cp3": cp(3), "rational": rational_cp(), "mixed": mixed_model}[which]
+    for g in m.even_generators:
+        cert = exactness_certificate(m, g)
+        x, w, n = m.element(g.name), cert.witness, cert.exponent
+        first = w.items()[0][0]
+        wrong = [
+            ExactnessCertificate(g, n, w + Element({first: Fraction(1, 7)}), cert.power),
+            ExactnessCertificate(g, n, w * 2, cert.power),
+            ExactnessCertificate(g, n + 1, w, x ** (n + 1)),
+        ]
+        for bad in wrong:
+            assert m.d(bad.witness) != bad.power  # the Fraction reference
+            assert bad.verify(m) is False
+        foreign = Element.from_generator(Generator("u", 3, len(m.generators)))
+        with pytest.raises(GeneratorMismatch):
+            ExactnessCertificate(g, n, w + foreign, cert.power).verify(m)
+
+
 def test_exactness_certificate_rejects_small_power(mixed_model):
     with pytest.raises(NotExact):
         exactness_certificate(mixed_model, "x1", exponent=6)
@@ -146,7 +192,7 @@ def test_cohomology_detects_infinite(not_elliptic):
     assert all(dims[k] >= 1 for k in range(0, 13, 2))
 
 
-# -- the shared exact eliminator, against sympy ---------------------------------
+# -- the shared exact eliminator, against sympy and the Fraction reference -----
 
 #: derandomized, so the suite draws the same examples on every run
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -168,6 +214,39 @@ def sparse(rows):
     return [{j: c for j, c in enumerate(r) if c} for r in rows]
 
 
+def _fraction_echelon(rows):
+    """Reference: the eliminator in Fraction arithmetic, the form it had
+    before it went fraction-free, returning {pivot: monic row}."""
+    pivots = {}
+    for row in rows:
+        r = dict(row)
+        for col, prow in pivots.items():
+            c = r.get(col)
+            if not c:
+                continue
+            for k, v in prow.items():
+                nv = r.get(k, Fraction(0)) - c * v
+                if nv:
+                    r[k] = nv
+                else:
+                    r.pop(k, None)
+        if not r:
+            continue
+        col = min(r)
+        if r[col] != 1:
+            inv = Fraction(1) / r[col]
+            r = {k: v * inv for k, v in r.items()}
+        pivots[col] = r
+    return pivots
+
+
+def assert_primitive_rows(pivots):
+    for col, row in pivots.items():
+        assert min(row) == col and row[col] > 0
+        assert all(type(v) is int for v in row.values())
+        assert math.gcd(*row.values()) == 1
+
+
 def sympy_rref(rows):
     red, pivots = sympy.Matrix(rows).rref()
     dense = [[Fraction(int(v.p), int(v.q)) for v in red.row(i)]
@@ -181,8 +260,20 @@ def test_echelon_rank_and_pivots_match_sympy(rows):
     pivots = _echelon(sparse(rows))
     assert len(pivots) == sympy.Matrix(rows).rank()
     assert sorted(pivots) == sympy_rref(rows)[1]
+    assert_primitive_rows(pivots)
+
+
+@PROPERTY
+@given(matrices(max_rows=7, max_cols=9))
+def test_echelon_rows_are_multiples_of_the_fraction_rows(rows):
+    # rational entries, negative and with denominators other than 1
+    pivots = _echelon(sparse(rows))
+    ref = _fraction_echelon(sparse(rows))
+    assert list(pivots) == list(ref)
+    assert_primitive_rows(pivots)
     for col, row in pivots.items():
-        assert min(row) == col and row[col] == 1
+        assert row.keys() == ref[col].keys()
+        assert all(v == row[col] * ref[col][k] for k, v in row.items())
 
 
 @PROPERTY
@@ -221,3 +312,57 @@ def test_span_key_tells_spans_apart(rows, data):
     grown = rows + [extra]
     same_span = sympy.Matrix(grown).rank() == sympy.Matrix(rows).rank()
     assert (_span_key(sparse(grown)) == _span_key(sparse(rows))) == same_span
+
+
+# -- cohomology ranks against the Fraction path ----------------------------------
+
+@st.composite
+def rational_models(draw):
+    """Valid models with non-integer rational image coefficients: even
+    generators of degree 2, odd ones of degree 3 and 5 with quadratic and
+    cubic images, the first of them with no integer coefficient, and
+    sometimes closed u1, u2 with dz = q*u1*u2 + (a cubic), which is not pure."""
+    n_even = draw(st.integers(1, 3))
+    odd = draw(st.lists(st.sampled_from((3, 5)), min_size=1, max_size=3))
+    nonpure = draw(st.booleans())
+    pairs = ([(f"x{i}", 2) for i in range(1, n_even + 1)]
+             + [(f"y{j}", d) for j, d in enumerate(odd, 1)]
+             + ([("u1", 3), ("u2", 3), ("z", 5)] if nonpure else []))
+    gens = make_generators(pairs)
+    env = {g.name: Element.from_generator(g) for g in gens}
+    xs = [env[f"x{i}"] for i in range(1, n_even + 1)]
+    fractional = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                           st.integers(2, 6)).filter(lambda q: q.denominator > 1)
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+    def form(length, coeffs):
+        monos = list(itertools.combinations_with_replacement(xs, length))
+        cs = draw(st.lists(coeffs, min_size=len(monos), max_size=len(monos)))
+        return sum((c * math.prod(m, start=Element.one()) for c, m in zip(cs, monos)),
+                   Element.zero())
+
+    diffs = {f"y{j}": form((d + 1) // 2, fractional if j == 1 else rational)
+             for j, d in enumerate(odd, 1)}
+    if nonpure:
+        diffs["z"] = draw(rational) * env["u1"] * env["u2"] + form(3, rational)
+    return SullivanModel(gens, diffs, name="rational")
+
+
+def _reference_cohomology_dims(model, up_to):
+    bases = [model.basis_of_degree(k) for k in range(up_to + 2)]
+    ranks = []
+    for k in range(up_to + 1):
+        col = {m: i for i, m in enumerate(bases[k + 1])}
+        rows = [{col[mm]: c for mm, c in model.d(Element({m: 1})).items()}
+                for m in bases[k]]
+        ranks.append(len(_fraction_echelon(rows)))
+    return [len(bases[k]) - ranks[k] - (ranks[k - 1] if k else 0)
+            for k in range(up_to + 1)]
+
+
+@PROPERTY
+@given(rational_models())
+def test_cohomology_dims_match_the_fraction_path(model):
+    model.validate()
+    assert model._scaled_d({})[0] > 1  # the differential is scaled by L != 1
+    assert cohomology_dims(model, 8) == _reference_cohomology_dims(model, 8)
