@@ -522,25 +522,38 @@ class Element:
         return self.render()
 
 
-def _sizes(generators: Sequence[Generator], top: int) -> list[list[int]]:
-    """For each j, the numbers of monomials in degrees 0 through top over
-    generators[:j]: the coefficients of prod(1 - t^|x|)^-1 * prod(1 + t^|y|)
-    over those even generators x and odd generators y, up to t^top."""
-    sizes = [1] + [0] * top if top >= 0 else []
-    out = [sizes]
+def _series(generators: Sequence[Generator], top: int, one, zero, times) -> list:
+    """The coefficients of prod(1 - t^|x|)^-1 * prod(1 + t^|y|) over the even
+    generators x and the odd generators y, up to t^top, for coefficients
+    that add by + and that times(c, g) multiplies by g: one sweep per
+    generator, ascending for an even one (1 + t^|x| + t^2|x| + ...) and
+    descending for an odd one (1 + t^|y|)."""
+    out = [one] + [zero] * top if top >= 0 else []
     for g in generators:
-        sizes = list(sizes)
         d = g.degree
-        steps = range(d, top + 1) if g.is_even else range(top, d - 1, -1)
-        for k in steps:
-            sizes[k] += sizes[k - d]
-        out.append(sizes)
+        for r in range(d, top + 1) if g.is_even else range(top, d - 1, -1):
+            out[r] = times(out[r - d], g) + out[r]
     return out
 
 
 def basis_sizes(generators: Sequence[Generator], top: int) -> list[int]:
-    """Numbers of monomials in degrees 0 through top, without enumerating them."""
-    return _sizes(generators, top)[-1]
+    """Numbers of monomials in degrees 0 through top, without listing them."""
+    return _series(generators, top, 1, 0, lambda n, g: n)
+
+
+def _bases(generators: Sequence[Generator], top: int) -> list[list[int]]:
+    """The packed monomials of each degree 0 through top: the recurrence of
+    ``basis_sizes`` on lists, a degree's list being g times the list |g|
+    below it followed by its old list.
+
+    Taking the generators in reverse factor order (odd ones, then even ones,
+    each by descending position) lists each degree in canonical order
+    whenever the even generators sit below the odd ones.
+    """
+    if top > MAX_DEGREE:
+        raise _too_large(top << _S)
+    order = sorted(generators, key=lambda g: (g.is_even, -g.index))
+    return _series(order, top, [0], [], lambda ms, g: [m + _key(g) for m in ms])
 
 
 def enumerate_basis(generators: Sequence[Generator], degree: int) -> list[Monomial]:
@@ -550,18 +563,6 @@ def enumerate_basis(generators: Sequence[Generator], degree: int) -> list[Monomi
     """
     if degree < 0:
         return []
-    if degree > MAX_DEGREE:
-        raise _too_large(degree << _S)
-    gens = sorted(generators, key=lambda g: (not g.is_even, g.index))  # factor order
-    # fits[j][r]: how many monomials of degree r gens[j:] make, so that only
-    # partial products that can still be completed are kept
-    fits = _sizes(gens[::-1], degree)[::-1]
-    partial = [(0, degree, ())]  # (monomial, degree still to fill, factors for sort_key)
-    for g, fit in zip(gens, fits[1:]):
-        d, k, top = g.degree, _key(g), degree if g.is_even else 1
-        partial = [(m + e * k, rest - e * d, key + ((g.index, -e),) if e else key)
-                   for m, rest, key in partial
-                   for e in range(min(top, rest // d) + 1) if fit[rest - e * d]]
-    partial.sort(key=lambda mk: mk[2])
-    table = {g.index: g for g in gens}
-    return [Monomial(m, table) for m, _, _ in partial]
+    table = {g.index: g for g in generators}
+    return sorted((Monomial(m, table) for m in _bases(generators, degree)[degree]),
+                  key=Monomial.sort_key)

@@ -4,8 +4,8 @@ Exit codes: 0 success; 1 mathematical negative result (the input is fine but
 the requested structure does not exist or a hypothesis fails); 2 input error
 (unparseable or invalid model, unsatisfiable configuration); 3 internal
 fault (a certified invariant broke, or any other unexpected exception; both
-indicate a bug).  Every error is one ``error[<code>]: message`` line on
-stderr.
+indicate a bug); each package error's class declares its exit code
+(``errors``).  Every error is one ``error[<code>]: message`` line on stderr.
 
 JSON output is key-sorted and content-addressed: identical inputs and seeds
 produce byte-identical bytes.
@@ -19,23 +19,7 @@ import sys
 from . import bounds as bounds_mod
 from . import ellipticity as ell
 from . import extension as ext
-from .algebra import basis_sizes
-from .errors import (
-    ApplicabilityError,
-    ConstantTermPresent,
-    GeneratorMismatch,
-    InvalidInput,
-    InvalidModel,
-    ModelSyntaxError,
-    OddGeneratorPresent,
-    SearchExhausted,
-    SearchSpaceTooLarge,
-    SullivanError,
-    UnknownGenerator,
-    ValidationError,
-    VerificationFailed,
-    ZeroElement,
-)
+from .errors import InvalidInput, SullivanError
 from .model import SullivanModel
 from .parsing import load_model
 
@@ -43,27 +27,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-#: most monomials ``cohomology`` may enumerate (degrees 0 through --up-to + 1),
-#: counted before any work; the shipped models need at most 19,414 at the
-#: --max-degree default of 200, and five S^2 pieces at --up-to 26 (93,980)
-#: take about 20 s (Python 3.11, one core of a 2-core virtual machine)
-MAX_COHOMOLOGY_BASIS = 100_000
-
-_INPUT_ERRORS = (
-    ModelSyntaxError,
-    ValidationError,
-    InvalidInput,
-    InvalidModel,
-    UnknownGenerator,
-    GeneratorMismatch,
-    OddGeneratorPresent,
-    ConstantTermPresent,
-    ZeroElement,
-    SearchSpaceTooLarge,
-    OSError,
-)
-_INTERNAL_ERRORS = (VerificationFailed, SearchExhausted)
 
 
 def _emit(payload: dict, args) -> None:
@@ -178,11 +141,6 @@ def cmd_cohomology(args) -> int:
     if args.up_to > args.max_degree:
         raise InvalidInput(
             f"--up-to {args.up_to} exceeds --max-degree {args.max_degree}")
-    size = sum(basis_sizes(model.generators, args.up_to + 1))
-    if size > MAX_COHOMOLOGY_BASIS:
-        raise InvalidInput(
-            f"cohomology through degree {args.up_to} needs {size} basis monomials, "
-            f"over the limit of {MAX_COHOMOLOGY_BASIS}; lower --up-to")
     dims = ell.cohomology_dims(model, args.up_to)
     _say(_model_summary(model), args)
     for k, d in enumerate(dims):
@@ -256,19 +214,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _INTERNAL_ERRORS as ex:
-        code = getattr(ex, "code", "internal")
-        sys.stderr.write(f"error[{code}]: {ex}\n")
-        return EXIT_INTERNAL
-    except _INPUT_ERRORS as ex:
-        code = getattr(ex, "code", "io")
-        sys.stderr.write(f"error[{code}]: {ex}\n")
-        return EXIT_INPUT
-    except ApplicabilityError as ex:
+    except SullivanError as ex:  # its class carries the exit code
         sys.stderr.write(f"error[{ex.code}]: {ex}\n")
-        return EXIT_NEGATIVE
-    except SullivanError as ex:
-        sys.stderr.write(f"error[{ex.code}]: {ex}\n")
+        return ex.exit
+    except OSError as ex:
+        sys.stderr.write(f"error[io]: {ex}\n")
         return EXIT_INPUT
     except Exception as ex:  # a bug: report it on one line, never a traceback
         detail = " ".join(f"{type(ex).__name__}: {ex}".split())

@@ -19,8 +19,9 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable
 
-from .algebra import Element, Generator, _integral, enumerate_basis
+from .algebra import Element, Generator, _bases, _integral, basis_sizes
 from .errors import (
+    InvalidInput,
     NotElliptic,
     NotExact,
     NotPure,
@@ -243,32 +244,39 @@ def _span_key(rows: Iterable[dict[int, Fraction]]) -> tuple:
 
 # -- cohomology ranks (exact, degreewise) -------------------------------------
 
+#: most monomials ``cohomology_dims`` may list (degrees 0 through up_to + 1),
+#: counted before any work; the shipped models need at most 19,414 at the
+#: CLI's --max-degree default of 200, and five S^2 pieces at up_to 26
+#: (93,980) take about 20 s (Python 3.11, one core of a 2-core virtual machine)
+MAX_COHOMOLOGY_BASIS = 100_000
+
+
 def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     """Dimensions of the cohomology in degrees 0 through up_to, as a list.
 
     Works for any valid model (pure or not): ranks of the differential on
-    degreewise monomial bases.  The ranks are exact and computed in
-    integers: each row is L * d of a basis monomial (``model._scaled_d``),
-    which has the rank of d, and ``_echelon`` eliminates fraction-free.
+    degreewise monomial bases, all listed by one ``_bases`` pass after their
+    number is checked against MAX_COHOMOLOGY_BASIS.  The ranks are exact and
+    computed in integers: each row is L * d of a basis monomial
+    (``model._scaled_d``), which has the rank of d, and ``_echelon``
+    eliminates fraction-free.
     """
     if up_to < 0:
         return []
+    size = sum(basis_sizes(model.generators, up_to + 1))
+    if size > MAX_COHOMOLOGY_BASIS:
+        raise InvalidInput(
+            f"cohomology through degree {up_to} needs {size} basis monomials, "
+            f"over the limit of {MAX_COHOMOLOGY_BASIS}; lower --up-to")
     model.validate()
-    gens = model.generators
-    bases = [enumerate_basis(gens, k) for k in range(up_to + 2)]
-    index = [{m.key: i for i, m in enumerate(b)} for b in bases]
-    ranks = []
+    bases = _bases(model.generators, up_to + 1)
+    ranks = [0]  # ranks[k + 1]: the rank of d from degree k
     for k in range(up_to + 1):
+        col = {m: i for i, m in enumerate(bases[k + 1])}
         rows = []
-        col_of = index[k + 1]
         for m in bases[k]:
-            img = model._scaled_d({m.key: 1})[1]
+            img = model._scaled_d({m: 1})[1]
             if img:
-                rows.append({col_of[mm]: c for mm, c in img.items()})
+                rows.append({col[mm]: c for mm, c in img.items()})
         ranks.append(len(_echelon(rows)))
-    out = []
-    for k in range(up_to + 1):
-        n_k = len(bases[k])
-        rank_prev = ranks[k - 1] if k > 0 else 0
-        out.append(n_k - ranks[k] - rank_prev)
-    return out
+    return [len(bases[k]) - ranks[k + 1] - ranks[k] for k in range(up_to + 1)]

@@ -1,16 +1,19 @@
 """Exception taxonomy shared across the package.
 
 Every exception carries a stable ``code`` string so the command line tool can
-report machine-readable diagnostics.  The hierarchy groups errors by how a
-caller should react: bad input, an operation whose mathematical hypotheses the
-model fails to meet, or an internal soundness check that should never fire.
+report machine-readable diagnostics, and the ``exit`` code that tool ends
+with.  The hierarchy groups errors by how a caller should react: bad input
+(exit 2), an operation whose mathematical hypotheses the model fails to meet
+(exit 1), or an internal soundness check that should never fire (exit 3).
 """
 
 
 class SullivanError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; input and budget problems unless a
+    subclass says otherwise."""
 
     code = "error"
+    exit = 2
 
 
 class InvalidModel(SullivanError):
@@ -70,7 +73,11 @@ class DifferentialNotSquareZero(ValidationError):
 # --- hypothesis failures (valid model, inapplicable operation) ---
 
 class ApplicabilityError(SullivanError):
+    """A negative mathematical result: the input is fine, the structure asked
+    for does not exist or a hypothesis fails."""
+
     code = "not-applicable"
+    exit = 1
 
 
 class NotPure(ApplicabilityError):
@@ -143,9 +150,11 @@ class SearchExhausted(SullivanError):
     """A search that theory guarantees to succeed came up empty."""
 
     code = "search-exhausted"
+    exit = 3
 
 
 class VerificationFailed(SullivanError):
     """An internal certificate or soundness check failed; indicates a bug."""
 
     code = "verification-failed"
+    exit = 3

@@ -99,18 +99,6 @@ class FirstStage:
     inert: tuple[Generator, ...]
     stage_model: SullivanModel
 
-    def active_images(self) -> list[Element]:
-        return [self.model.differential[g] for g in self.active]
-
-    def to_dict(self) -> dict:
-        return {
-            "evens": [g.name for g in self.evens],
-            "bounded_odds": [g.name for g in self.bounded_odds],
-            "active": [g.name for g in self.active],
-            "inert": [g.name for g in self.inert],
-            "length": self.length,
-        }
-
 
 def first_stage(model: SullivanModel) -> FirstStage:
     """Split off the minimal-degree slice of a pure elliptic constant-length model.

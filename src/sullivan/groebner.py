@@ -494,8 +494,10 @@ def regular_sequence_failure(seq: Sequence[Element], variables: Sequence[Generat
 
     Returns None when the sequence is regular.  Every element must lie in the
     augmentation ideal (no constant term).  Success is decided by the Hilbert
-    identity when it applies; otherwise, and for every failure, each prefix
-    is tested for a zero divisor in turn.
+    identity when it applies; otherwise, and for every failure, each element
+    is tested for a zero divisor modulo the ideal of the ones before it.  The
+    first needs no ideal quotient: modulo the zero ideal only the zero
+    element is a zero divisor (witness 1).
     """
     for a in seq:
         if 0 in _terms(a, variables):
@@ -503,12 +505,12 @@ def regular_sequence_failure(seq: Sequence[Element], variables: Sequence[Generat
                 f"sequence element {a.render()} has a constant term")
     if _hilbert_identity_holds(seq, variables):
         return None
-    gb = buchberger([], variables)
-    for i, a in enumerate(seq):
-        w = zero_divisor_witness(a, gb)
+    if seq and not seq[0]:
+        return 1, Element.one()
+    for i in range(1, len(seq)):
+        w = zero_divisor_witness(seq[i], buchberger(list(seq[:i]), variables))
         if w is not None:
             return i + 1, w
-        gb = buchberger(list(seq[: i + 1]), variables)
     return None
 
 

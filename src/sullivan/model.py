@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
     Element,
@@ -34,9 +34,6 @@ from .errors import (
     UnknownGenerator,
     VerificationFailed,
 )
-
-GenKey = Union[Generator, str]
-
 
 @dataclass(frozen=True)
 class DifferentialLength:
@@ -119,7 +116,7 @@ class SullivanModel:
     """A finitely generated Sullivan model (Lambda V, d)."""
 
     def __init__(self, generators: Sequence[Generator],
-                 differential: Mapping[GenKey, Element] | None = None,
+                 differential: Mapping[Generator | str, Element] | None = None,
                  name: str = "model"):
         gens = sorted(generators, key=lambda g: g.index)
         if len({g.index for g in gens}) != len(gens):
@@ -151,7 +148,7 @@ class SullivanModel:
 
     # -- lookups --------------------------------------------------------
 
-    def generator(self, key: GenKey) -> Generator:
+    def generator(self, key: Generator | str) -> Generator:
         if isinstance(key, Generator):
             if key not in self._gen_set:
                 raise UnknownGenerator(f"generator {key!r} does not belong to model {self.name!r}")
@@ -177,7 +174,7 @@ class SullivanModel:
 
     # -- differential ----------------------------------------------------
 
-    def d_generator(self, g: GenKey) -> Element:
+    def d_generator(self, g: Generator | str) -> Element:
         return self.differential.get(self.generator(g), Element.zero())
 
     def d(self, e: Element | Generator) -> Element:
@@ -295,10 +292,11 @@ class SullivanModel:
 
     # -- derived models ------------------------------------------------------
 
-    def _resolve_set(self, keys: Iterable[GenKey]) -> set[Generator]:
+    def _resolve_set(self, keys: Iterable[Generator | str]) -> set[Generator]:
         return {self.generator(k) for k in keys}
 
-    def quotient_model(self, kill: Iterable[GenKey], name: str | None = None) -> "SullivanModel":
+    def quotient_model(self, kill: Iterable[Generator | str],
+                       name: str | None = None) -> "SullivanModel":
         """Quotient by the ideal generated by the killed generators.
 
         Requires that ideal to be closed under d: every killed generator's
@@ -329,7 +327,8 @@ class SullivanModel:
             raise VerificationFailed(f"quotient model failed validation: {exc}") from exc
         return out
 
-    def sub_model(self, keep: Iterable[GenKey], name: str | None = None) -> "SullivanModel":
+    def sub_model(self, keep: Iterable[Generator | str],
+                  name: str | None = None) -> "SullivanModel":
         """Sub-model on a d-closed subset of generators."""
         kept = self._resolve_set(keep)
         for g in sorted(kept, key=lambda g: g.index):

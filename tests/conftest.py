@@ -6,7 +6,7 @@ import random
 import pytest
 
 from sullivan import build_model, load_model
-from sullivan.algebra import Element, Generator
+from sullivan.algebra import Element, Generator, Monomial
 from sullivan.groebner import buchberger, quotient_is_finite_dimensional
 from sullivan.model import SullivanModel
 
@@ -34,6 +34,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for n in sorted(_CRITERION_LINES):
             terminalreporter.write_line(_CRITERION_LINES[n])
+
+
+def brute_force_basis(generators, degree: int) -> list[Monomial]:
+    """The monomials of one degree, found by trying every exponent vector:
+    a reference that shares nothing with ``algebra.enumerate_basis``."""
+    ranges = [range(degree // g.degree + 1) if g.is_even else range(2) for g in generators]
+    return [Monomial.make([(g, e) for g, e in zip(generators, exps) if g.is_even],
+                          [g for g, e in zip(generators, exps) if e and not g.is_even])
+            for exps in itertools.product(*ranges)
+            if sum(e * g.degree for g, e in zip(generators, exps)) == degree]
 
 
 # -- canned models -----------------------------------------------------------

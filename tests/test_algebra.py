@@ -19,6 +19,8 @@ from sullivan.algebra import (
 )
 from sullivan.errors import InvalidInput, InvalidModel
 
+from conftest import brute_force_basis
+
 
 def gens(*pairs):
     return make_generators(list(pairs))
@@ -234,11 +236,15 @@ def test_packed_product_matches_the_merge(pair):
 
 
 def test_basis_sizes_count_the_enumerated_bases():
-    for pairs in ([("x", 2)], [("y", 3)], [("x1", 2), ("x2", 4), ("y1", 3), ("y2", 5)],
-                  [("x", 6), ("y1", 3), ("y2", 3), ("y3", 7)]):
-        gs = gens(*pairs)
+    layouts = [gens(*pairs) for pairs in (
+        [("x", 2)], [("y", 3)], [("x1", 2), ("x2", 4), ("y1", 3), ("y2", 5)],
+        [("x", 6), ("y1", 3), ("y2", 3), ("y3", 7)])]
+    # hand-built, with odd generators below even ones
+    layouts.append([Generator("y1", 3, 0), Generator("x1", 2, 1),
+                    Generator("y2", 5, 2), Generator("x2", 4, 3)])
+    for gs in layouts:
         assert basis_sizes(gs, 24) == [len(enumerate_basis(gs, k)) for k in range(25)]
         for k in range(25):
-            basis = enumerate_basis(gs, k)
-            assert basis == sorted(basis, key=Monomial.sort_key)
+            reference = sorted(brute_force_basis(gs, k), key=Monomial.sort_key)
+            assert enumerate_basis(gs, k) == reference
     assert basis_sizes(gens(("x", 2)), -1) == []

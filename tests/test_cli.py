@@ -1,8 +1,12 @@
 """Command-line behavior: exit codes, JSON shape and determinism, stderr format."""
+import gc
+import importlib
 import io
 import json
 import pathlib
+import sys
 import time
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -11,6 +15,13 @@ from hypothesis import strategies as st
 
 from sullivan.algebra import MAX_DEGREE, MAX_GENERATORS
 from sullivan.cli import main
+from sullivan.errors import (
+    ApplicabilityError,
+    SearchExhausted,
+    SullivanError,
+    ValidationError,
+    VerificationFailed,
+)
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -322,6 +333,57 @@ def test_internal_errors_map_to_exit_3(monkeypatch):
     assert code == 3
     assert err.getvalue().startswith(
         f"error[{VerificationFailed('x').code}]")
+
+
+def _error_classes(cls=SullivanError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def _documented_exit(cls):
+    if issubclass(cls, ApplicabilityError):
+        return 1  # a negative mathematical result
+    if issubclass(cls, (VerificationFailed, SearchExhausted)):
+        return 3  # an internal fault
+    return 2  # an input or budget problem
+
+
+@pytest.mark.parametrize("cls", sorted(_error_classes(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_package_error_ends_in_its_documented_exit(cls, monkeypatch):
+    import sullivan.cli as cli_mod
+
+    def boom(args):
+        raise cls(None, "it failed") if issubclass(cls, ValidationError) else cls("it failed")
+
+    monkeypatch.setattr(cli_mod, "cmd_validate", boom)
+    code, out, err = run("validate", MODELS / "cp1.model")
+    assert code == cls.exit == _documented_exit(cls)
+    assert out == ""
+    assert err == f"error[{cls.code}]: it failed\n"
+
+
+def test_a_reimported_package_is_freed():
+    # no runtime typing object may keep a package class, and with it every
+    # module of that copy of the package, alive after the copy is dropped
+    ours = {n: m for n, m in sys.modules.items() if n.split(".")[0] == "sullivan"}
+    try:
+        for name in ours:
+            del sys.modules[name]
+        fresh = importlib.import_module("sullivan.cli")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert fresh.main(["analyze", str(MODELS / "mixed_length.model")]) == 0
+            assert fresh.main(["cohomology", str(MODELS / "cp2.model"), "--up-to", "6"]) == 0
+        generator = weakref.ref(sys.modules["sullivan.algebra"].Generator)
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == "sullivan"]:
+            del sys.modules[name]
+        sys.modules.update(ours)
+    del fresh
+    gc.collect()
+    assert generator() is None
 
 
 def test_unexpected_exceptions_map_to_exit_3(monkeypatch):

@@ -1,6 +1,7 @@
 """Ellipticity decisions, nilpotency exponents, certificates, cohomology ranks."""
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,12 +24,15 @@ from sullivan.ellipticity import (
 )
 from sullivan.errors import (
     GeneratorMismatch,
+    InvalidInput,
     NotElliptic,
     NotExact,
     NotPure,
     OddGeneratorPresent,
 )
 from sullivan.model import SullivanModel
+
+from conftest import brute_force_basis
 
 
 def cp(n):
@@ -192,6 +196,16 @@ def test_cohomology_detects_infinite(not_elliptic):
     assert all(dims[k] >= 1 for k in range(0, 13, 2))
 
 
+def test_cohomology_cost_guard_runs_before_any_work():
+    # five copies of S^2: 799,188 basis monomials through degree 41
+    s2x5 = build_model([(f"x{i}", 2) for i in range(5)] + [(f"y{i}", 3) for i in range(5)],
+                       {f"y{i}": lambda e, i=i: e[f"x{i}"] ** 2 for i in range(5)})
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match="needs 799188 basis monomials"):
+        cohomology_dims(s2x5, 40)
+    assert time.perf_counter() - start < 1.0
+
+
 # -- the shared exact eliminator, against sympy and the Fraction reference -----
 
 #: derandomized, so the suite draws the same examples on every run
@@ -349,7 +363,7 @@ def rational_models(draw):
 
 
 def _reference_cohomology_dims(model, up_to):
-    bases = [model.basis_of_degree(k) for k in range(up_to + 2)]
+    bases = [brute_force_basis(model.generators, k) for k in range(up_to + 2)]
     ranks = []
     for k in range(up_to + 1):
         col = {m: i for i, m in enumerate(bases[k + 1])}

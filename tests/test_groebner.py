@@ -470,6 +470,25 @@ def weighted_sequences(draw, counts=(0, 0, 1), degrees=(4, 6, 8), n_max=3,
     return gens, seq
 
 
+def test_regular_sequence_failure_skips_the_zero_ideal(mixed_model, monkeypatch):
+    m = mixed_model
+    gens = m.even_generators
+    g1, g2 = (m.d(m.element(f"y{i}")) for i in (1, 2))
+    calls = []
+
+    def counted(gb, a):
+        calls.append(a)
+        return ideal_quotient(gb, a)
+
+    monkeypatch.setattr(groebner, "ideal_quotient", counted)
+    idx, witness = regular_sequence_failure([g1, g2], gens)
+    assert (idx, witness.render()) == (2, "x1")
+    assert calls == [g2]  # no quotient of the zero ideal by g1
+    assert regular_sequence_failure([Element.zero(), g1], gens) == (1, Element.one())
+    assert regular_sequence_failure([], gens) is None
+    assert calls == [g2]
+
+
 def _prefix_loop_failure(seq, gens):
     """Reference: test each prefix for a zero divisor, success included."""
     gb = buchberger([], gens)
