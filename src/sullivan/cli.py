@@ -212,6 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a verified witness may have more digits than the interpreter prints by
+    # default (4300); every input number is bounded by parsing.MAX_DIGITS
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7 and later
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except SullivanError as ex:  # its class carries the exit code

@@ -11,16 +11,18 @@ dominates the order.
 
 A basis is kept as primitive integer polynomials g_k with positive leading
 coefficients (the monic ``generators`` are derived from them).  Each basis is
-computed once without provenance, and a small cache of recent bases (keyed on
-the exact inputs, in caller order) serves repeated requests for the same
-ideal.  Cofactors over the input generators f_i, which turn membership tests
-into certificates, are lifted on demand by one tracked rerun on the same
-inputs, whose basis must equal the untracked one.  The whole path stays in
-integers, fraction-free (Bareiss, 1968): the rerun keeps each g_k as
-sum(R_i * f_i) / D over one integer denominator, division finds
-S * f = sum(C_k * g_k) + R for one integer scale S, and lifted cofactors are
-divided by their common denominator once, at the end.  Each leading monomial
-of a Buchberger reduction step and each tracked combination is checked against
+computed once, and a small cache of recent bases (keyed on the exact inputs,
+in caller order) serves repeated requests for the same ideal.  Cofactors
+over the input generators f_i, which turn membership tests into
+certificates, are lifted on demand: the run records how it built each
+element (its S-pair or input, each reduction step, its content), and the
+first request replays that record on combinations of the inputs (Traverso,
+"Groebner trace algorithms", 1988), so no polynomial arithmetic runs twice.
+The whole path stays in integers, fraction-free (Bareiss, 1968): the replay
+keeps each g_k as sum(R_i * f_i) / D over one integer denominator, division
+finds S * f = sum(C_k * g_k) + R for one integer scale S, and lifted cofactors
+are divided by their common denominator once, at the end.  Each leading
+monomial of a reduction step and each replayed combination is checked against
 the layout's MAX_DEGREE before it is multiplied further.  All computations are
 deterministic for a fixed input order.
 
@@ -31,7 +33,7 @@ decides that success case by counting standard monomials and computes
 zero-divisor witnesses only when the identity does not hold.
 
 Set ``CHECK = True`` (done by the test suite) to re-verify every division
-identity by direct arithmetic.
+identity and every replayed combination by direct arithmetic.
 """
 from __future__ import annotations
 
@@ -64,7 +66,8 @@ from .errors import (
     ZeroElement,
 )
 
-#: re-verify cofactor identities on every call (slow; enabled in tests)
+#: re-verify cofactor identities and replayed reps on every call (slow;
+#: enabled in tests)
 CHECK = False
 
 #: how many recent bases ``buchberger`` keeps; one extension asks for the
@@ -151,71 +154,79 @@ def _rep_divide(rep: list, g0: int) -> None:
     rep[0] *= g0 // h
 
 
-class _Engine:
-    """Buchberger with integer arithmetic and input-combination tracking."""
+def _replay(rep: list, steps, built: dict, g0: int) -> list:
+    """rep after the recorded steps, each rep = a * rep - c * x^t * built[k], divided by g0."""
+    for k, t, a, c in steps:
+        if a != 1:
+            _scale(rep[1], a)
+        _rep_submul(rep, built[k], c, t)
+    for r in rep[1]:
+        if r:
+            _check(max(r))
+    if g0 != 1:
+        _rep_divide(rep, g0)
+    return rep
 
-    def __init__(self, inputs: list[dict[int, Fraction | int]], track: bool):
-        self.track = track
+
+def _reduce(p: dict[int, int], basis, among: Iterable[int], full: bool):
+    """Fraction-free reduction of p (consumed) by the elements ``among`` of
+    ``basis`` = (polys, lms, exps, lcs), primitive integer polynomials g_k.
+
+    Each step (k, t, a, c) replaces p by a * p - c * x^t * g_k.  Returns
+    (S, R, steps) for S the product of the a and R the remainder, no term of
+    which is divisible by a leading monomial among ``among``; without
+    ``full``, R stops at its first term, which already decides membership.
+    """
+    polys, lms, exps, lcs = basis
+    s, rem, steps = 1, {}, []
+    while p:  # in the graded order no step raises the leading degree
+        m = max(p)
+        _check(m)
+        k = next(_divisors(m, exps, among), None)
+        if k is None:
+            rem[m] = p.pop(m)
+            if not full:
+                break
+            continue
+        h = gcd(p[m], lcs[k])
+        a, c = lcs[k] // h, p[m] // h
+        if a != 1:
+            s *= a
+            _scale((p, rem), a)
+        t = m - lms[k]
+        _submul(p, polys[k], c, t)
+        steps.append((k, t, a, c))
+    return s, rem, steps
+
+
+class _Engine:
+    """Buchberger with integer arithmetic, recording how it built each element.
+
+    Element k's origin (steps, g0) rebuilds its rep: ``_replay`` from the
+    zero rep, where step index ~i stands for the unit rep of input i.
+    """
+
+    def __init__(self, inputs: list[dict[int, Fraction | int]]):
         self.polys: list[dict[int, int]] = []
         self.lms: list[int] = []
         self.exps: list[int] = []  # of the leading monomials
         self.lcs: list[int] = []
-        self.reps: list = []
+        self.basis = (self.polys, self.lms, self.exps, self.lcs)
+        self.origins: list = []
         for idx, f in enumerate(inputs):
-            if not f:
-                continue
-            den, ints = _integral(f)
-            g0, ints = _primitive(ints)
-            rep = None
-            if track:  # ints = (den / g0) * f
-                rep = [1, [dict() for _ in inputs]]
-                rep[1][idx][0] = den
-                _rep_divide(rep, g0)
-            self._append(ints, rep)
+            if f:
+                den, ints = _integral(f)  # ints = den * f
+                self._append(ints, [(~idx, 0, 1, -den)])
 
-    def _append(self, p: dict[int, int], rep) -> int:
+    def _append(self, p: dict[int, int], steps: list) -> int:
+        g0, p = _primitive(p)
         lm = max(p)
         self.polys.append(p)
         self.lms.append(lm)
         self.exps.append(_exponents(lm))
         self.lcs.append(p[lm])
-        self.reps.append(rep)
+        self.origins.append((steps, g0))
         return len(self.polys) - 1
-
-    def _reduce(self, p: dict[int, int], rep, basis: Iterable[int]):
-        """Full fraction-free reduction of p by the basis elements ``basis``.
-
-        Returns a primitive remainder with positive leading coefficient and
-        the correspondingly rescaled rep.
-        """
-        p = dict(p)
-        out: dict[int, int] = {}
-        while p:
-            m = max(p)
-            _check(m)
-            k = next(_divisors(m, self.exps, basis), None)
-            if k is None:
-                out[m] = p.pop(m)
-                continue
-            h = gcd(p[m], self.lcs[k])
-            a, c = self.lcs[k] // h, p[m] // h  # a * p - c * x^t * g_k
-            if a != 1:
-                _scale((p, out), a)
-                if rep is not None:
-                    _scale(rep[1], a)
-            t = m - self.lms[k]
-            _submul(p, self.polys[k], c, t)
-            if rep is not None:
-                _rep_submul(rep, self.reps[k], c, t)
-        for r in rep[1] if rep is not None else ():
-            if r:
-                _check(max(r))
-        if not out:
-            return {}, rep
-        g0, out = _primitive(out)
-        if g0 != 1 and rep is not None:
-            _rep_divide(rep, g0)
-        return out, rep
 
     def run(self) -> None:
         heap: list = []
@@ -245,70 +256,76 @@ class _Engine:
             s: dict[int, int] = {}
             _submul(s, self.polys[i], -cj, ti)
             _submul(s, self.polys[j], ci, tj)
-            rep = None
-            if self.track:
-                rep = [1, [dict() for _ in self.reps[i][1]]]
-                _rep_submul(rep, self.reps[i], -cj, ti)
-                _rep_submul(rep, self.reps[j], ci, tj)
-            r, rep = self._reduce(s, rep, range(len(self.polys)))
+            _, r, steps = _reduce(s, self.basis, range(len(self.polys)), True)
             if r:
-                t = self._append(r, rep)
-                push_pairs(t)
+                push_pairs(self._append(r, [(i, ti, 1, -cj), (j, tj, 1, ci)] + steps))
 
     def reduced(self):
         """Minimal, tail-reduced basis sorted by ascending leading monomial.
 
-        Each element is primitive with a positive leading coefficient, and
-        its rep (when tracked) stands for that primitive element.
+        Returns its elements, each primitive with a positive leading
+        coefficient, and per element its record (engine index, tail steps, g0).
         """
         idxs = sorted(range(len(self.polys)), key=lambda i: self.lms[i])
         kept: list[int] = []
         for i in idxs:
             if next(_divisors(self.lms[i], self.exps, kept), None) is None:
                 kept.append(i)
-        out_polys, out_lms, out_reps = [], [], []
+        polys, records = [], []
         for i in kept:
-            rep = self.reps[i]
-            if rep is not None:
-                rep = [rep[0], [dict(r) for r in rep[1]]]
-            r, rep = self._reduce(self.polys[i], rep, [k for k in kept if k != i])
-            out_polys.append(r)
-            out_lms.append(max(r))
-            out_reps.append(rep)
-        return out_polys, out_lms, out_reps
+            _, r, steps = _reduce(dict(self.polys[i]), self.basis,
+                                  [k for k in kept if k != i], True)
+            g0, r = _primitive(r)
+            polys.append(r)
+            records.append((i, steps, g0))
+        return polys, records
 
 
 class GroebnerBasis:
     """A reduced Groebner basis with provenance back to its input generators.
 
     The provenance (each basis element as a combination of the inputs) is
-    computed on first use by ``member(..., cofactors=True)``.
+    replayed from the record of the Buchberger run on first use by
+    ``member(..., cofactors=True)``.
     """
 
     def __init__(self, variables: Sequence[Generator], inputs: Sequence[Element],
-                 polys, lms):
+                 polys, trace):
         self.variables = tuple(variables)
         self.order = _Order(tuple(g.degree for g in self.variables), False)
         self.inputs = list(inputs)
         self._table = {g.index: g for g in self.variables}
         self._polys = polys  # primitive integer, positive leading coefficient
-        self._lms = lms
-        self._exps = [_exponents(lm) for lm in lms]
-        self._lcs = [p[lm] for p, lm in zip(polys, lms)]
+        self._lms = [max(p) for p in polys]
+        self._exps = [_exponents(lm) for lm in self._lms]
+        self._lcs = [p[lm] for p, lm in zip(polys, self._lms)]
+        self._trace = trace  # the engine's origins and the kept records
         self._reps = None
         self.generators = [
             Element._from_dict({m: Fraction(c, lc) for m, c in p.items()}, self._table)
             for p, lc in zip(polys, self._lcs)]
 
     def _provenance(self) -> list:
-        """Each basis element over the inputs, from one tracked rerun."""
+        """Each basis element over the inputs, replayed in the run's order."""
         if self._reps is None:
-            eng = _Engine([e._t for e in self.inputs], track=True)
-            eng.run()
-            polys, lms, reps = eng.reduced()
-            if polys != self._polys or lms != self._lms:
-                raise VerificationFailed("tracked rerun changed the reduced basis")
-            self._reps = reps
+            origins, records = self._trace
+            n = len(self.inputs)
+            built = {~i: [1, [{0: 1} if j == i else {} for j in range(n)]] for i in range(n)}
+            for k, (steps, g0) in enumerate(origins):
+                built[k] = _replay([1, [{} for _ in range(n)]], steps, built, g0)
+            reps = [_replay([built[i][0], [dict(r) for r in built[i][1]]], steps, built, g0)
+                    for i, steps, g0 in records]
+            if CHECK:  # sum(R_i * f_i) == D * g_k, over the lcm of the inputs' denominators
+                scaled = [_integral(e._t) for e in self.inputs]
+                big = lcm(*(den for den, _ in scaled))
+                for (d, nums), p in zip(reps, self._polys):
+                    acc: dict[int, int] = {}
+                    for r, (den, f) in zip(nums, scaled):
+                        for m, c in r.items():
+                            _submul(acc, f, -c * (big // den), m)
+                    if acc != {m: c * d * big for m, c in p.items()}:
+                        raise VerificationFailed("a replayed rep misses its basis element")
+            self._reps, self._trace = reps, None
         return self._reps
 
     @property
@@ -341,10 +358,10 @@ def buchberger(elements: Sequence[Element], variables: Sequence[Generator]) -> G
     if gb is not None:
         _CACHE.move_to_end(key)
         return gb
-    eng = _Engine([_terms(e, variables) for e in elements], track=False)
+    eng = _Engine([_terms(e, variables) for e in elements])
     eng.run()
-    polys, lms, _ = eng.reduced()
-    gb = GroebnerBasis(variables, list(elements), polys, lms)
+    polys, records = eng.reduced()
+    gb = GroebnerBasis(variables, list(elements), polys, (eng.origins, records))
     _CACHE[key] = gb
     if len(_CACHE) > _CACHE_SIZE:
         _CACHE.popitem(last=False)
@@ -358,7 +375,7 @@ def normal_form(f: Element, gb: GroebnerBasis) -> tuple[Element, list[Element]]:
     remainder term is divisible by a basis leading monomial, and the result
     is deterministic (basis elements are tried in ascending order).
     """
-    s, cofs, rem = _nf(_terms(f, gb.variables), gb, track=True)
+    s, cofs, rem = _nf(_terms(f, gb.variables), gb, full=True)
     rem_el = Element._from_dict({m: Fraction(c, s) for m, c in rem.items()}, gb._table)
     cof_els = [Element._from_dict({m: Fraction(c * lc, s) for m, c in cof.items() if c},
                                   gb._table)
@@ -372,42 +389,30 @@ def normal_form(f: Element, gb: GroebnerBasis) -> tuple[Element, list[Element]]:
     return rem_el, cof_els
 
 
-def _nf(f: dict[int, Fraction], gb: GroebnerBasis, track: bool):
+def _nf(f: dict[int, Fraction], gb: GroebnerBasis, full: bool):
     """Fraction-free division of f by the primitive basis g_k = ``gb._polys``.
 
     Returns (S, C, R) with S > 0, integer polynomials C_k and R, and
     S * f = sum(C_k * g_k) + R; R has no term divisible by a leading
-    monomial.  Untracked, C is None and R stops at its first term, which
-    already decides membership.
+    monomial.  Without ``full``, C is None and R stops at its first term,
+    which already decides membership.
     """
-    s, p = _integral(f)
-    rem: dict[int, int] = {}
-    cofs = [dict() for _ in gb._polys] if track else None
-    while p:  # in the graded order no step raises the leading degree
-        m = max(p)
-        k = next(_divisors(m, gb._exps, range(len(gb._exps))), None)
-        if k is None:
-            rem[m] = p.pop(m)
-            if not track:
-                break
-            continue
-        h = gcd(p[m], gb._lcs[k])
-        a, c = gb._lcs[k] // h, p[m] // h  # a * p - c * x^t * g_k
+    den, p = _integral(f)
+    s, rem, steps = _reduce(p, (gb._polys, gb._lms, gb._exps, gb._lcs),
+                            range(len(gb._polys)), full)
+    if not full:
+        return s * den, None, rem
+    cofs: list[dict[int, int]] = [dict() for _ in gb._polys]
+    for k, t, a, c in steps:
         if a != 1:
-            s *= a
-            _scale((p, rem), a)
-            if track:
-                _scale(cofs, a)
-        t = m - gb._lms[k]
-        if track:
-            cofs[k][t] = cofs[k].get(t, 0) + c
-        _submul(p, gb._polys[k], c, t)
-    return s, cofs, rem
+            _scale(cofs, a)
+        cofs[k][t] = cofs[k].get(t, 0) + c
+    return s * den, cofs, rem
 
 
 def member(f: Element, gb: GroebnerBasis, cofactors: bool = False):
     """Ideal membership; optionally with cofactors over the original inputs."""
-    s, cofs, rem = _nf(_terms(f, gb.variables), gb, track=cofactors)
+    s, cofs, rem = _nf(_terms(f, gb.variables), gb, full=cofactors)
     ok = not rem
     if not cofactors:
         return ok
@@ -451,13 +456,14 @@ def ideal_quotient(gb: GroebnerBasis, a: Element) -> GroebnerBasis:
     pa = _terms(a, gb.variables)
     inputs: list[dict] = [{m + _ELIM: c for m, c in p.items()} for p in gb._polys]  # t * I
     inputs.append({**pa, **{m + _ELIM: -c for m, c in pa.items()}})  # (1 - t) * a
-    eng = _Engine(inputs, track=False)
+    eng = _Engine(inputs)
     eng.run()
-    polys, lms, _ = eng.reduced()
+    polys, _ = eng.reduced()
     gb_a = buchberger([a], gb.variables)
     lc = pa[max(pa)]
     quotient_gens: list[Element] = []
-    for p, lm in zip(polys, lms):
+    for p in polys:
+        lm = max(p)
         if lm >= _ELIM:
             continue  # only t-free elements generate the intersection
         if any(m >= _ELIM for m in p):

@@ -54,7 +54,7 @@ class _Tokens:
             for kind in ("number", "ident", "op"):
                 v = m.group(kind)
                 if v is not None:
-                    self.items.append((kind, v))
+                    self.items.append((kind, _digits(v, line) if kind == "number" else v))
                     break
         self.i = 0
 
@@ -75,6 +75,18 @@ MAX_NESTING = 100
 #: most bits a product or power may give a coefficient, estimated before the
 #: expansion; with the degree bound this keeps any one-line expression cheap
 MAX_COEFFICIENT_BITS = 4096
+
+#: most digits a number may have, checked before it is converted: no longer
+#: literal could pass the coefficient guard (2^4096 has 1234 digits)
+MAX_DIGITS = len(str(2 ** MAX_COEFFICIENT_BITS))
+
+
+def _digits(v: str, line: int) -> str:
+    """v, a number token or degree field, once no digit run in it is longer
+    than MAX_DIGITS."""
+    if len(max(v.split("/"), key=len)) > MAX_DIGITS:
+        raise ModelSyntaxError(f"a number of more than {MAX_DIGITS} digits", line)
+    return v
 
 
 def _size(e: Element) -> tuple[int, int]:
@@ -209,7 +221,8 @@ def parse_model(text: str) -> SullivanModel:
         m = _GEN_LINE.match(line)
         if m is None:
             raise ModelSyntaxError(f"cannot parse {line!r}", lineno)
-        parity, gname, deg, expr = m.group(1), m.group(2), int(m.group(3)), m.group(4)
+        parity, gname, expr = m.group(1), m.group(2), m.group(4)
+        deg = int(_digits(m.group(3), lineno))
         if parity == "even" and deg % 2:
             raise ModelSyntaxError(
                 f"generator {gname!r} declared even but has odd degree {deg}", lineno)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from sullivan.algebra import MAX_DEGREE, MAX_GENERATORS
 from sullivan.cli import main
+from sullivan.parsing import MAX_DIGITS
 from sullivan.errors import (
     ApplicabilityError,
     SearchExhausted,
@@ -125,8 +126,21 @@ def test_monomial_layout_capacity(tmp_path):
     many = tmp_path / "many.model"
     many.write_text('model "many"\n'
                     + "".join(f"even x{i} : 2\n" for i in range(MAX_GENERATORS + 1)))
+    # numbers past MAX_DIGITS are refused before any conversion, in a
+    # coefficient, an exponent and a degree field
+    long = "1" * 5000
+    numbers = []
+    for name, text in (("coefficient", f"even x : 2\nodd y : 3 = {long}*x^2\n"),
+                       ("exponent", f"even x : 2\nodd y : 3 = x^{long}\n"),
+                       ("degree", f"even x : 2\neven z : {long}\n")):
+        numbers.append(tmp_path / f"{name}.model")
+        numbers[-1].write_text(f'model "{name}"\n{text}')
+    too_long = f"a number of more than {MAX_DIGITS} digits"
     for path, message in ((past, f"error[syntax]: line 2: generator 'y' (degree {MAX_DEGREE}"),
-                          (many, "error[syntax]: line 2: generator 'x32'")):
+                          (many, "error[syntax]: line 2: generator 'x32'"),
+                          (numbers[0], f"error[syntax]: line 3: {too_long}"),
+                          (numbers[1], f"error[syntax]: line 3: {too_long}"),
+                          (numbers[2], f"error[syntax]: line 3: {too_long}")):
         start = time.perf_counter()
         code, out, err = run("validate", path)
         assert time.perf_counter() - start < 1.0
@@ -134,6 +148,24 @@ def test_monomial_layout_capacity(tmp_path):
         assert out == ""
         assert err.startswith(message)
         assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int-to-str limit")
+def test_extend_prints_witnesses_past_the_int_to_str_limit(tmp_path):
+    # d(y) = c * x^2 for a 1000-digit c gives the witness y / c, which has
+    # more digits than a lowered limit lets the interpreter print
+    c = "7" * 1000
+    path = tmp_path / "wide.model"
+    path.write_text(f'model "wide"\neven x : 2\nodd y : 3 = {c}*x^2\n')
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run("extend", path)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert f"certificate: d(1/{c}*z1) = x^2" in out
 
 
 @st.composite
@@ -178,7 +210,8 @@ def test_generated_models_end_in_a_documented_exit(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "fuzz.model"
         path.write_text(text)
-        for argv in (("validate", path), ("cohomology", path, "--up-to", "8")):
+        for argv in (("validate", path), ("analyze", path), ("bound", path),
+                     ("cohomology", path, "--up-to", "8")):
             code, out, err = run(*argv)
             assert code in (0, 1, 2, 3)
             if code:

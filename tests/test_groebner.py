@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sullivan import algebra, groebner
 from sullivan.algebra import Element, Generator, Monomial, make_generators
 from sullivan.ellipticity import exactness_certificate
-from sullivan.errors import ConstantTermPresent, NotFiniteDimensional
+from sullivan.errors import ConstantTermPresent, NotFiniteDimensional, VerificationFailed
 from sullivan.model import SullivanModel
 from sullivan.groebner import (
     buchberger,
@@ -502,22 +502,6 @@ def _prefix_loop_failure(seq, gens):
 
 @PROPERTY
 @given(weighted_sequences(counts=(-1, 0, 1)))
-def test_untracked_and_tracked_runs_agree(case):
-    gens, seq = case
-    inputs = [e._t for e in seq]
-    bases = []
-    for track in (False, True):
-        eng = groebner._Engine(inputs, track=track)
-        eng.run()
-        polys, lms, _ = eng.reduced()
-        bases.append((polys, lms))
-    assert bases[0] == bases[1]
-    gb = buchberger(seq, gens)
-    assert (gb._polys, gb._lms) == bases[0]
-
-
-@PROPERTY
-@given(weighted_sequences(counts=(-1, 0, 1)))
 def test_cache_hit_equals_fresh_computation(case):
     gens, seq = case
     first = buchberger(seq, gens)
@@ -692,12 +676,12 @@ def test_fraction_free_division_matches_fraction_reference(case, data):
             homogeneous_polys(gens, degree, 7))
     for f in (inside, inside + outside):
         rem_ref, cofs_ref = _fraction_nf(tuples(f._t, gens), gb)
-        s, cofs, rem = groebner._nf(f._t, gb, track=True)
+        s, cofs, rem = groebner._nf(f._t, gb, full=True)
         assert s > 0
         assert tuples(rem, gens, s) == rem_ref
         assert [tuples({m: c * lc for m, c in cof.items()}, gens, s)
                 for cof, lc in zip(cofs, gb._lcs)] == cofs_ref
-        assert groebner._nf(f._t, gb, track=False)[1] is None
+        assert groebner._nf(f._t, gb, full=False)[1] is None
         assert member(f, gb) == (not rem_ref)
         r_el, cof_els = normal_form(f, gb)
         assert r_el == element(rem_ref, gens)
@@ -722,8 +706,8 @@ def test_tracked_reps_rebuild_the_primitive_basis(case, scalars):
     # rational coefficients and negative leading coefficients exercise the
     # signed content division and the lcm of denominators
     seq = [Element.scalar(q) * a for q, a in zip(scalars, seq)]
-    eng = groebner._Engine([e._t for e in seq], track=True)
-    eng.run()
+    groebner._CACHE.clear()
+    gb = buchberger(seq, gens)
     inputs = [tuples(e._t, gens) for e in seq]
 
     def rebuilt(rep):
@@ -734,9 +718,38 @@ def test_tracked_reps_rebuild_the_primitive_basis(case, scalars):
             acc = _plus(acc, _times(tuples(r, gens), f))
         return {m: c / d for m, c in acc.items()}
 
-    for p, rep in zip(eng.polys, eng.reps):
-        assert rebuilt(rep) == tuples(p, gens)
-    polys, lms, reps = eng.reduced()
-    for p, lm, rep in zip(polys, lms, reps):
+    for p, lm, rep in zip(gb._polys, gb._lms, gb._provenance()):
         assert rebuilt(rep) == tuples(p, gens)
         assert p[lm] > 0 and groebner._content(p.values()) == 1
+
+
+def test_member_lifts_cofactors_without_a_second_run(monkeypatch, mixed_model):
+    gens = mixed_model.even_generators
+    seq = [mixed_model.d(mixed_model.element(y)) for y in ("y1", "y2", "y3")]
+    groebner._CACHE.clear()
+    gb = buchberger(seq, gens)
+    built = []
+
+    class Counted(groebner._Engine):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_Engine", Counted)
+    for g in gb.generators:  # x2^5 among them, from an S-pair
+        ok, cofs = member(g, gb, cofactors=True)
+        assert ok and cofs is not None
+    assert built == []
+
+
+def test_a_replayed_rep_that_misses_its_element_fails_the_check(mixed_model):
+    gens = mixed_model.even_generators
+    seq = [mixed_model.d(mixed_model.element(y)) for y in ("y1", "y2", "y3")]
+    groebner._CACHE.clear()
+    gb = buchberger(seq, gens)
+    groebner._CACHE.clear()  # no later test may meet the corrupted basis
+    origins, records = gb._trace
+    i, steps, g0 = records[-1]
+    gb._trace = origins, records[:-1] + [(i, steps, 2 * g0)]  # halves the last rep
+    with pytest.raises(VerificationFailed, match="replayed rep"):
+        gb._provenance()
