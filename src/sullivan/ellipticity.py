@@ -19,7 +19,16 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable
 
-from .algebra import Element, Generator, _bases, _integral, basis_sizes
+from .algebra import (
+    MAX_BASIS,
+    Element,
+    Generator,
+    _bases,
+    _factor,
+    _fields,
+    _integral,
+    basis_sizes,
+)
 from .errors import (
     InvalidInput,
     NotElliptic,
@@ -30,6 +39,7 @@ from .errors import (
 )
 from .groebner import (
     GroebnerBasis,
+    _pure_powers,
     buchberger,
     member,
     quotient_dimension,
@@ -83,7 +93,10 @@ def nilpotency_exponent(model: SullivanModel, generator) -> int:
     """Least N with the generator's N-th power inside the differential ideal.
 
     Defined for even generators of pure elliptic models.  Bounded by the
-    dimension of the quotient ring, so the search always terminates.
+    dimension of the quotient ring, so the search always terminates.  It
+    starts at b, the least power of the generator among the basis's leading
+    monomials (1 when the basis holds 1): every lower power is a standard
+    monomial, so none lies in the ideal.
     """
     g = model.generator(generator)
     if not g.is_even:
@@ -95,8 +108,9 @@ def nilpotency_exponent(model: SullivanModel, generator) -> int:
     if not quotient_is_finite_dimensional(gb):
         raise NotElliptic(f"model {model.name!r} is not elliptic")
     cap = quotient_dimension(gb) + 1
+    start = 1 if gb.contains_one else _pure_powers(gb)[gb.variables.index(g)]
     x = Element.from_generator(g)
-    for n in range(1, cap + 1):
+    for n in range(start, cap + 1):
         if member(x**n, gb):
             return n
     raise VerificationFailed(
@@ -175,25 +189,26 @@ def all_nilpotency_exponents(model: SullivanModel) -> dict[str, int]:
 
 # -- exact elimination (shared) ----------------------------------------------
 
-def _echelon(rows: Iterable[dict[int, Fraction | int]]) -> dict[int, dict[int, int]]:
-    """Echelon form of sparse rows of column->value maps, as {pivot: row}.
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Echelon form of sparse integer rows of column->value maps, as {pivot: row}.
 
-    Fraction-free (Bareiss, 1968): each row's denominators are cleared once,
-    and the row is reduced in integers against the pivots found before it,
-    r <- (a/g) * r - (c/g) * prow for a the pivot row's entry and c the
-    row's at that column, g = gcd(a, c).  Only the pivot columns the row
-    holds are visited, lowest first; a pivot row has no column below its
-    pivot, so a step never brings back a column already cleared.  The row
-    that no pivot column is left in is unique up to a factor, whatever the
-    order of the steps.  It keeps its lowest remaining column as its pivot
-    and is stored primitive, with a positive pivot: a nonzero multiple of
-    the monic row that rational elimination gives.  The length of the
-    result is the rank, and its pivot set is that of the reduced row
-    echelon form: every vector of the span leads at one of these columns.
+    Fraction-free (Bareiss, 1968): a row comes in with int entries (callers
+    with rational rows clear their denominators first, ``algebra._integral``)
+    and may be modified, and it is reduced in integers against the pivots
+    found before it, r <- (a/g) * r - (c/g) * prow for a the pivot row's
+    entry and c the row's at that column, g = gcd(a, c).  Only the pivot
+    columns the row holds are visited, lowest first; a pivot row has no
+    column below its pivot, so a step never brings back a column already
+    cleared.  The row that no pivot column is left in is unique up to a
+    factor, whatever the order of the steps.  It keeps its lowest remaining
+    column as its pivot and is stored primitive, with a positive pivot: a
+    nonzero multiple of the monic row that rational elimination gives.  The
+    length of the result is the rank, and its pivot set is that of the
+    reduced row echelon form: every vector of the span leads at one of these
+    columns.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        r = _integral(row)[1]
+    for r in rows:
         todo = [k for k in r if k in pivots]
         heapify(todo)
         while todo:
@@ -228,14 +243,15 @@ def _echelon(rows: Iterable[dict[int, Fraction | int]]) -> dict[int, dict[int, i
     return pivots
 
 
-def _span_key(rows: Iterable[dict[int, Fraction]]) -> tuple:
+def _span_key(rows: Iterable[dict[int, Fraction | int]]) -> tuple:
     """Canonical key of the span of sparse rows: its reduced row echelon form.
 
-    Feeding the echelon rows back in, largest pivot first, back-substitutes:
-    each is reduced against every larger pivot row, already reduced itself.
-    Two row sets have equal keys exactly when they span the same space.
+    Each row's denominators are cleared first.  Feeding the echelon rows back
+    in, largest pivot first, back-substitutes: each is reduced against every
+    larger pivot row, already reduced itself.  Two row sets have equal keys
+    exactly when they span the same space.
     """
-    pivots = _echelon(rows)
+    pivots = _echelon(_integral(row)[1] for row in rows)
     reduced = _echelon(pivots[col] for col in sorted(pivots, reverse=True))
     return tuple(tuple(sorted((k, Fraction(v, reduced[col][col]))
                               for k, v in reduced[col].items()))
@@ -244,39 +260,43 @@ def _span_key(rows: Iterable[dict[int, Fraction]]) -> tuple:
 
 # -- cohomology ranks (exact, degreewise) -------------------------------------
 
-#: most monomials ``cohomology_dims`` may list (degrees 0 through up_to + 1),
-#: counted before any work; the shipped models need at most 19,414 at the
-#: CLI's --max-degree default of 200, and five S^2 pieces at up_to 26
-#: (93,980) take about 20 s (Python 3.11, one core of a 2-core virtual machine)
-MAX_COHOMOLOGY_BASIS = 100_000
-
-
 def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     """Dimensions of the cohomology in degrees 0 through up_to, as a list.
 
     Works for any valid model (pure or not): ranks of the differential on
     degreewise monomial bases, all listed by one ``_bases`` pass after their
-    number is checked against MAX_COHOMOLOGY_BASIS.  The ranks are exact and
-    computed in integers: each row is L * d of a basis monomial
-    (``model._scaled_d``), which has the rank of d, and ``_echelon``
-    eliminates fraction-free.
+    number is checked against MAX_BASIS.  The ranks are exact and computed
+    in integers: each row is L * d of a basis monomial, which has the rank
+    of d, and goes straight into ``_echelon``.  A monomial m splits as c * r,
+    c its factor on the even generators with zero differential (every even
+    generator of a parsed model) and r the rest.  As c is even and d(c) = 0,
+    L * d(m) = c * L * d(r) (Felix-Halperin-Thomas, Rational Homotopy
+    Theory, section 32): ``model._scaled_d`` runs once per distinct r, at
+    most 2^(odd generators) of them for a parsed model, and each row is that
+    image with c added to its keys.
     """
     if up_to < 0:
         return []
     size = sum(basis_sizes(model.generators, up_to + 1))
-    if size > MAX_COHOMOLOGY_BASIS:
+    if size > MAX_BASIS:
         raise InvalidInput(
             f"cohomology through degree {up_to} needs {size} basis monomials, "
-            f"over the limit of {MAX_COHOMOLOGY_BASIS}; lower --up-to")
+            f"over the limit of {MAX_BASIS}; lower --up-to")
     model.validate()
     bases = _bases(model.generators, up_to + 1)
+    cycles = _fields(g for g in model.even_generators if g not in model.differential)
+    images: dict[int, dict[int, int]] = {}  # r -> L * d(r)
     ranks = [0]  # ranks[k + 1]: the rank of d from degree k
     for k in range(up_to + 1):
         col = {m: i for i, m in enumerate(bases[k + 1])}
         rows = []
         for m in bases[k]:
-            img = model._scaled_d({m: 1})[1]
+            c = _factor(m, cycles)
+            r = m - c
+            img = images.get(r)
+            if img is None:
+                img = images[r] = model._scaled_d({r: 1})[1]
             if img:
-                rows.append({col[mm]: c for mm, c in img.items()})
+                rows.append({col[mm + c]: v for mm, v in img.items()})
         ranks.append(len(_echelon(rows)))
     return [len(bases[k]) - ranks[k + 1] - ranks[k] for k in range(up_to + 1)]

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .algebra import Element, Generator
+from .algebra import Element, Generator, _integral
 from .ellipticity import (
     ExactnessCertificate,
     _echelon,
@@ -59,8 +59,9 @@ from .model import SullivanModel
 # -- small exact linear algebra helpers ---------------------------------------
 
 def _coefficient_rows(elements: Sequence[Element],
-                      odd_gens: Sequence[Generator]) -> list[dict[int, Fraction]]:
-    """Sparse rows of the elements' coefficients over the odd generators."""
+                      odd_gens: Sequence[Generator]) -> list[dict[int, int]]:
+    """Sparse rows of the elements' coefficients over the odd generators,
+    each cleared of its denominators."""
     cols = {g: i for i, g in enumerate(odd_gens)}
     rows = []
     for e in elements:
@@ -74,7 +75,7 @@ def _coefficient_rows(elements: Sequence[Element],
                 raise InvalidInput(
                     f"element {e.render()} uses {g.name}, not an odd generator here")
             row[cols[g]] = c
-        rows.append(row)
+        rows.append(_integral(row)[1])
     return rows
 
 
@@ -214,7 +215,7 @@ def _candidates(gens: Sequence[Generator], p: int, seed: int,
     if p == len(gens) or all(len(groups[d]) == 1 for d in degrees):
         return
 
-    seen = {_span_key({column[g]: Fraction(1)} for g in combo) for combo in plain}
+    seen = {_span_key({column[g]: 1} for g in combo) for combo in plain}
     assignments = sorted(
         (a for a in itertools.product(*(range(min(len(groups[d]), p) + 1)
                                          for d in degrees))
@@ -240,7 +241,7 @@ def _candidates(gens: Sequence[Generator], p: int, seed: int,
                 vectors = [pools[d][i] for d, i in zip(slots, idx)]
                 if max(abs(c) for v in vectors for c in v) != height:
                     continue  # of a lower height
-                key = _span_key({f + j: Fraction(c) for j, c in enumerate(v) if c}
+                key = _span_key({f + j: c for j, c in enumerate(v) if c}
                                 for f, v in zip(first, vectors))
                 if len(key) < p or key in seen:
                     continue
@@ -286,7 +287,7 @@ def find_homogeneous_regular_subset(stage: FirstStage, seed: int = 0,
     # rank of the image span over its monomials decides feasibility up front
     cols: dict = {}
     img_rank = len(_echelon(
-        {cols.setdefault(m, len(cols)): c for m, c in img._t.items()}
+        {cols.setdefault(m, len(cols)): c for m, c in _integral(img._t)[1].items()}
         for img in images.values()))
     if img_rank < p:
         raise SearchExhausted(

@@ -8,8 +8,10 @@ Criteria (each exact, no tolerances):
 3. 200 randomly generated pure elliptic constant-length models all
    extend, with every soundness invariant verified, under 60 s
 4. on every generated model of formal dimension <= 40 the Groebner
-   ellipticity decision matches the degreewise cohomology oracle and
-   Poincare duality holds, under 120 s
+   ellipticity decision matches the degreewise cohomology oracle, Poincare
+   duality holds, and the oracle's Euler characteristic is the Groebner
+   layer's quotient dimension when chi_pi = 0 and 0 when chi_pi < 0, under
+   120 s
 5. bound formulas on the projective series and every coformal random
    model, under 5 s
 6. every certificate collected anywhere in the suite satisfies
@@ -26,11 +28,12 @@ from sullivan.bounds import tc_upper_bound
 from sullivan.cli import main as cli_main
 from sullivan.ellipticity import (
     cohomology_dims,
+    differential_ideal_basis,
     exactness_certificate,
     is_elliptic,
 )
 from sullivan.extension import exhaustive_homogeneous_search, f0_extend
-from sullivan.groebner import is_regular_sequence
+from sullivan.groebner import is_regular_sequence, quotient_dimension
 from sullivan.parsing import load_model
 
 # certificates collected across criteria, re-verified by criterion 6 as
@@ -123,6 +126,10 @@ def test_criterion_4_oracle_equivalence(random_suite_cache):
             assert all(d == 0 for d in dims[f + 1:]), model.name
             for k in range(f + 1):
                 assert dims[k] == dims[f - k], (model.name, k)
+            # Halperin 1977: chi = dim Q[X]/(dY) when chi_pi = 0, else 0
+            chi = sum((-1) ** k * d for k, d in enumerate(dims[:f + 1]))
+            quotient = quotient_dimension(differential_ideal_basis(model))
+            assert chi == (quotient if model.chi_pi() == 0 else 0), model.name
 
 
 def test_criterion_5_bound_formulas(random_suite_cache):

@@ -1,5 +1,6 @@
 """Graded-commutative arithmetic: signs, degrees, rendering."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from sullivan.algebra import (
     ANY_DEGREE,
+    MAX_BASIS,
     MAX_DEGREE,
     MAX_GENERATORS,
     Element,
@@ -248,3 +250,17 @@ def test_basis_sizes_count_the_enumerated_bases():
             reference = sorted(brute_force_basis(gs, k), key=Monomial.sort_key)
             assert enumerate_basis(gs, k) == reference
     assert basis_sizes(gens(("x", 2)), -1) == []
+
+
+def test_enumerate_basis_cost_guard_runs_before_any_work():
+    # five copies of S^2 through degree 60: their monomials are counted, not
+    # listed, and refused
+    s2x5 = gens(*[(f"x{i}", 2) for i in range(5)], *[(f"y{i}", 3) for i in range(5)])
+    size = sum(basis_sizes(s2x5, 60))
+    assert size > MAX_BASIS
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match=f"number {size}, over the limit of {MAX_BASIS}"):
+        enumerate_basis(s2x5, 60)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(InvalidInput, match="exceeds the largest degree"):
+        enumerate_basis(s2x5, MAX_DEGREE + 1)

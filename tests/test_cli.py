@@ -325,6 +325,18 @@ def test_cohomology_cost_guard_exit_2_at_once(tmp_path):
     assert err.count("\n") == 1
 
 
+def test_nilpotency_search_starts_at_the_pure_power(tmp_path):
+    # x^16383 is the one leading monomial: the search makes one membership
+    # test, not 16383 of them
+    top = tmp_path / "top.model"
+    top.write_text('model "top"\neven x : 2\nodd y : 32765 = x^16383\n')
+    start = time.perf_counter()
+    code, out, err = run("analyze", top)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert "nilpotency exponent of x: 16383" in out
+
+
 def test_quotient_dimension_cost_guard_exit_2_at_once(tmp_path):
     # Q[x, z]/(x^16383, z^16383): 268,402,689 standard monomials to count
     huge = tmp_path / "huge.model"

@@ -1,6 +1,7 @@
 """Ellipticity decisions, nilpotency exponents, certificates, cohomology ranks."""
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -10,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sullivan import build_model
-from sullivan.algebra import Element, Generator, make_generators
+from sullivan.algebra import Element, Generator, _integral, make_generators
 from sullivan.ellipticity import (
     ExactnessCertificate,
     _echelon,
     _span_key,
     all_nilpotency_exponents,
     cohomology_dims,
+    differential_ideal_basis,
     exactness_certificate,
     is_elliptic,
     is_elliptic_pure,
@@ -30,9 +32,10 @@ from sullivan.errors import (
     NotPure,
     OddGeneratorPresent,
 )
+from sullivan.groebner import member, quotient_dimension
 from sullivan.model import SullivanModel
 
-from conftest import brute_force_basis
+from conftest import brute_force_basis, make_random_model
 
 
 def cp(n):
@@ -84,6 +87,23 @@ def test_nilpotency_exponents(mixed_model):
 def test_nilpotency_exponent_cp():
     for n in (1, 2, 3, 4):
         assert nilpotency_exponent(cp(n), "x") == n + 1
+
+
+def _exponent_from_one(model, g):
+    """Reference: the nilpotency search that tests every power from 1."""
+    gb = differential_ideal_basis(model)
+    x = Element.from_generator(g)
+    for n in range(1, quotient_dimension(gb) + 2):
+        if member(x ** n, gb):
+            return n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(0, 2**32))
+def test_nilpotency_exponent_matches_the_search_from_one(seed):
+    model = make_random_model(random.Random(seed), seed)
+    for g in model.even_generators:
+        assert nilpotency_exponent(model, g) == _exponent_from_one(model, g)
 
 
 def test_nilpotency_exponent_guards(not_elliptic, mixed_model):
@@ -228,6 +248,11 @@ def sparse(rows):
     return [{j: c for j, c in enumerate(r) if c} for r in rows]
 
 
+def integral(rows):
+    """The sparse rows, each cleared of its denominators: ``_echelon``'s input."""
+    return [_integral(r)[1] for r in sparse(rows)]
+
+
 def _fraction_echelon(rows):
     """Reference: the eliminator in Fraction arithmetic, the form it had
     before it went fraction-free, returning {pivot: monic row}."""
@@ -271,7 +296,7 @@ def sympy_rref(rows):
 @PROPERTY
 @given(matrices())
 def test_echelon_rank_and_pivots_match_sympy(rows):
-    pivots = _echelon(sparse(rows))
+    pivots = _echelon(integral(rows))
     assert len(pivots) == sympy.Matrix(rows).rank()
     assert sorted(pivots) == sympy_rref(rows)[1]
     assert_primitive_rows(pivots)
@@ -280,8 +305,9 @@ def test_echelon_rank_and_pivots_match_sympy(rows):
 @PROPERTY
 @given(matrices(max_rows=7, max_cols=9))
 def test_echelon_rows_are_multiples_of_the_fraction_rows(rows):
-    # rational entries, negative and with denominators other than 1
-    pivots = _echelon(sparse(rows))
+    # rational entries, negative and with denominators other than 1, each
+    # row scaled to integers
+    pivots = _echelon(integral(rows))
     ref = _fraction_echelon(sparse(rows))
     assert list(pivots) == list(ref)
     assert_primitive_rows(pivots)
@@ -380,3 +406,50 @@ def test_cohomology_dims_match_the_fraction_path(model):
     model.validate()
     assert model._scaled_d({})[0] > 1  # the differential is scaled by L != 1
     assert cohomology_dims(model, 8) == _reference_cohomology_dims(model, 8)
+
+
+@st.composite
+def models_with_even_images(draw):
+    """Valid models in which even generators have images, which the parser
+    refuses: closed x1 (and x2) of degree 2 and a of degree 3, sometimes y
+    with a pure image, w of degree 4 or 6 with dw = a * (a form in the x),
+    and sometimes u of degree |w| + 2 with du = q * w * a, a cycle as a^2 = 0."""
+    n_even = draw(st.integers(1, 2))
+    w_degree = draw(st.sampled_from((4, 6)))
+    with_y, with_u = draw(st.booleans()), draw(st.booleans())
+    pairs = ([(f"x{i}", 2) for i in range(1, n_even + 1)] + [("a", 3), ("w", w_degree)]
+             + ([("y", 3)] if with_y else []) + ([("u", w_degree + 2)] if with_u else []))
+    gens = make_generators(pairs)
+    env = {g.name: Element.from_generator(g) for g in gens}
+    xs = [env[f"x{i}"] for i in range(1, n_even + 1)]
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+
+    def form(length):
+        monos = list(itertools.combinations_with_replacement(xs, length))
+        cs = draw(st.lists(rational, min_size=len(monos), max_size=len(monos)))
+        return sum((c * math.prod(m, start=Element.one()) for c, m in zip(cs, monos)),
+                   Element.zero())
+
+    diffs = {"w": env["a"] * form(w_degree // 2 - 1)}
+    if with_y:
+        diffs["y"] = form(2)
+    if with_u:
+        diffs["u"] = draw(rational) * env["w"] * env["a"]
+    return SullivanModel(gens, diffs, name="even-images")
+
+
+def test_cohomology_rows_of_an_even_generator_with_an_image():
+    # dw = a * x^2: w is even but no cycle, so it belongs to the part of a
+    # monomial whose differential is derived, not to the shifted factor
+    model = build_model([("x", 2), ("a", 3), ("w", 6)],
+                        {"w": lambda e: e["a"] * e["x"] ** 2}, name="x-a-w")
+    model.validate()
+    assert cohomology_dims(model, 12) == _reference_cohomology_dims(model, 12)
+
+
+@PROPERTY
+@given(models_with_even_images())
+def test_cohomology_dims_with_even_images_match_the_fraction_path(model):
+    model.validate()
+    assert any(g.is_even for g in model.differential)
+    assert cohomology_dims(model, 10) == _reference_cohomology_dims(model, 10)
