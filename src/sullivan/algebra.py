@@ -20,7 +20,8 @@ compare as weighted-degree grevlex monomials.  MAX_GENERATORS positions and
 degrees up to MAX_DEGREE keep every guard bit clear; a product beyond that
 raises InvalidInput, and generators stay below MAX_DEGREE so that their
 differential images fit.  An element keeps a table of its generators by
-position for names; the canonical term order is computed when terms are listed.
+position, through which ``_powers`` reads a monomial's factors; the
+canonical term order is computed when terms are listed.
 
 Elements are immutable by convention: every operation returns a fresh value.
 """
@@ -150,6 +151,20 @@ def _used(keys: Iterable[int]) -> int:
     return reduce(or_, map(neg, keys), 0) & _FIELDS
 
 
+def _powers(key: int, table: Mapping[int, Generator]) -> list[tuple[Generator, int]]:
+    """The factors of a monomial as (generator, exponent), by position, for
+    table its generators by position: each used field over its generator's
+    degree."""
+    out = []
+    p = -key & _FIELDS
+    while p:
+        i = ((p & -p).bit_length() - 1) // _W  # the lowest used position
+        f = p >> (i * _W) & _FIELD
+        out.append((table[i], f // table[i].degree))
+        p ^= f << (i * _W)
+    return out
+
+
 class Monomial:
     """A product of generators: its packed int ``key`` and the table of the
     generators it names, by position."""
@@ -185,17 +200,11 @@ class Monomial:
     def degree(self) -> int:
         return _degree(self.key)
 
-    @property
-    def word_length(self) -> int:
-        return sum(e for _, e in self.factors())
-
     def factors(self) -> list[tuple[Generator, int]]:
         """All factors as (generator, exponent): the even ones by position,
         then the odd ones by position."""
-        p = -self.key & _FIELDS
-        fs = [(g, p >> (i * _W) & _FIELD) for i, g in sorted(self._g.items())]
-        return ([(g, f // g.degree) for g, f in fs if f and g.is_even]
-                + [(g, 1) for g, f in fs if f and not g.is_even])
+        fs = _powers(self.key, self._g)
+        return [f for f in fs if f[0].is_even] + [f for f in fs if not f[0].is_even]
 
     def is_unit(self) -> bool:
         return not self.key
@@ -399,7 +408,7 @@ class Element:
         return len({_degree(k) for k in self._t}) <= 1
 
     def word_lengths(self) -> set[int]:
-        return {Monomial(k, self._g).word_length for k in self._t}
+        return {sum(e for _, e in _powers(k, self._g)) for k in self._t}
 
     def generators_used(self) -> set[Generator]:
         used = _used(self._t)
@@ -413,11 +422,10 @@ class Element:
         """Coefficients when the element is a combination of odd generators, else None."""
         out: dict[Generator, Fraction] = {}
         for k, c in self._t.items():
-            p = -k & _FIELDS
-            low = (p & -p).bit_length() - 1  # bit 0 of the first field, if that factor is odd
-            if low % _W or p >> (low + _W):
+            fs = _powers(k, self._g)
+            if len(fs) != 1 or fs[0][0].is_even:
                 return None
-            out[self._g[low // _W]] = c
+            out[fs[0][0]] = c
         return out
 
     def substitute_zero(self, killed: Iterable[Generator]) -> "Element":

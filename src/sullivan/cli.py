@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import bounds as bounds_mod
 from . import ellipticity as ell
@@ -46,8 +47,7 @@ def _model_summary(model: SullivanModel) -> str:
 
 
 def _analyze_payload(model: SullivanModel, with_exponents: bool) -> dict:
-    report = model.validate()
-    report.elliptic = ell.is_elliptic(model)
+    report = replace(model.validate(), elliptic=ell.is_elliptic(model))  # the cached one stays
     if report.elliptic and model.is_pure():
         report.formal_dimension = model.formal_dimension()
         if with_exponents:
@@ -60,7 +60,7 @@ def cmd_validate(args) -> int:
     report = model.validate()
     _say(_model_summary(model), args)
     _say(f"valid minimal model; pure={report.pure} "
-         f"length={model.differential_length().render()} chi_pi={report.chi_pi}", args)
+         f"length={report.length.render()} chi_pi={report.chi_pi}", args)
     _emit(report.to_dict(), args)
     return EXIT_OK
 

@@ -75,10 +75,7 @@ def is_elliptic(model: SullivanModel) -> bool:
     """
     model.validate()
     gb = differential_ideal_basis(model)
-    result = quotient_is_finite_dimensional(gb)
-    if model._report is not None:
-        model._report.elliptic = result
-    return result
+    return quotient_is_finite_dimensional(gb)
 
 
 def is_elliptic_pure(model: SullivanModel) -> bool:
@@ -182,8 +179,6 @@ def all_nilpotency_exponents(model: SullivanModel) -> dict[str, int]:
     out = {}
     for g in model.even_generators:
         out[g.name] = nilpotency_exponent(model, g)
-    if model._report is not None:
-        model._report.exponents = dict(out)
     return out
 
 

@@ -7,7 +7,7 @@ the order of the packed monomial ints of ``algebra``, so polynomials here are
 dicts keyed by the same ints as ``Element`` terms, comparing monomials is
 comparing ints, and multiplying them is adding.  Ideal quotients use one
 auxiliary elimination indeterminate, one more field above the degree, which
-dominates the order.
+dominates the order, and divide the intersection by a exactly.
 
 A basis is kept as primitive integer polynomials g_k with positive leading
 coefficients (the monic ``generators`` are derived from them).  Each basis is
@@ -48,13 +48,13 @@ from .algebra import (
     _ELIM,
     Element,
     Generator,
-    Monomial,
     _check,
     _divisors,
     _exponents,
     _integral,
     _key,
     _lcm,
+    _powers,
 )
 from .errors import (
     ConstantTermPresent,
@@ -299,6 +299,7 @@ class GroebnerBasis:
         self._lms = [max(p) for p in polys]
         self._exps = [_exponents(lm) for lm in self._lms]
         self._lcs = [p[lm] for p, lm in zip(polys, self._lms)]
+        self._basis = (self._polys, self._lms, self._exps, self._lcs)
         self._trace = trace  # the engine's origins and the kept records
         self._reps = None
         self.generators = [
@@ -375,7 +376,7 @@ def normal_form(f: Element, gb: GroebnerBasis) -> tuple[Element, list[Element]]:
     remainder term is divisible by a basis leading monomial, and the result
     is deterministic (basis elements are tried in ascending order).
     """
-    s, cofs, rem = _nf(_terms(f, gb.variables), gb, full=True)
+    s, cofs, rem = _nf(_terms(f, gb.variables), gb._basis, full=True)
     rem_el = Element._from_dict({m: Fraction(c, s) for m, c in rem.items()}, gb._table)
     cof_els = [Element._from_dict({m: Fraction(c * lc, s) for m, c in cof.items() if c},
                                   gb._table)
@@ -389,8 +390,9 @@ def normal_form(f: Element, gb: GroebnerBasis) -> tuple[Element, list[Element]]:
     return rem_el, cof_els
 
 
-def _nf(f: dict[int, Fraction], gb: GroebnerBasis, full: bool):
-    """Fraction-free division of f by the primitive basis g_k = ``gb._polys``.
+def _nf(f: dict[int, Fraction | int], basis, full: bool):
+    """Fraction-free division of f by the integer polynomials g_k of
+    ``basis`` = (polys, lms, exps, lcs), a Groebner basis's or one polynomial's.
 
     Returns (S, C, R) with S > 0, integer polynomials C_k and R, and
     S * f = sum(C_k * g_k) + R; R has no term divisible by a leading
@@ -398,11 +400,10 @@ def _nf(f: dict[int, Fraction], gb: GroebnerBasis, full: bool):
     which already decides membership.
     """
     den, p = _integral(f)
-    s, rem, steps = _reduce(p, (gb._polys, gb._lms, gb._exps, gb._lcs),
-                            range(len(gb._polys)), full)
+    s, rem, steps = _reduce(p, basis, range(len(basis[0])), full)
     if not full:
         return s * den, None, rem
-    cofs: list[dict[int, int]] = [dict() for _ in gb._polys]
+    cofs: list[dict[int, int]] = [dict() for _ in basis[0]]
     for k, t, a, c in steps:
         if a != 1:
             _scale(cofs, a)
@@ -412,7 +413,7 @@ def _nf(f: dict[int, Fraction], gb: GroebnerBasis, full: bool):
 
 def member(f: Element, gb: GroebnerBasis, cofactors: bool = False):
     """Ideal membership; optionally with cofactors over the original inputs."""
-    s, cofs, rem = _nf(_terms(f, gb.variables), gb, full=cofactors)
+    s, cofs, rem = _nf(_terms(f, gb.variables), gb._basis, full=cofactors)
     ok = not rem
     if not cofactors:
         return ok
@@ -449,30 +450,28 @@ def ideal_quotient(gb: GroebnerBasis, a: Element) -> GroebnerBasis:
     """The ideal quotient (I : a), via one auxiliary elimination indeterminate.
 
     Computes I intersect (a) by eliminating t from t*I + (1-t)*(a), then
-    divides the intersection generators exactly by a.
+    divides each intersection generator p exactly by a, in integers: with
+    D * a = pa, division by pa gives S * p = C * pa, so p / a = C * D / S.
     """
     if not a:
         raise ZeroElement("ideal quotient by the zero element")
-    pa = _terms(a, gb.variables)
+    den, pa = _integral(_terms(a, gb.variables))  # pa = D * a
     inputs: list[dict] = [{m + _ELIM: c for m, c in p.items()} for p in gb._polys]  # t * I
-    inputs.append({**pa, **{m + _ELIM: -c for m, c in pa.items()}})  # (1 - t) * a
+    inputs.append({**pa, **{m + _ELIM: -c for m, c in pa.items()}})  # (1 - t) * D * a
     eng = _Engine(inputs)
     eng.run()
     polys, _ = eng.reduced()
-    gb_a = buchberger([a], gb.variables)
-    lc = pa[max(pa)]
+    lm = max(pa)
+    by_a = ([pa], [lm], [_exponents(lm)], [pa[lm]])
     quotient_gens: list[Element] = []
     for p in polys:
-        lm = max(p)
-        if lm >= _ELIM:
+        if max(p) >= _ELIM:  # t dominates the order: the others are t-free
             continue  # only t-free elements generate the intersection
-        if any(m >= _ELIM for m in p):
-            raise VerificationFailed("elimination produced a mixed polynomial")
-        q = Element._from_dict({m: Fraction(c, p[lm]) for m, c in p.items()}, gb._table)
-        rem, cofs = normal_form(q, gb_a)
+        s, (cof,), rem = _nf(p, by_a, full=True)
         if rem:
             raise VerificationFailed("intersection generator not divisible by the quotient element")
-        quotient_gens.append(cofs[0] * (Fraction(1) / lc))
+        quotient_gens.append(Element._from_dict(
+            {m: Fraction(c * den, s) for m, c in cof.items()}, gb._table))
     return buchberger(quotient_gens, gb.variables)
 
 
@@ -545,7 +544,7 @@ def _pure_powers(gb: GroebnerBasis) -> list:
     """Per variable, its least power among the leading monomials, or None."""
     powers: dict = {}
     for lm in gb._lms:
-        factors = Monomial(lm, gb._table).factors()
+        factors = _powers(lm, gb._table)
         if len(factors) == 1:
             (g, e), = factors
             powers[g] = min(e, powers.get(g, e))

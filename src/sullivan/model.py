@@ -49,16 +49,14 @@ class DifferentialLength:
     values: tuple[int, ...] = ()
 
     @staticmethod
-    def constant(l: int) -> "DifferentialLength":
-        return DifferentialLength("constant", value=l)
-
-    @staticmethod
-    def mixed(ls: Iterable[int]) -> "DifferentialLength":
-        return DifferentialLength("mixed", values=tuple(sorted(set(ls))))
-
-    @staticmethod
-    def all_zero() -> "DifferentialLength":
-        return DifferentialLength("zero")
+    def of(lengths: Iterable[int]) -> "DifferentialLength":
+        """The report of the word lengths found among the images."""
+        ls = tuple(sorted(set(lengths)))
+        if not ls:
+            return DifferentialLength("zero")
+        if len(ls) == 1:
+            return DifferentialLength("constant", value=ls[0])
+        return DifferentialLength("mixed", values=ls)
 
     @property
     def is_constant(self) -> bool:
@@ -225,14 +223,8 @@ class SullivanModel:
         return True
 
     def differential_length(self) -> DifferentialLength:
-        lengths: set[int] = set()
-        for img in self.differential.values():
-            lengths.update(img.word_lengths())
-        if not lengths:
-            return DifferentialLength.all_zero()
-        if len(lengths) == 1:
-            return DifferentialLength.constant(lengths.pop())
-        return DifferentialLength.mixed(lengths)
+        """Word lengths of the differential images, from the validated report."""
+        return self.validate().length
 
     def chi_pi(self) -> int:
         """Homotopy characteristic: dim V^even - dim V^odd."""
@@ -241,9 +233,11 @@ class SullivanModel:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ModelReport:
-        """Check degrees, minimality and d^2 = 0; raises on the first failure."""
+        """Check degrees, minimality and d^2 = 0, raising on the first failure,
+        and report the differential length."""
         if self._report is not None:
             return self._report
+        lengths: set[int] = set()  # each image's word lengths, decoded once
         for g in self.generators:
             img = self.differential.get(g)
             if img is None or not img:
@@ -253,9 +247,11 @@ class SullivanModel:
                 raise DegreeMismatch(
                     g.name,
                     f"d({g.name}) must be homogeneous of degree {g.degree + 1}, got degree {deg}")
-            if min(img.word_lengths()) < 2:
+            word_lengths = img.word_lengths()
+            if min(word_lengths) < 2:
                 raise NotMinimal(
                     g.name, f"d({g.name}) has a linear part; minimal models need word length >= 2")
+            lengths |= word_lengths
         for g in self.generators:
             img = self.differential.get(g)
             if img is None:
@@ -267,7 +263,7 @@ class SullivanModel:
             name=self.name,
             pure=self.is_pure(),
             minimal=True,
-            length=self.differential_length(),
+            length=DifferentialLength.of(lengths),
             chi_pi=self.chi_pi(),
             n_even=len(self.even_generators),
             n_odd=len(self.odd_generators),

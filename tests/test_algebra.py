@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sullivan import algebra
 from sullivan.algebra import (
     ANY_DEGREE,
     MAX_BASIS,
@@ -133,6 +134,13 @@ def test_odd_linear_part():
     assert lin == {y: Fraction(2), z: Fraction(-1)}
     assert (ex * ey).odd_linear_part() is None
     assert (ey + ex).odd_linear_part() is None
+    # hand-built, with odd generators below the even one
+    y0, x1, z2 = Generator("y", 3, 0), Generator("x", 2, 1), Generator("z", 5, 2)
+    ey, ex, ez = (Element.from_generator(g) for g in (y0, x1, z2))
+    assert (ey - 3 * ez).odd_linear_part() == {y0: Fraction(1), z2: Fraction(-3)}
+    assert ez.odd_linear_part() == {z2: Fraction(1)}
+    for e in (ex, ex * ez, ey * ez, ey + ex * ex, Element.one() + ey):
+        assert e.odd_linear_part() is None
 
 
 def test_substitute_zero():
@@ -235,6 +243,9 @@ def test_packed_product_matches_the_merge(pair):
     [(m, c)] = got.items()
     assert m.key == Monomial.make(*mon).key and c == sign
     assert list(m.factors()) == list(mon[0]) + [(g, 1) for g in mon[1]]
+    # the decoder gives every factor by position, odd ones below even ones too
+    by_position = sorted(list(mon[0]) + [(g, 1) for g in mon[1]], key=lambda f: f[0].index)
+    assert algebra._powers(m.key, m._g) == by_position
 
 
 def test_basis_sizes_count_the_enumerated_bases():

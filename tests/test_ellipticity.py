@@ -58,6 +58,13 @@ def test_is_elliptic_positive(mixed_model, tower_model, odd_spheres):
         assert is_elliptic(cp(n))
 
 
+def test_analysis_leaves_the_validation_report_alone(cp2):
+    before = cp2.validate().to_dict()
+    assert is_elliptic(cp2)
+    assert all_nilpotency_exponents(cp2) == {"x": 3}
+    assert cp2.validate().to_dict() == before
+
+
 def test_is_elliptic_negative(not_elliptic):
     assert not is_elliptic(not_elliptic)
     assert not is_elliptic_pure(not_elliptic)

@@ -119,22 +119,22 @@ def sympy_gb(elements, variables, syms):
     return sympy.groebner(exprs, *syms, order="grevlex")
 
 
+def tuple_pure_powers(lms, n: int) -> list:
+    """Reference on exponent tuples: per variable i, the least e[i] among the
+    tuples e that are nonzero at i alone, or None."""
+    return [min((e[i] for e in lms
+                 if all(e[j] == 0 for j in range(n) if j != i) and e[i] > 0), default=None)
+            for i in range(n)]
+
+
 def sympy_finite(G, syms) -> bool:
     lms = [p.monoms(order="grevlex")[0] for p in G.polys]
-    for i in range(len(syms)):
-        if not any(all(e[j] == 0 for j in range(len(syms)) if j != i) and e[i] > 0
-                   for e in lms):
-            return False
-    return True
+    return None not in tuple_pure_powers(lms, len(syms))
 
 
 def sympy_qdim(G, syms) -> int:
     lms = [p.monoms(order="grevlex")[0] for p in G.polys]
-    bounds = []
-    for i in range(len(syms)):
-        pure = [e[i] for e in lms
-                if all(e[j] == 0 for j in range(len(syms)) if j != i) and e[i] > 0]
-        bounds.append(min(pure))
+    bounds = tuple_pure_powers(lms, len(syms))
     count = 0
     for grid in itertools.product(*(range(b) for b in bounds)):
         if not any(all(grid[j] >= e[j] for j in range(len(syms))) for e in lms):
@@ -385,6 +385,26 @@ def test_zero_divisor_witness_properties(mixed_model):
     assert w1 is not None and w1 == Element.one()
 
 
+def test_ideal_quotient_runs_buchberger_once(monkeypatch, mixed_model):
+    m = mixed_model
+    gens = m.even_generators
+    g1, g2 = (m.d(m.element(y)) for y in ("y1", "y2"))
+    gb1 = buchberger([g1], gens)
+    calls = []
+
+    def counted(elements, variables):
+        calls.append(list(elements))
+        return buchberger(elements, variables)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    q = ideal_quotient(gb1, g2)
+    # a is divided out exactly, with no basis of (a)
+    assert calls == [q.inputs]
+    assert [g.render() for g in q.generators] == ["x1"]
+    for p in q.inputs:
+        assert member(p * g2, gb1)
+
+
 def test_zero_is_zero_divisor():
     gens = make_vars(("x", 2),)
     x, = els(gens)
@@ -602,6 +622,10 @@ def test_packed_monomials_match_exponent_tuples(case):
     lcm = tuple(max(x, y) for x, y in zip(ea, eb))
     assert algebra._lcm(a, b) == (Monomial.make(list(zip(gens, lcm))).key
                                   + max(ta, tb) * algebra._ELIM)
+    # the pure powers of the monomial ideal (a, b): its minimal generators
+    minimal = [e for e in {ea, eb} if not any(f != e and _divides(f, e) for f in (ea, eb))]
+    gb = buchberger([element({e: 1}, gens) for e in (ea, eb)], gens)
+    assert groebner._pure_powers(gb) == tuple_pure_powers(minimal, len(gens))
 
 
 # -- the fraction-free path against Fraction arithmetic -------------------------
@@ -676,12 +700,12 @@ def test_fraction_free_division_matches_fraction_reference(case, data):
             homogeneous_polys(gens, degree, 7))
     for f in (inside, inside + outside):
         rem_ref, cofs_ref = _fraction_nf(tuples(f._t, gens), gb)
-        s, cofs, rem = groebner._nf(f._t, gb, full=True)
+        s, cofs, rem = groebner._nf(f._t, gb._basis, full=True)
         assert s > 0
         assert tuples(rem, gens, s) == rem_ref
         assert [tuples({m: c * lc for m, c in cof.items()}, gens, s)
                 for cof, lc in zip(cofs, gb._lcs)] == cofs_ref
-        assert groebner._nf(f._t, gb, full=False)[1] is None
+        assert groebner._nf(f._t, gb._basis, full=False)[1] is None
         assert member(f, gb) == (not rem_ref)
         r_el, cof_els = normal_form(f, gb)
         assert r_el == element(rem_ref, gens)
