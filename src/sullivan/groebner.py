@@ -10,10 +10,10 @@ auxiliary elimination indeterminate, one more field above the degree, which
 dominates the order, and divide the intersection by a exactly.
 
 A basis is kept as primitive integer polynomials g_k with positive leading
-coefficients (the monic ``generators`` are derived from them).  Each basis is
-computed once, and a small cache of recent bases (keyed on the exact inputs,
-in caller order) serves repeated requests for the same ideal.  Cofactors
-over the input generators f_i, which turn membership tests into
+coefficients (the monic ``generators`` are derived from them on first use).
+Each basis is computed once, and a small cache of recent bases (keyed on the
+exact inputs, in caller order) serves repeated requests for the same ideal.
+Cofactors over the input generators f_i, which turn membership tests into
 certificates, are lifted on demand: the run records how it built each
 element (its S-pair or input, each reduction step, its content), and the
 first request replays that record on combinations of the inputs (Traverso,
@@ -30,7 +30,10 @@ A sequence of as many weighted-homogeneous elements as variables is regular
 exactly when its quotient has dimension prod(deg f_i) / prod(w_j) (Stanley,
 "Hilbert functions of graded algebras", 1978).  ``regular_sequence_failure``
 decides that success case by counting standard monomials and computes
-zero-divisor witnesses only when the identity does not hold.
+zero-divisor witnesses only when the identity does not hold.  A basis keeps
+each witness it has given (or None), keyed by the element, for as long as it
+lives: the cache returns the same basis object for a repeated prefix, so
+candidates sharing a failing prefix and element compute one ideal quotient.
 
 Set ``CHECK = True`` (done by the test suite) to re-verify every division
 identity and every replayed combination by direct arithmetic.
@@ -40,6 +43,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
@@ -286,7 +290,8 @@ class GroebnerBasis:
 
     The provenance (each basis element as a combination of the inputs) is
     replayed from the record of the Buchberger run on first use by
-    ``member(..., cofactors=True)``.
+    ``member(..., cofactors=True)``, and ``zero_divisor_witness`` keeps its
+    verdicts here, so both live exactly as long as the basis.
     """
 
     def __init__(self, variables: Sequence[Generator], inputs: Sequence[Element],
@@ -302,9 +307,13 @@ class GroebnerBasis:
         self._basis = (self._polys, self._lms, self._exps, self._lcs)
         self._trace = trace  # the engine's origins and the kept records
         self._reps = None
-        self.generators = [
-            Element._from_dict({m: Fraction(c, lc) for m, c in p.items()}, self._table)
-            for p, lc in zip(polys, self._lcs)]
+        self._witnesses: dict[Element, Element | None] = {}
+
+    @cached_property
+    def generators(self) -> list[Element]:
+        """The basis elements, monic, built on first use."""
+        return [Element._from_dict({m: Fraction(c, lc) for m, c in p.items()}, self._table)
+                for p, lc in zip(self._polys, self._lcs)]
 
     def _provenance(self) -> list:
         """Each basis element over the inputs, replayed in the run's order."""
@@ -480,7 +489,18 @@ def zero_divisor_witness(a: Element, gb: GroebnerBasis) -> Element | None:
 
     The zero element is a zero divisor exactly when the quotient ring is
     nonzero (witness 1); an element already in the ideal gets witness 1 too.
+    Otherwise the witness is the first generator of (I : a) outside I.  The
+    verdict is deterministic, so it is kept on the basis, keyed by a: a
+    search asks the same prefix ideal about the same element once per
+    candidate that shares them, and only the first request does the work.
     """
+    _terms(a, gb.variables)  # a kept verdict must not let a foreign element through
+    if a not in gb._witnesses:
+        gb._witnesses[a] = _zero_divisor_witness(a, gb)
+    return gb._witnesses[a]
+
+
+def _zero_divisor_witness(a: Element, gb: GroebnerBasis) -> Element | None:
     if not a:
         return None if gb.contains_one else Element.one()
     if member(a, gb):

@@ -1,7 +1,7 @@
 """F0-basis extensions: staging, searching, verification, certificates."""
 import pytest
 
-from sullivan import build_model
+from sullivan import build_model, groebner
 from sullivan.errors import (
     InvalidInput,
     NonConstantLength,
@@ -264,6 +264,46 @@ def test_search_positive_combination(needs_combination):
     report = verify_f0_extension(needs_combination, out.found)
     assert report.passed
     assert out.subset_complete
+
+
+def test_search_decides_each_failing_prefix_once(monkeypatch):
+    # the benchmark's prefix recipe: odds a_i with images x1*(linear form)
+    # declared ahead of a regular triple.  Three evens, so candidates are
+    # triples and those sharing their first two images share the failing
+    # prefix ideal (d a_i) and the element d a_j at index 2
+    def times_x1(a, b, c):
+        return lambda e: e["x1"] * (a * e["x1"] + b * e["x2"] + c * e["x3"])
+
+    model = build_model(
+        [("x1", 2), ("x2", 2), ("x3", 2), ("a1", 3), ("a2", 3), ("a3", 3),
+         ("y1", 3), ("y2", 3), ("y3", 3)],
+        {"a1": times_x1(1, 1, 0), "a2": times_x1(2, -1, 1), "a3": times_x1(1, 0, -3),
+         "y1": lambda e: e["x1"] ** 2,
+         "y2": lambda e: e["x2"] ** 2,
+         "y3": lambda e: e["x3"] ** 2},
+        name="prefix")
+    calls = []
+    ideal_quotient = groebner.ideal_quotient
+
+    def counted(gb, a):
+        calls.append((tuple(gb.inputs), a))
+        return ideal_quotient(gb, a)
+
+    monkeypatch.setattr(groebner, "ideal_quotient", counted)
+    groebner._CACHE.clear()
+    out = exhaustive_homogeneous_search(model)
+    assert names(out.found) == ["a1", "y2", "y3"]
+    assert out.tried == 10 and len(out.rejected) == 9
+    witnesses: dict[tuple, set] = {}
+    for r in out.rejected:
+        assert (r.reason, r.failing_index) == ("regular_sequence", 2)
+        images = tuple(model.d(model.element(y)) for y in r.candidate[:2])
+        witnesses.setdefault(images, set()).add(r.witness)
+    # (a1, a2, ·) four times, (a1, a3, ·) three times, (a1, y1, ·) twice
+    assert len(witnesses) == 3
+    assert all(len(w) == 1 for w in witnesses.values())
+    assert len(calls) == 3
+    assert set(calls) == {((p,), a) for p, a in witnesses}
 
 
 def test_search_budget(mixed_model):

@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 from sullivan import algebra, groebner
 from sullivan.algebra import Element, Generator, Monomial, make_generators
 from sullivan.ellipticity import exactness_certificate
-from sullivan.errors import ConstantTermPresent, NotFiniteDimensional, VerificationFailed
+from sullivan.errors import (
+    ConstantTermPresent,
+    NotFiniteDimensional,
+    UnknownGenerator,
+    VerificationFailed,
+)
 from sullivan.model import SullivanModel
 from sullivan.groebner import (
     buchberger,
@@ -405,6 +410,41 @@ def test_ideal_quotient_runs_buchberger_once(monkeypatch, mixed_model):
         assert member(p * g2, gb1)
 
 
+def test_zero_divisor_witness_is_kept_on_the_basis(monkeypatch, mixed_model):
+    m = mixed_model
+    gens = m.even_generators
+    g1, g2 = (m.d(m.element(y)) for y in ("y1", "y2"))
+    groebner._CACHE.clear()
+    gb1 = buchberger([g1], gens)
+    calls = []
+
+    def counted(gb, a):
+        calls.append(a)
+        return ideal_quotient(gb, a)
+
+    monkeypatch.setattr(groebner, "ideal_quotient", counted)
+    w = zero_divisor_witness(g2, gb1)
+    assert w.render() == "x1"
+    # a second request, also with an equal element built anew, is answered
+    # from the basis
+    assert zero_divisor_witness(g2, gb1) is w
+    assert zero_divisor_witness(g2 + Element.zero(), gb1) is w
+    assert calls == [g2]
+    # the verdict lives as long as the basis: a rebuilt basis computes it again
+    groebner._CACHE.clear()
+    gb1_again = buchberger([g1], gens)
+    assert gb1_again is not gb1
+    assert zero_divisor_witness(g2, gb1_again) == w
+    assert calls == [g2, g2]
+    # a kept verdict does not skip the check that the element uses the
+    # basis's variables: a same-position generator of another name is foreign
+    x1 = gens[0]
+    alias = Element.from_generator(Generator("z", x1.degree, x1.index))
+    assert zero_divisor_witness(Element.from_generator(x1), gb1) is not None
+    with pytest.raises(UnknownGenerator):
+        zero_divisor_witness(alias, gb1)
+
+
 def test_zero_is_zero_divisor():
     gens = make_vars(("x", 2),)
     x, = els(gens)
@@ -494,6 +534,7 @@ def test_regular_sequence_failure_skips_the_zero_ideal(mixed_model, monkeypatch)
     m = mixed_model
     gens = m.even_generators
     g1, g2 = (m.d(m.element(f"y{i}")) for i in (1, 2))
+    groebner._CACHE.clear()  # no basis with a kept verdict from an earlier test
     calls = []
 
     def counted(gb, a):
@@ -552,6 +593,32 @@ def test_hilbert_identity_agrees_with_prefix_loop(case):
     else:
         assert not groebner._hilbert_identity_holds(seq, gens)
     assert regular_sequence_failure(seq, gens) == reference
+
+
+@PROPERTY
+@given(weighted_sequences(degrees=(4, 6)))
+def test_kept_witness_equals_fresh_computation(case):
+    gens, seq = case
+    assert groebner.CHECK
+    x1 = Element.from_generator(gens[0])
+    # the prefix holds x1 * f_1, so x1 * a is a zero divisor (witnessed by
+    # f_1) unless f_1 lies in the ideal
+    prefix = [x1 * seq[0]] + seq[1:-1]
+    a = seq[-1]
+    elements = [a, x1 * a, Element.zero(), x1 * prefix[0]]
+    groebner._CACHE.clear()
+    gb = buchberger(prefix, gens)
+    kept = [zero_divisor_witness(e, gb) for e in elements]
+    assert all(zero_divisor_witness(e, gb) is w for e, w in zip(elements, kept))
+    assert kept[1] is not None or member(seq[0], gb)
+    assert kept[2] == kept[3] == Element.one()
+    for e, w in zip(elements, kept):
+        if w is not None:
+            assert member(w * e, gb) and not member(w, gb)
+        groebner._CACHE.clear()
+        fresh = buchberger(prefix, gens)
+        assert fresh is not gb and not fresh._witnesses
+        assert zero_divisor_witness(e, fresh) == w
 
 
 @PROPERTY
