@@ -165,6 +165,24 @@ def _powers(key: int, table: Mapping[int, Generator]) -> list[tuple[Generator, i
     return out
 
 
+def _factors(key: int, table: Mapping[int, Generator]) -> list[tuple[Generator, int]]:
+    """``_powers`` in factor order: the even factors by position, then the
+    odd ones by position."""
+    fs = _powers(key, table)
+    return [f for f in fs if f[0].is_even] + [f for f in fs if not f[0].is_even]
+
+
+def _sort_key(key: int, factors: list[tuple[Generator, int]]) -> tuple:
+    """The canonical order of a monomial with these ``_factors``: ascending
+    degree, then higher powers of earlier generators first."""
+    return _degree(key), tuple((g.index, -e) for g, e in factors)
+
+
+def _render(factors: list[tuple[Generator, int]]) -> str:
+    """A monomial with these ``_factors`` as text, ``1`` for the unit."""
+    return "*".join(g.name if e == 1 else f"{g.name}^{e}" for g, e in factors) or "1"
+
+
 class Monomial:
     """A product of generators: its packed int ``key`` and the table of the
     generators it names, by position."""
@@ -203,20 +221,16 @@ class Monomial:
     def factors(self) -> list[tuple[Generator, int]]:
         """All factors as (generator, exponent): the even ones by position,
         then the odd ones by position."""
-        fs = _powers(self.key, self._g)
-        return [f for f in fs if f[0].is_even] + [f for f in fs if not f[0].is_even]
+        return _factors(self.key, self._g)
 
     def is_unit(self) -> bool:
         return not self.key
 
     def sort_key(self) -> tuple:
-        # ascending degree, then higher powers of earlier generators first
-        return (self.degree, tuple((g.index, -e) for g, e in self.factors()))
+        return _sort_key(self.key, self.factors())
 
     def render(self) -> str:
-        if self.is_unit():
-            return "1"
-        return "*".join(g.name if e == 1 else f"{g.name}^{e}" for g, e in self.factors())
+        return _render(self.factors())
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.key == other.key
@@ -386,10 +400,17 @@ class Element:
 
     # -- inspection ----------------------------------------------------
 
+    def _ordered(self) -> list[tuple[int, list[tuple[Generator, int]], Fraction]]:
+        """(monomial, its ``_factors``, coefficient) per term, in canonical
+        order (ascending degree, then monomial order), each monomial decoded
+        once."""
+        rows = [(k, _factors(k, self._g), c) for k, c in self._t.items()]
+        rows.sort(key=lambda row: _sort_key(row[0], row[1]))
+        return rows
+
     def items(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical order (ascending degree, then monomial order)."""
-        return sorted(((Monomial(k, self._g), c) for k, c in self._t.items()),
-                      key=lambda mc: mc[0].sort_key())
+        return [(Monomial(k, self._g), c) for k, _, c in self._ordered()]
 
     def is_zero(self) -> bool:
         return not self._t
@@ -523,15 +544,15 @@ class Element:
         if not self._t:
             return "0"
         parts: list[str] = []
-        for i, (m, c) in enumerate(self.items()):
+        for i, (k, fs, c) in enumerate(self._ordered()):
             neg = c < 0
             mag = -c if neg else c
-            if m.is_unit():
+            if not k:
                 body = str(mag)
             elif mag == 1:
-                body = m.render()
+                body = _render(fs)
             else:
-                body = f"{mag}*{m.render()}"
+                body = f"{mag}*{_render(fs)}"
             if i == 0:
                 parts.append(f"-{body}" if neg else body)
             else:

@@ -138,6 +138,8 @@ def cmd_cohomology(args) -> int:
     model = load_model(args.model)
     if args.up_to is None:
         raise InvalidInput("--up-to is required for cohomology")
+    if args.up_to < 0:
+        raise InvalidInput(f"--up-to {args.up_to} is negative")
     if args.up_to > args.max_degree:
         raise InvalidInput(
             f"--up-to {args.up_to} exceeds --max-degree {args.max_degree}")
@@ -213,8 +215,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # a verified witness may have more digits than the interpreter prints by
-    # default (4300); every input number is bounded by parsing.MAX_DIGITS
+    # default (4300); every input number is bounded by parsing.MAX_DIGITS.
+    # the limit is the interpreter's, so in-process callers get theirs back
+    limit = None
     if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7 and later
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
@@ -228,6 +233,9 @@ def main(argv=None) -> int:
         detail = " ".join(f"{type(ex).__name__}: {ex}".split())
         sys.stderr.write(f"error[internal]: {detail}\n")
         return EXIT_INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

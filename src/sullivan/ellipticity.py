@@ -27,6 +27,7 @@ from .algebra import (
     _factor,
     _fields,
     _integral,
+    _key,
     basis_sizes,
 )
 from .errors import (
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .groebner import (
     GroebnerBasis,
-    _pure_powers,
+    _nf,
     buchberger,
     member,
     quotient_dimension,
@@ -93,7 +94,8 @@ def nilpotency_exponent(model: SullivanModel, generator) -> int:
     dimension of the quotient ring, so the search always terminates.  It
     starts at b, the least power of the generator among the basis's leading
     monomials (1 when the basis holds 1): every lower power is a standard
-    monomial, so none lies in the ideal.
+    monomial, so none lies in the ideal.  Each power is tested as its packed
+    term, by the first remainder term of its division by the basis.
     """
     g = model.generator(generator)
     if not g.is_even:
@@ -105,10 +107,10 @@ def nilpotency_exponent(model: SullivanModel, generator) -> int:
     if not quotient_is_finite_dimensional(gb):
         raise NotElliptic(f"model {model.name!r} is not elliptic")
     cap = quotient_dimension(gb) + 1
-    start = 1 if gb.contains_one else _pure_powers(gb)[gb.variables.index(g)]
-    x = Element.from_generator(g)
+    start = 1 if gb.contains_one else gb.pure_powers[gb.variables.index(g)]
+    k = _key(g)
     for n in range(start, cap + 1):
-        if member(x**n, gb):
+        if not _nf({n * k: 1}, gb._basis, full=False)[2]:
             return n
     raise VerificationFailed(
         f"no power of {g.name} up to {cap} lies in the differential ideal")
@@ -152,9 +154,10 @@ def exactness_certificate(model: SullivanModel, generator,
                           exponent: int | None = None) -> ExactnessCertificate:
     """Certificate that the least nilpotent power of a generator is exact.
 
-    Membership cofactors over the differential images are turned into an
-    element whose differential is the power; the identity is re-verified
-    before returning.
+    Membership cofactors c_y over the differential images are turned into
+    the witness sum(c_y * y), built as one dict: every c_y is even, so each
+    product is its packed terms shifted by y's key with Koszul sign +1, and
+    distinct y share no key.  The identity is re-verified before returning.
     """
     g = model.generator(generator)
     n = nilpotency_exponent(model, g) if exponent is None else exponent
@@ -165,9 +168,9 @@ def exactness_certificate(model: SullivanModel, generator,
     if not ok:
         raise NotExact(
             f"{g.name}^{n} does not lie in the differential ideal")
-    witness = Element.zero()
-    for c, y in zip(cofs, model.odd_generators):
-        witness = witness + c * Element.from_generator(y)
+    witness = Element._from_dict(
+        {m + _key(y): v for c, y in zip(cofs, model.odd_generators) for m, v in c._t.items()},
+        model._table)
     cert = ExactnessCertificate(g, n, witness, power)
     if not cert.verify(model):
         raise VerificationFailed(

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .algebra import Element, Generator, _integral
+from .algebra import Element, Generator, _integral, _key
 from .ellipticity import (
     ExactnessCertificate,
     _echelon,
@@ -171,13 +171,28 @@ def _vector_pool(n: int, up_to_height: int) -> list[tuple[int, ...]]:
     return pool
 
 
-def _combine(combination: dict[Generator, int],
-             terms: dict[Generator, Element]) -> Element:
-    """The sum of c * terms[g] over a combination's {generator: c}."""
+def _combine(combination: dict[Generator, int]) -> Element:
+    """The element sum(c * g) of a combination's {generator: c}, as one dict."""
+    return Element._from_dict({_key(g): Fraction(c) for g, c in combination.items()},
+                              {g.index: g for g in combination})
+
+
+def _combine_images(combination: dict[Generator, int],
+                    images: dict[Generator, Element]) -> Element:
+    """The sum of c * images[g] over a combination's {generator: c}."""
     acc = Element.zero()
     for g, c in combination.items():
-        acc = acc + Fraction(c) * terms[g]
+        acc = acc + Fraction(c) * images[g]
     return acc
+
+
+def _assignments(caps: Sequence[int], p: int) -> list[tuple[int, ...]]:
+    """The tuples a with 0 <= a[i] <= caps[i] and sum(a) == p, in descending
+    order: each first entry from the largest down, then the rest alike."""
+    if not caps:
+        return [()] if p == 0 else []
+    return [(k,) + rest for k in range(min(caps[0], p), -1, -1)
+            for rest in _assignments(caps[1:], p - k)]
 
 
 def _candidates(gens: Sequence[Generator], p: int, seed: int,
@@ -216,10 +231,7 @@ def _candidates(gens: Sequence[Generator], p: int, seed: int,
         return
 
     seen = {_span_key({column[g]: 1} for g in combo) for combo in plain}
-    assignments = sorted(
-        (a for a in itertools.product(*(range(min(len(groups[d]), p) + 1)
-                                         for d in degrees))
-         if sum(a) == p), reverse=True)
+    assignments = _assignments([len(groups[d]) for d in degrees], p)
     rng = random.Random(seed)
     work = 0
     work_budget = 50 * max_candidates
@@ -294,13 +306,12 @@ def find_homogeneous_regular_subset(stage: FirstStage, seed: int = 0,
             f"differential images of the first stage span only {img_rank} "
             f"dimensions, fewer than the {p} required")
 
-    generators = {g: Element.from_generator(g) for g in active}
     for tried, height, picks in _candidates(
             active, p, seed, max_candidates, SearchExhausted,
             f"no regular pick within {max_candidates} candidates", start_height=2):
-        imgs = [_combine(c, images) for c in picks]
+        imgs = [_combine_images(c, images) for c in picks]
         if quotient_is_finite_dimensional(buchberger(imgs, stage.evens)):
-            els = [_combine(c, generators) for c in picks]
+            els = [_combine(c) for c in picks]
             subset = tuple(e.render() for e in els) if height == 0 else None
             return RegularChoice(els, imgs, subset, height, tried)
     raise SearchExhausted(
@@ -653,12 +664,11 @@ def exhaustive_homogeneous_search(model: SullivanModel, seed: int = 0,
         outcome.subset_complete = True
         return outcome
 
-    generators = {g: Element.from_generator(g) for g in odds}
     for tried, height, picks in _candidates(
             odds, p, seed, max_candidates, SearchSpaceTooLarge,
             f"search budget of {max_candidates} candidates exceeded", start_height=1):
         outcome.tried = tried
-        candidate = [_combine(c, generators) for c in picks]
+        candidate = [_combine(c) for c in picks]
         report = verify_f0_extension(model, candidate)
         if report.passed:
             outcome.found = candidate

@@ -291,7 +291,8 @@ class GroebnerBasis:
     The provenance (each basis element as a combination of the inputs) is
     replayed from the record of the Buchberger run on first use by
     ``member(..., cofactors=True)``, and ``zero_divisor_witness`` keeps its
-    verdicts here, so both live exactly as long as the basis.
+    verdicts here, so both live exactly as long as the basis.  So do the
+    pure powers and the count of standard monomials, each found on first use.
     """
 
     def __init__(self, variables: Sequence[Generator], inputs: Sequence[Element],
@@ -341,6 +342,29 @@ class GroebnerBasis:
     @property
     def contains_one(self) -> bool:
         return 0 in self._lms
+
+    @cached_property
+    def pure_powers(self) -> list:
+        """Per variable, its least power among the leading monomials, or None."""
+        powers: dict = {}
+        for lm in self._lms:
+            factors = _powers(lm, self._table)
+            if len(factors) == 1:
+                (g, e), = factors
+                powers[g] = min(e, powers.get(g, e))
+        return [powers.get(g) for g in self.variables]
+
+    @cached_property
+    def _standard_count(self) -> int:
+        """The number of standard monomials in the box of pure-power bounds,
+        which ``quotient_dimension`` guards before the first scan."""
+        keys = [_key(g) for g in self.variables]
+        count = 0
+        for exps in itertools.product(*(range(b) for b in self.pure_powers)):
+            m = sum(e * k for e, k in zip(exps, keys))
+            if next(_divisors(m, self._exps, range(len(self._exps))), None) is None:
+                count += 1
+        return count
 
     def __repr__(self):
         gens = "; ".join(g.render() for g in self.generators)
@@ -560,20 +584,9 @@ def is_regular_sequence(seq: Sequence[Element], variables: Sequence[Generator]):
     return False, fail[0]
 
 
-def _pure_powers(gb: GroebnerBasis) -> list:
-    """Per variable, its least power among the leading monomials, or None."""
-    powers: dict = {}
-    for lm in gb._lms:
-        factors = _powers(lm, gb._table)
-        if len(factors) == 1:
-            (g, e), = factors
-            powers[g] = min(e, powers.get(g, e))
-    return [powers.get(g) for g in gb.variables]
-
-
 def quotient_is_finite_dimensional(gb: GroebnerBasis) -> bool:
     """True iff every variable has a pure power among the leading monomials."""
-    return gb.contains_one or None not in _pure_powers(gb)
+    return gb.contains_one or None not in gb.pure_powers
 
 
 #: most candidate monomials (the box of pure-power bounds) ``quotient_dimension``
@@ -585,12 +598,13 @@ MAX_QUOTIENT_BOX = 100_000
 def quotient_dimension(gb: GroebnerBasis) -> int:
     """Number of standard monomials of a finite-dimensional quotient.
 
-    Scans the box of monomials below the pure-power leading monomials, and
-    raises InvalidInput when it holds more than MAX_QUOTIENT_BOX.
+    Scans the box of monomials below the pure-power leading monomials, once
+    per basis, and raises InvalidInput on every call when it holds more than
+    MAX_QUOTIENT_BOX.
     """
     if gb.contains_one:
         return 0
-    bounds = _pure_powers(gb)
+    bounds = gb.pure_powers
     if None in bounds:
         raise NotFiniteDimensional("quotient ring is not finite-dimensional")
     box = prod(bounds)
@@ -598,10 +612,4 @@ def quotient_dimension(gb: GroebnerBasis) -> int:
         raise InvalidInput(
             f"the quotient's standard monomials lie in a box of {box} monomials, "
             f"over the limit of {MAX_QUOTIENT_BOX}")
-    keys = [_key(g) for g in gb.variables]
-    count = 0
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        m = sum(e * k for e, k in zip(exps, keys))
-        if next(_divisors(m, gb._exps, range(len(gb._exps))), None) is None:
-            count += 1
-    return count
+    return gb._standard_count

@@ -275,3 +275,64 @@ def test_enumerate_basis_cost_guard_runs_before_any_work():
     assert time.perf_counter() - start < 1.0
     with pytest.raises(InvalidInput, match="exceeds the largest degree"):
         enumerate_basis(s2x5, MAX_DEGREE + 1)
+
+
+@st.composite
+def term_lists(draw):
+    """1 to 6 generators of mixed parity at shuffled positions, and up to 5
+    terms over them (the unit among them): (even factors, odd factors,
+    nonzero rational coefficient of either sign)."""
+    degrees = draw(st.lists(st.sampled_from((2, 3, 4, 5, 6, 7)), min_size=1, max_size=6))
+    positions = draw(st.permutations(range(len(degrees))))
+    gs = sorted((Generator(f"g{i}", d, p) for i, (d, p) in enumerate(zip(degrees, positions))),
+                key=lambda g: g.index)
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        ex = [draw(st.integers(0, 3 if g.is_even else 1)) for g in gs]
+        c = Fraction(draw(st.integers(-7, 7).filter(bool)), draw(st.integers(1, 4)))
+        terms.append((tuple((g, e) for g, e in zip(gs, ex) if e and g.is_even),
+                      tuple(g for g, e in zip(gs, ex) if e and not g.is_even), c))
+    return terms
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(term_lists())
+def test_render_matches_a_reference_through_monomials(terms):
+    # the reference orders and writes each term from its known factors:
+    # ascending degree, then higher powers of earlier generators first; the
+    # even factors by position, then the odd ones
+    ref = {}
+    for even, odd, c in terms:
+        m = Monomial.make(even, odd)
+        factors = list(even) + [(g, 1) for g in odd]
+        ref[m.key] = (m, factors, c)  # a repeated monomial keeps its last coefficient
+    rows = sorted(ref.values(), key=lambda r: (r[0].degree,
+                                                tuple((g.index, -e) for g, e in r[1])))
+    parts = []
+    for i, (m, factors, c) in enumerate(rows):
+        text = "*".join(g.name if e == 1 else f"{g.name}^{e}" for g, e in factors)
+        mag = abs(c)
+        body = str(mag) if not factors else text if mag == 1 else f"{mag}*{text}"
+        assert m.render() == (text or "1")
+        assert m.sort_key() == (m.degree, tuple((g.index, -e) for g, e in factors))
+        parts.append(("-" if c < 0 else "") + body if i == 0
+                     else (" - " if c < 0 else " + ") + body)
+    e = Element({m: c for m, _, c in ref.values()})
+    assert e.render() == "".join(parts)
+    assert [(m.key, c) for m, c in e.items()] == [(m.key, c) for m, _, c in rows]
+
+
+def test_render_decodes_each_term_once(monkeypatch):
+    x, y, z = gens(("x", 2), ("y", 3), ("z", 5))
+    ex, ey, ez = (Element.from_generator(g) for g in (x, y, z))
+    e = ex ** 3 - Fraction(2, 3) * ex * ey + ey * ez + 5
+    calls = []
+
+    def counted(key, table):
+        calls.append(key)
+        return powers(key, table)
+
+    powers = algebra._powers
+    monkeypatch.setattr(algebra, "_powers", counted)
+    assert e.render() == "5 - 2/3*x*y + x^3 + y*z"
+    assert len(calls) == 4

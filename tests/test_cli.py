@@ -168,6 +168,22 @@ def test_extend_prints_witnesses_past_the_int_to_str_limit(tmp_path):
     assert f"certificate: d(1/{c}*z1) = x^2" in out
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int-to-str limit")
+@pytest.mark.parametrize("argv", [("validate", MODELS / "cp2.model"),
+                                  ("extend", MODELS / "cp2.model"),
+                                  ("cohomology", MODELS / "s2.model"),  # exit 2
+                                  ("validate", MODELS / "missing.model")])  # exit 2
+def test_main_leaves_the_int_to_str_limit_as_it_found_it(argv):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        run(*argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @st.composite
 def model_texts(draw):
     """Model text from a small grammar: up to MAX_GENERATORS + 3 generators,
@@ -300,6 +316,12 @@ def test_cohomology():
 def test_cohomology_requires_up_to():
     code, _, err = run("cohomology", MODELS / "s2.model")
     assert code == 2
+
+
+def test_cohomology_rejects_a_negative_up_to():
+    code, out, err = run("cohomology", MODELS / "s2.model", "--up-to", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error[invalid-input]: --up-to -3 is negative\n"
 
 
 def test_cohomology_degree_cap():

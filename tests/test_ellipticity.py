@@ -113,6 +113,23 @@ def test_nilpotency_exponent_matches_the_search_from_one(seed):
         assert nilpotency_exponent(model, g) == _exponent_from_one(model, g)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(0, 2**32))
+def test_witness_dict_equals_the_element_sum(seed):
+    # the witness is built as one dict of shifted cofactor terms; the
+    # reference multiplies and adds Elements, Koszul signs and all
+    model = make_random_model(random.Random(seed), seed)
+    gb = differential_ideal_basis(model)
+    for g in model.even_generators:
+        cert = exactness_certificate(model, g)
+        ok, cofs = member(cert.power, gb, cofactors=True)
+        reference = Element.zero()
+        for c, y in zip(cofs, model.odd_generators):
+            reference = reference + c * Element.from_generator(y)
+        assert ok and cert.witness == reference
+        assert cert.witness.render() == reference.render()
+
+
 def test_nilpotency_exponent_guards(not_elliptic, mixed_model):
     with pytest.raises(NotElliptic):
         nilpotency_exponent(not_elliptic, "x1")

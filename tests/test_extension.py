@@ -1,15 +1,24 @@
 """F0-basis extensions: staging, searching, verification, certificates."""
+import itertools
+import time
+from fractions import Fraction
+
 import pytest
 
 from sullivan import build_model, groebner
+from sullivan.algebra import Element, Generator
 from sullivan.errors import (
     InvalidInput,
     NonConstantLength,
     NotElliptic,
     NotPure,
+    SearchExhausted,
     SearchSpaceTooLarge,
 )
 from sullivan.extension import (
+    _assignments,
+    _candidates,
+    _combine,
     exhaustive_homogeneous_search,
     extension_model,
     f0_extend,
@@ -318,3 +327,40 @@ def test_search_to_dict(mixed_model):
     assert d["seed"] == 4
     assert d["tried"] == 3
     assert len(d["rejected"]) == 3
+
+
+# -- candidate enumeration ---------------------------------------------------------
+
+@pytest.mark.parametrize("caps", [(), (1,), (2, 1), (1, 1, 1), (3, 2, 1), (2, 2, 2, 2)])
+def test_assignments_are_the_filtered_product(caps):
+    for p in range(6):
+        product = sorted((a for a in itertools.product(*(range(min(c, p) + 1) for c in caps))
+                          if sum(a) == p), reverse=True)
+        assert _assignments(caps, p) == product
+
+
+def test_first_widened_candidate_is_reached_without_the_product():
+    # 12 degrees of two odd generators and 3 of one: the product of the
+    # per-degree assignments of p = 2 has 3^12 * 2^3 = 4,251,528 tuples,
+    # only 351 of which sum to 2
+    gens = []
+    for d in range(3, 33, 2):
+        for _ in range(2 if d < 27 else 1):
+            gens.append(Generator(f"y{len(gens)}", d, len(gens)))
+    start = time.perf_counter()
+    for tried, height, picks in _candidates(gens, 2, 0, 50000, SearchExhausted,
+                                            "budget", start_height=1):
+        if height:
+            break
+    assert time.perf_counter() - start < 0.5
+    assert (tried, height) == (352, 1)
+
+
+def test_combine_equals_the_element_sum():
+    y1, y2, y3 = (Generator(f"y{i}", 3, i) for i in range(1, 4))
+    combination = {y3: 2, y1: -1, y2: 5}
+    ref = Element.zero()
+    for g, c in combination.items():
+        ref = ref + Fraction(c) * Element.from_generator(g)
+    assert _combine(combination) == ref
+    assert _combine(combination).render() == ref.render() == "-y1 + 5*y2 + 2*y3"

@@ -20,6 +20,7 @@ from sullivan.algebra import Element, Generator, Monomial, make_generators
 from sullivan.ellipticity import exactness_certificate
 from sullivan.errors import (
     ConstantTermPresent,
+    InvalidInput,
     NotFiniteDimensional,
     UnknownGenerator,
     VerificationFailed,
@@ -469,6 +470,46 @@ def test_quotient_dimension_raises_when_infinite():
         quotient_dimension(gb)
 
 
+def test_quotient_facts_are_found_once_per_basis(monkeypatch):
+    gens = make_vars(("x", 2), ("y", 4))
+    x, y = els(gens)
+    groebner._CACHE.clear()
+    gb = buchberger([x ** 3, y ** 2 + x ** 4], gens)
+    decoded, scanned = [], []
+
+    def counted_powers(key, table):
+        decoded.append(key)
+        return algebra._powers(key, table)
+
+    def counted_divisors(m, exps, among):
+        scanned.append(m)
+        return algebra._divisors(m, exps, among)
+
+    monkeypatch.setattr(groebner, "_powers", counted_powers)
+    monkeypatch.setattr(groebner, "_divisors", counted_divisors)
+    for _ in range(3):
+        assert quotient_is_finite_dimensional(gb)
+        assert quotient_dimension(gb) == 6
+    # the leading monomials are decoded once, the 3 x 2 box is scanned once
+    assert len(decoded) == len(gb.generators)
+    assert len(scanned) == 6
+    # a refused box raises on every call, before any scan, also when the
+    # count is already known
+    monkeypatch.setattr(groebner, "MAX_QUOTIENT_BOX", 5)
+    groebner._CACHE.clear()
+    fresh = buchberger([x ** 3, y ** 2 + x ** 4], gens)
+    scanned.clear()
+    for basis in (fresh, fresh, gb):
+        with pytest.raises(InvalidInput):
+            quotient_dimension(basis)
+    assert scanned == []
+    # and an infinite quotient on every call
+    infinite = buchberger([x * y], gens)
+    for _ in range(2):
+        with pytest.raises(NotFiniteDimensional):
+            quotient_dimension(infinite)
+
+
 def test_whole_ring_quotient():
     gens = make_vars(("x", 2), ("y", 2))
     x, y = els(gens)
@@ -692,7 +733,7 @@ def test_packed_monomials_match_exponent_tuples(case):
     # the pure powers of the monomial ideal (a, b): its minimal generators
     minimal = [e for e in {ea, eb} if not any(f != e and _divides(f, e) for f in (ea, eb))]
     gb = buchberger([element({e: 1}, gens) for e in (ea, eb)], gens)
-    assert groebner._pure_powers(gb) == tuple_pure_powers(minimal, len(gens))
+    assert gb.pure_powers == tuple_pure_powers(minimal, len(gens))
 
 
 # -- the fraction-free path against Fraction arithmetic -------------------------
