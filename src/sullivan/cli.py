@@ -7,8 +7,9 @@ fault (a certified invariant broke, or any other unexpected exception; both
 indicate a bug); each package error's class declares its exit code
 (``errors``).  Every error is one ``error[<code>]: message`` line on stderr.
 
-JSON output is key-sorted and content-addressed: identical inputs and seeds
-produce byte-identical bytes.
+JSON output is key-sorted and content-addressed: identical inputs produce
+byte-identical bytes.  Both F0 searches enumerate their candidates in one
+fixed order, so there is no seed to set.
 """
 from __future__ import annotations
 
@@ -82,9 +83,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_extend(args) -> int:
     model = load_model(args.model)
-    result = ext.f0_extend(model, seed=args.seed, max_candidates=args.max_search)
+    result = ext.f0_extend(model, max_candidates=args.max_search)
     payload = result.to_dict()
-    payload["seed"] = args.seed
     _say(_model_summary(model), args)
     if result.odd_basis:
         _say("F0-basis extension found:", args)
@@ -101,8 +101,7 @@ def cmd_extend(args) -> int:
 
 def cmd_search(args) -> int:
     model = load_model(args.model)
-    outcome = ext.exhaustive_homogeneous_search(
-        model, seed=args.seed, max_candidates=args.max_search)
+    outcome = ext.exhaustive_homogeneous_search(model, max_candidates=args.max_search)
     payload = outcome.to_dict()
     _emit(payload, args)
     if outcome.found is None:
@@ -178,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("extend", help="construct a verified F0-basis extension")
     common(sp)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="reorders the widening coefficient search (default 0)")
     sp.add_argument("--max-search", type=int, default=50000,
                     help="candidate budget for the stage search")
     sp.set_defaults(fn=cmd_extend)
@@ -187,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search",
                         help="exhaustive search for a homogeneous F0 basis")
     common(sp)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-search", type=int, default=20000,
                     help="candidate budget before giving up")
     sp.set_defaults(fn=cmd_search)

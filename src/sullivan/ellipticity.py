@@ -21,6 +21,8 @@ from typing import Iterable
 
 from .algebra import (
     MAX_BASIS,
+    MAX_DEGREE,
+    _S,
     Element,
     Generator,
     _bases,
@@ -28,6 +30,7 @@ from .algebra import (
     _fields,
     _integral,
     _key,
+    _too_large,
     basis_sizes,
 )
 from .errors import (
@@ -262,8 +265,9 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     """Dimensions of the cohomology in degrees 0 through up_to, as a list.
 
     Works for any valid model (pure or not): ranks of the differential on
-    degreewise monomial bases, all listed by one ``_bases`` pass after their
-    number is checked against MAX_BASIS.  The ranks are exact and computed
+    degreewise monomial bases, all listed by one ``_bases`` pass after the
+    top degree is checked against MAX_DEGREE and their number against
+    MAX_BASIS.  The ranks are exact and computed
     in integers: each row is L * d of a basis monomial, which has the rank
     of d, and goes straight into ``_echelon``.  A monomial m splits as c * r,
     c its factor on the even generators with zero differential (every even
@@ -275,6 +279,8 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     """
     if up_to < 0:
         return []
+    if up_to + 1 > MAX_DEGREE:  # basis_sizes would build a list of up_to + 2 entries
+        raise _too_large((up_to + 1) << _S)
     size = sum(basis_sizes(model.generators, up_to + 1))
     if size > MAX_BASIS:
         raise InvalidInput(

@@ -22,7 +22,6 @@ gets an exactness certificate in the extension model.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -177,15 +176,6 @@ def _combine(combination: dict[Generator, int]) -> Element:
                               {g.index: g for g in combination})
 
 
-def _combine_images(combination: dict[Generator, int],
-                    images: dict[Generator, Element]) -> Element:
-    """The sum of c * images[g] over a combination's {generator: c}."""
-    acc = Element.zero()
-    for g, c in combination.items():
-        acc = acc + Fraction(c) * images[g]
-    return acc
-
-
 def _assignments(caps: Sequence[int], p: int) -> list[tuple[int, ...]]:
     """The tuples a with 0 <= a[i] <= caps[i] and sum(a) == p, in descending
     order: each first entry from the largest down, then the rest alike."""
@@ -195,22 +185,21 @@ def _assignments(caps: Sequence[int], p: int) -> list[tuple[int, ...]]:
             for rest in _assignments(caps[1:], p - k)]
 
 
-def _candidates(gens: Sequence[Generator], p: int, seed: int,
-                max_candidates: int, error: type[SullivanError],
-                budget_message: str, start_height: int):
+def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
+                error: type[SullivanError], budget_message: str):
     """Candidate picks of p homogeneous combinations of ``gens``, in search order.
 
-    Yields ``(tried, height, picks)``; ``picks`` holds one {generator:
-    integer coefficient} combination per element, inside a single degree.
-    First the plain p-subsets in ``itertools.combinations`` order (height
-    0); then, from ``start_height`` up, the candidates whose largest
-    |coefficient| is exactly the height, split across degrees by the
-    assignments of p in descending order, kept when their span is
-    p-dimensional and new, and shuffled once per height by one
-    ``random.Random(seed)``.  More than ``max_candidates`` tried, or 50
-    times as many enumeration steps, raises ``error``.  Returns only when
-    the plain subsets are the whole space: p equals the number of
-    generators, or every degree has one generator.
+    Yields ``(tried, height, picks)`` as each is enumerated; ``picks`` holds
+    one {generator: integer coefficient} combination per element, inside a
+    single degree.  First the plain p-subsets in ``itertools.combinations``
+    order (height 0); then, for heights 1, 2, ..., the candidates whose
+    largest |coefficient| is exactly the height, split across degrees by the
+    assignments of p in descending order and within an assignment in the
+    product order of the degrees' vector pools, kept when their span is
+    p-dimensional and new.  More than ``max_candidates`` tried, or 50 times
+    as many enumeration steps, raises ``error``.  Returns only when the
+    plain subsets are the whole space: p equals the number of generators,
+    or every degree has one generator.
     """
     groups: dict[int, list[Generator]] = {}
     for g in gens:
@@ -232,13 +221,9 @@ def _candidates(gens: Sequence[Generator], p: int, seed: int,
 
     seen = {_span_key({column[g]: 1} for g in combo) for combo in plain}
     assignments = _assignments([len(groups[d]) for d in degrees], p)
-    rng = random.Random(seed)
     work = 0
     work_budget = 50 * max_candidates
-    height = start_height
-    while True:
-        batch: list[tuple[dict[Generator, int], ...]] = []
-        budget = max_candidates - tried
+    for height in itertools.count(1):
         pools: dict[int, list[tuple[int, ...]]] = {}  # degree -> pool at this height
         for a in assignments:
             slots = [d for d, k in zip(degrees, a) for _ in range(k)]
@@ -258,34 +243,24 @@ def _candidates(gens: Sequence[Generator], p: int, seed: int,
                 if len(key) < p or key in seen:
                     continue
                 seen.add(key)
-                batch.append(tuple({g: c for g, c in zip(groups[d], v) if c}
-                                   for d, v in zip(slots, vectors)))
-                if len(batch) > budget:
-                    break
-            if len(batch) > budget:
-                break
-        rng.shuffle(batch)
-        for picks in batch:
-            tried += 1
-            if tried > max_candidates:
-                raise error(budget_message)
-            yield tried, height, picks
-        height += 1
+                tried += 1
+                if tried > max_candidates:
+                    raise error(budget_message)
+                yield tried, height, tuple({g: c for g, c in zip(groups[d], v) if c}
+                                           for d, v in zip(slots, vectors))
 
 
-def find_homogeneous_regular_subset(stage: FirstStage, seed: int = 0,
+def find_homogeneous_regular_subset(stage: FirstStage,
                                     max_candidates: int = 50000) -> RegularChoice:
     """Pick |evens| odd combinations of the stage with regular differentials.
 
-    Search order: plain subsets of the active odd generators in declaration
-    order, then tuples of primitive integer combinations whose largest
-    |coefficient| is exactly 2, then exactly 3, and so on.  Combinations
-    with every coefficient in {-1, 0, 1} are therefore tried only as plain
-    subsets: the schedule starts at height 2.  Each candidate subspace is
-    tested once (canonical span keys deduplicate) via finite-dimensionality
-    of the quotient by the candidate differentials, which for |evens| many
-    elements is equivalent to regularity.  Deterministic for a fixed seed;
-    the seed only reorders candidates within one height's batch.
+    Search order (``_candidates``): plain subsets of the active odd
+    generators in declaration order, then tuples of primitive integer
+    combinations whose largest |coefficient| is exactly 1, then exactly 2,
+    and so on.  Each candidate subspace is tested once (canonical span keys
+    deduplicate) via finite-dimensionality of the quotient by the candidate
+    differentials, which for |evens| many elements is equivalent to
+    regularity.  Deterministic: the order depends on the stage alone.
 
     Existence is guaranteed for stages of elliptic models, so exhausting the
     candidate budget raises SearchExhausted as a defensive error.
@@ -295,23 +270,23 @@ def find_homogeneous_regular_subset(stage: FirstStage, seed: int = 0,
     if p == 0:
         return RegularChoice([], [], (), 0, 0)
 
-    images = {g: stage.model.differential[g] for g in active}
     # rank of the image span over its monomials decides feasibility up front
     cols: dict = {}
     img_rank = len(_echelon(
-        {cols.setdefault(m, len(cols)): c for m, c in _integral(img._t)[1].items()}
-        for img in images.values()))
+        {cols.setdefault(m, len(cols)): c
+         for m, c in _integral(stage.model.differential[g]._t)[1].items()}
+        for g in active))
     if img_rank < p:
         raise SearchExhausted(
             f"differential images of the first stage span only {img_rank} "
             f"dimensions, fewer than the {p} required")
 
     for tried, height, picks in _candidates(
-            active, p, seed, max_candidates, SearchExhausted,
-            f"no regular pick within {max_candidates} candidates", start_height=2):
-        imgs = [_combine_images(c, images) for c in picks]
+            active, p, max_candidates, SearchExhausted,
+            f"no regular pick within {max_candidates} candidates"):
+        els = [_combine(c) for c in picks]
+        imgs = [stage.model.d(e) for e in els]
         if quotient_is_finite_dimensional(buchberger(imgs, stage.evens)):
-            els = [_combine(c) for c in picks]
             subset = tuple(e.render() for e in els) if height == 0 else None
             return RegularChoice(els, imgs, subset, height, tried)
     raise SearchExhausted(
@@ -514,8 +489,7 @@ def verify_f0_extension(model: SullivanModel, odd_basis: Sequence[Element]) -> V
     return report
 
 
-def f0_extend(model: SullivanModel, seed: int = 0,
-              max_candidates: int = 50000) -> ExtensionResult:
+def f0_extend(model: SullivanModel, max_candidates: int = 50000) -> ExtensionResult:
     """Construct a verified F0-basis extension of a pure elliptic model.
 
     Recursion on the even generators: take the first stage, pick a regular
@@ -548,8 +522,7 @@ def f0_extend(model: SullivanModel, seed: int = 0,
                 raise VerificationFailed(
                     f"stage {level} lost a structural property: {ex}") from ex
             raise
-        choice = find_homogeneous_regular_subset(stage, seed=seed,
-                                                 max_candidates=max_candidates)
+        choice = find_homogeneous_regular_subset(stage, max_candidates=max_candidates)
         chosen.extend(choice.elements)
         rows = _coefficient_rows(choice.elements, current.odd_generators)
         pivot_gens = [current.odd_generators[i] for i in sorted(_echelon(rows))]
@@ -609,7 +582,6 @@ class SearchOutcome:
     subset_complete: bool
     fully_exhaustive: bool
     rejected: list[RejectionRecord] = field(default_factory=list)
-    seed: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -619,31 +591,31 @@ class SearchOutcome:
             "subset_complete": self.subset_complete,
             "fully_exhaustive": self.fully_exhaustive,
             "rejected": [r.to_dict() for r in self.rejected],
-            "seed": self.seed,
         }
 
 
 MAX_REJECTIONS_KEPT = 100
 
 
-def exhaustive_homogeneous_search(model: SullivanModel, seed: int = 0,
+def exhaustive_homogeneous_search(model: SullivanModel,
                                   max_candidates: int = 20000) -> SearchOutcome:
     """Search every graded odd subspace of the right dimension for an F0 basis.
 
     Candidates are built degree by degree (homogeneity is free): first plain
     subsets of the odd generators in declaration order, then bases mixing
-    integer combinations within single degrees, with coefficient bound
-    widening.  The first candidate passing verify_f0_extension wins.  When
-    every odd degree is one-dimensional the space is finite and exhausting it
-    proves no homogeneous F0 basis exists; otherwise running past the budget
-    raises SearchSpaceTooLarge.
+    integer combinations within single degrees, by largest |coefficient| 1,
+    2, ... (``_candidates``, the stage search's order).  The first candidate
+    passing verify_f0_extension wins.  When every odd degree is
+    one-dimensional the space is finite and exhausting it proves no
+    homogeneous F0 basis exists; otherwise running past the budget raises
+    SearchSpaceTooLarge.
     """
     model.validate()
     if not is_elliptic_pure(model):
         raise NotElliptic(f"model {model.name!r} is not elliptic")
     p = len(model.even_generators)
     odds = model.odd_generators
-    outcome = SearchOutcome(None, 0, False, False, seed=seed)
+    outcome = SearchOutcome(None, 0, False, False)
 
     def reject(names: tuple[str, ...], report: VerificationReport) -> None:
         if len(outcome.rejected) >= MAX_REJECTIONS_KEPT:
@@ -665,8 +637,8 @@ def exhaustive_homogeneous_search(model: SullivanModel, seed: int = 0,
         return outcome
 
     for tried, height, picks in _candidates(
-            odds, p, seed, max_candidates, SearchSpaceTooLarge,
-            f"search budget of {max_candidates} candidates exceeded", start_height=1):
+            odds, p, max_candidates, SearchSpaceTooLarge,
+            f"search budget of {max_candidates} candidates exceeded"):
         outcome.tried = tried
         candidate = [_combine(c) for c in picks]
         report = verify_f0_extension(model, candidate)

@@ -165,17 +165,17 @@ def test_criterion_6_certificate_soundness(mixed_model):
 
 
 def _cli_suite() -> list:
-    """Every command against every applicable shipped model, fixed seeds."""
+    """Every command against every applicable shipped model."""
     files = sorted(MODELS.glob("*.model"))
     invocations = []
     for path in files:
         invocations.append(("validate", str(path), "--json"))
         invocations.append(("analyze", str(path), "--json"))
     for name in ("coformal_tower", "cp1", "cp2", "cp3", "cp4", "s2",
-                 "odd_spheres", "mixed_length", "nonpure"):
+                 "odd_spheres", "mixed_length", "nonpure", "needs_combination"):
         path = str(MODELS / f"{name}.model")
-        invocations.append(("extend", path, "--json", "--seed", "0"))
-        invocations.append(("search", path, "--json", "--seed", "0"))
+        invocations.append(("extend", path, "--json"))
+        invocations.append(("search", path, "--json"))
         invocations.append(("bound", path, "--json"))
     invocations.append(("bound", str(MODELS / "nonpure.model"),
                         "--pure-sub", "x,w", "--json"))

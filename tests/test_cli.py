@@ -227,7 +227,9 @@ def test_generated_models_end_in_a_documented_exit(text):
         path = pathlib.Path(tmp) / "fuzz.model"
         path.write_text(text)
         for argv in (("validate", path), ("analyze", path), ("bound", path),
-                     ("cohomology", path, "--up-to", "8")):
+                     ("cohomology", path, "--up-to", "8"),
+                     ("extend", path, "--max-search", "50"),
+                     ("search", path, "--max-search", "50")):
             code, out, err = run(*argv)
             assert code in (0, 1, 2)  # never an internal fault (3)
             if code:
@@ -259,14 +261,16 @@ def test_search_positive_exit_0():
     assert payload["found"] == ["y1", "y3"]
 
 
-def test_extend_tower_json_seed_echo():
-    code, out, _ = run("extend", MODELS / "coformal_tower.model",
-                       "--json", "--seed", "11")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["seed"] == 11
-    assert [z["element"] for z in payload["z_odd"]] == ["y1", "y3"]
-    assert payload["verification"]["passed"] is True
+def test_extend_and_search_take_no_seed():
+    for command in ("extend", "search"):
+        code, out, _ = run(command, MODELS / "coformal_tower.model", "--json")
+        assert code == 0
+        assert "seed" not in json.loads(out)
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+            main([command, str(MODELS / "coformal_tower.model"), "--seed", "0"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 0" in err.getvalue()
 
 
 def test_extend_no_evens_reports_empty():
@@ -377,8 +381,10 @@ def test_quotient_dimension_cost_guard_exit_2_at_once(tmp_path):
 def test_json_byte_determinism():
     invocations = [
         ("analyze", MODELS / "mixed_length.model", "--json"),
-        ("extend", MODELS / "coformal_tower.model", "--json", "--seed", "3"),
-        ("search", MODELS / "mixed_length.model", "--json", "--seed", "3"),
+        ("extend", MODELS / "coformal_tower.model", "--json"),
+        ("extend", MODELS / "needs_combination.model", "--json"),
+        ("search", MODELS / "mixed_length.model", "--json"),
+        ("search", MODELS / "needs_combination.model", "--json"),
         ("bound", MODELS / "cp4.model", "--json"),
     ]
     first = [run(*argv) for argv in invocations]

@@ -10,8 +10,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sullivan import build_model
-from sullivan.algebra import Element, Generator, _integral, make_generators
+from sullivan import build_model, ellipticity
+from sullivan.algebra import MAX_DEGREE, Element, Generator, _integral, make_generators
 from sullivan.ellipticity import (
     ExactnessCertificate,
     _echelon,
@@ -248,6 +248,25 @@ def test_cohomology_cost_guard_runs_before_any_work():
     with pytest.raises(InvalidInput, match="needs 799188 basis monomials"):
         cohomology_dims(s2x5, 40)
     assert time.perf_counter() - start < 1.0
+
+
+def test_cohomology_degree_guard_runs_before_basis_sizes(monkeypatch):
+    # basis_sizes lists a count for every degree through up_to + 1: at
+    # up_to = 10^9 that list alone would take gigabytes
+    class Counted(Exception):
+        pass
+
+    def counted(generators, top):
+        raise Counted(top)
+
+    monkeypatch.setattr(ellipticity, "basis_sizes", counted)
+    sphere = build_model([("y", 3)], {})
+    for up_to in (MAX_DEGREE, 10 ** 9):
+        with pytest.raises(InvalidInput, match=f"a monomial of degree {up_to + 1} "
+                           f"exceeds the largest degree the monomial layout holds, {MAX_DEGREE}"):
+            cohomology_dims(sphere, up_to)
+    with pytest.raises(Counted):  # the top degree itself is allowed
+        cohomology_dims(sphere, MAX_DEGREE - 1)
 
 
 # -- the shared exact eliminator, against sympy and the Fraction reference -----

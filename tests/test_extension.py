@@ -1,12 +1,15 @@
 """F0-basis extensions: staging, searching, verification, certificates."""
 import itertools
+import json
+import pathlib
 import time
 from fractions import Fraction
 
 import pytest
+from test_golden import WIDENING, _widening_models
 
-from sullivan import build_model, groebner
-from sullivan.algebra import Element, Generator
+from sullivan import build_model, groebner, load_model
+from sullivan.algebra import MAX_DEGREE, Element, Generator
 from sullivan.errors import (
     InvalidInput,
     NonConstantLength,
@@ -26,6 +29,9 @@ from sullivan.extension import (
     first_stage,
     verify_f0_extension,
 )
+from sullivan.parsing import _ExprParser
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 @pytest.fixture()
@@ -40,12 +46,7 @@ def f0_square():
 @pytest.fixture()
 def needs_combination():
     # no plain 2-subset of the odds works; an integer combination does
-    return build_model(
-        [("x", 2), ("w", 2), ("y1", 3), ("y2", 3), ("y3", 3)],
-        {"y1": lambda e: e["x"] ** 2 + e["x"] * e["w"],
-         "y2": lambda e: e["x"] * e["w"] + e["w"] ** 2,
-         "y3": lambda e: e["x"] * e["w"]},
-        name="needs-combination")
+    return load_model(MODELS / "needs_combination.model")
 
 
 def names(elements):
@@ -92,26 +93,58 @@ def test_combination_search(needs_combination):
     stage = first_stage(needs_combination)
     choice = find_homogeneous_regular_subset(stage)
     assert choice.subset is None
-    assert choice.height >= 2
+    # a coefficient in {-1, 0, 1} suffices: the first widened candidate
+    assert (choice.height, choice.tried) == (1, 4)
+    assert names(choice.elements) == ["y3", "y1 - y2 - y3"]
     for e in choice.elements:
         assert e.is_homogeneous()
     report = verify_f0_extension(needs_combination, choice.elements)
     assert report.passed
 
 
-def test_combination_search_seed_determinism(needs_combination):
+def test_combination_search_determinism(needs_combination):
     stage = first_stage(needs_combination)
-    a = find_homogeneous_regular_subset(stage, seed=9)
-    b = find_homogeneous_regular_subset(first_stage(needs_combination), seed=9)
+    a = find_homogeneous_regular_subset(stage)
+    b = find_homogeneous_regular_subset(first_stage(needs_combination))
     assert names(a.elements) == names(b.elements)
+    assert (a.height, a.tried) == (b.height, b.tried)
 
 
-def test_combination_search_seeds_all_verify(needs_combination):
-    for seed in (0, 1, 7, 42):
-        choice = find_homogeneous_regular_subset(
-            first_stage(needs_combination), seed=seed)
-        report = verify_f0_extension(needs_combination, choice.elements)
-        assert report.passed, seed
+def test_stage_search_tries_its_first_candidate_at_once():
+    # four active odds in one degree: the pick is the ninth candidate, and
+    # it is tested before the rest of height 1 is listed
+    model = next(m for m in _widening_models() if m.name == "needs-combination-2xw")
+    stage = first_stage(model)
+    start = time.perf_counter()
+    choice = find_homogeneous_regular_subset(stage)
+    assert time.perf_counter() - start < 0.5
+    assert names(choice.elements) == ["y4", "y1 - y2 - y3 - y4"]
+    assert (choice.height, choice.tried) == (1, 9)
+
+
+def _golden_bases(row: dict):
+    """Every stage pick and found basis that a widening golden row records."""
+    yield row["stage"]["elements"]
+    yield row["search"]["found"]
+    yield [z["element"] for z in row["f0_extend"]["z_odd"]]
+    for outcome in row["budgets"].values():
+        if "result" in outcome["stage"]:
+            yield outcome["stage"]["result"]["elements"]
+        if "result" in outcome["search"]:
+            yield outcome["search"]["result"]["found"]
+
+
+def test_widening_golden_picks_all_verify():
+    models = {m.name: m for m in _widening_models()}
+    rows = json.loads(WIDENING.read_text(encoding="utf-8"))
+    assert sorted(row["model"] for row in rows) == sorted(models)
+    for row in rows:
+        model = models[row["model"]]
+        env = {g.name: model.element(g.name) for g in model.generators}
+        for basis in _golden_bases(row):
+            elements = [_ExprParser(text, env, 0, MAX_DEGREE).parse() for text in basis]
+            assert [e.render() for e in elements] == basis
+            assert verify_f0_extension(model, elements).passed, (row["model"], basis)
 
 
 # -- verification ---------------------------------------------------------------
@@ -220,9 +253,9 @@ def test_f0_extend_combination_case(needs_combination):
         assert e.is_homogeneous()
 
 
-def test_f0_extend_seed_determinism(needs_combination):
-    a = f0_extend(needs_combination, seed=3)
-    b = f0_extend(needs_combination, seed=3)
+def test_f0_extend_determinism(needs_combination):
+    a = f0_extend(needs_combination)
+    b = f0_extend(needs_combination)
     assert names(a.odd_basis) == names(b.odd_basis)
     assert a.to_dict() == b.to_dict()
 
@@ -321,10 +354,9 @@ def test_search_budget(mixed_model):
 
 
 def test_search_to_dict(mixed_model):
-    out = exhaustive_homogeneous_search(mixed_model, seed=4)
+    out = exhaustive_homogeneous_search(mixed_model)
     d = out.to_dict()
     assert d["found"] is None
-    assert d["seed"] == 4
     assert d["tried"] == 3
     assert len(d["rejected"]) == 3
 
@@ -348,8 +380,7 @@ def test_first_widened_candidate_is_reached_without_the_product():
         for _ in range(2 if d < 27 else 1):
             gens.append(Generator(f"y{len(gens)}", d, len(gens)))
     start = time.perf_counter()
-    for tried, height, picks in _candidates(gens, 2, 0, 50000, SearchExhausted,
-                                            "budget", start_height=1):
+    for tried, height, picks in _candidates(gens, 2, 50000, SearchExhausted, "budget"):
         if height:
             break
     assert time.perf_counter() - start < 0.5

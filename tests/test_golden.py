@@ -6,11 +6,12 @@ repository root), the exit code, stdout and stderr.  The test re-runs the
 suite and compares the serialized result with the file byte for byte, so a
 refactor that changes any certificate, witness or report fails here.
 
-Every ``search`` in the CLI suite stops among the plain subsets, so
-``golden/search_widening.json`` covers the combination candidates: for two
-models that need them and seeds 0-11 it holds the stage search's choice, the
-exhaustive search's outcome, the F0 extension, and what both searches do at
-candidate budgets 1, 3, 5 and 40 (the exception class, or the result).
+Only ``needs_combination`` takes a ``search`` in the CLI suite past the
+plain subsets, so ``golden/search_widening.json`` covers the combination
+candidates further: for three models that need them it holds the stage
+search's choice, the exhaustive search's outcome, the F0 extension, and what
+both searches do at candidate budgets 1, 3, 5 and 40 (the exception class,
+or the result).
 
 After an intended change of output, regenerate both files with
 
@@ -34,7 +35,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_suite.json"
 WIDENING = pathlib.Path(__file__).resolve().parent / "golden" / "search_widening.json"
 
-WIDENING_SEEDS = range(12)
 WIDENING_BUDGETS = (1, 3, 5, 40)
 
 
@@ -53,16 +53,20 @@ def snapshot() -> str:
 
 
 def _widening_models():
-    # ``needs-combination`` is the fixture of test_extension.py: no plain
-    # 2-subset of the odds is regular.  The variant adds an odd generator in
-    # a second degree with zero differential, so the exhaustive search mixes
-    # two degrees.
+    # ``needs-combination`` is models/needs_combination.model: no plain
+    # 2-subset of the odds is regular.  The first variant adds an odd
+    # generator in a second degree with zero differential, so the exhaustive
+    # search mixes two degrees.  The second adds y4 in degree 3 with
+    # d(y4) = 2xw, so the stage search widens over four active odds.
     gens = [("x", 2), ("w", 2), ("y1", 3), ("y2", 3), ("y3", 3)]
     diffs = {"y1": lambda e: e["x"] ** 2 + e["x"] * e["w"],
              "y2": lambda e: e["x"] * e["w"] + e["w"] ** 2,
              "y3": lambda e: e["x"] * e["w"]}
     return [build_model(gens, diffs, name="needs-combination"),
-            build_model(gens + [("y4", 5)], diffs, name="needs-combination-4")]
+            build_model(gens + [("y4", 5)], diffs, name="needs-combination-4"),
+            build_model(gens + [("y4", 3)],
+                        {**diffs, "y4": lambda e: 2 * e["x"] * e["w"]},
+                        name="needs-combination-2xw")]
 
 
 def _choice_dict(choice) -> dict:
@@ -82,25 +86,21 @@ def _outcome(call) -> dict:
 def widening_snapshot() -> str:
     rows = []
     for model in _widening_models():
-        for seed in WIDENING_SEEDS:
-            budgets = {}
-            for budget in WIDENING_BUDGETS:
-                budgets[str(budget)] = {
-                    "stage": _outcome(lambda: _choice_dict(
-                        find_homogeneous_regular_subset(
-                            first_stage(model), seed=seed, max_candidates=budget))),
-                    "search": _outcome(lambda: exhaustive_homogeneous_search(
-                        model, seed=seed, max_candidates=budget).to_dict()),
-                }
-            rows.append({
-                "model": model.name,
-                "seed": seed,
-                "stage": _choice_dict(
-                    find_homogeneous_regular_subset(first_stage(model), seed=seed)),
-                "search": exhaustive_homogeneous_search(model, seed=seed).to_dict(),
-                "f0_extend": f0_extend(model, seed=seed).to_dict(),
-                "budgets": budgets,
-            })
+        budgets = {}
+        for budget in WIDENING_BUDGETS:
+            budgets[str(budget)] = {
+                "stage": _outcome(lambda: _choice_dict(find_homogeneous_regular_subset(
+                    first_stage(model), max_candidates=budget))),
+                "search": _outcome(lambda: exhaustive_homogeneous_search(
+                    model, max_candidates=budget).to_dict()),
+            }
+        rows.append({
+            "model": model.name,
+            "stage": _choice_dict(find_homogeneous_regular_subset(first_stage(model))),
+            "search": exhaustive_homogeneous_search(model).to_dict(),
+            "f0_extend": f0_extend(model).to_dict(),
+            "budgets": budgets,
+        })
     return json.dumps(rows, indent=1) + "\n"
 
 
