@@ -4,7 +4,9 @@ A generator carries a topological degree (>= 2) and a fixed position.  The
 algebra is polynomial on even-degree generators and exterior on odd-degree
 ones; products follow the Koszul sign rule, so swapping two odd factors flips
 the sign and the square of an odd generator vanishes.  Element coefficients
-are exact ``fractions.Fraction`` values.  The exact checks that only need a
+are exact: an ``int`` when integral, otherwise a ``fractions.Fraction``, never
+a ``float``; sums and products may leave an integral ``Fraction``, which
+compares, hashes and renders as its ``int``.  The exact checks that only need a
 result up to a nonzero integer factor (cohomology ranks, certificate
 re-checks, and the Groebner layer's fraction-free path) clear denominators
 once (``_integral``) and then compute in Python ints.
@@ -27,7 +29,7 @@ Elements are immutable by convention: every operation returns a fresh value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -72,11 +74,17 @@ MIXED_DEGREES = SpecialDegree("mixed-degrees")
 
 @dataclass(frozen=True)
 class Generator:
-    """A free generator: name, topological degree, canonical position."""
+    """A free generator: name, topological degree, canonical position.
+
+    Its parity and hash are computed once, at construction; the hash reads
+    the degree and position alone, which equal generators share.
+    """
 
     name: str
     degree: int
     index: int
+    is_even: bool = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.degree < 2:
@@ -89,10 +97,11 @@ class Generator:
                 f"generator {self.name!r} (degree {self.degree}, position "
                 f"{self.index}) is outside the monomial layout: degrees below "
                 f"{MAX_DEGREE}, positions 0 to {MAX_GENERATORS - 1}")
+        object.__setattr__(self, "is_even", self.degree % 2 == 0)
+        object.__setattr__(self, "_hash", hash((self.degree, self.index)))
 
-    @property
-    def is_even(self) -> bool:
-        return self.degree % 2 == 0
+    def __hash__(self):
+        return self._hash
 
     def __lt__(self, other: "Generator") -> bool:
         return self.index < other.index
@@ -294,6 +303,20 @@ def _derive_into(t: dict[int, Scalar], m: int, c: Scalar,
         _mul_into(t, image.items(), ((m - _key(g), cf),))
 
 
+def _exact(c) -> Scalar:
+    """c as a coefficient: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(n: int, d: int) -> Scalar:
+    """n / d exactly, for ints n and d != 0: an int when d divides n."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 def _integral(p: Mapping, den: int = 1) -> tuple[int, dict]:
     """(D, D * p) with int values, for D the lcm of den and the denominators
     of p's (int or Fraction) coefficients."""
@@ -362,11 +385,11 @@ class Element:
     __slots__ = ("_t", "_g")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        t: dict[int, Fraction] = {}
+        t: dict[int, Scalar] = {}
         table: dict[int, Generator] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     t[m.key] = c
                     if any(table.setdefault(i, g) != g for i, g in m._g.items()):
@@ -375,7 +398,7 @@ class Element:
         self._g = table
 
     @staticmethod
-    def _from_dict(t: dict[int, Fraction], table: dict[int, Generator]) -> "Element":
+    def _from_dict(t: dict[int, Scalar], table: dict[int, Generator]) -> "Element":
         e = Element.__new__(Element)
         e._t = t
         e._g = table
@@ -387,20 +410,20 @@ class Element:
 
     @staticmethod
     def one() -> "Element":
-        return Element._from_dict({0: Fraction(1)}, {})
+        return Element._from_dict({0: 1}, {})
 
     @staticmethod
     def scalar(c: Scalar) -> "Element":
-        c = Fraction(c)
+        c = _exact(c)
         return Element._from_dict({0: c} if c else {}, {})
 
     @staticmethod
     def from_generator(g: Generator) -> "Element":
-        return Element._from_dict({_key(g): Fraction(1)}, {g.index: g})
+        return Element._from_dict({_key(g): 1}, {g.index: g})
 
     # -- inspection ----------------------------------------------------
 
-    def _ordered(self) -> list[tuple[int, list[tuple[Generator, int]], Fraction]]:
+    def _ordered(self) -> list[tuple[int, list[tuple[Generator, int]], Scalar]]:
         """(monomial, its ``_factors``, coefficient) per term, in canonical
         order (ascending degree, then monomial order), each monomial decoded
         once."""
@@ -408,7 +431,7 @@ class Element:
         rows.sort(key=lambda row: _sort_key(row[0], row[1]))
         return rows
 
-    def items(self) -> list[tuple[Monomial, Fraction]]:
+    def items(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in canonical order (ascending degree, then monomial order)."""
         return [(Monomial(k, self._g), c) for k, _, c in self._ordered()]
 
@@ -439,9 +462,9 @@ class Element:
         """True when no term carries an odd factor."""
         return not _used(self._t) & _LOW
 
-    def odd_linear_part(self) -> dict[Generator, Fraction] | None:
+    def odd_linear_part(self) -> dict[Generator, Scalar] | None:
         """Coefficients when the element is a combination of odd generators, else None."""
-        out: dict[Generator, Fraction] = {}
+        out: dict[Generator, Scalar] = {}
         for k, c in self._t.items():
             fs = _powers(k, self._g)
             if len(fs) != 1 or fs[0][0].is_even:
@@ -497,13 +520,13 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _exact(other)
             if not c:
                 return Element.zero()
             return Element._from_dict({k: c * v for k, v in self._t.items()}, self._g)
         if not isinstance(other, Element):
             return NotImplemented
-        t: dict[int, Fraction] = {}
+        t: dict[int, Scalar] = {}
         _mul_into(t, self._t.items(), other._t.items())
         return Element._from_dict(t, _union(self, other))
 

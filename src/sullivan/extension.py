@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -43,7 +42,6 @@ from .errors import (
     NonConstantLength,
     SearchExhausted,
     SearchSpaceTooLarge,
-    SullivanError,
     VerificationFailed,
 )
 from .groebner import (
@@ -172,7 +170,7 @@ def _vector_pool(n: int, up_to_height: int) -> list[tuple[int, ...]]:
 
 def _combine(combination: dict[Generator, int]) -> Element:
     """The element sum(c * g) of a combination's {generator: c}, as one dict."""
-    return Element._from_dict({_key(g): Fraction(c) for g, c in combination.items()},
+    return Element._from_dict({_key(g): c for g, c in combination.items()},
                               {g.index: g for g in combination})
 
 
@@ -186,7 +184,7 @@ def _assignments(caps: Sequence[int], p: int) -> list[tuple[int, ...]]:
 
 
 def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
-                error: type[SullivanError], budget_message: str):
+                budget_message: str):
     """Candidate picks of p homogeneous combinations of ``gens``, in search order.
 
     Yields ``(tried, height, picks)`` as each is enumerated; ``picks`` holds
@@ -197,9 +195,10 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
     assignments of p in descending order and within an assignment in the
     product order of the degrees' vector pools, kept when their span is
     p-dimensional and new.  More than ``max_candidates`` tried, or 50 times
-    as many enumeration steps, raises ``error``.  Returns only when the
-    plain subsets are the whole space: p equals the number of generators,
-    or every degree has one generator.
+    as many enumeration steps, raises SearchSpaceTooLarge, an input problem
+    like any budget the user sets.  Returns only when the plain subsets are
+    the whole space: p equals the number of generators, or every degree has
+    one generator.
     """
     groups: dict[int, list[Generator]] = {}
     for g in gens:
@@ -213,7 +212,7 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
     for combo in itertools.combinations(gens, p):
         tried += 1
         if tried > max_candidates:
-            raise error(budget_message)
+            raise SearchSpaceTooLarge(budget_message)
         plain.append(combo)
         yield tried, 0, tuple({g: 1} for g in combo)
     if p == len(gens) or all(len(groups[d]) == 1 for d in degrees):
@@ -234,7 +233,8 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
             for idx in itertools.product(*(range(len(pools[d])) for d in slots)):
                 work += 1
                 if work > work_budget:
-                    raise error(f"candidate enumeration stalled after {work} steps")
+                    raise SearchSpaceTooLarge(
+                        f"candidate enumeration stalled after {work} steps")
                 vectors = [pools[d][i] for d, i in zip(slots, idx)]
                 if max(abs(c) for v in vectors for c in v) != height:
                     continue  # of a lower height
@@ -245,7 +245,7 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
                 seen.add(key)
                 tried += 1
                 if tried > max_candidates:
-                    raise error(budget_message)
+                    raise SearchSpaceTooLarge(budget_message)
                 yield tried, height, tuple({g: c for g, c in zip(groups[d], v) if c}
                                            for d, v in zip(slots, vectors))
 
@@ -262,8 +262,10 @@ def find_homogeneous_regular_subset(stage: FirstStage,
     differentials, which for |evens| many elements is equivalent to
     regularity.  Deterministic: the order depends on the stage alone.
 
-    Existence is guaranteed for stages of elliptic models, so exhausting the
-    candidate budget raises SearchExhausted as a defensive error.
+    Running past the candidate budget raises SearchSpaceTooLarge, as the
+    exhaustive search does.  Existence is guaranteed for stages of elliptic
+    models, so an image span of rank below |evens|, or a failing only
+    candidate, raises SearchExhausted as a defensive error.
     """
     p = len(stage.evens)
     active = stage.active
@@ -282,7 +284,7 @@ def find_homogeneous_regular_subset(stage: FirstStage,
             f"dimensions, fewer than the {p} required")
 
     for tried, height, picks in _candidates(
-            active, p, max_candidates, SearchExhausted,
+            active, p, max_candidates,
             f"no regular pick within {max_candidates} candidates"):
         els = [_combine(c) for c in picks]
         imgs = [stage.model.d(e) for e in els]
@@ -637,7 +639,7 @@ def exhaustive_homogeneous_search(model: SullivanModel,
         return outcome
 
     for tried, height, picks in _candidates(
-            odds, p, max_candidates, SearchSpaceTooLarge,
+            odds, p, max_candidates,
             f"search budget of {max_candidates} candidates exceeded"):
         outcome.tried = tried
         candidate = [_combine(c) for c in picks]

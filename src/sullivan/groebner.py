@@ -59,6 +59,7 @@ from .algebra import (
     _key,
     _lcm,
     _powers,
+    _quotient,
 )
 from .errors import (
     ConstantTermPresent,
@@ -313,7 +314,7 @@ class GroebnerBasis:
     @cached_property
     def generators(self) -> list[Element]:
         """The basis elements, monic, built on first use."""
-        return [Element._from_dict({m: Fraction(c, lc) for m, c in p.items()}, self._table)
+        return [Element._from_dict({m: _quotient(c, lc) for m, c in p.items()}, self._table)
                 for p, lc in zip(self._polys, self._lcs)]
 
     def _provenance(self) -> list:
@@ -410,8 +411,8 @@ def normal_form(f: Element, gb: GroebnerBasis) -> tuple[Element, list[Element]]:
     is deterministic (basis elements are tried in ascending order).
     """
     s, cofs, rem = _nf(_terms(f, gb.variables), gb._basis, full=True)
-    rem_el = Element._from_dict({m: Fraction(c, s) for m, c in rem.items()}, gb._table)
-    cof_els = [Element._from_dict({m: Fraction(c * lc, s) for m, c in cof.items() if c},
+    rem_el = Element._from_dict({m: _quotient(c, s) for m, c in rem.items()}, gb._table)
+    cof_els = [Element._from_dict({m: _quotient(c * lc, s) for m, c in cof.items() if c},
                                   gb._table)
                for cof, lc in zip(cofs, gb._lcs)]
     if CHECK:
@@ -468,7 +469,7 @@ def member(f: Element, gb: GroebnerBasis, cofactors: bool = False):
         if c:
             _check(max(c))
     den = s * common
-    cof_els = [Element._from_dict({m: Fraction(v, den) for m, v in c.items()}, gb._table)
+    cof_els = [Element._from_dict({m: _quotient(v, den) for m, v in c.items()}, gb._table)
                for c in out]
     if CHECK:
         acc = Element.zero()
@@ -504,7 +505,7 @@ def ideal_quotient(gb: GroebnerBasis, a: Element) -> GroebnerBasis:
         if rem:
             raise VerificationFailed("intersection generator not divisible by the quotient element")
         quotient_gens.append(Element._from_dict(
-            {m: Fraction(c * den, s) for m, c in cof.items()}, gb._table))
+            {m: _quotient(c * den, s) for m, c in cof.items()}, gb._table))
     return buchberger(quotient_gens, gb.variables)
 
 

@@ -9,7 +9,6 @@ checks (image degrees, minimality, d^2 = 0) and caches its report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -17,6 +16,7 @@ from .algebra import (
     Element,
     Generator,
     Monomial,
+    Scalar,
     _derive_into,
     _integral,
     enumerate_basis,
@@ -123,6 +123,8 @@ class SullivanModel:
             raise InvalidModel("generator names must be unique within a model")
         self.name = name
         self.generators: tuple[Generator, ...] = tuple(gens)
+        self._evens = tuple(g for g in gens if g.is_even)
+        self._odds = tuple(g for g in gens if not g.is_even)
         self._by_name = {g.name: g for g in self.generators}
         self._gen_set = set(self.generators)
         d: dict[Generator, Element] = {}
@@ -161,11 +163,11 @@ class SullivanModel:
 
     @property
     def even_generators(self) -> list[Generator]:
-        return [g for g in self.generators if g.is_even]
+        return list(self._evens)
 
     @property
     def odd_generators(self) -> list[Generator]:
-        return [g for g in self.generators if not g.is_even]
+        return list(self._odds)
 
     def dim_v(self) -> int:
         return len(self.generators)
@@ -181,7 +183,7 @@ class SullivanModel:
             return self.d_generator(e)
         self._check_own(e)
         images = [(g, img._t) for g, img in self.differential.items()]
-        t: dict[int, Fraction] = {}
+        t: dict[int, Scalar] = {}
         for m, coeff in e._t.items():
             _derive_into(t, m, coeff, images)
         return Element._from_dict(t, self._table)

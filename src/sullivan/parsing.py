@@ -179,7 +179,7 @@ class _ExprParser:
         kind, v = self.t.pop()
         if kind == "number":
             try:
-                return Element.scalar(Fraction(v))
+                return Element.scalar(Fraction(v) if "/" in v else int(v))
             except ZeroDivisionError:
                 raise ModelSyntaxError(f"zero denominator in {v}", self.line) from None
         if kind == "ident":

@@ -1,4 +1,6 @@
 """Graded-commutative arithmetic: signs, degrees, rendering."""
+import dataclasses
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -20,7 +22,10 @@ from sullivan.algebra import (
     enumerate_basis,
     make_generators,
 )
-from sullivan.errors import InvalidInput, InvalidModel
+from sullivan.errors import InvalidInput, InvalidModel, SullivanError
+from sullivan.extension import exhaustive_homogeneous_search, f0_extend
+from sullivan.model import SullivanModel
+from sullivan.parsing import parse_model
 
 from conftest import brute_force_basis
 
@@ -34,6 +39,19 @@ def test_generator_degree_floor():
         Generator("x", 1, 0)
     with pytest.raises(InvalidModel):
         Generator("x", 0, 0)
+
+
+def test_generator_equality_hash_and_parity_are_fixed_at_construction():
+    a, b = Generator("x1", 2, 0), Generator("x1", 2, 0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    for other in (Generator("x2", 2, 0), Generator("x1", 4, 0), Generator("x1", 2, 1)):
+        assert a != other
+    for name, value in (("name", "x2"), ("degree", 4), ("index", 1), ("is_even", False)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, value)
+    assert a == b and repr(a) == "x1:2"
+    for d in range(2, 12):
+        assert Generator("g", d, 0).is_even == (d % 2 == 0)
 
 
 def test_make_generators_sorts_evens_by_degree():
@@ -336,3 +354,59 @@ def test_render_decodes_each_term_once(monkeypatch):
     monkeypatch.setattr(algebra, "_powers", counted)
     assert e.render() == "5 - 2/3*x*y + x^3 + y*z"
     assert len(calls) == 4
+
+
+def _wrapped(e: Element) -> Element:
+    """e with every coefficient a Fraction, the integral ones too."""
+    return Element._from_dict({k: Fraction(c) for k, c in e._t.items()}, e._g)
+
+
+def _agree(x: Element, y: Element) -> None:
+    assert x == y and hash(x) == hash(y) and x.render() == y.render()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(term_lists(), st.integers(-3, 3), st.integers(0, 3))
+def test_int_and_fraction_coefficients_give_the_same_results(terms, s, k):
+    # a has int coefficients, b rational ones (ints where integral); each
+    # result is computed again with every input coefficient a Fraction
+    a = Element({Monomial.make(even, odd): c.numerator for even, odd, c in terms})
+    b = Element({Monomial.make(even, odd): c for even, odd, c in terms[::2]})
+    assert all(type(c) is int for c in a._t.values())
+    gs = sorted({g for e in (a, b) for g in e._g.values()})
+
+    def results(a, b):
+        model = SullivanModel(gs, {g: a if g.is_even else b for g in gs})
+        return [a + b, a - b, a * b, b * a, a ** k, s * a, a * Fraction(s),
+                a.substitute_zero(gs[::2]), model.d(a), model.d(b)]
+
+    for x, y in zip(results(a, b), results(_wrapped(a), _wrapped(b))):
+        _agree(x, y)
+
+
+def test_engine_builds_int_coefficients_from_integral_models():
+    # the shipped models have integral images, so every coefficient the
+    # parser, the extension and the search build is an int
+    def check(e: Element) -> None:
+        assert all(type(c) is int for c in e._t.values()), e._t
+
+    for path in sorted(pathlib.Path(__file__).resolve().parent.parent.glob("models/*.model")):
+        model = parse_model(path.read_text(encoding="utf-8"))
+        for img in model.differential.values():
+            check(img)
+        try:
+            ext = f0_extend(model)
+        except SullivanError:
+            ext = None
+        if ext is not None:
+            for e in ext.odd_basis + list(ext.extension.differential.values()):
+                check(e)
+            for cert in ext.certificates:
+                check(cert.witness)
+                check(cert.power)
+        try:
+            found = exhaustive_homogeneous_search(model).found or []
+        except SullivanError:
+            found = []
+        for e in found:
+            check(e)

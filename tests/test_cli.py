@@ -2,6 +2,7 @@
 import gc
 import importlib
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -271,6 +272,15 @@ def test_extend_and_search_take_no_seed():
             main([command, str(MODELS / "coformal_tower.model"), "--seed", "0"])
         assert exit_.value.code == 2
         assert "unrecognized arguments: --seed 0" in err.getvalue()
+
+
+def test_a_small_search_budget_exits_2_in_extend_and_search():
+    # the user's budget is an input problem in both commands, not an internal
+    # fault; 2 stops among the three plain subsets, 3 at the first widened pick
+    for command, budget in itertools.product(("extend", "search"), ("2", "3")):
+        code, out, err = run(command, MODELS / "needs_combination.model", "--max-search", budget)
+        assert code == 2 and out == ""
+        assert err.startswith("error[search-space-too-large]: ") and err.count("\n") == 1
 
 
 def test_extend_no_evens_reports_empty():

@@ -380,7 +380,7 @@ def test_first_widened_candidate_is_reached_without_the_product():
         for _ in range(2 if d < 27 else 1):
             gens.append(Generator(f"y{len(gens)}", d, len(gens)))
     start = time.perf_counter()
-    for tried, height, picks in _candidates(gens, 2, 50000, SearchExhausted, "budget"):
+    for tried, height, picks in _candidates(gens, 2, 50000, "budget"):
         if height:
             break
     assert time.perf_counter() - start < 0.5

@@ -139,6 +139,19 @@ def test_basis_of_degree(mixed_model):
     assert len(b0) == 1 and b0[0].is_unit()
 
 
+def test_generator_lists_are_fresh_copies():
+    m = build_model([("x1", 2), ("x2", 4), ("y1", 3), ("y2", 7)],
+                    {"y1": lambda e: e["x1"] ** 2, "y2": lambda e: e["x2"] ** 2})
+    evens, odds = m.even_generators, m.odd_generators
+    assert [g.name for g in evens] == ["x1", "x2"] and [g.name for g in odds] == ["y1", "y2"]
+    evens.clear()
+    odds.append(odds[0])
+    assert [g.name for g in m.even_generators] == ["x1", "x2"]
+    assert [g.name for g in m.odd_generators] == ["y1", "y2"]
+    assert m.even_generators is not m.even_generators
+    assert m.chi_pi() == 0
+
+
 def test_dim_v(mixed_model):
     assert mixed_model.dim_v() == 5
 
