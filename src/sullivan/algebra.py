@@ -587,9 +587,9 @@ class Element:
 
 
 #: most monomials a basis listing may hold (every degree through the top
-#: one), counted before any work; the shipped models need at most 19,414 at
-#: the CLI's --max-degree default of 200, and the 93,980 of five S^2 pieces
-#: through degree 27 take 0.4 s in ``cohomology_dims`` and 0.3 s in
+#: one), counted before any work; the shipped models need at most 19,414
+#: through degree 200, and the 93,980 of five S^2 pieces through degree 27
+#: take 0.4 s in ``cohomology_dims`` and 0.3 s in
 #: ``enumerate_basis`` (Python 3.11, one core of a 2-core virtual machine)
 MAX_BASIS = 100_000
 

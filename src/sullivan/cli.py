@@ -139,9 +139,6 @@ def cmd_cohomology(args) -> int:
         raise InvalidInput("--up-to is required for cohomology")
     if args.up_to < 0:
         raise InvalidInput(f"--up-to {args.up_to} is negative")
-    if args.up_to > args.max_degree:
-        raise InvalidInput(
-            f"--up-to {args.up_to} exceeds --max-degree {args.max_degree}")
     dims = ell.cohomology_dims(model, args.up_to)
     _say(_model_summary(model), args)
     for k, d in enumerate(dims):
@@ -201,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--up-to", type=int, default=None, metavar="D",
                     help="top degree to compute (required)")
-    sp.add_argument("--max-degree", type=int, default=200,
-                    help="hard cap on --up-to (cost grows quickly)")
     sp.set_defaults(fn=cmd_cohomology)
     return p
 

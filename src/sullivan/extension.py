@@ -53,29 +53,6 @@ from .groebner import (
 from .model import SullivanModel
 
 
-# -- small exact linear algebra helpers ---------------------------------------
-
-def _coefficient_rows(elements: Sequence[Element],
-                      odd_gens: Sequence[Generator]) -> list[dict[int, int]]:
-    """Sparse rows of the elements' coefficients over the odd generators,
-    each cleared of its denominators."""
-    cols = {g: i for i, g in enumerate(odd_gens)}
-    rows = []
-    for e in elements:
-        lin = e.odd_linear_part()
-        if lin is None:
-            raise InvalidInput(
-                f"element {e.render()} is not a linear combination of odd generators")
-        row = {}
-        for g, c in lin.items():
-            if g not in cols:
-                raise InvalidInput(
-                    f"element {e.render()} uses {g.name}, not an odd generator here")
-            row[cols[g]] = c
-        rows.append(_integral(row)[1])
-    return rows
-
-
 # -- first stage ---------------------------------------------------------------
 
 @dataclass
@@ -526,7 +503,8 @@ def f0_extend(model: SullivanModel, max_candidates: int = 50000) -> ExtensionRes
             raise
         choice = find_homogeneous_regular_subset(stage, max_candidates=max_candidates)
         chosen.extend(choice.elements)
-        rows = _coefficient_rows(choice.elements, current.odd_generators)
+        col = {_key(g): i for i, g in enumerate(current.odd_generators)}
+        rows = [{col[k]: c for k, c in e._t.items()} for e in choice.elements]
         pivot_gens = [current.odd_generators[i] for i in sorted(_echelon(rows))]
         survivors = [g for g in current.generators
                      if g not in set(stage.evens) and g not in set(pivot_gens)]

@@ -245,8 +245,6 @@ class _Engine:
             push_pairs(t)
         while heap:
             lcm_ij, i, j = heappop(heap)
-            if (i, j) in done:
-                continue
             done.add((i, j))
             lmi, lmj = self.lms[i], self.lms[j]
             if lcm_ij == lmi + lmj:

@@ -32,39 +32,9 @@ _MODEL_LINE = re.compile(r'^model\s+"([^"]*)"\s*$')
 _GEN_LINE = re.compile(
     r"^(even|odd)\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(\d+)\s*(?:=\s*(\S.*))?$")
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[+\-*^()]))")
-
-
-class _Tokens:
-    def __init__(self, text: str, line: int):
-        self.line = line
-        self.items: list[tuple[str, str]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                rest = text[pos:].strip()
-                if not rest:
-                    break
-                raise ModelSyntaxError(f"unexpected character {rest[0]!r}", line)
-            pos = m.end()
-            for kind in ("number", "ident", "op"):
-                v = m.group(kind)
-                if v is not None:
-                    self.items.append((kind, _digits(v, line) if kind == "number" else v))
-                    break
-        self.i = 0
-
-    def peek(self):
-        return self.items[self.i] if self.i < len(self.items) else (None, None)
-
-    def pop(self):
-        t = self.peek()
-        self.i += 1
-        return t
+#: one token per match: a number, a name or an operator, or in the last group
+#: any other character, which the scan refuses
+_TOKEN = re.compile(r"(\d+(?:/\d+)?|[A-Za-z_][A-Za-z0-9_]*|[+\-*^()])|(\S)")
 
 
 #: deepest parenthesis nesting an expression may use; each level costs the
@@ -102,14 +72,20 @@ def _size(e: Element) -> tuple[int, int]:
 class _ExprParser:
     """Recursive descent over + - * ^ ( ) with rational coefficients.
 
-    A product or power is refused before it is expanded when a term would
-    exceed ``max_degree``, the image degree, or a coefficient
-    MAX_COEFFICIENT_BITS bits.
+    The tokens are plain strings, kept in reverse above an empty end marker,
+    so the next one is ``toks[-1]``.  A product or power is refused before it
+    is expanded when a term would exceed ``max_degree``, the image degree, or
+    a coefficient MAX_COEFFICIENT_BITS bits.
     """
 
     def __init__(self, text: str, env: dict[str, Element], line: int,
                  max_degree: int):
-        self.t = _Tokens(text, line)
+        toks = []
+        for tok, bad in _TOKEN.findall(text):
+            if bad:
+                raise ModelSyntaxError(f"unexpected character {bad!r}", line)
+            toks.append(_digits(tok, line) if tok[0].isdigit() else tok)
+        self.toks = [""] + toks[::-1]
         self.env = env
         self.line = line
         self.max_degree = max_degree
@@ -127,35 +103,29 @@ class _ExprParser:
 
     def parse(self) -> Element:
         e = self.expr()
-        kind, v = self.t.peek()
-        if kind is not None:
-            raise ModelSyntaxError(f"unexpected {v!r} after expression", self.line)
+        if self.toks[-1]:
+            raise ModelSyntaxError(
+                f"unexpected {self.toks[-1]!r} after expression", self.line)
         return e
 
     def expr(self) -> Element:
-        negate = False
-        kind, v = self.t.peek()
-        if (kind, v) == ("op", "-"):
-            self.t.pop()
-            negate = True
+        negate = self.toks[-1] == "-"
+        if negate:
+            self.toks.pop()
         acc = self.term()
         if negate:
             acc = -acc
-        while True:
-            kind, v = self.t.peek()
-            if (kind, v) == ("op", "+"):
-                self.t.pop()
+        while self.toks[-1] in ("+", "-"):
+            if self.toks.pop() == "+":
                 acc = acc + self.term()
-            elif (kind, v) == ("op", "-"):
-                self.t.pop()
-                acc = acc - self.term()
             else:
-                return acc
+                acc = acc - self.term()
+        return acc
 
     def term(self) -> Element:
         acc = self.power()
-        while self.t.peek() == ("op", "*"):
-            self.t.pop()
+        while self.toks[-1] == "*":
+            self.toks.pop()
             rhs = self.power()
             (d1, b1), (d2, b2) = _size(acc), _size(rhs)
             self._check(d1 + d2, b1 + b2)
@@ -164,10 +134,10 @@ class _ExprParser:
 
     def power(self) -> Element:
         base = self.atom()
-        if self.t.peek() == ("op", "^"):
-            self.t.pop()
-            kind, v = self.t.pop()
-            if kind != "number" or "/" in v:
+        if self.toks[-1] == "^":
+            self.toks.pop()
+            v = self.toks.pop()
+            if not v.isdigit():
                 raise ModelSyntaxError("exponent must be a positive integer", self.line)
             k = int(v)
             degree, bits = _size(base)
@@ -176,24 +146,24 @@ class _ExprParser:
         return base
 
     def atom(self) -> Element:
-        kind, v = self.t.pop()
-        if kind == "number":
+        v = self.toks.pop()
+        if v[:1].isdigit():
             try:
                 return Element.scalar(Fraction(v) if "/" in v else int(v))
             except ZeroDivisionError:
                 raise ModelSyntaxError(f"zero denominator in {v}", self.line) from None
-        if kind == "ident":
+        if v.isidentifier():
             e = self.env.get(v)
             if e is None:
                 raise UnknownGenerator(f"line {self.line}: unknown generator {v!r}")
             return e
-        if (kind, v) == ("op", "("):
+        if v == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ModelSyntaxError(
                     f"parentheses nested deeper than {MAX_NESTING}", self.line)
             e = self.expr()
-            if self.t.pop() != ("op", ")"):
+            if self.toks.pop() != ")":
                 raise ModelSyntaxError("missing closing parenthesis", self.line)
             self.depth -= 1
             return e

@@ -338,11 +338,18 @@ def test_cohomology_rejects_a_negative_up_to():
     assert err == "error[invalid-input]: --up-to -3 is negative\n"
 
 
-def test_cohomology_degree_cap():
-    code, _, err = run("cohomology", MODELS / "s2.model",
-                       "--up-to", "9999")
-    assert code == 2
-    assert "max-degree" in err
+def test_cohomology_reaches_far_degrees():
+    code, out, err = run("cohomology", MODELS / "s2.model", "--up-to", "9999")
+    assert (code, err) == (0, "")
+    assert out.endswith("total dimension through degree 9999: 2\n")
+
+
+def test_cohomology_refuses_a_degree_past_the_layout():
+    code, out, err = run("cohomology", MODELS / "s2.model", "--up-to", "40000")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error[invalid-input]: ")
+    assert err.endswith(" 32767\n")
 
 
 def test_cohomology_cost_guard_exit_2_at_once(tmp_path):

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from test_golden import WIDENING, _widening_models
 
 from sullivan import build_model, groebner, load_model
@@ -385,6 +386,24 @@ def test_first_widened_candidate_is_reached_without_the_product():
             break
     assert time.perf_counter() - start < 0.5
     assert (tried, height) == (352, 1)
+
+
+def test_widening_past_height_one():
+    gens = [Generator("y1", 3, 1), Generator("y2", 3, 2), Generator("y3", 5, 3)]
+    seen, spans = [], set()
+    with pytest.raises(SearchSpaceTooLarge):
+        for tried, height, picks in _candidates(gens, 2, 20, "budget"):
+            seen.append(height)
+            spans.add(sympy.Matrix([[pick.get(g, 0) for g in gens] for pick in picks])
+                      .rref()[0].as_immutable())
+            if height:
+                assert max(abs(c) for pick in picks for c in pick.values()) == height
+    assert len(seen) == len(spans) == 20
+    assert sorted(set(seen)) == [0, 1, 2, 3, 4]
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        for _ in _candidates(gens, 2, 50, "budget"):
+            pass
+    assert str(exc.value).startswith("candidate enumeration stalled")
 
 
 def test_combine_equals_the_element_sum():

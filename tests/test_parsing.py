@@ -119,6 +119,27 @@ def test_bad_expression_token():
         parse_model('model "m"\neven x : 2\nodd y : 3 = x ** 2\n')
 
 
+def _one_image(expr):
+    return f'model "m"\neven x : 2\nodd y : 3 = {expr}\n'
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (_one_image("x $ 2"), 3, "unexpected character '$'"),
+    (_one_image("x^2 )"), 3, "unexpected ')' after expression"),
+    (_one_image("x^y"), 3, "exponent must be a positive integer"),
+    (_one_image("x^1/2"), 3, "exponent must be a positive integer"),
+    (_one_image("x^"), 3, "exponent must be a positive integer"),
+    (_one_image("(x^2"), 3, "missing closing parenthesis"),
+    ('even x : 2\nmodel "m"\n', 2, "model line must precede generator declarations"),
+])
+def test_syntax_errors_name_their_line(text, line, message):
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(text)
+    assert type(exc.value) is ModelSyntaxError
+    assert str(exc.value) == f"line {line}: {message}"
+    assert exc.value.line == line
+
+
 def test_nesting_limit_line_number():
     def model(depth):
         expr = "(" * depth + "x^2" + ")" * depth
