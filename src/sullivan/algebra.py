@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import neg, or_
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import GeneratorMismatch, InvalidInput, InvalidModel
 
@@ -346,11 +346,15 @@ def _exponents(m: int) -> int:
     return -m & _FIELDS | m >> _T << _S
 
 
-def _divisors(m: int, exps: list[int], among: Iterable[int]) -> Iterator[int]:
-    """The k among ``among`` whose monomial, with ``_exponents`` exps[k], divides
-    m: no field exceeds m's, so (m's | guards) - exps[k] keeps every guard bit."""
+def _divisor(m: int, exps: list[int], among: Iterable[int]) -> int | None:
+    """The first k among ``among`` whose monomial, with ``_exponents`` exps[k],
+    divides m, or None: no field exceeds m's, so (m's | guards) - exps[k]
+    keeps every guard bit."""
     em = _exponents(m) | _GUARDS
-    return (k for k in among if (em - exps[k]) & _GUARDS == _GUARDS)
+    for k in among:
+        if (em - exps[k]) & _GUARDS == _GUARDS:
+            return k
+    return None
 
 
 def _lcm(a: int, b: int) -> int:

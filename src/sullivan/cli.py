@@ -14,6 +14,7 @@ fixed order, so there is no seed to set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -164,26 +165,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="parse and validate a model file")
     common(sp)
-    sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("analyze",
                         help="structural report: pureness, length, ellipticity, "
                              "exponents, formal dimension")
     common(sp)
-    sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("extend", help="construct a verified F0-basis extension")
     common(sp)
     sp.add_argument("--max-search", type=int, default=50000,
                     help="candidate budget for the stage search")
-    sp.set_defaults(fn=cmd_extend)
 
     sp = sub.add_parser("search",
                         help="exhaustive search for a homogeneous F0 basis")
     common(sp)
     sp.add_argument("--max-search", type=int, default=20000,
                     help="candidate budget before giving up")
-    sp.set_defaults(fn=cmd_search)
 
     sp = sub.add_parser("bound",
                         help="category and topological-complexity upper bounds")
@@ -192,19 +189,22 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="NAMES",
                     help="comma-separated generators of a pure elliptic "
                          "sub-model (routes the non-pure bound)")
-    sp.set_defaults(fn=cmd_bound)
 
     sp = sub.add_parser("cohomology", help="exact cohomology dimensions by degree")
     common(sp)
     sp.add_argument("--up-to", type=int, default=None, metavar="D",
                     help="top degree to compute (required)")
-    sp.set_defaults(fn=cmd_cohomology)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # a verified witness may have more digits than the interpreter prints by
     # default (4300); every input number is bounded by parsing.MAX_DIGITS.
     # the limit is the interpreter's, so in-process callers get theirs back
@@ -213,7 +213,8 @@ def main(argv=None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.fn(args)
+        # looked up by name on each call: the cached parser binds no function
+        return globals()[f"cmd_{args.command}"](args)
     except SullivanError as ex:  # its class carries the exit code
         sys.stderr.write(f"error[{ex.code}]: {ex}\n")
         return ex.exit

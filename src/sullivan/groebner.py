@@ -9,6 +9,15 @@ comparing ints, and multiplying them is adding.  Ideal quotients use one
 auxiliary elimination indeterminate, one more field above the degree, which
 dominates the order, and divide the intersection by a exactly.
 
+A reduction step divides by the lowest-index element whose leading monomial
+divides the current leading monomial; ``algebra._divisor`` is the one
+divisibility test, on the packed exponent fields.  Within one run the basis
+only grows, so every lookup is kept per monomial: the element found, which
+stays the lowest, or how far the scan got, so that the next lookup of that
+monomial scans only the elements appended since.  A reduced basis's tails
+are reduced the same way over its kept elements, and the chain criterion
+scans the elements outside its pair once, resuming after each divisor.
+
 A basis is kept as primitive integer polynomials g_k with positive leading
 coefficients (the monic ``generators`` are derived from them on first use).
 Each basis is computed once, and a small cache of recent bases (keyed on the
@@ -50,16 +59,19 @@ from typing import Iterable, Sequence
 
 from .algebra import (
     _ELIM,
+    _LOW,
     Element,
     Generator,
     _check,
-    _divisors,
+    _divisor,
     _exponents,
+    _fields,
     _integral,
     _key,
     _lcm,
     _powers,
     _quotient,
+    _used,
 )
 from .errors import (
     ConstantTermPresent,
@@ -85,13 +97,17 @@ _CACHE: OrderedDict = OrderedDict()
 _Order = namedtuple("_Order", "weights elim")
 
 
-def _terms(e: Element, variables: Iterable[Generator]) -> dict:
-    """e's terms, once they are checked to use the variables alone."""
-    if not e.is_even_polynomial():
+def _terms(e: Element, variables: Sequence[Generator]) -> dict:
+    """e's terms, once they are checked to use the variables alone: the
+    fields the terms occupy, found in one pass, hold no odd factor, and each
+    belongs to a variable that e's table holds at its position."""
+    used = _used(e._t)
+    if used & _LOW:
         raise OddGeneratorPresent(
             f"{e.render()} has odd factors; expected an even polynomial")
-    foreign = e.generators_used().difference(variables)
-    if foreign:
+    table = e._g
+    if used & ~_fields(g for g in variables if table.get(g.index) == g):
+        foreign = e.generators_used().difference(variables)
         raise UnknownGenerator(f"generator {min(foreign)!r} is not among the polynomial variables")
     return e._t
 
@@ -173,33 +189,51 @@ def _replay(rep: list, steps, built: dict, g0: int) -> list:
     return rep
 
 
-def _reduce(p: dict[int, int], basis, among: Iterable[int], full: bool):
-    """Fraction-free reduction of p (consumed) by the elements ``among`` of
-    ``basis`` = (polys, lms, exps, lcs), primitive integer polynomials g_k.
+def _reduce(p: dict[int, int], basis, seen: dict[int, int], full: bool):
+    """Fraction-free reduction of p (consumed) by the primitive integer
+    polynomials g_k of ``basis`` = (polys, lms, exps, lcs).
 
-    Each step (k, t, a, c) replaces p by a * p - c * x^t * g_k.  Returns
-    (S, R, steps) for S the product of the a and R the remainder, no term of
-    which is divisible by a leading monomial among ``among``; without
-    ``full``, R stops at its first term, which already decides membership.
+    Each step (k, t, a, c) replaces p by a * p - c * x^t * g_k, for k the
+    lowest index whose leading monomial divides p's.  ``seen`` keeps each
+    lookup, per monomial: that k, or ~n when none of the first n elements
+    divides it.  The basis only grows while ``seen`` lives, so a found k stays
+    the lowest and a miss is scanned again from n only.  Returns (S, R, steps)
+    for S the product of the a and R the remainder, no term of which is
+    divisible by a leading monomial; without ``full``, R stops at its first
+    term, which already decides membership.
     """
     polys, lms, exps, lcs = basis
+    n = len(polys)
     s, rem, steps = 1, {}, []
     while p:  # in the graded order no step raises the leading degree
         m = max(p)
         _check(m)
-        k = next(_divisors(m, exps, among), None)
-        if k is None:
-            rem[m] = p.pop(m)
-            if not full:
-                break
-            continue
-        h = gcd(p[m], lcs[k])
-        a, c = lcs[k] // h, p[m] // h
+        k = seen.get(m, -1)
+        if k < 0:
+            k = _divisor(m, exps, range(~k, n))
+            if k is None:
+                seen[m] = ~n
+                rem[m] = p.pop(m)
+                if not full:
+                    break
+                continue
+            seen[m] = k
+        lc, c = lcs[k], p[m]
+        h = gcd(c, lc)
+        a, c = lc // h, c // h
         if a != 1:
             s *= a
-            _scale((p, rem), a)
+            for q in (p, rem):
+                for key in q:
+                    q[key] *= a
         t = m - lms[k]
-        _submul(p, polys[k], c, t)
+        for key, v in polys[k].items():  # p -= c * x^t * g_k
+            key += t
+            v = p.get(key, 0) - c * v
+            if v:
+                p[key] = v
+            else:
+                del p[key]
         steps.append((k, t, a, c))
     return s, rem, steps
 
@@ -236,51 +270,67 @@ class _Engine:
     def run(self) -> None:
         heap: list = []
         done: set[tuple[int, int]] = set()
+        polys, lms, _, lcs = self.basis
+        seen: dict[int, int] = {}
 
         def push_pairs(t: int) -> None:
             for i in range(t):
-                heappush(heap, (_lcm(self.lms[i], self.lms[t]), i, t))
+                heappush(heap, (_lcm(lms[i], lms[t]), i, t))
 
-        for t in range(len(self.polys)):
+        for t in range(len(polys)):
             push_pairs(t)
         while heap:
             lcm_ij, i, j = heappop(heap)
             done.add((i, j))
-            lmi, lmj = self.lms[i], self.lms[j]
+            lmi, lmj = lms[i], lms[j]
             if lcm_ij == lmi + lmj:
                 continue  # disjoint leading monomials never yield new elements
-            if any(k != i and k != j and (min(i, k), max(i, k)) in done
-                   and (min(j, k), max(j, k)) in done
-                   for k in _divisors(lcm_ij, self.exps, range(len(self.polys)))):
-                continue  # chain criterion
+            if self._chain(lcm_ij, i, j, done):
+                continue
             ti, tj = lcm_ij - lmi, lcm_ij - lmj
-            h = gcd(self.lcs[i], self.lcs[j])
-            ci, cj = self.lcs[i] // h, self.lcs[j] // h
+            h = gcd(lcs[i], lcs[j])
+            ci, cj = lcs[i] // h, lcs[j] // h
             s: dict[int, int] = {}
-            _submul(s, self.polys[i], -cj, ti)
-            _submul(s, self.polys[j], ci, tj)
-            _, r, steps = _reduce(s, self.basis, range(len(self.polys)), True)
+            _submul(s, polys[i], -cj, ti)
+            _submul(s, polys[j], ci, tj)
+            _, r, steps = _reduce(s, self.basis, seen, True)
             if r:
                 push_pairs(self._append(r, [(i, ti, 1, -cj), (j, tj, 1, ci)] + steps))
+
+    def _chain(self, m: int, i: int, j: int, done: set) -> bool:
+        """Buchberger's chain criterion for the pair (i, j) with lcm m: some
+        third element's leading monomial divides m and both its pairs with i
+        and j are done."""
+        others = itertools.chain(range(i), range(i + 1, j), range(j + 1, len(self.exps)))
+        while (k := _divisor(m, self.exps, others)) is not None:  # resumes after k
+            if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
+                return True
+        return False
 
     def reduced(self):
         """Minimal, tail-reduced basis sorted by ascending leading monomial.
 
         Returns its elements, each primitive with a positive leading
         coefficient, and per element its record (engine index, tail steps, g0).
+        A tail is reduced by the kept elements in that order: none of them
+        divides another's leading monomial, and an element's own leading
+        monomial divides no term of its tail.
         """
-        idxs = sorted(range(len(self.polys)), key=lambda i: self.lms[i])
+        lms = self.lms
         kept: list[int] = []
-        for i in idxs:
-            if next(_divisors(self.lms[i], self.exps, kept), None) is None:
+        for i in sorted(range(len(self.polys)), key=lms.__getitem__):
+            if _divisor(lms[i], self.exps, kept) is None:
                 kept.append(i)
+        basis = tuple([part[i] for i in kept] for part in self.basis)
+        seen: dict[int, int] = {}
         polys, records = [], []
         for i in kept:
-            _, r, steps = _reduce(dict(self.polys[i]), self.basis,
-                                  [k for k in kept if k != i], True)
-            g0, r = _primitive(r)
+            tail = dict(self.polys[i])
+            lc = tail.pop(lms[i])
+            s, r, steps = _reduce(tail, basis, seen, True)
+            g0, r = _primitive({lms[i]: lc * s, **r})
             polys.append(r)
-            records.append((i, steps, g0))
+            records.append((i, [(kept[k], t, a, c) for k, t, a, c in steps], g0))
         return polys, records
 
 
@@ -361,7 +411,7 @@ class GroebnerBasis:
         count = 0
         for exps in itertools.product(*(range(b) for b in self.pure_powers)):
             m = sum(e * k for e, k in zip(exps, keys))
-            if next(_divisors(m, self._exps, range(len(self._exps))), None) is None:
+            if _divisor(m, self._exps, range(len(self._exps))) is None:
                 count += 1
         return count
 
@@ -432,7 +482,7 @@ def _nf(f: dict[int, Fraction | int], basis, full: bool):
     which already decides membership.
     """
     den, p = _integral(f)
-    s, rem, steps = _reduce(p, basis, range(len(basis[0])), full)
+    s, rem, steps = _reduce(p, basis, {}, full)
     if not full:
         return s * den, None, rem
     cofs: list[dict[int, int]] = [dict() for _ in basis[0]]

@@ -8,6 +8,7 @@ with plain graded reverse lexicographic.  Order-independent facts
 """
 import itertools
 import random
+from unittest import mock
 from fractions import Fraction
 
 import pytest
@@ -481,12 +482,12 @@ def test_quotient_facts_are_found_once_per_basis(monkeypatch):
         decoded.append(key)
         return algebra._powers(key, table)
 
-    def counted_divisors(m, exps, among):
+    def counted_divisor(m, exps, among):
         scanned.append(m)
-        return algebra._divisors(m, exps, among)
+        return algebra._divisor(m, exps, among)
 
     monkeypatch.setattr(groebner, "_powers", counted_powers)
-    monkeypatch.setattr(groebner, "_divisors", counted_divisors)
+    monkeypatch.setattr(groebner, "_divisor", counted_divisor)
     for _ in range(3):
         assert quotient_is_finite_dimensional(gb)
         assert quotient_dimension(gb) == 6
@@ -725,7 +726,7 @@ def test_packed_monomials_match_exponent_tuples(case):
     a, b = ka + ta * algebra._ELIM, kb + tb * algebra._ELIM
     elim = MonomialOrder([1] + weights, elim=True)
     assert cmp(a, b) == cmp(elim.key((ta,) + ea), elim.key((tb,) + eb))
-    divides = list(algebra._divisors(b, [algebra._exponents(a)], [0])) == [0]
+    divides = algebra._divisor(b, [algebra._exponents(a)], [0]) == 0
     assert divides == _divides((ta,) + ea, (tb,) + eb)
     lcm = tuple(max(x, y) for x, y in zip(ea, eb))
     assert algebra._lcm(a, b) == (Monomial.make(list(zip(gens, lcm))).key
@@ -885,3 +886,86 @@ def test_a_replayed_rep_that_misses_its_element_fails_the_check(mixed_model):
     gb._trace = origins, records[:-1] + [(i, steps, 2 * g0)]  # halves the last rep
     with pytest.raises(VerificationFailed, match="replayed rep"):
         gb._provenance()
+
+
+# -- every reduction step against a plain divisor scan ---------------------------
+
+def _reduce_by_steps(p, steps, polys, lms, first):
+    """p reduced by the recorded steps (k, t, a, c), each required to act on
+    the leading monomial of what is left with the divisor ``first`` gives
+    for it; a leading monomial without one moves to the remainder.  Returns
+    the remainder."""
+    p, rem = dict(p), {}
+
+    def settle():
+        while p and first(max(p)) is None:
+            m = max(p)
+            rem[m] = p.pop(m)
+
+    for k, t, a, c in steps:
+        settle()
+        m = max(p)
+        assert (k, t) == (first(m), m - lms[k])
+        p = {x: a * v for x, v in p.items()}
+        rem = {x: a * v for x, v in rem.items()}
+        for x, v in polys[k].items():
+            p[x + t] = p.get(x + t, 0) - c * v
+        p = {x: v for x, v in p.items() if v}
+    settle()
+    assert not p
+    return rem
+
+
+def _check_engine_steps(eng, records, reduced_polys, variables):
+    """Every step of the run and of ``reduced()`` divides by the first
+    element, in scan order, whose leading monomial divides the step's
+    monomial: during the run the lowest index among the elements built so
+    far, in a tail the first kept element other than its own."""
+    def exponents(m):  # (elimination exponent, exponent tuple), decoded plainly
+        t, key = divmod(m, algebra._ELIM)
+        (e,) = tuples({key: 1}, variables)
+        return (t,) + e
+
+    lm_exps = [exponents(lm) for lm in eng.lms]
+
+    def scan(among):
+        return lambda m: next((k for k in among if _divides(lm_exps[k], exponents(m))), None)
+
+    for n, (steps, g0) in enumerate(eng.origins):
+        if steps[0][0] < 0:
+            continue  # an input, taken as it is
+        (i, ti, _, ci), (j, tj, _, cj) = steps[:2]  # the S-pair's two multiples
+        s = {}
+        for k, t, c in ((i, ti, ci), (j, tj, cj)):
+            for x, v in eng.polys[k].items():
+                s[x + t] = s.get(x + t, 0) - c * v
+        s = {x: v for x, v in s.items() if v}
+        rem = _reduce_by_steps(s, steps[2:], eng.polys, eng.lms, scan(range(n)))
+        assert rem == {x: g0 * v for x, v in eng.polys[n].items()}
+    kept = [i for i, _, _ in records]
+    assert kept == sorted(kept, key=eng.lms.__getitem__)
+    for (i, steps, g0), p in zip(records, reduced_polys):
+        first = scan([k for k in kept if k != i])
+        rem = _reduce_by_steps(eng.polys[i], steps, eng.polys, eng.lms, first)
+        assert rem == {x: g0 * v for x, v in p.items()}
+
+
+@PROPERTY
+@given(weighted_sequences(counts=(-1, 0, 1), degrees=(4, 6)))
+def test_every_step_divides_by_the_first_divisor(case):
+    gens, seq = case
+    runs = []
+
+    class Recorded(groebner._Engine):
+        def reduced(self):
+            polys, records = super().reduced()
+            runs.append((self, records, polys))
+            return polys, records
+
+    groebner._CACHE.clear()
+    with mock.patch.object(groebner, "_Engine", Recorded):
+        gb = buchberger(seq[:-1], gens)
+        ideal_quotient(gb, seq[-1])  # an elimination run, then the quotient's basis
+    assert len(runs) >= 2  # the quotient's basis may be the cached prefix's
+    for eng, records, polys in runs:
+        _check_engine_steps(eng, records, polys, gens)
