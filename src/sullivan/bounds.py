@@ -103,7 +103,6 @@ def cat_estimate(model: SullivanModel) -> int:
 
     dim V^odd + (l-2)*dim V^even; the model does not have to be pure.
     """
-    model.validate()
     return _bound_report(model, []).cat_value
 
 
@@ -113,7 +112,6 @@ def tc_upper_bound(model: SullivanModel) -> BoundReport:
     At length 2 the value provably equals the generator count; that identity
     is re-checked and the coformal tag is used.
     """
-    model.validate()
     if not model.is_pure():
         raise NotPure(f"model {model.name!r} is not pure")
     return _bound_report(model, [])
@@ -126,7 +124,6 @@ def tc_upper_bound_nonpure(model: SullivanModel, pure_sub) -> BoundReport:
     differential, pure, elliptic, and contain every even generator.  The
     bound itself is 2*cat + chi_pi of the full model.
     """
-    model.validate()
     try:
         sub = model.sub_model(pure_sub, name=f"{model.name}/pure-part")
     except NotClosedUnderDifferential as ex:

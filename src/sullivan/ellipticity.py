@@ -65,7 +65,6 @@ def pure_projection_images(model: SullivanModel) -> list[Element]:
 def differential_ideal_basis(model: SullivanModel) -> GroebnerBasis:
     """Groebner basis of the pure-projection differential ideal, cached."""
     if model._dy_basis is None:
-        model.validate()
         model._dy_basis = buchberger(pure_projection_images(model),
                                      model.even_generators)
     return model._dy_basis
@@ -77,14 +76,12 @@ def is_elliptic(model: SullivanModel) -> bool:
     Decided on the pure projection: the quotient of the even subalgebra by
     the projected differentials must be finite-dimensional.
     """
-    model.validate()
     gb = differential_ideal_basis(model)
     return quotient_is_finite_dimensional(gb)
 
 
 def is_elliptic_pure(model: SullivanModel) -> bool:
     """Ellipticity test restricted to pure models; raises NotPure otherwise."""
-    model.validate()
     if not model.is_pure():
         raise NotPure(f"model {model.name!r} is not pure")
     return is_elliptic(model)
@@ -103,7 +100,6 @@ def nilpotency_exponent(model: SullivanModel, generator) -> int:
     g = model.generator(generator)
     if not g.is_even:
         raise OddGeneratorPresent(f"generator {g.name} has odd degree")
-    model.validate()
     if not model.is_pure():
         raise NotPure(f"model {model.name!r} is not pure")
     gb = differential_ideal_basis(model)
@@ -286,7 +282,6 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
         raise InvalidInput(
             f"cohomology through degree {up_to} needs {size} basis monomials, "
             f"over the limit of {MAX_BASIS}; lower --up-to")
-    model.validate()
     bases = _bases(model.generators, up_to + 1)
     cycles = _fields(g for g in model.even_generators if g not in model.differential)
     images: dict[int, dict[int, int]] = {}  # r -> L * d(r)

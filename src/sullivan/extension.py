@@ -84,7 +84,6 @@ def first_stage(model: SullivanModel) -> FirstStage:
     differential to sit in the top degree of that range, with its image a
     polynomial in the slice's even generators; both facts are re-checked.
     """
-    model.validate()
     if not model.is_pure():
         raise NotPure(f"model {model.name!r} is not pure")
     if not model.even_generators:
@@ -385,6 +384,9 @@ def extension_model(model: SullivanModel, odd_basis: Sequence[Element],
             raise InvalidInput(
                 f"odd basis entry {u.render()} is not a combination of odd generators")
         deg = u.degree()
+        if not isinstance(deg, int):
+            raise InvalidInput(
+                f"odd basis entry {u.render()} mixes degrees {sorted({g.degree for g in lin})}")
         zname = f"z{k + 1}"
         while zname in taken:
             zname += "_"
@@ -407,7 +409,6 @@ def verify_f0_extension(model: SullivanModel, odd_basis: Sequence[Element]) -> V
     and witness) and by finite-dimensionality of the quotient; when the count
     is right the two must agree.
     """
-    model.validate()
     checks: list[CheckResult] = []
     evens = model.even_generators
     even_set = set(evens)
@@ -480,7 +481,6 @@ def f0_extend(model: SullivanModel, max_candidates: int = 50000) -> ExtensionRes
     The assembled odd basis is re-verified from scratch and each even
     generator receives an exactness certificate in the extension model.
     """
-    model.validate()
     if not is_elliptic_pure(model):
         raise NotElliptic(f"model {model.name!r} is not elliptic")
     length = model.differential_length()
@@ -525,7 +525,6 @@ def f0_extend(model: SullivanModel, max_candidates: int = 50000) -> ExtensionRes
         raise VerificationFailed(
             f"constructed odd basis failed the {report.first_failure} check")
     ext = extension_model(model, chosen)
-    ext.validate()
     if ext.chi_pi() != 0:
         raise VerificationFailed("extension model has nonzero homotopy characteristic")
     if not is_elliptic_pure(ext):
@@ -590,7 +589,6 @@ def exhaustive_homogeneous_search(model: SullivanModel,
     homogeneous F0 basis exists; otherwise running past the budget raises
     SearchSpaceTooLarge.
     """
-    model.validate()
     if not is_elliptic_pure(model):
         raise NotElliptic(f"model {model.name!r} is not elliptic")
     p = len(model.even_generators)

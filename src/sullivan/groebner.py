@@ -44,8 +44,8 @@ each witness it has given (or None), keyed by the element, for as long as it
 lives: the cache returns the same basis object for a repeated prefix, so
 candidates sharing a failing prefix and element compute one ideal quotient.
 
-Set ``CHECK = True`` (done by the test suite) to re-verify every division
-identity and every replayed combination by direct arithmetic.
+No identity is re-verified here: the certificates built on lifted cofactors
+are re-checked by ``ellipticity.ExactnessCertificate.verify``.
 """
 from __future__ import annotations
 
@@ -82,10 +82,6 @@ from .errors import (
     VerificationFailed,
     ZeroElement,
 )
-
-#: re-verify cofactor identities and replayed reps on every call (slow;
-#: enabled in tests)
-CHECK = False
 
 #: how many recent bases ``buchberger`` keeps; one extension asks for the
 #: same ideal about six times in a row, so a few entries catch the repeats
@@ -375,16 +371,6 @@ class GroebnerBasis:
                 built[k] = _replay([1, [{} for _ in range(n)]], steps, built, g0)
             reps = [_replay([built[i][0], [dict(r) for r in built[i][1]]], steps, built, g0)
                     for i, steps, g0 in records]
-            if CHECK:  # sum(R_i * f_i) == D * g_k, over the lcm of the inputs' denominators
-                scaled = [_integral(e._t) for e in self.inputs]
-                big = lcm(*(den for den, _ in scaled))
-                for (d, nums), p in zip(reps, self._polys):
-                    acc: dict[int, int] = {}
-                    for r, (den, f) in zip(nums, scaled):
-                        for m, c in r.items():
-                            _submul(acc, f, -c * (big // den), m)
-                    if acc != {m: c * d * big for m, c in p.items()}:
-                        raise VerificationFailed("a replayed rep misses its basis element")
             self._reps, self._trace = reps, None
         return self._reps
 
@@ -463,12 +449,6 @@ def normal_form(f: Element, gb: GroebnerBasis) -> tuple[Element, list[Element]]:
     cof_els = [Element._from_dict({m: _quotient(c * lc, s) for m, c in cof.items() if c},
                                   gb._table)
                for cof, lc in zip(cofs, gb._lcs)]
-    if CHECK:
-        acc = Element.zero()
-        for c, g in zip(cof_els, gb.generators):
-            acc = acc + c * g
-        if acc + rem_el != f:
-            raise VerificationFailed("normal form cofactor identity failed")
     return rem_el, cof_els
 
 
@@ -519,12 +499,6 @@ def member(f: Element, gb: GroebnerBasis, cofactors: bool = False):
     den = s * common
     cof_els = [Element._from_dict({m: _quotient(v, den) for m, v in c.items()}, gb._table)
                for c in out]
-    if CHECK:
-        acc = Element.zero()
-        for c, g in zip(cof_els, gb.inputs):
-            acc = acc + c * g
-        if acc != f:
-            raise VerificationFailed("membership cofactor identity failed")
     return True, cof_els
 
 
@@ -581,8 +555,6 @@ def _zero_divisor_witness(a: Element, gb: GroebnerBasis) -> Element | None:
     q = ideal_quotient(gb, a)
     for g in q.generators:
         if not member(g, gb):
-            if CHECK and member(g * a, gb) is not True:
-                raise VerificationFailed("zero divisor witness does not multiply into the ideal")
             return g
     return None
 

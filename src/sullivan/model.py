@@ -3,8 +3,9 @@ degree +1 differential, over the rationals.
 
 A model is determined by its generators and the differential images of the
 generators; the differential extends as a graded derivation.  Models are
-treated as immutable once constructed.  ``validate`` performs the mathematical
-checks (image degrees, minimality, d^2 = 0) and caches its report.
+treated as immutable once constructed.  The constructor runs the mathematical
+checks (image degrees, minimality, d^2 = 0) and raises on the first failure,
+so every model that exists is valid; ``validate`` returns the report it kept.
 """
 from __future__ import annotations
 
@@ -142,9 +143,9 @@ class SullivanModel:
                     d[g] = img
         self.differential: dict[Generator, Element] = d
         self._table = {g.index: g for g in self.generators}
-        self._report: ModelReport | None = None
         self._dy_basis = None  # lazy Groebner cache, see ellipticity module
         self._scaled_images = None  # lazy (L, L * images), see _scaled_d
+        self._report = self._checked_report()
 
     # -- lookups --------------------------------------------------------
 
@@ -235,14 +236,16 @@ class SullivanModel:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ModelReport:
+        """The report of the checks the constructor ran."""
+        return self._report
+
+    def _checked_report(self) -> ModelReport:
         """Check degrees, minimality and d^2 = 0, raising on the first failure,
         and report the differential length."""
-        if self._report is not None:
-            return self._report
         lengths: set[int] = set()  # each image's word lengths, decoded once
         for g in self.generators:
             img = self.differential.get(g)
-            if img is None or not img:
+            if img is None:
                 continue
             deg = img.degree()
             if not isinstance(deg, int) or deg != g.degree + 1:
@@ -261,7 +264,7 @@ class SullivanModel:
             if self.d(img):
                 raise DifferentialNotSquareZero(
                     g.name, f"d^2({g.name}) = {self.d(img).render()} is nonzero")
-        self._report = ModelReport(
+        return ModelReport(
             name=self.name,
             pure=self.is_pure(),
             minimal=True,
@@ -270,7 +273,6 @@ class SullivanModel:
             n_even=len(self.even_generators),
             n_odd=len(self.odd_generators),
         )
-        return self._report
 
     # -- invariants of elliptic models --------------------------------------
 
@@ -278,9 +280,8 @@ class SullivanModel:
         """Top nonzero cohomology degree of a pure elliptic model.
 
         Computed as the sum of odd generator degrees minus sum of (even
-        degree - 1).  Requires ellipticity; validated here.
+        degree - 1).  Requires ellipticity; checked here.
         """
-        self.validate()
         from .ellipticity import is_elliptic_pure
         if not is_elliptic_pure(self):
             raise NotElliptic(f"model {self.name!r} is not elliptic")
@@ -317,13 +318,12 @@ class SullivanModel:
                 new = img.substitute_zero(killed)
                 if new:
                     diff[g] = new
-        out = SullivanModel(survivors, diff,
-                            name=name or f"{self.name}/({','.join(sorted(g.name for g in killed))})")
         try:
-            out.validate()
+            return SullivanModel(
+                survivors, diff,
+                name=name or f"{self.name}/({','.join(sorted(g.name for g in killed))})")
         except Exception as exc:  # closure implies d^2 = 0; anything else is a bug
             raise VerificationFailed(f"quotient model failed validation: {exc}") from exc
-        return out
 
     def sub_model(self, keep: Iterable[Generator | str],
                   name: str | None = None) -> "SullivanModel":

@@ -221,13 +221,11 @@ def parse_model(text: str) -> SullivanModel:
         img = _ExprParser(expr, env, lineno, deg + 1).parse()
         if img:
             diffs[gname] = img
-    model = SullivanModel(gens, diffs, name=name)
     try:
-        model.validate()
+        return SullivanModel(gens, diffs, name=name)
     except ValidationError as ex:
-        lineno = lines_of.get(getattr(ex, "generator", None))
+        lineno = lines_of.get(ex.generator)
         raise type(ex)(ex.generator, f"line {lineno}: {ex}") from ex
-    return model
 
 
 def render_model(model: SullivanModel) -> str:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from sullivan import build_model, load_model
-from sullivan.algebra import Element, Generator, Monomial
+from sullivan.algebra import Element, Generator, Monomial, _derive_into
 from sullivan.groebner import buchberger, quotient_is_finite_dimensional
 from sullivan.model import SullivanModel
 
@@ -34,6 +34,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for n in sorted(_CRITERION_LINES):
             terminalreporter.write_line(_CRITERION_LINES[n])
+
+
+class Derivation:
+    """The degree +1 derivation with arbitrary generator images, applied by
+    ``algebra._derive_into``, the step ``SullivanModel.d`` runs.  Its images
+    need not make a model: they may be linear, sit on even generators or
+    have d^2 != 0, so no ``SullivanModel`` can carry them."""
+
+    def __init__(self, images: dict):
+        self.generators = tuple(sorted(images, key=lambda g: g.index))
+        self.differential = {g: img for g, img in images.items() if img}
+        self._table = {g.index: g for g in self.generators}
+
+    def d(self, e: Element) -> Element:
+        images = [(g, img._t) for g, img in self.differential.items()]
+        t: dict = {}
+        for m, c in e._t.items():
+            _derive_into(t, m, c, images)
+        return Element._from_dict(t, self._table)
 
 
 def brute_force_basis(generators, degree: int) -> list[Monomial]:
@@ -161,8 +180,9 @@ def random_suite_cache():
 
 @pytest.fixture(scope="session")
 def d2_failure_model():
-    # degree-consistent but d^2(z) = x^3 != 0
-    return build_model(
+    # degree-consistent but d^2(z) = x^3 != 0, so building it raises: the
+    # fixture is the builder
+    return lambda: build_model(
         [("x", 2), ("y", 3), ("z", 4)],
         {"y": lambda e: e["x"] ** 2, "z": lambda e: e["x"] * e["y"]},
         name="d2-fail")

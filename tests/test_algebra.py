@@ -24,10 +24,9 @@ from sullivan.algebra import (
 )
 from sullivan.errors import InvalidInput, InvalidModel, SullivanError
 from sullivan.extension import exhaustive_homogeneous_search, f0_extend
-from sullivan.model import SullivanModel
 from sullivan.parsing import parse_model
 
-from conftest import brute_force_basis
+from conftest import Derivation, brute_force_basis
 
 
 def gens(*pairs):
@@ -376,7 +375,7 @@ def test_int_and_fraction_coefficients_give_the_same_results(terms, s, k):
     gs = sorted({g for e in (a, b) for g in e._g.values()})
 
     def results(a, b):
-        model = SullivanModel(gs, {g: a if g.is_even else b for g in gs})
+        model = Derivation({g: a if g.is_even else b for g in gs})
         return [a + b, a - b, a * b, b * a, a ** k, s * a, a * Fraction(s),
                 a.substitute_zero(gs[::2]), model.d(a), model.d(b)]
 

@@ -81,6 +81,20 @@ def test_syntax_error_exit_2(tmp_path):
     assert err.startswith("error[syntax]: line 2")
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["even x : 2", "odd y : 3 = x^2", "odd u : 5", "odd z : 7 = y*u"],
+     "error[differential-not-square-zero]: line 5: d^2(z) = x^2*u is nonzero"),
+    (["even t : 6", "odd y : 5 = t"],
+     "error[not-minimal]: line 3: d(y) has a linear part; "
+     "minimal models need word length >= 2"),
+])
+def test_validation_failures_name_the_generator_line(tmp_path, lines, message):
+    bad = tmp_path / "bad.model"
+    bad.write_text('model "bad"\n' + "".join(line + "\n" for line in lines))
+    code, out, err = run("validate", bad)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_deeply_nested_expression_exit_2(tmp_path):
     deep = tmp_path / "deep.model"
     deep.write_text('model "deep"\neven x : 2\nodd y : 3 = '

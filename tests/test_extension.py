@@ -220,6 +220,14 @@ def test_extension_model_name_collision():
     assert ext.d(ext.element("z1_")) == ext.element("z1") ** 2
 
 
+def test_extension_model_rejects_entries_that_are_not_homogeneous_combinations(mixed_model):
+    m = mixed_model
+    with pytest.raises(InvalidInput, match=r"^odd basis entry x1 is not a combination"):
+        extension_model(m, [m.element("x1")])
+    with pytest.raises(InvalidInput, match=r"^odd basis entry y1 \+ y3 mixes degrees \[29, 33\]$"):
+        extension_model(m, [m.element("y1") + m.element("y3")])
+
+
 # -- the full pipeline ------------------------------------------------------------
 
 def test_f0_extend_tower(tower_model):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from sullivan import algebra, groebner
 from sullivan.algebra import Element, Generator, Monomial, make_generators
-from sullivan.ellipticity import exactness_certificate
+from sullivan.ellipticity import differential_ideal_basis, exactness_certificate
 from sullivan.errors import (
     ConstantTermPresent,
     InvalidInput,
@@ -38,14 +38,6 @@ from sullivan.groebner import (
     regular_sequence_failure,
     zero_divisor_witness,
 )
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _enable_internal_checks():
-    old = groebner.CHECK
-    groebner.CHECK = True
-    yield
-    groebner.CHECK = old
 
 
 def make_vars(*pairs):
@@ -635,13 +627,16 @@ def test_hilbert_identity_agrees_with_prefix_loop(case):
     else:
         assert not groebner._hilbert_identity_holds(seq, gens)
     assert regular_sequence_failure(seq, gens) == reference
+    if reference is not None:  # the witness multiplies a into its prefix ideal
+        idx, w = reference
+        gb = buchberger(seq[:idx - 1], gens)
+        assert member(w * seq[idx - 1], gb) and not member(w, gb)
 
 
 @PROPERTY
 @given(weighted_sequences(degrees=(4, 6)))
 def test_kept_witness_equals_fresh_computation(case):
     gens, seq = case
-    assert groebner.CHECK
     x1 = Element.from_generator(gens[0])
     # the prefix holds x1 * f_1, so x1 * a is a zero divisor (witnessed by
     # f_1) unless f_1 lies in the ideal
@@ -667,7 +662,6 @@ def test_kept_witness_equals_fresh_computation(case):
 @given(weighted_sequences(), st.data())
 def test_lazily_lifted_cofactors_certify(case, data):
     gens, seq = case
-    assert groebner.CHECK
     groebner._CACHE.clear()
     gb = buchberger(seq, gens)
     assert gb._reps is None
@@ -875,17 +869,17 @@ def test_member_lifts_cofactors_without_a_second_run(monkeypatch, mixed_model):
     assert built == []
 
 
-def test_a_replayed_rep_that_misses_its_element_fails_the_check(mixed_model):
-    gens = mixed_model.even_generators
-    seq = [mixed_model.d(mixed_model.element(y)) for y in ("y1", "y2", "y3")]
+def test_a_corrupted_replay_record_fails_the_certificate_check(mixed_model):
+    # the replay itself re-checks nothing: a record that misses its basis
+    # element yields wrong cofactors, and the certificate's d-check catches them
+    model = SullivanModel(mixed_model.generators, mixed_model.differential)
     groebner._CACHE.clear()
-    gb = buchberger(seq, gens)
+    gb = differential_ideal_basis(model)
     groebner._CACHE.clear()  # no later test may meet the corrupted basis
     origins, records = gb._trace
-    i, steps, g0 = records[-1]
-    gb._trace = origins, records[:-1] + [(i, steps, 2 * g0)]  # halves the last rep
-    with pytest.raises(VerificationFailed, match="replayed rep"):
-        gb._provenance()
+    gb._trace = origins, [(i, steps, 2 * g0) for i, steps, g0 in records]  # halves each rep
+    with pytest.raises(VerificationFailed, match="failed the differential check"):
+        exactness_certificate(model, "x1")
 
 
 # -- every reduction step against a plain divisor scan ---------------------------

@@ -2,7 +2,7 @@
 import random
 
 import pytest
-from conftest import make_random_model
+from conftest import Derivation, make_random_model
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +14,7 @@ from sullivan.errors import (
     NotClosedUnderDifferential,
     NotMinimal,
     UnknownGenerator,
+    VerificationFailed,
 )
 from sullivan.model import SullivanModel
 
@@ -49,9 +50,8 @@ def test_d_square_zero_everywhere(mixed_model):
 
 
 def test_degree_mismatch():
-    bad = build_model([("x", 2), ("y", 5)], {"y": lambda e: e["x"] ** 2})
     with pytest.raises(DegreeMismatch):
-        bad.validate()
+        build_model([("x", 2), ("y", 5)], {"y": lambda e: e["x"] ** 2})
 
 
 def test_not_minimal():
@@ -59,16 +59,14 @@ def test_not_minimal():
                       {"z": lambda e: e["x"] ** 2 + 0 * e["y"],
                        "y": lambda e: e["x"] ** 2},
                       name="ok")
-    bad.validate()  # fine: no linear terms
-    linear = build_model([("x", 2), ("w", 5), ("z", 4)],
-                         {"z": lambda e: e["w"]})
+    assert bad.validate().minimal  # fine: no linear terms
     with pytest.raises(NotMinimal):
-        linear.validate()
+        build_model([("x", 2), ("w", 5), ("z", 4)], {"z": lambda e: e["w"]})
 
 
 def test_d_square_violation(d2_failure_model):
     with pytest.raises(DifferentialNotSquareZero) as exc:
-        d2_failure_model.validate()
+        d2_failure_model()
     assert exc.value.generator == "z"
 
 
@@ -113,6 +111,18 @@ def test_quotient_model(tower_model):
     assert q.d(q.element("y2")).is_zero()  # x1*x2 dies with x1
     assert q.d(q.element("y3")) == q.element("x2") ** 2
     q.validate()
+
+
+def test_a_quotient_failing_its_checks_is_a_verification_failure(tower_model, monkeypatch):
+    # closure under d makes every quotient valid, so a failing check is a bug
+    def failing(model):
+        raise NotMinimal("y2", "d(y2) has a linear part")
+
+    monkeypatch.setattr(SullivanModel, "_checked_report", failing)
+    with pytest.raises(VerificationFailed) as exc:
+        tower_model.quotient_model(["x1", "y1"])
+    assert str(exc.value) == "quotient model failed validation: d(y2) has a linear part"
+    assert isinstance(exc.value.__cause__, NotMinimal)
 
 
 def test_sub_model(tower_model):
@@ -183,16 +193,15 @@ def homogeneous(draw, gens, degree):
 
 @st.composite
 def free_models(draw):
-    """An unvalidated model on 1-2 even generators of degree 2 or 4 and 1-3
-    odd ones of degree 3 or 5, in shuffled positions, each with an arbitrary
-    image of degree |g| + 1: even generators get images too, and images may
-    be linear or carry odd factors, so the signs of non-pure models are
-    exercised."""
+    """A derivation on 1-2 even generators of degree 2 or 4 and 1-3 odd ones
+    of degree 3 or 5, in shuffled positions, each with an arbitrary image of
+    degree |g| + 1: even generators get images too, and images may be linear
+    or carry odd factors, so the signs of non-pure models are exercised."""
     degrees = (draw(st.lists(st.sampled_from((2, 4)), min_size=1, max_size=2))
                + draw(st.lists(st.sampled_from((3, 5)), min_size=1, max_size=3)))
     order = draw(st.permutations(range(len(degrees))))
     gens = [Generator(f"g{i}", d, order[i]) for i, d in enumerate(degrees)]
-    return SullivanModel(gens, {g: draw(homogeneous(gens, g.degree + 1)) for g in gens})
+    return Derivation({g: draw(homogeneous(gens, g.degree + 1)) for g in gens})
 
 
 @PROPERTY
