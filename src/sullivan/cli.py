@@ -82,9 +82,15 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _max_search(args) -> int:
+    if args.max_search < 1:
+        raise InvalidInput(f"--max-search must be at least 1, got {args.max_search}")
+    return args.max_search
+
+
 def cmd_extend(args) -> int:
     model = load_model(args.model)
-    result = ext.f0_extend(model, max_candidates=args.max_search)
+    result = ext.f0_extend(model, max_candidates=_max_search(args))
     payload = result.to_dict()
     _say(_model_summary(model), args)
     if result.odd_basis:
@@ -102,7 +108,7 @@ def cmd_extend(args) -> int:
 
 def cmd_search(args) -> int:
     model = load_model(args.model)
-    outcome = ext.exhaustive_homogeneous_search(model, max_candidates=args.max_search)
+    outcome = ext.exhaustive_homogeneous_search(model, max_candidates=_max_search(args))
     payload = outcome.to_dict()
     _emit(payload, args)
     if outcome.found is None:

@@ -109,7 +109,7 @@ def nilpotency_exponent(model: SullivanModel, generator) -> int:
     start = 1 if gb.contains_one else gb.pure_powers[gb.variables.index(g)]
     k = _key(g)
     for n in range(start, cap + 1):
-        if not _nf({n * k: 1}, gb._basis, full=False)[2]:
+        if not _nf({n * k: 1}, gb._basis, full=False)[1]:
             return n
     raise VerificationFailed(
         f"no power of {g.name} up to {cap} lies in the differential ideal")

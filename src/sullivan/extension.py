@@ -170,11 +170,12 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
     largest |coefficient| is exactly the height, split across degrees by the
     assignments of p in descending order and within an assignment in the
     product order of the degrees' vector pools, kept when their span is
-    p-dimensional and new.  More than ``max_candidates`` tried, or 50 times
-    as many enumeration steps, raises SearchSpaceTooLarge, an input problem
-    like any budget the user sets.  Returns only when the plain subsets are
-    the whole space: p equals the number of generators, or every degree has
-    one generator.
+    p-dimensional and new.  An assignment taking each degree whole or not at
+    all is skipped: it spans only what a plain subset spans.  More than
+    ``max_candidates`` tried, or 50 times as many enumeration steps, raises
+    SearchSpaceTooLarge, an input problem like any budget the user sets.
+    Returns only when the plain subsets are the whole space: p equals the
+    number of generators, or every degree has one generator.
     """
     groups: dict[int, list[Generator]] = {}
     for g in gens:
@@ -195,7 +196,9 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
         return
 
     seen = {_span_key({column[g]: 1} for g in combo) for combo in plain}
-    assignments = _assignments([len(groups[d]) for d in degrees], p)
+    sizes = [len(groups[d]) for d in degrees]
+    assignments = [a for a in _assignments(sizes, p)
+                   if any(0 < k < n for k, n in zip(a, sizes))]
     work = 0
     work_budget = 50 * max_candidates
     for height in itertools.count(1):

@@ -25,15 +25,16 @@ exact inputs, in caller order) serves repeated requests for the same ideal.
 Cofactors over the input generators f_i, which turn membership tests into
 certificates, are lifted on demand: the run records how it built each
 element (its S-pair or input, each reduction step, its content), and the
-first request replays that record on combinations of the inputs (Traverso,
-"Groebner trace algorithms", 1988), so no polynomial arithmetic runs twice.
-The whole path stays in integers, fraction-free (Bareiss, 1968): the replay
-keeps each g_k as sum(R_i * f_i) / D over one integer denominator, division
-finds S * f = sum(C_k * g_k) + R for one integer scale S, and lifted cofactors
-are divided by their common denominator once, at the end.  Each leading
-monomial of a reduction step and each replayed combination is checked against
-the layout's MAX_DEGREE before it is multiplied further.  All computations are
-deterministic for a fixed input order.
+first request reads that record back (Traverso, "Groebner trace algorithms",
+1988), so no polynomial arithmetic runs twice.  ``_fold`` turns a record's
+steps into cofactors C_k over earlier elements; ``_lift`` multiplies them
+out once over those elements' combinations of the inputs, over the lcm of
+their denominators.  The path stays in integers, fraction-free (Bareiss,
+1968): each g_k is kept as sum(R_i * f_i) / D for one integer D, and division
+finds S * f = sum(C_k * g_k) + R for one integer scale S.  Each leading
+monomial of a reduction step and each lifted combination is checked against
+the layout's MAX_DEGREE before it is multiplied further.  All computations
+are deterministic for a fixed input order.
 
 A sequence of as many weighted-homogeneous elements as variables is regular
 exactly when its quotient has dimension prod(deg f_i) / prod(w_j) (Stanley,
@@ -138,51 +139,45 @@ def _submul(p: dict[int, int], q: dict[int, int], c: int, t: int) -> None:
             p.pop(kk, None)
 
 
-def _scale(polys: Iterable[dict[int, int]], c: int) -> None:
-    for r in polys:
-        for k in r:
-            r[k] *= c
+def _fold(steps, cofs: dict) -> dict:
+    """cofs {k: C_k} after the recorded steps (k, t, a, c): each scales every
+    C_k by a and adds c * x^t to C_k, as p becomes a * p - c * x^t * g_k."""
+    for k, t, a, c in steps:
+        if a != 1:
+            for q in cofs.values():
+                for m in q:
+                    q[m] *= a
+        q = cofs.setdefault(k, {})
+        q[t] = q.get(t, 0) + c
+    return cofs
 
 
 # A rep [D, [R_0, ..., R_{n-1}]] stands for sum(R_i * f_i) / D over the
 # engine's inputs f_i, with integer polynomials R_i and an integer D > 0.
 
-def _rep_submul(rep: list, other: list, c: int, t: int) -> None:
-    """rep -= c * x^t * other, over the lcm of the two denominators."""
-    d, d2 = rep[0], other[0]
-    both = lcm(d, d2)
-    if both != d:
-        _scale(rep[1], both // d)
-        rep[0] = both
-    c *= both // d2
-    for r, o in zip(rep[1], other[1]):
-        _submul(r, o, c, t)
-
-
-def _rep_divide(rep: list, g0: int) -> None:
-    """rep /= g0 (nonzero): cancel gcd(g0, content) from the R_i, the rest goes to D."""
-    h = gcd(g0, _content(c for r in rep[1] for c in r.values()))
+def _lift(cofs: dict, reps, n: int, g0: int) -> list:
+    """The rep of -sum(C_k * reps[k]) / g0 over the lcm of the reps' D; gcd(g0,
+    content) cancels from the R_i and the rest, signed as g0, goes to D."""
+    common = lcm(*[reps[k][0] for k in cofs])
+    out: list[dict[int, int]] = [{} for _ in range(n)]
+    for k, q in cofs.items():
+        d, nums = reps[k]
+        scale = common // d
+        for t, c in q.items():
+            c *= scale
+            for dst, r in zip(out, nums):
+                if r:
+                    _submul(dst, r, c, t)
+    for r in filter(None, out):
+        _check(max(r))
+    h = gcd(g0, _content(c for r in out for c in r.values())) if g0 != 1 else 1
     if g0 < 0:
         h = -h
     if h != 1:
-        for r in rep[1]:
-            for k in r:
-                r[k] //= h
-    rep[0] *= g0 // h
-
-
-def _replay(rep: list, steps, built: dict, g0: int) -> list:
-    """rep after the recorded steps, each rep = a * rep - c * x^t * built[k], divided by g0."""
-    for k, t, a, c in steps:
-        if a != 1:
-            _scale(rep[1], a)
-        _rep_submul(rep, built[k], c, t)
-    for r in rep[1]:
-        if r:
-            _check(max(r))
-    if g0 != 1:
-        _rep_divide(rep, g0)
-    return rep
+        for r in out:
+            for m in r:
+                r[m] //= h
+    return [common * (g0 // h), out]
 
 
 def _reduce(p: dict[int, int], basis, seen: dict[int, int], full: bool):
@@ -237,8 +232,8 @@ def _reduce(p: dict[int, int], basis, seen: dict[int, int], full: bool):
 class _Engine:
     """Buchberger with integer arithmetic, recording how it built each element.
 
-    Element k's origin (steps, g0) rebuilds its rep: ``_replay`` from the
-    zero rep, where step index ~i stands for the unit rep of input i.
+    Element k's origin (steps, g0) gives its rep: ``_lift`` of the steps'
+    ``_fold`` from no cofactors, where step index ~i stands for input i.
     """
 
     def __init__(self, inputs: list[dict[int, Fraction | int]]):
@@ -334,7 +329,7 @@ class GroebnerBasis:
     """A reduced Groebner basis with provenance back to its input generators.
 
     The provenance (each basis element as a combination of the inputs) is
-    replayed from the record of the Buchberger run on first use by
+    folded and lifted from the record of the Buchberger run on first use by
     ``member(..., cofactors=True)``, and ``zero_divisor_witness`` keeps its
     verdicts here, so both live exactly as long as the basis.  So do the
     pure powers and the count of standard monomials, each found on first use.
@@ -362,15 +357,15 @@ class GroebnerBasis:
                 for p, lc in zip(self._polys, self._lcs)]
 
     def _provenance(self) -> list:
-        """Each basis element over the inputs, replayed in the run's order."""
+        """Each basis element over the inputs, lifted in the run's order: a
+        kept element's tail record folds from cofactor -1 at its engine element."""
         if self._reps is None:
             origins, records = self._trace
             n = len(self.inputs)
             built = {~i: [1, [{0: 1} if j == i else {} for j in range(n)]] for i in range(n)}
             for k, (steps, g0) in enumerate(origins):
-                built[k] = _replay([1, [{} for _ in range(n)]], steps, built, g0)
-            reps = [_replay([built[i][0], [dict(r) for r in built[i][1]]], steps, built, g0)
-                    for i, steps, g0 in records]
+                built[k] = _lift(_fold(steps, {}), built, n, g0)
+            reps = [_lift(_fold(steps, {i: {0: -1}}), built, n, g0) for i, steps, g0 in records]
             self._reps, self._trace = reps, None
         return self._reps
 
@@ -444,11 +439,11 @@ def normal_form(f: Element, gb: GroebnerBasis) -> tuple[Element, list[Element]]:
     remainder term is divisible by a basis leading monomial, and the result
     is deterministic (basis elements are tried in ascending order).
     """
-    s, cofs, rem = _nf(_terms(f, gb.variables), gb._basis, full=True)
+    s, rem, steps = _nf(_terms(f, gb.variables), gb._basis, full=True)
+    cofs = _fold(steps, {})
     rem_el = Element._from_dict({m: _quotient(c, s) for m, c in rem.items()}, gb._table)
-    cof_els = [Element._from_dict({m: _quotient(c * lc, s) for m, c in cof.items() if c},
-                                  gb._table)
-               for cof, lc in zip(cofs, gb._lcs)]
+    cof_els = [Element._from_dict({m: _quotient(c * lc, s) for m, c in cofs.get(k, {}).items()},
+                                  gb._table) for k, lc in enumerate(gb._lcs)]
     return rem_el, cof_els
 
 
@@ -456,47 +451,26 @@ def _nf(f: dict[int, Fraction | int], basis, full: bool):
     """Fraction-free division of f by the integer polynomials g_k of
     ``basis`` = (polys, lms, exps, lcs), a Groebner basis's or one polynomial's.
 
-    Returns (S, C, R) with S > 0, integer polynomials C_k and R, and
-    S * f = sum(C_k * g_k) + R; R has no term divisible by a leading
-    monomial.  Without ``full``, C is None and R stops at its first term,
-    which already decides membership.
+    Returns (S, R, steps): S > 0 and the integer polynomial R satisfy
+    S * f = sum(C_k * g_k) + R for the C_k that ``_fold`` reads from the
+    steps, and R has no term divisible by a leading monomial.  Without
+    ``full``, R stops at its first term, which already decides membership.
     """
     den, p = _integral(f)
     s, rem, steps = _reduce(p, basis, {}, full)
-    if not full:
-        return s * den, None, rem
-    cofs: list[dict[int, int]] = [dict() for _ in basis[0]]
-    for k, t, a, c in steps:
-        if a != 1:
-            _scale(cofs, a)
-        cofs[k][t] = cofs[k].get(t, 0) + c
-    return s * den, cofs, rem
+    return s * den, rem, steps
 
 
 def member(f: Element, gb: GroebnerBasis, cofactors: bool = False):
     """Ideal membership; optionally with cofactors over the original inputs."""
-    s, cofs, rem = _nf(_terms(f, gb.variables), gb._basis, full=cofactors)
+    s, rem, steps = _nf(_terms(f, gb.variables), gb._basis, full=cofactors)
     ok = not rem
     if not cofactors:
         return ok
     if not ok:
         return False, None
-    # f = sum_k C_k * g_k / S with g_k = sum_i R_ki * f_i / D_k: accumulate
-    # over their lcm and divide once, by S * lcm
-    reps = gb._provenance()
-    common = lcm(*(d for cof, (d, _) in zip(cofs, reps) if cof))
-    out: list[dict[int, int]] = [dict() for _ in gb.inputs]
-    for cof, (d, nums) in zip(cofs, reps):
-        if not cof:
-            continue
-        scale = common // d
-        for dst, r in zip(out, nums):
-            for m1, c1 in cof.items():
-                _submul(dst, r, -c1 * scale, m1)
-    for c in out:
-        if c:
-            _check(max(c))
-    den = s * common
+    # f = sum(C_k * g_k) / S = -sum(C_k * g_k) / -S over the basis's reps
+    den, out = _lift(_fold(steps, {}), gb._provenance(), len(gb.inputs), -s)
     cof_els = [Element._from_dict({m: _quotient(v, den) for m, v in c.items()}, gb._table)
                for c in out]
     return True, cof_els
@@ -523,9 +497,10 @@ def ideal_quotient(gb: GroebnerBasis, a: Element) -> GroebnerBasis:
     for p in polys:
         if max(p) >= _ELIM:  # t dominates the order: the others are t-free
             continue  # only t-free elements generate the intersection
-        s, (cof,), rem = _nf(p, by_a, full=True)
+        s, rem, steps = _nf(p, by_a, full=True)
         if rem:
             raise VerificationFailed("intersection generator not divisible by the quotient element")
+        (cof,) = _fold(steps, {}).values()
         quotient_gens.append(Element._from_dict(
             {m: _quotient(c * den, s) for m, c in cof.items()}, gb._table))
     return buchberger(quotient_gens, gb.variables)

@@ -297,6 +297,13 @@ def test_a_small_search_budget_exits_2_in_extend_and_search():
         assert err.startswith("error[search-space-too-large]: ") and err.count("\n") == 1
 
 
+def test_a_search_budget_below_one_is_refused_before_the_search():
+    for command, budget in itertools.product(("extend", "search"), ("0", "-5")):
+        code, out, err = run(command, MODELS / "cp2.model", "--max-search", budget)
+        assert (code, out) == (2, "")
+        assert err == f"error[invalid-input]: --max-search must be at least 1, got {budget}\n"
+
+
 def test_extend_no_evens_reports_empty():
     code, out, _ = run("extend", MODELS / "odd_spheres.model")
     assert code == 0

@@ -408,10 +408,23 @@ def test_widening_past_height_one():
                 assert max(abs(c) for pick in picks for c in pick.values()) == height
     assert len(seen) == len(spans) == 20
     assert sorted(set(seen)) == [0, 1, 2, 3, 4]
+    gens = [Generator(f"y{i}", d, i) for i, d in enumerate((3, 3, 3, 5, 5), 1)]
     with pytest.raises(SearchSpaceTooLarge) as exc:
-        for _ in _candidates(gens, 2, 50, "budget"):
+        for _ in _candidates(gens, 4, 20, "budget"):
             pass
     assert str(exc.value).startswith("candidate enumeration stalled")
+
+
+def test_whole_degree_assignments_are_skipped():
+    # every tuple of the assignment (3, 0), all three degree-3 generators,
+    # spans that whole degree, a plain subset's span: walking its 13^3 tuples
+    # per height would stall the budget before the (2, 1) block's first pick
+    gens = [Generator(f"y{i}", d, i) for i, d in enumerate((3, 3, 3, 5), 1)]
+    heights = []
+    with pytest.raises(SearchSpaceTooLarge, match="^budget$"):
+        for tried, height, picks in _candidates(gens, 3, 5, "budget"):
+            heights.append(height)
+    assert heights == [0, 0, 0, 0, 1]
 
 
 def test_combine_equals_the_element_sum():

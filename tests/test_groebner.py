@@ -7,6 +7,7 @@ with plain graded reverse lexicographic.  Order-independent facts
 (membership, finiteness, quotient dimension, regularity) are compared always.
 """
 import itertools
+import math
 import random
 from unittest import mock
 from fractions import Fraction
@@ -803,12 +804,16 @@ def test_fraction_free_division_matches_fraction_reference(case, data):
             homogeneous_polys(gens, degree, 7))
     for f in (inside, inside + outside):
         rem_ref, cofs_ref = _fraction_nf(tuples(f._t, gens), gb)
-        s, cofs, rem = groebner._nf(f._t, gb._basis, full=True)
+        s, rem, steps = groebner._nf(f._t, gb._basis, full=True)
+        cofs = groebner._fold(steps, {})
         assert s > 0
         assert tuples(rem, gens, s) == rem_ref
-        assert [tuples({m: c * lc for m, c in cof.items()}, gens, s)
-                for cof, lc in zip(cofs, gb._lcs)] == cofs_ref
-        assert groebner._nf(f._t, gb._basis, full=False)[1] is None
+        assert [tuples({m: c * lc for m, c in cofs.get(k, {}).items()}, gens, s)
+                for k, lc in enumerate(gb._lcs)] == cofs_ref
+        # without ``full`` the remainder stops at its first term, the largest
+        s0, first, _ = groebner._nf(f._t, gb._basis, full=False)
+        assert {m: c * s for m, c in first.items()} == (
+            {max(rem): rem[max(rem)] * s0} if rem else {})
         assert member(f, gb) == (not rem_ref)
         r_el, cof_els = normal_form(f, gb)
         assert r_el == element(rem_ref, gens)
@@ -848,6 +853,94 @@ def test_tracked_reps_rebuild_the_primitive_basis(case, scalars):
     for p, lm, rep in zip(gb._polys, gb._lms, gb._provenance()):
         assert rebuilt(rep) == tuples(p, gens)
         assert p[lm] > 0 and groebner._content(p.values()) == 1
+
+
+# the replay that ``_fold`` and ``_lift`` replaced, kept as their reference:
+# it applies each recorded step to a whole rep
+
+def _scale(polys, c):
+    for r in polys:
+        for k in r:
+            r[k] *= c
+
+
+def _rep_submul(rep, other, c, t):
+    """rep -= c * x^t * other, over the lcm of the two denominators."""
+    d, d2 = rep[0], other[0]
+    both = math.lcm(d, d2)
+    if both != d:
+        _scale(rep[1], both // d)
+        rep[0] = both
+    c *= both // d2
+    for r, o in zip(rep[1], other[1]):
+        groebner._submul(r, o, c, t)
+
+
+def _rep_divide(rep, g0):
+    """rep /= g0 (nonzero): cancel gcd(g0, content) from the R_i, the rest goes to D."""
+    h = math.gcd(g0, groebner._content(c for r in rep[1] for c in r.values()))
+    if g0 < 0:
+        h = -h
+    if h != 1:
+        for r in rep[1]:
+            for k in r:
+                r[k] //= h
+    rep[0] *= g0 // h
+
+
+def _replay(rep, steps, built, g0):
+    """rep after the recorded steps, each rep = a * rep - c * x^t * built[k], divided by g0."""
+    for k, t, a, c in steps:
+        if a != 1:
+            _scale(rep[1], a)
+        _rep_submul(rep, built[k], c, t)
+    for r in rep[1]:
+        if r:
+            algebra._check(max(r))
+    if g0 != 1:
+        _rep_divide(rep, g0)
+    return rep
+
+
+def _replayed_provenance(trace, n):
+    """Reference: the reps of a basis's record, replayed step by step."""
+    origins, records = trace
+    built = {~i: [1, [{0: 1} if j == i else {} for j in range(n)]] for i in range(n)}
+    for k, (steps, g0) in enumerate(origins):
+        built[k] = _replay([1, [{} for _ in range(n)]], steps, built, g0)
+    return [_replay([built[i][0], [dict(r) for r in built[i][1]]], steps, built, g0)
+            for i, steps, g0 in records]
+
+
+@PROPERTY
+@given(weighted_sequences(counts=(-1, 0, 1), bound=7),
+       st.lists(rationals, min_size=4, max_size=4), st.data())
+def test_lifted_reps_and_cofactors_equal_the_replay(case, scalars, data):
+    gens, seq = case
+    # rational scalars give negative leading coefficients and denominators
+    # D > 1, so both signs of g0 and the lcm of denominators are exercised
+    seq = [Element.scalar(q) * a for q, a in zip(scalars, seq)]
+    groebner._CACHE.clear()
+    gb = buchberger(seq, gens)
+    replayed = _replayed_provenance(gb._trace, len(seq))
+
+    def rational(rep):
+        d, nums = rep
+        return [tuples(r, gens, d) for r in nums]
+
+    assert [rational(r) for r in gb._provenance()] == [rational(r) for r in replayed]
+    inside = Element.zero()
+    for a in seq:
+        inside = inside + data.draw(homogeneous_polys(gens, 4)) * a
+    for f in gb.generators + [inside]:
+        # the replay's member: the Fraction cofactors over the monic
+        # generators, composed with the replayed reps
+        _, cofs_ref = _fraction_nf(tuples(f._t, gens), gb)
+        ref = [dict() for _ in seq]
+        for cof, (d, nums), lc in zip(cofs_ref, replayed, gb._lcs):
+            for i, r in enumerate(nums):
+                ref[i] = _plus(ref[i], _times(cof, tuples(r, gens, d * lc)))
+        assert member(f, gb, cofactors=True) == (True, [element(c, gens) for c in ref])
 
 
 def test_member_lifts_cofactors_without_a_second_run(monkeypatch, mixed_model):
