@@ -629,7 +629,8 @@ def _bases(generators: Sequence[Generator], top: int) -> list[list[int]]:
     if top > MAX_DEGREE:
         raise _too_large(top << _S)
     order = sorted(generators, key=lambda g: (g.is_even, -g.index))
-    return _series(order, top, [0], [], lambda ms, g: [m + _key(g) for m in ms])
+    keys = {g: _key(g) for g in order}  # one per sweep, not per monomial
+    return _series(order, top, [0], [], lambda ms, g: list(map(keys[g].__add__, ms)))
 
 
 def enumerate_basis(generators: Sequence[Generator], degree: int) -> list[Monomial]:

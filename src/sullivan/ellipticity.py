@@ -31,6 +31,7 @@ from .algebra import (
     _integral,
     _key,
     _too_large,
+    _used,
     basis_sizes,
 )
 from .errors import (
@@ -260,18 +261,19 @@ def _span_key(rows: Iterable[dict[int, Fraction | int]]) -> tuple:
 def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     """Dimensions of the cohomology in degrees 0 through up_to, as a list.
 
-    Works for any valid model (pure or not): ranks of the differential on
-    degreewise monomial bases, all listed by one ``_bases`` pass after the
-    top degree is checked against MAX_DEGREE and their number against
-    MAX_BASIS.  The ranks are exact and computed
-    in integers: each row is L * d of a basis monomial, which has the rank
-    of d, and goes straight into ``_echelon``.  A monomial m splits as c * r,
-    c its factor on the even generators with zero differential (every even
-    generator of a parsed model) and r the rest.  As c is even and d(c) = 0,
-    L * d(m) = c * L * d(r) (Felix-Halperin-Thomas, Rational Homotopy
-    Theory, section 32): ``model._scaled_d`` runs once per distinct r, at
-    most 2^(odd generators) of them for a parsed model, and each row is that
-    image with c added to its keys.
+    Works for any valid model (pure or not).  The top degree is checked
+    against MAX_DEGREE and the basis monomials on every generator against
+    MAX_BASIS before any work.  An inert generator g, closed and in no
+    image, splits the dga as Lambda V' (x) Lambda(g), so by Kunneth
+    (Felix-Halperin-Thomas, Rational Homotopy Theory) ranks are taken on
+    Lambda V' alone and each g is folded back by ``algebra._series``'s sweep.
+    Those ranks are exact, in integers, on bases listed by one ``_bases``
+    pass: each row is L * d of a basis monomial, which has the rank of d,
+    and goes straight into ``_echelon``.  A monomial m splits as c * r, c its
+    factor on the even generators with zero differential and r the rest.
+    As c is even and d(c) = 0, L * d(m) = c * L * d(r) (ibid., section 32):
+    ``model._scaled_d`` runs once per distinct r, at most 2^(odd generators)
+    for a parsed model, and each row is that image with c added to its keys.
     """
     if up_to < 0:
         return []
@@ -282,8 +284,12 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
         raise InvalidInput(
             f"cohomology through degree {up_to} needs {size} basis monomials, "
             f"over the limit of {MAX_BASIS}; lower --up-to")
-    bases = _bases(model.generators, up_to + 1)
-    cycles = _fields(g for g in model.even_generators if g not in model.differential)
+    used = _used(m for img in model.differential.values() for m in img._t)
+    inert = [g for g in model.generators
+             if g not in model.differential and not _fields((g,)) & used]
+    kept = [g for g in model.generators if g not in inert]
+    bases = _bases(kept, up_to + 1)
+    cycles = _fields(g for g in kept if g.is_even and g not in model.differential)
     images: dict[int, dict[int, int]] = {}  # r -> L * d(r)
     ranks = [0]  # ranks[k + 1]: the rank of d from degree k
     for k in range(up_to + 1):
@@ -298,4 +304,9 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
             if img:
                 rows.append({col[mm + c]: v for mm, v in img.items()})
         ranks.append(len(_echelon(rows)))
-    return [len(bases[k]) - ranks[k + 1] - ranks[k] for k in range(up_to + 1)]
+    dims = [len(bases[k]) - ranks[k + 1] - ranks[k] for k in range(up_to + 1)]
+    for g in inert:  # times Q[g] or Lambda(g): the sweep of algebra._series
+        d = g.degree
+        for r in range(d, up_to + 1) if g.is_even else range(up_to, d - 1, -1):
+            dims[r] += dims[r - d]
+    return dims

@@ -365,7 +365,9 @@ class GroebnerBasis:
             built = {~i: [1, [{0: 1} if j == i else {} for j in range(n)]] for i in range(n)}
             for k, (steps, g0) in enumerate(origins):
                 built[k] = _lift(_fold(steps, {}), built, n, g0)
-            reps = [_lift(_fold(steps, {i: {0: -1}}), built, n, g0) for i, steps, g0 in records]
+            # an empty tail with g0 = 1 would lift to a copy of the engine element's rep
+            reps = [built[i] if not steps and g0 == 1 else
+                    _lift(_fold(steps, {i: {0: -1}}), built, n, g0) for i, steps, g0 in records]
             self._reps, self._trace = reps, None
         return self._reps
 

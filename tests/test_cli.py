@@ -348,6 +348,23 @@ def test_cohomology():
     assert payload["dims"] == [1, 0, 1, 0, 0]
 
 
+def _dims_json(name, up_to, dims):
+    body = "".join(f"\n    {d}," for d in dims)[:-1]
+    return f'{{\n  "dims": [{body}\n  ],\n  "model": "{name}",\n  "up_to": {up_to}\n}}\n'
+
+
+@pytest.mark.parametrize("path, up_to, expected", [
+    # every generator inert: the classes of the exterior algebra on 3, 5, 7
+    ("odd_spheres.model", 15, _dims_json("odd-spheres", 15,
+                                         [1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1])),
+    # closed y1, y2 used by dz = y1*y2: none inert
+    ("nonpure.model", 12, _dims_json("nonpure", 12, [1, 0, 1, 2, 0, 2, 0, 0, 2, 0, 2, 1, 0])),
+], ids=["odd_spheres", "nonpure"])
+def test_cohomology_json_is_pinned(path, up_to, expected):
+    code, out, err = run("cohomology", MODELS / path, "--up-to", up_to, "--json")
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_cohomology_requires_up_to():
     code, _, err = run("cohomology", MODELS / "s2.model")
     assert code == 2

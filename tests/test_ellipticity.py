@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -212,7 +213,8 @@ def test_cohomology_cp2():
 
 
 def test_cohomology_odd_spheres(odd_spheres):
-    dims = cohomology_dims(odd_spheres, 15)
+    dims, listed = _dims_and_listed(odd_spheres, 15)
+    assert listed == set()  # every generator is inert: no basis is listed on one
     # exterior algebra on degrees 3, 5, 7: classes at sums of subsets
     expected = [0] * 16
     for k in (0, 3, 5, 7, 8, 10, 12, 15):
@@ -399,18 +401,27 @@ def test_span_key_tells_spans_apart(rows, data):
 
 # -- cohomology ranks against the Fraction path ----------------------------------
 
+def _inert_pairs(draw, inert: bool) -> list:
+    """With ``inert``, one or two generators g1, g2 of random parity and
+    degree 2 to 5, which no differential image will use."""
+    degrees = draw(st.lists(st.integers(2, 5), min_size=1, max_size=2)) if inert else []
+    return [(f"g{i}", d) for i, d in enumerate(degrees, 1)]
+
+
 @st.composite
-def rational_models(draw):
+def rational_models(draw, inert=False):
     """Valid models with non-integer rational image coefficients: even
     generators of degree 2, odd ones of degree 3 and 5 with quadratic and
     cubic images, the first of them with no integer coefficient, and
-    sometimes closed u1, u2 with dz = q*u1*u2 + (a cubic), which is not pure."""
+    sometimes closed u1, u2 with dz = q*u1*u2 + (a cubic), which is not pure.
+    With ``inert``, one or two inert generators (``_inert_pairs``) join them."""
     n_even = draw(st.integers(1, 3))
     odd = draw(st.lists(st.sampled_from((3, 5)), min_size=1, max_size=3))
     nonpure = draw(st.booleans())
     pairs = ([(f"x{i}", 2) for i in range(1, n_even + 1)]
              + [(f"y{j}", d) for j, d in enumerate(odd, 1)]
-             + ([("u1", 3), ("u2", 3), ("z", 5)] if nonpure else []))
+             + ([("u1", 3), ("u2", 3), ("z", 5)] if nonpure else [])
+             + _inert_pairs(draw, inert))
     gens = make_generators(pairs)
     env = {g.name: Element.from_generator(g) for g in gens}
     xs = [env[f"x{i}"] for i in range(1, n_even + 1)]
@@ -452,16 +463,18 @@ def test_cohomology_dims_match_the_fraction_path(model):
 
 
 @st.composite
-def models_with_even_images(draw):
+def models_with_even_images(draw, inert=False):
     """Valid models in which even generators have images, which the parser
     refuses: closed x1 (and x2) of degree 2 and a of degree 3, sometimes y
     with a pure image, w of degree 4 or 6 with dw = a * (a form in the x),
-    and sometimes u of degree |w| + 2 with du = q * w * a, a cycle as a^2 = 0."""
+    and sometimes u of degree |w| + 2 with du = q * w * a, a cycle as a^2 = 0.
+    With ``inert``, one or two inert generators (``_inert_pairs``) join them."""
     n_even = draw(st.integers(1, 2))
     w_degree = draw(st.sampled_from((4, 6)))
     with_y, with_u = draw(st.booleans()), draw(st.booleans())
     pairs = ([(f"x{i}", 2) for i in range(1, n_even + 1)] + [("a", 3), ("w", w_degree)]
-             + ([("y", 3)] if with_y else []) + ([("u", w_degree + 2)] if with_u else []))
+             + ([("y", 3)] if with_y else []) + ([("u", w_degree + 2)] if with_u else [])
+             + _inert_pairs(draw, inert))
     gens = make_generators(pairs)
     env = {g.name: Element.from_generator(g) for g in gens}
     xs = [env[f"x{i}"] for i in range(1, n_even + 1)]
@@ -496,3 +509,70 @@ def test_cohomology_dims_with_even_images_match_the_fraction_path(model):
     model.validate()
     assert any(g.is_even for g in model.differential)
     assert cohomology_dims(model, 10) == _reference_cohomology_dims(model, 10)
+
+
+# -- inert generators, split off by Kunneth ---------------------------------------
+
+def _dims_and_listed(model, up_to):
+    """cohomology_dims, and the names of the generators it lists bases on."""
+    bases, listed = ellipticity._bases, set()
+
+    def spy(generators, top):
+        listed.update(g.name for g in generators)
+        return bases(generators, top)
+
+    with mock.patch.object(ellipticity, "_bases", spy):
+        return cohomology_dims(model, up_to), listed
+
+
+@PROPERTY
+@given(rational_models(inert=True))
+def test_inert_generators_split_off_rational_models(model):
+    dims, listed = _dims_and_listed(model, 8)
+    assert not listed & {"g1", "g2"}
+    assert dims == _reference_cohomology_dims(model, 8)
+
+
+@PROPERTY
+@given(models_with_even_images(inert=True))
+def test_inert_generators_split_off_models_with_even_images(model):
+    dims, listed = _dims_and_listed(model, 10)
+    assert not listed & {"g1", "g2"}
+    assert dims == _reference_cohomology_dims(model, 10)
+
+
+def test_an_inert_even_generator_is_a_polynomial_factor():
+    # CP^2 times Q[w], |w| = 4: not elliptic, and the classes 1, x, x^2 repeat
+    # every 4 degrees
+    model = build_model([("x", 2), ("w", 4), ("y", 5)], {"y": lambda e: e["x"] ** 3})
+    assert not is_elliptic(model)
+    dims, listed = _dims_and_listed(model, 16)
+    assert listed == {"x", "y"}
+    assert dims == [1, 0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2]
+    assert dims == _reference_cohomology_dims(model, 16)
+
+
+def test_closed_generators_in_an_image_are_not_split_off(nonpure_model):
+    # y1 and y2 are closed, but dz = y1 * y2 uses them
+    assert not nonpure_model.differential.keys() & {nonpure_model.generator("y1"),
+                                                    nonpure_model.generator("y2")}
+    dims, listed = _dims_and_listed(nonpure_model, 12)
+    assert listed == {"x", "w", "y1", "y2", "z"}
+    assert dims == [1, 0, 1, 2, 0, 2, 0, 0, 2, 0, 2, 1, 0]
+    assert dims == _reference_cohomology_dims(nonpure_model, 12)
+
+
+def test_the_cost_guard_counts_the_inert_generators(monkeypatch):
+    # s2x5 and an inert u of degree 3: 799,188 + 541,152 monomials through
+    # degree 41, refused before the inert generators are even looked for
+    s2x5u = build_model([(f"x{i}", 2) for i in range(5)]
+                        + [(f"y{i}", 3) for i in range(5)] + [("u", 3)],
+                        {f"y{i}": lambda e, i=i: e[f"x{i}"] ** 2 for i in range(5)})
+
+    def no_work(*args):
+        raise AssertionError("work began before the cost guard")
+
+    monkeypatch.setattr(ellipticity, "_used", no_work)
+    monkeypatch.setattr(ellipticity, "_bases", no_work)
+    with pytest.raises(InvalidInput, match="through degree 40 needs 1340340 basis monomials"):
+        cohomology_dims(s2x5u, 40)
