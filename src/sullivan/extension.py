@@ -171,7 +171,8 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
     assignments of p in descending order and within an assignment in the
     product order of the degrees' vector pools, kept when their span is
     p-dimensional and new.  An assignment taking each degree whole or not at
-    all is skipped: it spans only what a plain subset spans.  More than
+    all is skipped: it spans only what a plain subset spans.  A degree taken
+    whole next to a partial one takes only its first spanning tuple.  More than
     ``max_candidates`` tried, or 50 times as many enumeration steps, raises
     SearchSpaceTooLarge, an input problem like any budget the user sets.
     Returns only when the plain subsets are the whole space: p equals the
@@ -203,18 +204,25 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
     work_budget = 50 * max_candidates
     for height in itertools.count(1):
         pools: dict[int, list[tuple[int, ...]]] = {}  # degree -> pool at this height
+        spans: dict[int, list] = {}  # degree -> its pool's first spanning tuple, as slot choices
         for a in assignments:
             slots = [d for d, k in zip(degrees, a) for _ in range(k)]
             first = [column[groups[d][0]] for d in slots]
-            for d in slots:
-                if d not in pools:
-                    pools[d] = _vector_pool(len(groups[d]), height)
-            for idx in itertools.product(*(range(len(pools[d])) for d in slots)):
+            choices = []  # per slot, its vectors; a whole degree's later tuples
+            for d, k in zip(degrees, a):  # would only repeat its first spanning one's span
+                if not k:
+                    continue
+                pool = pools[d] = pools.get(d) or _vector_pool(len(groups[d]), height)
+                if k == len(groups[d]) and d not in spans:
+                    spans[d] = next([[v] for v in t] for t in itertools.product(pool, repeat=k)
+                                    if len(_echelon({j: c for j, c in enumerate(v) if c}
+                                                    for v in t)) == k)
+                choices += spans[d] if k == len(groups[d]) else [pool] * k
+            for vectors in itertools.product(*choices):
                 work += 1
                 if work > work_budget:
                     raise SearchSpaceTooLarge(
                         f"candidate enumeration stalled after {work} steps")
-                vectors = [pools[d][i] for d, i in zip(slots, idx)]
                 if max(abs(c) for v in vectors for c in v) != height:
                     continue  # of a lower height
                 key = _span_key({f + j: c for j, c in enumerate(v) if c}

@@ -40,10 +40,12 @@ A sequence of as many weighted-homogeneous elements as variables is regular
 exactly when its quotient has dimension prod(deg f_i) / prod(w_j) (Stanley,
 "Hilbert functions of graded algebras", 1978).  ``regular_sequence_failure``
 decides that success case by counting standard monomials and computes
-zero-divisor witnesses only when the identity does not hold.  A basis keeps
-each witness it has given (or None), keyed by the element, for as long as it
-lives: the cache returns the same basis object for a repeated prefix, so
-candidates sharing a failing prefix and element compute one ideal quotient.
+zero-divisor witnesses only when the identity does not hold.  The count
+reads the leading monomials alone, slicing their staircase variable by
+variable.  A basis keeps each witness it has given (or None), keyed by the
+element, for as long as it lives: the cache returns the same basis object for
+a repeated prefix, so candidates sharing a failing prefix and element compute
+one ideal quotient.
 
 No identity is re-verified here: the certificates built on lifted cofactors
 are re-checked by ``ellipticity.ExactnessCertificate.verify``.
@@ -68,7 +70,6 @@ from .algebra import (
     _exponents,
     _fields,
     _integral,
-    _key,
     _lcm,
     _powers,
     _quotient,
@@ -332,7 +333,8 @@ class GroebnerBasis:
     folded and lifted from the record of the Buchberger run on first use by
     ``member(..., cofactors=True)``, and ``zero_divisor_witness`` keeps its
     verdicts here, so both live exactly as long as the basis.  So do the
-    pure powers and the count of standard monomials, each found on first use.
+    leading monomials as exponent tuples, decoded once, and the pure powers
+    and the count of standard monomials read from them, each on first use.
     """
 
     def __init__(self, variables: Sequence[Generator], inputs: Sequence[Element],
@@ -376,27 +378,24 @@ class GroebnerBasis:
         return 0 in self._lms
 
     @cached_property
+    def _leading(self) -> list[tuple[int, ...]]:
+        """The leading monomials as exponent tuples over the variables, decoded once."""
+        decoded = (dict(_powers(lm, self._table)) for lm in self._lms)
+        return [tuple(e.get(g, 0) for g in self.variables) for e in decoded]
+
+    @cached_property
     def pure_powers(self) -> list:
-        """Per variable, its least power among the leading monomials, or None."""
-        powers: dict = {}
-        for lm in self._lms:
-            factors = _powers(lm, self._table)
-            if len(factors) == 1:
-                (g, e), = factors
-                powers[g] = min(e, powers.get(g, e))
-        return [powers.get(g) for g in self.variables]
+        """Per variable, its power among the leading monomials, or None."""
+        powers = [None] * len(self.variables)
+        for e in self._leading:
+            for j, x in enumerate(e):
+                if x and x == sum(e):
+                    powers[j] = x
+        return powers
 
     @cached_property
     def _standard_count(self) -> int:
-        """The number of standard monomials in the box of pure-power bounds,
-        which ``quotient_dimension`` guards before the first scan."""
-        keys = [_key(g) for g in self.variables]
-        count = 0
-        for exps in itertools.product(*(range(b) for b in self.pure_powers)):
-            m = sum(e * k for e, k in zip(exps, keys))
-            if _divisor(m, self._exps, range(len(self._exps))) is None:
-                count += 1
-        return count
+        return _count(self._leading, len(self.variables))
 
     def __repr__(self):
         gens = "; ".join(g.render() for g in self.generators)
@@ -587,27 +586,23 @@ def quotient_is_finite_dimensional(gb: GroebnerBasis) -> bool:
     return gb.contains_one or None not in gb.pure_powers
 
 
-#: most candidate monomials (the box of pure-power bounds) ``quotient_dimension``
-#: may scan, checked before any work; the largest box of any shipped model or
-#: benchmark workload is 84
-MAX_QUOTIENT_BOX = 100_000
+def _count(lead: list[tuple[int, ...]], n: int) -> int:
+    """Monomials in the first n variables outside the ideal of the exponent
+    tuples ``lead``, which holds a power of each: for exponents of the n-th
+    variable from one of its values in ``lead`` (or 0) to the next, the slice
+    is the tuples with that value or less; past the last, the pure power's."""
+    if n == 0:
+        return 0 if lead else 1
+    cuts = sorted({0, *(e[n - 1] for e in lead)})
+    return sum((hi - lo) * _count([e for e in lead if e[n - 1] <= lo], n - 1)
+               for lo, hi in zip(cuts, cuts[1:]))
 
 
 def quotient_dimension(gb: GroebnerBasis) -> int:
-    """Number of standard monomials of a finite-dimensional quotient.
-
-    Scans the box of monomials below the pure-power leading monomials, once
-    per basis, and raises InvalidInput on every call when it holds more than
-    MAX_QUOTIENT_BOX.
-    """
-    if gb.contains_one:
-        return 0
-    bounds = gb.pure_powers
-    if None in bounds:
+    """Number of standard monomials of a finite-dimensional quotient, counted
+    once per basis from the leading monomials alone: dim Q[x]/I = dim Q[x]/in(I)
+    (Macaulay; Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
+    5.3).  The cost follows the leading monomials, not the quotient's size."""
+    if not quotient_is_finite_dimensional(gb):
         raise NotFiniteDimensional("quotient ring is not finite-dimensional")
-    box = prod(bounds)
-    if box > MAX_QUOTIENT_BOX:
-        raise InvalidInput(
-            f"the quotient's standard monomials lie in a box of {box} monomials, "
-            f"over the limit of {MAX_QUOTIENT_BOX}")
     return gb._standard_count

@@ -22,7 +22,6 @@ from sullivan.algebra import Element, Generator, Monomial, make_generators
 from sullivan.ellipticity import differential_ideal_basis, exactness_certificate
 from sullivan.errors import (
     ConstantTermPresent,
-    InvalidInput,
     NotFiniteDimensional,
     UnknownGenerator,
     VerificationFailed,
@@ -469,35 +468,27 @@ def test_quotient_facts_are_found_once_per_basis(monkeypatch):
     x, y = els(gens)
     groebner._CACHE.clear()
     gb = buchberger([x ** 3, y ** 2 + x ** 4], gens)
-    decoded, scanned = [], []
+    decoded, counted = [], []
+    count = groebner._count
 
     def counted_powers(key, table):
         decoded.append(key)
         return algebra._powers(key, table)
 
-    def counted_divisor(m, exps, among):
-        scanned.append(m)
-        return algebra._divisor(m, exps, among)
+    def counting(lead, n):
+        counted.append(n)
+        return count(lead, n)
 
     monkeypatch.setattr(groebner, "_powers", counted_powers)
-    monkeypatch.setattr(groebner, "_divisor", counted_divisor)
+    monkeypatch.setattr(groebner, "_count", counting)
     for _ in range(3):
         assert quotient_is_finite_dimensional(gb)
         assert quotient_dimension(gb) == 6
-    # the leading monomials are decoded once, the 3 x 2 box is scanned once
+    # the leading monomials are decoded once, and the count is computed once
+    # per basis: one slice of (x^3, y^2) per variable, down to no variable
     assert len(decoded) == len(gb.generators)
-    assert len(scanned) == 6
-    # a refused box raises on every call, before any scan, also when the
-    # count is already known
-    monkeypatch.setattr(groebner, "MAX_QUOTIENT_BOX", 5)
-    groebner._CACHE.clear()
-    fresh = buchberger([x ** 3, y ** 2 + x ** 4], gens)
-    scanned.clear()
-    for basis in (fresh, fresh, gb):
-        with pytest.raises(InvalidInput):
-            quotient_dimension(basis)
-    assert scanned == []
-    # and an infinite quotient on every call
+    assert counted == [2, 1, 0]
+    # an infinite quotient raises on every call
     infinite = buchberger([x * y], gens)
     for _ in range(2):
         with pytest.raises(NotFiniteDimensional):
@@ -730,6 +721,29 @@ def test_packed_monomials_match_exponent_tuples(case):
     minimal = [e for e in {ea, eb} if not any(f != e and _divides(f, e) for f in (ea, eb))]
     gb = buchberger([element({e: 1}, gens) for e in (ea, eb)], gens)
     assert gb.pure_powers == tuple_pure_powers(minimal, len(gens))
+
+
+@st.composite
+def zero_dimensional_monomial_ideals(draw):
+    """Generators of 1 to 4 weighted variables, and exponent tuples: a pure
+    power of each variable (up to 6), in variable order, then up to 5 more."""
+    n = draw(st.integers(1, 4))
+    gens = [Generator(f"x{i}", draw(st.sampled_from((2, 4, 6))), i) for i in range(n)]
+    powers = [draw(st.integers(1, 6)) for _ in range(n)]
+    others = draw(st.lists(st.tuples(*(st.integers(0, 6) for _ in range(n))), max_size=5))
+    return gens, [tuple(b if j == i else 0 for j in range(n))
+                  for i, b in enumerate(powers)] + others
+
+
+@settings(PROPERTY, max_examples=300)
+@given(zero_dimensional_monomial_ideals())
+def test_quotient_dimension_matches_brute_force_on_monomial_ideals(case):
+    gens, lead = case
+    gb = buchberger([element({e: 1}, gens) for e in lead], gens)
+    bounds = [e[i] for i, e in enumerate(lead[:len(gens)])]
+    brute = sum(not any(_divides(e, m) for e in lead)
+                for m in itertools.product(*(range(b) for b in bounds)))
+    assert quotient_dimension(gb) == brute
 
 
 # -- the fraction-free path against Fraction arithmetic -------------------------
