@@ -598,13 +598,13 @@ class Element:
 MAX_BASIS = 100_000
 
 
-def _series(generators: Sequence[Generator], top: int, one, zero, times) -> list:
-    """The coefficients of prod(1 - t^|x|)^-1 * prod(1 + t^|y|) over the even
-    generators x and the odd generators y, up to t^top, for coefficients
-    that add by + and that times(c, g) multiplies by g: one sweep per
-    generator, ascending for an even one (1 + t^|x| + t^2|x| + ...) and
-    descending for an odd one (1 + t^|y|)."""
-    out = [one] + [zero] * top if top >= 0 else []
+def _series(generators: Sequence[Generator], out: list, times) -> list:
+    """The series ``out``, coefficients of t^0 through t^top, times
+    prod(1 - t^|x|)^-1 * prod(1 + t^|y|) over the even generators x and the
+    odd generators y, in place, for coefficients that add by + and that
+    times(c, g) multiplies by g: one sweep per generator, ascending for an
+    even one (1 + t^|x| + t^2|x| + ...) and descending for an odd one (1 + t^|y|)."""
+    top = len(out) - 1
     for g in generators:
         d = g.degree
         for r in range(d, top + 1) if g.is_even else range(top, d - 1, -1):
@@ -614,7 +614,7 @@ def _series(generators: Sequence[Generator], top: int, one, zero, times) -> list
 
 def basis_sizes(generators: Sequence[Generator], top: int) -> list[int]:
     """Numbers of monomials in degrees 0 through top, without listing them."""
-    return _series(generators, top, 1, 0, lambda n, g: n)
+    return _series(generators, [int(r == 0) for r in range(top + 1)], lambda n, g: n)
 
 
 def _bases(generators: Sequence[Generator], top: int) -> list[list[int]]:
@@ -630,7 +630,8 @@ def _bases(generators: Sequence[Generator], top: int) -> list[list[int]]:
         raise _too_large(top << _S)
     order = sorted(generators, key=lambda g: (g.is_even, -g.index))
     keys = {g: _key(g) for g in order}  # one per sweep, not per monomial
-    return _series(order, top, [0], [], lambda ms, g: list(map(keys[g].__add__, ms)))
+    return _series(order, [[0] if r == 0 else [] for r in range(top + 1)],
+                   lambda ms, g: list(map(keys[g].__add__, ms)))
 
 
 def enumerate_basis(generators: Sequence[Generator], degree: int) -> list[Monomial]:

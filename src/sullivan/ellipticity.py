@@ -30,6 +30,7 @@ from .algebra import (
     _fields,
     _integral,
     _key,
+    _series,
     _too_large,
     _used,
     basis_sizes,
@@ -266,7 +267,7 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     MAX_BASIS before any work.  An inert generator g, closed and in no
     image, splits the dga as Lambda V' (x) Lambda(g), so by Kunneth
     (Felix-Halperin-Thomas, Rational Homotopy Theory) ranks are taken on
-    Lambda V' alone and each g is folded back by ``algebra._series``'s sweep.
+    Lambda V' alone and each g is folded back in by ``algebra._series``.
     Those ranks are exact, in integers, on bases listed by one ``_bases``
     pass: each row is L * d of a basis monomial, which has the rank of d,
     and goes straight into ``_echelon``.  A monomial m splits as c * r, c its
@@ -305,8 +306,4 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
                 rows.append({col[mm + c]: v for mm, v in img.items()})
         ranks.append(len(_echelon(rows)))
     dims = [len(bases[k]) - ranks[k + 1] - ranks[k] for k in range(up_to + 1)]
-    for g in inert:  # times Q[g] or Lambda(g): the sweep of algebra._series
-        d = g.degree
-        for r in range(d, up_to + 1) if g.is_even else range(up_to, d - 1, -1):
-            dims[r] += dims[r - d]
-    return dims
+    return _series(inert, dims, lambda n, g: n)  # times Q[g] or Lambda(g) for each inert g

@@ -22,6 +22,7 @@ gets an exactness certificate in the extension model.
 from __future__ import annotations
 
 import itertools
+from copy import copy
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
@@ -159,6 +160,23 @@ def _assignments(caps: Sequence[int], p: int) -> list[tuple[int, ...]]:
             for rest in _assignments(caps[1:], p - k)]
 
 
+def _subspaces(n: int, k: int, step):
+    """Each k-subspace of Q^n once, as ``(height, basis)``: the coordinate ones
+    at height 0 in ``itertools.combinations`` order, then every other at the
+    least height h whose ``_vector_pool(n, h)`` spans it, under its first basis
+    in combinations order of that pool.  The whole space (k == n) is only its
+    coordinate one.  ``step()`` is called once per combination."""
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = set()
+    for height in itertools.count() if k < n else [0]:
+        for basis in itertools.combinations(_vector_pool(n, height) if height else units, k):
+            step()
+            key = _span_key({j: c for j, c in enumerate(v) if c} for v in basis)
+            if len(key) == k and key not in seen:
+                seen.add(key)
+                yield height, basis
+
+
 def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
                 budget_message: str):
     """Candidate picks of p homogeneous combinations of ``gens``, in search order.
@@ -166,75 +184,59 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
     Yields ``(tried, height, picks)`` as each is enumerated; ``picks`` holds
     one {generator: integer coefficient} combination per element, inside a
     single degree.  First the plain p-subsets in ``itertools.combinations``
-    order (height 0); then, for heights 1, 2, ..., the candidates whose
-    largest |coefficient| is exactly the height, split across degrees by the
-    assignments of p in descending order and within an assignment in the
-    product order of the degrees' vector pools, kept when their span is
-    p-dimensional and new.  An assignment taking each degree whole or not at
-    all is skipped: it spans only what a plain subset spans.  A degree taken
-    whole next to a partial one takes only its first spanning tuple.  More than
-    ``max_candidates`` tried, or 50 times as many enumeration steps, raises
-    SearchSpaceTooLarge, an input problem like any budget the user sets.
-    Returns only when the plain subsets are the whole space: p equals the
-    number of generators, or every degree has one generator.
+    order (height 0).  A graded subspace is one subspace per degree, its
+    height the largest of theirs: so for heights 1, 2, ..., and the
+    assignments of p to the degrees in descending order, the product of the
+    degrees' ``_subspaces`` up to that height, the lowest degree slowest, less
+    the products of lower height.  Assignments that take each degree whole or
+    not at all span only plain subsets and are skipped.  More than
+    ``max_candidates`` tried, or 50 times as many steps (combinations and
+    products), raises SearchSpaceTooLarge, an input problem like any budget
+    the user sets.  Ends after the plain subsets when no assignment is left.
     """
     groups: dict[int, list[Generator]] = {}
     for g in gens:
         groups.setdefault(g.degree, []).append(g)
     degrees = sorted(groups)
-    # span keys read a candidate as rows over the generators grouped by degree
-    column = {g: i for i, g in enumerate(g for d in degrees for g in groups[d])}
-
-    plain = []
     tried = 0
     for combo in itertools.combinations(gens, p):
         tried += 1
         if tried > max_candidates:
             raise SearchSpaceTooLarge(budget_message)
-        plain.append(combo)
         yield tried, 0, tuple({g: 1} for g in combo)
-    if p == len(gens) or all(len(groups[d]) == 1 for d in degrees):
-        return
-
-    seen = {_span_key({column[g]: 1} for g in combo) for combo in plain}
     sizes = [len(groups[d]) for d in degrees]
-    assignments = [a for a in _assignments(sizes, p)
+    assignments = [[(d, k) for d, k in zip(degrees, a) if k] for a in _assignments(sizes, p)
                    if any(0 < k < n for k, n in zip(a, sizes))]
-    work = 0
-    work_budget = 50 * max_candidates
+    if not assignments:
+        return
+    work = itertools.count(1)
+
+    def step():
+        if (done := next(work)) > 50 * max_candidates:
+            raise SearchSpaceTooLarge(f"candidate enumeration stalled after {done} steps")
+
+    walks = {}  # (degree, k) -> a tee of its _subspaces, never advanced: copies replay it
+
+    def product(pieces, height):  # itertools.product, drawing each walk only when reached
+        d, k = pieces[0]
+        if (d, k) not in walks:
+            walks[d, k] = itertools.tee(_subspaces(len(groups[d]), k, step), 1)[0]
+        for piece in itertools.takewhile(lambda s: s[0] <= height, copy(walks[d, k])):
+            for rest in product(pieces[1:], height) if pieces[1:] else [()]:
+                yield (piece,) + rest
+
     for height in itertools.count(1):
-        pools: dict[int, list[tuple[int, ...]]] = {}  # degree -> pool at this height
-        spans: dict[int, list] = {}  # degree -> its pool's first spanning tuple, as slot choices
-        for a in assignments:
-            slots = [d for d, k in zip(degrees, a) for _ in range(k)]
-            first = [column[groups[d][0]] for d in slots]
-            choices = []  # per slot, its vectors; a whole degree's later tuples
-            for d, k in zip(degrees, a):  # would only repeat its first spanning one's span
-                if not k:
+        for pieces in assignments:
+            for chosen in product(pieces, height):
+                step()
+                if max(h for h, _ in chosen) < height:
                     continue
-                pool = pools[d] = pools.get(d) or _vector_pool(len(groups[d]), height)
-                if k == len(groups[d]) and d not in spans:
-                    spans[d] = next([[v] for v in t] for t in itertools.product(pool, repeat=k)
-                                    if len(_echelon({j: c for j, c in enumerate(v) if c}
-                                                    for v in t)) == k)
-                choices += spans[d] if k == len(groups[d]) else [pool] * k
-            for vectors in itertools.product(*choices):
-                work += 1
-                if work > work_budget:
-                    raise SearchSpaceTooLarge(
-                        f"candidate enumeration stalled after {work} steps")
-                if max(abs(c) for v in vectors for c in v) != height:
-                    continue  # of a lower height
-                key = _span_key({f + j: c for j, c in enumerate(v) if c}
-                                for f, v in zip(first, vectors))
-                if len(key) < p or key in seen:
-                    continue
-                seen.add(key)
                 tried += 1
                 if tried > max_candidates:
                     raise SearchSpaceTooLarge(budget_message)
                 yield tried, height, tuple({g: c for g, c in zip(groups[d], v) if c}
-                                           for d, v in zip(slots, vectors))
+                                           for (d, _), (_, basis) in zip(pieces, chosen)
+                                           for v in basis)
 
 
 def find_homogeneous_regular_subset(stage: FirstStage,
@@ -242,12 +244,12 @@ def find_homogeneous_regular_subset(stage: FirstStage,
     """Pick |evens| odd combinations of the stage with regular differentials.
 
     Search order (``_candidates``): plain subsets of the active odd
-    generators in declaration order, then tuples of primitive integer
-    combinations whose largest |coefficient| is exactly 1, then exactly 2,
-    and so on.  Each candidate subspace is tested once (canonical span keys
-    deduplicate) via finite-dimensionality of the quotient by the candidate
-    differentials, which for |evens| many elements is equivalent to
-    regularity.  Deterministic: the order depends on the stage alone.
+    generators in declaration order, then every other subspace once, at its
+    height 1, 2, ..., under its first basis of primitive integer combinations
+    of largest |coefficient| at most that height.  Each is tested via
+    finite-dimensionality of the quotient by the candidate differentials,
+    which for |evens| many elements is equivalent to regularity.
+    Deterministic: the order depends on the stage alone.
 
     Running past the candidate budget raises SearchSpaceTooLarge, as the
     exhaustive search does.  Existence is guaranteed for stages of elliptic
@@ -592,13 +594,12 @@ def exhaustive_homogeneous_search(model: SullivanModel,
     """Search every graded odd subspace of the right dimension for an F0 basis.
 
     Candidates are built degree by degree (homogeneity is free): first plain
-    subsets of the odd generators in declaration order, then bases mixing
-    integer combinations within single degrees, by largest |coefficient| 1,
-    2, ... (``_candidates``, the stage search's order).  The first candidate
-    passing verify_f0_extension wins.  When every odd degree is
-    one-dimensional the space is finite and exhausting it proves no
-    homogeneous F0 basis exists; otherwise running past the budget raises
-    SearchSpaceTooLarge.
+    subsets of the odd generators in declaration order, then, by height 1,
+    2, ..., one subspace per degree, each graded subspace listed once
+    (``_candidates``, the stage search's order).  The first candidate passing
+    verify_f0_extension wins.  When every odd degree is one-dimensional the
+    space is finite and exhausting it proves no homogeneous F0 basis exists;
+    otherwise running past the budget raises SearchSpaceTooLarge.
     """
     if not is_elliptic_pure(model):
         raise NotElliptic(f"model {model.name!r} is not elliptic")

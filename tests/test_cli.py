@@ -449,6 +449,23 @@ def test_large_quotients_get_answers_through_every_command(tmp_path):
     assert json.loads(out)["verification"]["quotient_dimension"] == 160000
 
 
+def test_search_combines_inside_one_degree_next_to_another(tmp_path):
+    # two odd generators of degree 3 and one of degree 5: no plain pair is
+    # regular, and the assignment (1, 1) takes a degree-3 combination with
+    # y3; kept out of models/, whose every file the CLI golden lists
+    model = tmp_path / "two_degrees.model"
+    model.write_text('model "two-degrees"\neven x : 2\neven w : 2\n'
+                     "odd y1 : 3 = x^2 + x*w\nodd y2 : 3 = x*w + w^2\n"
+                     "odd y3 : 5 = x^2*w - x*w^2\n")
+    code, out, err = run("search", model, "--json")
+    assert code == 0 and err == ""
+    result = json.loads(out)
+    assert result["found"] == ["y1 + y2", "y3"]
+    assert result["tried"] == 5
+    assert [r["candidate"] for r in result["rejected"]] == [
+        ["y1", "y2"], ["y1", "y3"], ["y2", "y3"], ["y1 - y2", "y3"]]
+
+
 def test_json_byte_determinism():
     invocations = [
         ("analyze", MODELS / "mixed_length.model", "--json"),

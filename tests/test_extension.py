@@ -23,6 +23,7 @@ from sullivan.extension import (
     _assignments,
     _candidates,
     _combine,
+    _vector_pool,
     exhaustive_homogeneous_search,
     extension_model,
     f0_extend,
@@ -412,21 +413,100 @@ def test_widening_past_height_one():
     with pytest.raises(SearchSpaceTooLarge) as exc:
         for _ in _candidates(gens, 4, 20, "budget"):
             pass
-    # the (3, 1) block fixes degree 3 at its first spanning tuple, so the
-    # budget is reached, not the stall
+    # the (3, 1) block takes degree 3 whole, as one subspace, so the budget
+    # is reached, not the stall
     assert str(exc.value) == "budget"
 
 
 def test_whole_degree_assignments_are_skipped():
-    # every tuple of the assignment (3, 0), all three degree-3 generators,
-    # spans that whole degree, a plain subset's span: walking its 13^3 tuples
-    # per height would stall the budget before the (2, 1) block's first pick
+    # the assignment (3, 0), all three degree-3 generators, spans only that
+    # whole degree, a plain subset's span: it is skipped, and the (2, 1)
+    # block's first pick is the fifth candidate
     gens = [Generator(f"y{i}", d, i) for i, d in enumerate((3, 3, 3, 5), 1)]
     heights = []
     with pytest.raises(SearchSpaceTooLarge, match="^budget$"):
         for tried, height, picks in _candidates(gens, 3, 5, "budget"):
             heights.append(height)
     assert heights == [0, 0, 0, 0, 1]
+
+
+def _gens(degrees):
+    return [Generator(f"y{i}", d, i) for i, d in enumerate(degrees, 1)]
+
+
+def _rref(rows):
+    """The rank of the rows and their reduced row echelon form, flattened."""
+    m, pivots = sympy.Matrix(rows).rref()
+    return len(pivots), tuple(m)
+
+
+@pytest.mark.parametrize("degrees, p", [((3, 3, 5), 2), ((3, 3, 5, 5), 2), ((3, 3, 5, 5), 3),
+                                        ((3, 3, 3, 5), 2), ((3, 3, 3, 5), 3)])
+def test_candidates_are_every_graded_span_once_at_its_height(degrees, p):
+    # brute force: every p-tuple of homogeneous pool vectors of height <= 2,
+    # each span at the least largest |entry| of a tuple spanning it, and the
+    # coordinate spans at height 0
+    n = len(degrees)
+    vectors = []
+    for d in sorted(set(degrees)):
+        cols = [i for i, e in enumerate(degrees) if e == d]
+        for v in _vector_pool(len(cols), 2):
+            row = [0] * n
+            for i, c in zip(cols, v):
+                row[i] = c
+            vectors.append((max(map(abs, v)), row))
+    expected = {}
+    for combo in itertools.combinations(vectors, p):
+        rank, key = _rref([row for _, row in combo])
+        if rank == p:
+            height = max(h for h, _ in combo)
+            expected[key] = min(expected.get(key, height), height)
+    for combo in itertools.combinations(range(n), p):
+        expected[_rref([[int(i == j) for j in range(n)] for i in combo])[1]] = 0
+    gens = _gens(degrees)
+    got = {}
+    for tried, height, picks in _candidates(gens, p, 10**6, "budget"):
+        if height > 2:
+            break
+        rank, key = _rref([[pick.get(g, 0) for g in gens] for pick in picks])
+        assert rank == p and key not in got
+        got[key] = height
+    assert got == expected
+
+
+def test_a_progressing_stream_reaches_its_budget():
+    # the (3, 2) block lists each 3-subspace of degree 3 once and reaches the
+    # budget; walking the 40^3 tuples of degree 3's height-1 pool instead
+    # stalled after 1751 steps with 30 candidates
+    with pytest.raises(SearchSpaceTooLarge, match="^budget$"):
+        for _ in _candidates(_gens((3, 3, 3, 3, 7, 7)), 5, 35, "budget"):
+            pass
+
+
+def test_candidates_end_when_no_assignment_is_left():
+    # p above the number of generators, and p = 0, leave no assignment with
+    # a degree partly taken: the stream ends after its plain subsets
+    gens = _gens((3, 3, 5))
+    assert list(_candidates(gens, 4, 20, "budget")) == []
+    assert list(_candidates(gens, 0, 20, "budget")) == [(1, 0, ())]
+
+
+def test_single_degree_streams_keep_their_pinned_order():
+    # captured from the stream that deduplicated whole candidates through one
+    # global set of span keys: (3, 3, 3, 3) at p = 2, first 60 yields, and
+    # (7, 7, 7, 7) at p = 3 with budget 32, the 26 yields before that stream
+    # stalled; this one goes on to the budget
+    cases = json.loads((pathlib.Path(__file__).parent / "golden" / "candidate_prefixes.json")
+                       .read_text())
+    for case in cases:
+        gens = _gens(case["degrees"])
+        stream = _candidates(gens, case["p"], case["max_candidates"], "budget")
+        got = [[tried, height, [[[g.name, c] for g, c in pick.items()] for pick in picks]]
+               for tried, height, picks in itertools.islice(stream, len(case["yields"]))]
+        assert got == case["yields"]
+    with pytest.raises(SearchSpaceTooLarge, match="^budget$"):
+        for _ in stream:
+            pass
 
 
 def test_combine_equals_the_element_sum():
