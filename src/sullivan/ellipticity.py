@@ -14,7 +14,6 @@ checkable certificate: an element whose differential is exactly that power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable
@@ -240,21 +239,6 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
             r = {k: v // g for k, v in r.items()}
         pivots[col] = r
     return pivots
-
-
-def _span_key(rows: Iterable[dict[int, Fraction | int]]) -> tuple:
-    """Canonical key of the span of sparse rows: its reduced row echelon form.
-
-    Each row's denominators are cleared first.  Feeding the echelon rows back
-    in, largest pivot first, back-substitutes: each is reduced against every
-    larger pivot row, already reduced itself.  Two row sets have equal keys
-    exactly when they span the same space.
-    """
-    pivots = _echelon(_integral(row)[1] for row in rows)
-    reduced = _echelon(pivots[col] for col in sorted(pivots, reverse=True))
-    return tuple(tuple(sorted((k, Fraction(v, reduced[col][col]))
-                              for k, v in reduced[col].items()))
-                 for col in sorted(reduced))
 
 
 # -- cohomology ranks (exact, degreewise) -------------------------------------

@@ -31,7 +31,6 @@ from .algebra import Element, Generator, _integral, _key
 from .ellipticity import (
     ExactnessCertificate,
     _echelon,
-    _span_key,
     exactness_certificate,
     is_elliptic_pure,
 )
@@ -162,19 +161,35 @@ def _assignments(caps: Sequence[int], p: int) -> list[tuple[int, ...]]:
 
 def _subspaces(n: int, k: int, step):
     """Each k-subspace of Q^n once, as ``(height, basis)``: the coordinate ones
-    at height 0 in ``itertools.combinations`` order, then every other at the
-    least height h whose ``_vector_pool(n, h)`` spans it, under its first basis
-    in combinations order of that pool.  The whole space (k == n) is only its
-    coordinate one.  ``step()`` is called once per combination."""
+    at height 0 in ``itertools.combinations`` order, then (if k < n) every other
+    at the least height h whose ``_vector_pool(n, h)`` spans it, under its first
+    basis in combinations order of that pool: the greedy one, each vector the
+    pool's first outside the span of those before.  So a basis grows by the
+    first pool vector of each line modulo its span, if after its last; fed the
+    pivot rows, then v, ``_echelon`` adds one row, the same along the line.  A
+    k-basis is yielded if its last vector has height h and its support more
+    than k columns.  One ``step()`` per unit combination and per basis grown."""
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    seen = set()
-    for height in itertools.count() if k < n else [0]:
-        for basis in itertools.combinations(_vector_pool(n, height) if height else units, k):
-            step()
-            key = _span_key({j: c for j, c in enumerate(v) if c} for v in basis)
-            if len(key) == k and key not in seen:
-                seen.add(key)
-                yield height, basis
+    for basis in itertools.combinations(units, k):
+        step()
+        yield 0, basis
+    for height in itertools.count(1) if k < n else []:
+        pool = _vector_pool(n, height)
+        def grow(basis, pivots, start):
+            lines = set()
+            for i, v in enumerate(pool):
+                grown = _echelon([*pivots.values(), {j: c for j, c in enumerate(v) if c}])
+                new = grown.keys() - pivots.keys()
+                if new and (line := frozenset(grown[new.pop()].items())) not in lines:
+                    lines.add(line)
+                    if i < start:
+                        continue
+                    step()
+                    if len(basis) + 1 < k:
+                        yield from grow(basis + (v,), grown, i + 1)
+                    elif max(map(abs, v)) == height and len(set().union(*grown.values())) > k:
+                        yield height, basis + (v,)
+        yield from grow((), {}, 0)
 
 
 def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
@@ -189,10 +204,10 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
     assignments of p to the degrees in descending order, the product of the
     degrees' ``_subspaces`` up to that height, the lowest degree slowest, less
     the products of lower height.  Assignments that take each degree whole or
-    not at all span only plain subsets and are skipped.  More than
-    ``max_candidates`` tried, or 50 times as many steps (combinations and
-    products), raises SearchSpaceTooLarge, an input problem like any budget
-    the user sets.  Ends after the plain subsets when no assignment is left.
+    not at all span only plain subsets and are skipped.  Ends after the plain
+    subsets when no assignment is left.  More than ``max_candidates`` tried,
+    or 50 times as many steps (unit combinations, bases grown and products),
+    raises SearchSpaceTooLarge, an input problem like any budget the user sets.
     """
     groups: dict[int, list[Generator]] = {}
     for g in gens:
@@ -597,9 +612,10 @@ def exhaustive_homogeneous_search(model: SullivanModel,
     subsets of the odd generators in declaration order, then, by height 1,
     2, ..., one subspace per degree, each graded subspace listed once
     (``_candidates``, the stage search's order).  The first candidate passing
-    verify_f0_extension wins.  When every odd degree is one-dimensional the
-    space is finite and exhausting it proves no homogeneous F0 basis exists;
-    otherwise running past the budget raises SearchSpaceTooLarge.
+    verify_f0_extension wins.  When no assignment takes a degree in part, as
+    for (3, 3, 5) at p = 3, the space is finite and exhausting it proves no
+    homogeneous F0 basis exists (``fully_exhaustive``); otherwise running past
+    the budget raises SearchSpaceTooLarge.
     """
     if not is_elliptic_pure(model):
         raise NotElliptic(f"model {model.name!r} is not elliptic")

@@ -16,7 +16,6 @@ from sullivan.algebra import MAX_DEGREE, Element, Generator, _integral, make_gen
 from sullivan.ellipticity import (
     ExactnessCertificate,
     _echelon,
-    _span_key,
     all_nilpotency_exponents,
     cohomology_dims,
     differential_ideal_basis,
@@ -361,42 +360,38 @@ def test_echelon_rows_are_multiples_of_the_fraction_rows(rows):
         assert all(v == row[col] * ref[col][k] for k, v in row.items())
 
 
-@PROPERTY
-@given(matrices())
-def test_span_key_is_the_reduced_echelon_form(rows):
-    dense, _ = sympy_rref(rows)
-    assert _span_key(sparse(rows)) == tuple(
-        tuple(sorted(r.items())) for r in sparse(dense))
+def added_row(pivots, v):
+    """The row ``_echelon`` adds for v after the pivot rows, or None; the rows
+    fed back come out as they went in."""
+    grown = _echelon([*pivots.values(), sparse([v])[0]])
+    assert {col: grown[col] for col in pivots} == pivots
+    new = grown.keys() - pivots.keys()
+    return grown[new.pop()] if new else None
 
 
 @PROPERTY
 @given(matrices(), st.data())
-def test_span_key_is_invariant_under_invertible_row_operations(rows, data):
-    key = _span_key(sparse(rows))
-    moved = data.draw(st.permutations(rows))
-    assert _span_key(sparse(moved)) == key
-    n = len(moved)
-    for _ in range(data.draw(st.integers(0, 6))):
-        i = data.draw(st.integers(0, n - 1))
-        j = data.draw(st.integers(0, n - 1))
-        c = Fraction(data.draw(st.integers(-3, 3).filter(bool)),
-                     data.draw(st.integers(1, 3)))
-        if i == j:
-            moved[i] = [c * v for v in moved[i]]
-        else:
-            moved[i] = [a + c * b for a, b in zip(moved[i], moved[j])]
-    assert _span_key(sparse(moved)) == key
-
-
-@PROPERTY
-@given(matrices(), st.data())
-def test_span_key_tells_spans_apart(rows, data):
-    # appending a row changes the span exactly when it raises the rank
-    extra = data.draw(st.lists(st.integers(-2, 2).map(Fraction),
-                               min_size=len(rows[0]), max_size=len(rows[0])))
-    grown = rows + [extra]
-    same_span = sympy.Matrix(grown).rank() == sympy.Matrix(rows).rank()
-    assert (_span_key(sparse(grown)) == _span_key(sparse(rows))) == same_span
+def test_the_added_row_keys_the_line_modulo_the_span(rows, data):
+    # the key extension._subspaces tells the lines modulo a basis's span
+    # apart by: w is drawn as c*v plus rows of S about half of the time
+    pivots = _echelon(integral(rows))
+    vector = st.lists(st.integers(-2, 2), min_size=len(rows[0]), max_size=len(rows[0]))
+    v = data.draw(vector)
+    if data.draw(st.booleans()):
+        w = [data.draw(st.integers(-2, 2)) * a for a in v]
+        for r in rows:
+            c = data.draw(st.integers(-1, 1))
+            w = [a + c * b for a, b in zip(w, r)]
+        w = integral([w])[0]
+        w = [w.get(j, 0) for j in range(len(v))]
+    else:
+        w = data.draw(vector)
+    rank = sympy.Matrix(rows).rank()
+    rank_v, rank_w, rank_vw = (sympy.Matrix(rows + extra).rank()
+                               for extra in ([v], [w], [v, w]))
+    assert (added_row(pivots, v) is None) == (rank_v == rank)
+    same_span = rank_v == rank_w == rank_vw
+    assert (added_row(pivots, v) == added_row(pivots, w)) == same_span
 
 
 # -- cohomology ranks against the Fraction path ----------------------------------

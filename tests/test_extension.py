@@ -10,7 +10,8 @@ import sympy
 from test_golden import WIDENING, _widening_models
 
 from sullivan import build_model, groebner, load_model
-from sullivan.algebra import MAX_DEGREE, Element, Generator
+from sullivan.algebra import MAX_DEGREE, Element, Generator, _integral
+from sullivan.ellipticity import _echelon
 from sullivan.errors import (
     InvalidInput,
     NonConstantLength,
@@ -23,6 +24,7 @@ from sullivan.extension import (
     _assignments,
     _candidates,
     _combine,
+    _subspaces,
     _vector_pool,
     exhaustive_homogeneous_search,
     extension_model,
@@ -440,6 +442,46 @@ def _rref(rows):
     return len(pivots), tuple(m)
 
 
+def _span_key(rows):
+    """Reference: the span's reduced row echelon form, the key the walk over
+    combinations dropped repeated spans by."""
+    pivots = _echelon(_integral(row)[1] for row in rows)
+    reduced = _echelon(pivots[col] for col in sorted(pivots, reverse=True))
+    return tuple(tuple(sorted((k, Fraction(v, reduced[col][col]))
+                              for k, v in reduced[col].items()))
+                 for col in sorted(reduced))
+
+
+def _combination_walk(n, k, step):
+    """Reference: the walk ``_subspaces`` replaced.  It tries every k-tuple of
+    each height's pool (the unit vectors at height 0) in
+    ``itertools.combinations`` order and keeps the first tuple of each span
+    of rank k not met before."""
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = set()
+    for height in itertools.count() if k < n else [0]:
+        for basis in itertools.combinations(_vector_pool(n, height) if height else units, k):
+            step()
+            key = _span_key({j: c for j, c in enumerate(v) if c} for v in basis)
+            if len(key) == k and key not in seen:
+                seen.add(key)
+                yield height, basis
+
+
+# (4, 3) has 260,672 subspaces through height 2, and the reference walk
+# takes minutes over them: its first 1,000 (680 of them through height 1)
+@pytest.mark.parametrize("n, k, height, limit",
+                         [(n, k, 2, None) for n in (2, 3, 4) for k in range(1, n)
+                          if (n, k) != (4, 3)] + [(4, 3, 2, 1000), (5, 1, 1, None),
+                                                  (5, 2, 1, None)])
+def test_subspaces_are_the_combination_walk_without_repeats(n, k, height, limit):
+    def through(walk):
+        stream = walk(n, k, lambda: None)
+        return list(itertools.islice(itertools.takewhile(lambda s: s[0] <= height, stream),
+                                     limit))
+    assert through(_subspaces) == through(_combination_walk)
+
+
 @pytest.mark.parametrize("degrees, p", [((3, 3, 5), 2), ((3, 3, 5, 5), 2), ((3, 3, 5, 5), 3),
                                         ((3, 3, 3, 5), 2), ((3, 3, 3, 5), 3)])
 def test_candidates_are_every_graded_span_once_at_its_height(degrees, p):
@@ -477,10 +519,17 @@ def test_candidates_are_every_graded_span_once_at_its_height(degrees, p):
 def test_a_progressing_stream_reaches_its_budget():
     # the (3, 2) block lists each 3-subspace of degree 3 once and reaches the
     # budget; walking the 40^3 tuples of degree 3's height-1 pool instead
-    # stalled after 1751 steps with 30 candidates
-    with pytest.raises(SearchSpaceTooLarge, match="^budget$"):
-        for _ in _candidates(_gens((3, 3, 3, 3, 7, 7)), 5, 35, "budget"):
-            pass
+    # stalled after 1751 steps with 30 candidates.  The other cases stalled
+    # in the walk over every combination of a degree's pool, whose repeated
+    # spans were dropped one by one (yields, then the stall's steps): 15 at
+    # 3051, 12 at 2001, 6 at 5001, 45 at 5001, 37 at 6851 and 16 at 3051
+    for degrees, p, budget in [((3, 3, 3, 3, 7, 7), 5, 35), ((7, 7, 7, 7, 7), 4, 61),
+                               ((3, 3, 3, 3, 3), 4, 40), ((3, 3, 3, 3, 3, 3), 5, 100),
+                               ((3, 3, 3, 3, 3, 3), 4, 100), ((3, 3, 3, 3, 3, 5), 4, 137),
+                               ((5, 7, 7, 7, 7, 7), 5, 61)]:
+        with pytest.raises(SearchSpaceTooLarge, match="^budget$"):
+            for _ in _candidates(_gens(degrees), p, budget, "budget"):
+                pass
 
 
 def test_candidates_end_when_no_assignment_is_left():
