@@ -10,10 +10,11 @@ generators) whose differentials are a regular sequence.
 The construction recurses stage by stage.  Each stage isolates the even
 generators of minimal degree together with the odd generators small enough to
 hit them, picks a regular set of odd combinations there, kills the stage, and
-continues on the quotient.  Chosen combinations lift to the original model
-verbatim: differentials of odd generators live in the even subalgebra, so
-they are unaffected by killing odd generators, and killing the lower even
-generators only shortens them.
+continues on the quotient.  A stage inherits ellipticity from its model (see
+``FirstStage``), so it is not re-tested.  Chosen combinations lift to the
+original model verbatim: differentials of odd generators live in the even
+subalgebra, so they are unaffected by killing odd generators, and killing the
+lower even generators only shortens them.
 
 Every output is certified after the fact: the full differential sequence is
 re-checked for regularity over all even generators, and each even generator
@@ -59,20 +60,20 @@ from .model import SullivanModel
 class FirstStage:
     """The bottom slice of a pure elliptic constant-length model.
 
-    ``evens`` are the even generators of minimal degree; ``bounded_odds`` the
-    odd generators of degree at most length*|min even| - 1, split into
-    ``active`` (nonzero differential, necessarily of that exact top degree)
-    and ``inert`` (zero differential).  ``stage_model`` is the sub-model they
-    span, itself pure and elliptic.
+    ``evens`` are X0, the even generators of least degree |x0|; the odd
+    generators of degree at most l*|x0| - 1 split into ``active`` (nonzero
+    differential, so of that top degree with image in Q[X0]) and ``inert``.
+    The slice's sub-model is elliptic, so it is not built: the image of an
+    odd generator of degree above l*|x0| - 1 vanishes when X' = 0 (words of
+    length l in X0 have degree exactly l*|x0|), so Q[X0]/(d active) =
+    Q[X]/(dY + (X')), a quotient of the finite-dimensional Q[X]/(dY).
     """
 
     model: SullivanModel
     length: int
     evens: tuple[Generator, ...]
-    bounded_odds: tuple[Generator, ...]
     active: tuple[Generator, ...]
     inert: tuple[Generator, ...]
-    stage_model: SullivanModel
 
 
 def first_stage(model: SullivanModel) -> FirstStage:
@@ -113,12 +114,7 @@ def first_stage(model: SullivanModel) -> FirstStage:
         if not img.generators_used() <= even_set:
             raise VerificationFailed(
                 f"d({g.name}) leaves the minimal-degree even subalgebra")
-    sub = model.sub_model(stage_evens + bounded, name=f"{model.name}/stage")
-    if not is_elliptic_pure(sub):
-        raise VerificationFailed(
-            f"first stage of {model.name!r} is not elliptic; this contradicts "
-            "ellipticity of the whole model")
-    return FirstStage(model, l, stage_evens, bounded, active, inert, sub)
+    return FirstStage(model, l, stage_evens, active, inert)
 
 
 # -- regular subsequence search -------------------------------------------------

@@ -92,6 +92,15 @@ def odd_spheres():
     return load_model(MODELS / "odd_spheres.model")
 
 
+@pytest.fixture(scope="session")
+def inert_tower_text():
+    # two stages with an inert odd generator on each: v from level 1 on, u
+    # only once x is killed at level 2 (kept out of models/, whose every
+    # file is in the CLI golden suite)
+    return ('model "inert-tower"\neven x : 2\neven w : 4\nodd y : 3 = x^2\n'
+            "odd v : 3\nodd u : 5 = x*w\nodd t : 7 = w^2\n")
+
+
 # -- random pure elliptic constant-length models -----------------------------
 
 def _homogeneous_image(rng: random.Random, evens: list[Generator], l: int) -> Element:

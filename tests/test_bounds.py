@@ -1,7 +1,10 @@
 """Category and topological-complexity upper bounds, pure and non-pure routes."""
+import itertools
+
 import pytest
 
 from sullivan import build_model
+from sullivan.algebra import Element, make_generators
 from sullivan.bounds import cat_estimate, tc_upper_bound, tc_upper_bound_nonpure
 from sullivan.errors import (
     EvenMismatch,
@@ -11,6 +14,7 @@ from sullivan.errors import (
     SubModelNotClosed,
     SubModelNotPure,
 )
+from sullivan.groebner import buchberger, member
 
 
 def cp(n):
@@ -30,6 +34,18 @@ def test_cp_series():
         else:
             assert report.cat_provenance == "lechuga-murillo"
             assert report.tc_provenance == "thm-3.1"
+
+
+def test_cp_bound_is_attained_by_the_zero_divisor_cup_length():
+    # zcl0 of H*(CP^n) (x) H*(CP^n) = Q[a, b]/(a^(n+1), b^(n+1)) is at least
+    # the largest k with (a - b)^k outside the ideal; as zcl0 <= TC0 <= the
+    # bound, meeting it pins TC0(CP^n) = 2n
+    gens = make_generators([("a", 2), ("b", 2)])
+    a, b = (Element.from_generator(g) for g in gens)
+    for n in (1, 2, 3, 4):
+        gb = buchberger([a ** (n + 1), b ** (n + 1)], gens)
+        zcl = next(k for k in itertools.count() if member((a - b) ** (k + 1), gb))
+        assert zcl == tc_upper_bound(cp(n)).tc_upper == 2 * n
 
 
 def test_sphere():

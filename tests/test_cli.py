@@ -288,6 +288,20 @@ def test_extend_and_search_take_no_seed():
         assert "unrecognized arguments: --seed 0" in err.getvalue()
 
 
+def test_extend_trace_keeps_inert_odds_on_both_levels(tmp_path, inert_tower_text):
+    # d(u) = x*w dies with x, so u joins the inert odd generators at level 2
+    path = tmp_path / "inert_tower.model"
+    path.write_text(inert_tower_text)
+    code, out, err = run("extend", path, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["trace"] == [
+        {"level": 1, "evens": ["x"], "active": ["y"], "inert": ["v"], "chosen": ["y"],
+         "killed_odd": ["y"], "survivors": ["w", "v", "u", "t"]},
+        {"level": 2, "evens": ["w"], "active": ["t"], "inert": ["v", "u"], "chosen": ["t"],
+         "killed_odd": ["t"], "survivors": ["v", "u"]},
+    ]
+
+
 def test_a_small_search_budget_exits_2_in_extend_and_search():
     # the user's budget is an input problem in both commands, not an internal
     # fault; 2 stops among the three plain subsets, 3 at the first widened pick

@@ -11,7 +11,7 @@ from test_golden import WIDENING, _widening_models
 
 from sullivan import build_model, groebner, load_model
 from sullivan.algebra import MAX_DEGREE, Element, Generator, _integral
-from sullivan.ellipticity import _echelon
+from sullivan.ellipticity import _echelon, is_elliptic_pure
 from sullivan.errors import (
     InvalidInput,
     NonConstantLength,
@@ -33,7 +33,7 @@ from sullivan.extension import (
     first_stage,
     verify_f0_extension,
 )
-from sullivan.parsing import _ExprParser
+from sullivan.parsing import _ExprParser, parse_model
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -65,17 +65,44 @@ def test_first_stage_tower(tower_model):
     assert [g.name for g in stage.active] == ["y1"]
     assert list(stage.inert) == []
     assert stage.length == 2
-    stage.stage_model.validate()
 
 
-def test_first_stage_requires_evens(odd_spheres):
-    with pytest.raises(InvalidInput):
-        first_stage(odd_spheres)
+@pytest.fixture()
+def not_elliptic():
+    return build_model([("x1", 2), ("x2", 2), ("y", 3)],
+                       {"y": lambda e: e["x1"] ** 2}, name="not-elliptic")
 
 
-def test_first_stage_rejects_mixed_length(mixed_model):
-    with pytest.raises(NonConstantLength):
-        first_stage(mixed_model)
+@pytest.mark.parametrize("fixture, error", [
+    ("odd_spheres", InvalidInput),
+    ("mixed_model", NonConstantLength),
+    ("nonpure_model", NotPure),
+    ("not_elliptic", NotElliptic),
+])
+def test_first_stage_checks_its_input(request, fixture, error):
+    with pytest.raises(error):
+        first_stage(request.getfixturevalue(fixture))
+
+
+def test_every_stage_of_an_extension_is_elliptic(random_suite_cache, tower_model,
+                                                 inert_tower_text):
+    # first_stage builds no stage sub-model: it is elliptic because its model
+    # is (FirstStage).  Replay each trace and check that on every level.
+    models = [*random_suite_cache.get(), tower_model, parse_model(inert_tower_text)]
+    levels = 0
+    for model in models:
+        length = model.differential_length()
+        current = model
+        for rec in f0_extend(model).trace:
+            levels += 1
+            stage = first_stage(current)
+            assert current.is_pure()
+            assert current.differential_length() == length, model.name
+            assert [g.name for g in stage.evens] == list(rec.evens)
+            sub = current.sub_model(stage.evens + stage.active + stage.inert)
+            assert is_elliptic_pure(sub), (model.name, rec.level)
+            current = current.quotient_model(rec.evens + rec.killed_odd)
+    assert levels > len(models)  # multi-stage models reach the later levels
 
 
 def test_first_stage_groups_equal_degrees(f0_square):
@@ -272,15 +299,13 @@ def test_f0_extend_determinism(needs_combination):
     assert a.to_dict() == b.to_dict()
 
 
-def test_f0_extend_guards(nonpure_model, mixed_model):
+def test_f0_extend_guards(nonpure_model, mixed_model, not_elliptic):
     with pytest.raises(NotPure):
         f0_extend(nonpure_model)
     with pytest.raises(NonConstantLength):
         f0_extend(mixed_model)
-    fat = build_model([("x1", 2), ("x2", 2), ("y", 3)],
-                      {"y": lambda e: e["x1"] ** 2})
     with pytest.raises(NotElliptic):
-        f0_extend(fat)
+        f0_extend(not_elliptic)
 
 
 def test_f0_extend_no_evens(odd_spheres):
