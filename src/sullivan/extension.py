@@ -10,11 +10,15 @@ generators) whose differentials are a regular sequence.
 The construction recurses stage by stage.  Each stage isolates the even
 generators of minimal degree together with the odd generators small enough to
 hit them, picks a regular set of odd combinations there, kills the stage, and
-continues on the quotient.  A stage inherits ellipticity from its model (see
-``FirstStage``), so it is not re-tested.  Chosen combinations lift to the
-original model verbatim: differentials of odd generators live in the even
-subalgebra, so they are unaffected by killing odd generators, and killing the
-lower even generators only shortens them.
+continues on the quotient.  The hypotheses are checked once, on the input;
+each level inherits them.  With X0 the killed evens and P the killed odds,
+d(P) lies in (X0), so the next level's even ring Q[X]/(dY + (X0)) is a
+quotient of the finite-dimensional Q[X]/(dY), and its images keep a subset of
+the original terms, all of word length l: it is again pure, elliptic and of
+constant length l.  A stage inherits ellipticity likewise (``FirstStage``).
+Chosen combinations lift to the original model verbatim: odd differentials
+live in the even subalgebra, so killing odd generators leaves them alone, and
+killing the lower even generators only shortens them.
 
 Every output is certified after the fact: the full differential sequence is
 re-checked for regularity over all even generators, and each even generator
@@ -36,7 +40,6 @@ from .ellipticity import (
     is_elliptic_pure,
 )
 from .errors import (
-    ApplicabilityError,
     InvalidInput,
     NotElliptic,
     NotPure,
@@ -67,6 +70,7 @@ class FirstStage:
     odd generator of degree above l*|x0| - 1 vanishes when X' = 0 (words of
     length l in X0 have degree exactly l*|x0|), so Q[X0]/(d active) =
     Q[X]/(dY + (X')), a quotient of the finite-dimensional Q[X]/(dY).
+    Likewise each later level of ``f0_extend`` inherits the model's hypotheses.
     """
 
     model: SullivanModel
@@ -84,6 +88,8 @@ def first_stage(model: SullivanModel) -> FirstStage:
     Degree bookkeeping forces each such odd generator with nonzero
     differential to sit in the top degree of that range, with its image a
     polynomial in the slice's even generators; both facts are re-checked.
+    The model's hypotheses are checked here; ``f0_extend``'s later levels
+    inherit them (module docstring) and go straight to the slice.
     """
     if not model.is_pure():
         raise NotPure(f"model {model.name!r} is not pure")
@@ -96,7 +102,11 @@ def first_stage(model: SullivanModel) -> FirstStage:
     if not length.is_constant:
         raise NonConstantLength(
             f"model {model.name!r} has differential length {length.render()}")
-    l = length.value
+    return _slice(model, length.value)
+
+
+def _slice(model: SullivanModel, l: int) -> FirstStage:
+    """``first_stage`` on a model already known to satisfy its hypotheses."""
     evens = model.even_generators
     base_degree = evens[0].degree
     stage_evens = tuple(g for g in evens if g.degree == base_degree)
@@ -502,15 +512,13 @@ def f0_extend(model: SullivanModel, max_candidates: int = 50000) -> ExtensionRes
     quotient.  Choices made in a quotient lift verbatim: the lifted elements
     keep their original differentials.
 
-    The assembled odd basis is re-verified from scratch and each even
+    ``first_stage`` checks the model; later levels inherit its hypotheses
+    (module docstring).  The odd basis is re-verified from scratch, which
+    settles the extension model's count and ellipticity, and each even
     generator receives an exactness certificate in the extension model.
     """
-    if not is_elliptic_pure(model):
-        raise NotElliptic(f"model {model.name!r} is not elliptic")
-    length = model.differential_length()
-    if length.kind == "mixed":
-        raise NonConstantLength(
-            f"model {model.name!r} has differential length {length.render()}")
+    if not model.is_pure():
+        raise NotPure(f"model {model.name!r} is not pure")
 
     current = model
     chosen: list[Element] = []
@@ -518,13 +526,7 @@ def f0_extend(model: SullivanModel, max_candidates: int = 50000) -> ExtensionRes
     level = 0
     while current.even_generators:
         level += 1
-        try:
-            stage = first_stage(current)
-        except ApplicabilityError as ex:
-            if level > 1:
-                raise VerificationFailed(
-                    f"stage {level} lost a structural property: {ex}") from ex
-            raise
+        stage = first_stage(current) if level == 1 else _slice(current, stage.length)
         choice = find_homogeneous_regular_subset(stage, max_candidates=max_candidates)
         chosen.extend(choice.elements)
         col = {_key(g): i for i, g in enumerate(current.odd_generators)}
@@ -549,10 +551,6 @@ def f0_extend(model: SullivanModel, max_candidates: int = 50000) -> ExtensionRes
         raise VerificationFailed(
             f"constructed odd basis failed the {report.first_failure} check")
     ext = extension_model(model, chosen)
-    if ext.chi_pi() != 0:
-        raise VerificationFailed("extension model has nonzero homotopy characteristic")
-    if not is_elliptic_pure(ext):
-        raise VerificationFailed("extension model is not elliptic")
     certificates = [exactness_certificate(ext, g) for g in model.even_generators]
     degrees = [e.degree() for e in chosen]
     return ExtensionResult(model, chosen, degrees, ext, certificates, trace, report)

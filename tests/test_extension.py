@@ -9,7 +9,7 @@ import pytest
 import sympy
 from test_golden import WIDENING, _widening_models
 
-from sullivan import build_model, groebner, load_model
+from sullivan import build_model, extension, groebner, load_model
 from sullivan.algebra import MAX_DEGREE, Element, Generator, _integral
 from sullivan.ellipticity import _echelon, is_elliptic_pure
 from sullivan.errors import (
@@ -22,6 +22,7 @@ from sullivan.errors import (
 )
 from sullivan.extension import (
     _assignments,
+    _slice,
     _candidates,
     _combine,
     _subspaces,
@@ -96,6 +97,7 @@ def test_every_stage_of_an_extension_is_elliptic(random_suite_cache, tower_model
         for rec in f0_extend(model).trace:
             levels += 1
             stage = first_stage(current)
+            assert _slice(current, length.value) == stage  # f0_extend's later levels
             assert current.is_pure()
             assert current.differential_length() == length, model.name
             assert [g.name for g in stage.evens] == list(rec.evens)
@@ -299,13 +301,45 @@ def test_f0_extend_determinism(needs_combination):
     assert a.to_dict() == b.to_dict()
 
 
-def test_f0_extend_guards(nonpure_model, mixed_model, not_elliptic):
-    with pytest.raises(NotPure):
-        f0_extend(nonpure_model)
-    with pytest.raises(NonConstantLength):
-        f0_extend(mixed_model)
-    with pytest.raises(NotElliptic):
-        f0_extend(not_elliptic)
+@pytest.fixture()
+def nonpure_no_evens():
+    return parse_model('model "nonpure-no-evens"\nodd y1 : 3\nodd y2 : 3\n'
+                       "odd z : 5 = y1*y2\n")
+
+
+@pytest.mark.parametrize("fixture, error", [
+    ("nonpure_model", NotPure),
+    ("mixed_model", NonConstantLength),
+    ("not_elliptic", NotElliptic),
+    ("nonpure_no_evens", NotPure),
+])
+def test_f0_extend_guards(request, fixture, error):
+    # f0_extend's own guard is purity, for models that never reach a stage;
+    # a model with evens is refused by first_stage, with its message
+    model = request.getfixturevalue(fixture)
+    with pytest.raises(error) as raised:
+        f0_extend(model)
+    if model.even_generators:
+        with pytest.raises(error) as direct:
+            first_stage(model)
+        assert str(raised.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("fixture", ["tower_model", "inert_tower_text"])
+def test_f0_extend_tests_ellipticity_once(request, monkeypatch, fixture):
+    # later levels and the extension model inherit the input's ellipticity
+    model = request.getfixturevalue(fixture)
+    if isinstance(model, str):
+        model = parse_model(model)
+    tested = []
+
+    def counting(m):
+        tested.append(m.name)
+        return is_elliptic_pure(m)
+
+    monkeypatch.setattr(extension, "is_elliptic_pure", counting)
+    assert len(f0_extend(model).trace) == 2
+    assert tested == [model.name]
 
 
 def test_f0_extend_no_evens(odd_spheres):
