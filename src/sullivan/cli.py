@@ -8,8 +8,9 @@ indicate a bug); each package error's class declares its exit code
 (``errors``).  Every error is one ``error[<code>]: message`` line on stderr.
 
 JSON output is key-sorted and content-addressed: identical inputs produce
-byte-identical bytes.  Both F0 searches enumerate their candidates in one
-fixed order, so there is no seed to set.
+byte-identical bytes.  The stage pick of ``extend`` and the candidates of
+``search`` follow one fixed order each, so there is no seed to set; only
+``search`` takes a budget (``--max-search``), as only it walks whole picks.
 """
 from __future__ import annotations
 
@@ -82,15 +83,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _max_search(args) -> int:
-    if args.max_search < 1:
-        raise InvalidInput(f"--max-search must be at least 1, got {args.max_search}")
-    return args.max_search
-
-
 def cmd_extend(args) -> int:
     model = load_model(args.model)
-    result = ext.f0_extend(model, max_candidates=_max_search(args))
+    result = ext.f0_extend(model)
     payload = result.to_dict()
     _say(_model_summary(model), args)
     if result.odd_basis:
@@ -108,7 +103,9 @@ def cmd_extend(args) -> int:
 
 def cmd_search(args) -> int:
     model = load_model(args.model)
-    outcome = ext.exhaustive_homogeneous_search(model, max_candidates=_max_search(args))
+    if args.max_search < 1:
+        raise InvalidInput(f"--max-search must be at least 1, got {args.max_search}")
+    outcome = ext.exhaustive_homogeneous_search(model, max_candidates=args.max_search)
     payload = outcome.to_dict()
     _emit(payload, args)
     if outcome.found is None:
@@ -179,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("extend", help="construct a verified F0-basis extension")
     common(sp)
-    sp.add_argument("--max-search", type=int, default=50000,
-                    help="candidate budget for the stage search")
 
     sp = sub.add_parser("search",
                         help="exhaustive search for a homogeneous F0 basis")

@@ -146,13 +146,6 @@ class SearchSpaceTooLarge(SullivanError):
     code = "search-space-too-large"
 
 
-class SearchExhausted(SullivanError):
-    """A search that theory guarantees to succeed came up empty."""
-
-    code = "search-exhausted"
-    exit = 3
-
-
 class VerificationFailed(SullivanError):
     """An internal certificate or soundness check failed; indicates a bug."""
 

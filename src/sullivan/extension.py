@@ -9,20 +9,23 @@ generators) whose differentials are a regular sequence.
 
 The construction recurses stage by stage.  Each stage isolates the even
 generators of minimal degree together with the odd generators small enough to
-hit them, picks a regular set of odd combinations there, kills the stage, and
-continues on the quotient.  The hypotheses are checked once, on the input;
-each level inherits them.  With X0 the killed evens and P the killed odds,
-d(P) lies in (X0), so the next level's even ring Q[X]/(dY + (X0)) is a
-quotient of the finite-dimensional Q[X]/(dY), and its images keep a subset of
-the original terms, all of word length l: it is again pure, elliptic and of
-constant length l.  A stage inherits ellipticity likewise (``FirstStage``).
-Chosen combinations lift to the original model verbatim: odd differentials
-live in the even subalgebra, so killing odd generators leaves them alone, and
-killing the lower even generators only shortens them.
+hit them, picks a regular set of odd combinations there (greedily, one at a
+time, by Krull dimension: prime avoidance bounds the walk, so it takes no
+budget), kills the stage, and continues on the quotient.  The hypotheses are
+checked once, on the input; each level inherits them.  With X0 the killed
+evens and P the killed odds, d(P) lies in (X0), so the next level's even ring
+Q[X]/(dY + (X0)) is a quotient of the finite-dimensional Q[X]/(dY), and its
+images keep a subset of the original terms, all of word length l: it is again
+pure, elliptic and of constant length l.  A stage inherits ellipticity
+likewise (``FirstStage``).  Chosen combinations lift to the original model
+verbatim: odd differentials live in the even subalgebra, so killing odd
+generators leaves them alone, and killing the lower even generators only
+shortens them.
 
 Every output is certified after the fact: the full differential sequence is
 re-checked for regularity over all even generators, and each even generator
-gets an exactness certificate in the extension model.
+gets an exactness certificate in the extension model.  Only the exhaustive
+search walks the candidate stream of whole picks (``_candidates``).
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
 
-from .algebra import Element, Generator, _integral, _key
+from .algebra import Element, Generator, _key
 from .ellipticity import (
     ExactnessCertificate,
     _echelon,
@@ -44,11 +47,11 @@ from .errors import (
     NotElliptic,
     NotPure,
     NonConstantLength,
-    SearchExhausted,
     SearchSpaceTooLarge,
     VerificationFailed,
 )
 from .groebner import (
+    _dimension,
     buchberger,
     quotient_dimension,
     quotient_is_finite_dimensional,
@@ -137,17 +140,16 @@ class RegularChoice:
     images: list[Element]
     subset: tuple[str, ...] | None  # generator names when the pick is a plain subset
     height: int
-    tried: int
+    tried: int  # candidates tested, the first subset included
 
 
-def _vector_pool(n: int, up_to_height: int) -> list[tuple[int, ...]]:
-    """Primitive integer vectors, first nonzero entry > 0, by height max |entry|."""
-    pool: list[tuple[int, ...]] = []
-    for h in range(1, up_to_height + 1):
+def _vector_pool(n: int):
+    """Primitive integer vectors, first nonzero entry > 0, listed lazily as
+    ``(height, vector)`` by height max |entry| = 1, 2, ...; for n = 1 only (1,)."""
+    for h in itertools.count(1) if n > 1 else [1]:
         for v in itertools.product(range(-h, h + 1), repeat=n):
             if max(map(abs, v)) == h and next(a for a in v if a) > 0 and gcd(*v) == 1:
-                pool.append(v)
-    return pool
+                yield h, v
 
 
 def _combine(combination: dict[Generator, int]) -> Element:
@@ -168,7 +170,7 @@ def _assignments(caps: Sequence[int], p: int) -> list[tuple[int, ...]]:
 def _subspaces(n: int, k: int, step):
     """Each k-subspace of Q^n once, as ``(height, basis)``: the coordinate ones
     at height 0 in ``itertools.combinations`` order, then (if k < n) every other
-    at the least height h whose ``_vector_pool(n, h)`` spans it, under its first
+    at the least height h at which ``_vector_pool`` spans it, under its first
     basis in combinations order of that pool: the greedy one, each vector the
     pool's first outside the span of those before.  So a basis grows by the
     first pool vector of each line modulo its span, if after its last; fed the
@@ -180,7 +182,7 @@ def _subspaces(n: int, k: int, step):
         step()
         yield 0, basis
     for height in itertools.count(1) if k < n else []:
-        pool = _vector_pool(n, height)
+        pool = [v for _, v in itertools.takewhile(lambda s: s[0] <= height, _vector_pool(n))]
         def grow(basis, pivots, start):
             lines = set()
             for i, v in enumerate(pool):
@@ -198,8 +200,7 @@ def _subspaces(n: int, k: int, step):
         yield from grow((), {}, 0)
 
 
-def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
-                budget_message: str):
+def _candidates(gens: Sequence[Generator], p: int, max_candidates: int):
     """Candidate picks of p homogeneous combinations of ``gens``, in search order.
 
     Yields ``(tried, height, picks)`` as each is enumerated; ``picks`` holds
@@ -215,6 +216,7 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
     or 50 times as many steps (unit combinations, bases grown and products),
     raises SearchSpaceTooLarge, an input problem like any budget the user sets.
     """
+    budget_message = f"search budget of {max_candidates} candidates exceeded"
     groups: dict[int, list[Generator]] = {}
     for g in gens:
         groups.setdefault(g.degree, []).append(g)
@@ -260,50 +262,51 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int,
                                            for v in basis)
 
 
-def find_homogeneous_regular_subset(stage: FirstStage,
-                                    max_candidates: int = 50000) -> RegularChoice:
-    """Pick |evens| odd combinations of the stage with regular differentials.
+def find_homogeneous_regular_subset(stage: FirstStage) -> RegularChoice:
+    """Pick |evens| = p odd combinations of the stage with regular differentials.
 
-    Search order (``_candidates``): plain subsets of the active odd
-    generators in declaration order, then every other subspace once, at its
-    height 1, 2, ..., under its first basis of primitive integer combinations
-    of largest |coefficient| at most that height.  Each is tested via
-    finite-dimensionality of the quotient by the candidate differentials,
-    which for |evens| many elements is equivalent to regularity.
-    Deterministic: the order depends on the stage alone.
-
-    Running past the candidate budget raises SearchSpaceTooLarge, as the
-    exhaustive search does.  Existence is guaranteed for stages of elliptic
-    models, so an image span of rank below |evens|, or a failing only
-    candidate, raises SearchExhausted as a defensive error.
+    First the first p active odd generators, as a whole: for p elements a
+    finite-dimensional quotient is regularity.  Else the pick is greedy: the
+    k-th element, k = 1, ..., p, is the first vector outside the span of the
+    earlier ones (the units in declaration order, then ``_vector_pool``) whose
+    image drops the quotient's Krull dimension to p - k, which is regularity
+    as Q[X0] is Cohen-Macaulay (Matsumura, *Commutative Ring Theory*, 17.4).
+    A prefix of a regular sequence is regular, so the greedy walk would pick a
+    passing first subset too.  It never backtracks: the active images
+    generate an ideal primary to the maximal one (checked first, else
+    NotElliptic), so a vector fails only inside one of the at most l^(k-1)
+    minimal primes of the earlier picks' ideal (Bezout), each meeting the
+    span in a proper subspace; a hyperplane holds at most (2h+1)^(m-1) of the
+    (2h+1)^m vectors of height at most h, so a pick exists at the least h
+    with 2h + 1 > l^(k-1), and passing it is an internal fault.
     """
-    p = len(stage.evens)
-    active = stage.active
-    if p == 0:
-        return RegularChoice([], [], (), 0, 0)
-
-    # rank of the image span over its monomials decides feasibility up front
-    cols: dict = {}
-    img_rank = len(_echelon(
-        {cols.setdefault(m, len(cols)): c
-         for m, c in _integral(stage.model.differential[g]._t)[1].items()}
-        for g in active))
-    if img_rank < p:
-        raise SearchExhausted(
-            f"differential images of the first stage span only {img_rank} "
-            f"dimensions, fewer than the {p} required")
-
-    for tried, height, picks in _candidates(
-            active, p, max_candidates,
-            f"no regular pick within {max_candidates} candidates"):
-        els = [_combine(c) for c in picks]
-        imgs = [stage.model.d(e) for e in els]
-        if quotient_is_finite_dimensional(buchberger(imgs, stage.evens)):
-            subset = tuple(e.render() for e in els) if height == 0 else None
-            return RegularChoice(els, imgs, subset, height, tried)
-    raise SearchExhausted(
-        "the only candidate subset fails the regularity test and the span "
-        "admits no other subspaces")
+    p, active, model = len(stage.evens), stage.active, stage.model
+    els = [_combine({g: 1}) for g in active[:p]]
+    imgs = [model.d(e) for e in els]
+    height, tried = 0, int(p > 0)
+    if p and not quotient_is_finite_dimensional(buchberger(imgs, stage.evens)):
+        if not quotient_is_finite_dimensional(
+                buchberger([model.differential[g] for g in active], stage.evens)):
+            raise NotElliptic(f"the first stage of {model.name!r} is not elliptic")
+        units = [(0, tuple(int(i == j) for j in range(len(active)))) for i in range(len(active))]
+        els, imgs, rows = [], [], {}
+        for k in range(1, p + 1):
+            bound = (stage.length ** (k - 1) + 1) // 2  # the least h, 2h + 1 > l^(k-1)
+            for h, v in itertools.chain(units, ((h, v) for h, v in _vector_pool(len(active))
+                                                if sum(map(bool, v)) > 1)):  # units came first
+                if h > bound:
+                    raise VerificationFailed(f"no regular pick {k} within height {bound}")
+                grown = _echelon([*rows.values(), {j: c for j, c in enumerate(v) if c}])
+                if len(grown) == len(rows):
+                    continue  # inside the span of the earlier picks
+                tried += 1
+                e = _combine({g: c for g, c in zip(active, v) if c})
+                img = model.d(e)
+                if _dimension(buchberger(imgs + [img], stage.evens)) == p - k:
+                    els, imgs, rows, height = els + [e], imgs + [img], grown, max(height, h)
+                    break
+    subset = tuple(e.render() for e in els) if height == 0 else None
+    return RegularChoice(els, imgs, subset, height, tried)
 
 
 # -- extension construction ------------------------------------------------------
@@ -503,7 +506,7 @@ def verify_f0_extension(model: SullivanModel, odd_basis: Sequence[Element]) -> V
     return report
 
 
-def f0_extend(model: SullivanModel, max_candidates: int = 50000) -> ExtensionResult:
+def f0_extend(model: SullivanModel) -> ExtensionResult:
     """Construct a verified F0-basis extension of a pure elliptic model.
 
     Recursion on the even generators: take the first stage, pick a regular
@@ -527,7 +530,7 @@ def f0_extend(model: SullivanModel, max_candidates: int = 50000) -> ExtensionRes
     while current.even_generators:
         level += 1
         stage = first_stage(current) if level == 1 else _slice(current, stage.length)
-        choice = find_homogeneous_regular_subset(stage, max_candidates=max_candidates)
+        choice = find_homogeneous_regular_subset(stage)
         chosen.extend(choice.elements)
         col = {_key(g): i for i, g in enumerate(current.odd_generators)}
         rows = [{col[k]: c for k, c in e._t.items()} for e in choice.elements]
@@ -605,8 +608,8 @@ def exhaustive_homogeneous_search(model: SullivanModel,
     Candidates are built degree by degree (homogeneity is free): first plain
     subsets of the odd generators in declaration order, then, by height 1,
     2, ..., one subspace per degree, each graded subspace listed once
-    (``_candidates``, the stage search's order).  The first candidate passing
-    verify_f0_extension wins.  When no assignment takes a degree in part, as
+    (``_candidates``).  The first candidate passing verify_f0_extension
+    wins.  When no assignment takes a degree in part, as
     for (3, 3, 5) at p = 3, the space is finite and exhausting it proves no
     homogeneous F0 basis exists (``fully_exhaustive``); otherwise running past
     the budget raises SearchSpaceTooLarge.
@@ -636,9 +639,7 @@ def exhaustive_homogeneous_search(model: SullivanModel,
         outcome.subset_complete = True
         return outcome
 
-    for tried, height, picks in _candidates(
-            odds, p, max_candidates,
-            f"search budget of {max_candidates} candidates exceeded"):
+    for tried, height, picks in _candidates(odds, p, max_candidates):
         outcome.tried = tried
         candidate = [_combine(c) for c in picks]
         report = verify_f0_extension(model, candidate)

@@ -598,6 +598,17 @@ def _count(lead: list[tuple[int, ...]], n: int) -> int:
                for lo, hi in zip(cuts, cuts[1:]))
 
 
+def _dimension(gb: GroebnerBasis) -> int:
+    """Krull dimension of the quotient, -1 for the zero ring, read off the
+    leading monomials as dim Q[x]/I = dim Q[x]/in(I): the number of variables
+    less the fewest variables that meet every leading monomial's support (Cox,
+    Little and O'Shea, *Ideals, Varieties, and Algorithms*, 9.3)."""
+    bits = [1 << j for j in range(len(gb.variables))]
+    supports = {sum(b for b, x in zip(bits, e) if x) for e in gb._leading}
+    sets = (sum(t) for k in range(len(bits) + 1) for t in itertools.combinations(bits, k))
+    return next((len(bits) - t.bit_count() for t in sets if all(s & t for s in supports)), -1)
+
+
 def quotient_dimension(gb: GroebnerBasis) -> int:
     """Number of standard monomials of a finite-dimensional quotient, counted
     once per basis from the leading monomials alone: dim Q[x]/I = dim Q[x]/in(I)

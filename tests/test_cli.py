@@ -2,7 +2,6 @@
 import gc
 import importlib
 import io
-import itertools
 import json
 import pathlib
 import sys
@@ -19,7 +18,6 @@ from sullivan.cli import main
 from sullivan.parsing import MAX_DIGITS
 from sullivan.errors import (
     ApplicabilityError,
-    SearchExhausted,
     SullivanError,
     ValidationError,
     VerificationFailed,
@@ -243,7 +241,7 @@ def test_generated_models_end_in_a_documented_exit(text):
         path.write_text(text)
         for argv in (("validate", path), ("analyze", path), ("bound", path),
                      ("cohomology", path, "--up-to", "8"),
-                     ("extend", path, "--max-search", "50"),
+                     ("extend", path),
                      ("search", path, "--max-search", "50")):
             code, out, err = run(*argv)
             assert code in (0, 1, 2)  # never an internal fault (3)
@@ -303,17 +301,23 @@ def test_extend_trace_keeps_inert_odds_on_both_levels(tmp_path, inert_tower_text
 
 
 def test_a_small_search_budget_exits_2_in_extend_and_search():
-    # the user's budget is an input problem in both commands, not an internal
-    # fault; 2 stops among the three plain subsets, 3 at the first widened pick
-    for command, budget in itertools.product(("extend", "search"), ("2", "3")):
-        code, out, err = run(command, MODELS / "needs_combination.model", "--max-search", budget)
+    # the user's budget is an input problem, not an internal fault; 2 stops
+    # among the three plain subsets, 3 at the first widened pick
+    for budget in ("2", "3"):
+        code, out, err = run("search", MODELS / "needs_combination.model", "--max-search", budget)
         assert code == 2 and out == ""
         assert err.startswith("error[search-space-too-large]: ") and err.count("\n") == 1
+    # the stage pick of extend takes no budget: the option is a usage error
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(["extend", str(MODELS / "needs_combination.model"), "--max-search", "3"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --max-search 3" in err.getvalue()
 
 
 def test_a_search_budget_below_one_is_refused_before_the_search():
-    for command, budget in itertools.product(("extend", "search"), ("0", "-5")):
-        code, out, err = run(command, MODELS / "cp2.model", "--max-search", budget)
+    for budget in ("0", "-5"):
+        code, out, err = run("search", MODELS / "cp2.model", "--max-search", budget)
         assert (code, out) == (2, "")
         assert err == f"error[invalid-input]: --max-search must be at least 1, got {budget}\n"
 
@@ -519,7 +523,7 @@ def _error_classes(cls=SullivanError):
 def _documented_exit(cls):
     if issubclass(cls, ApplicabilityError):
         return 1  # a negative mathematical result
-    if issubclass(cls, (VerificationFailed, SearchExhausted)):
+    if issubclass(cls, VerificationFailed):
         return 3  # an internal fault
     return 2  # an input or budget problem
 

@@ -1,7 +1,10 @@
 """F0-basis extensions: staging, searching, verification, certificates."""
+import importlib.util
 import itertools
 import json
 import pathlib
+import random
+import sys
 import time
 from fractions import Fraction
 
@@ -10,15 +13,15 @@ import sympy
 from test_golden import WIDENING, _widening_models
 
 from sullivan import build_model, extension, groebner, load_model
-from sullivan.algebra import MAX_DEGREE, Element, Generator, _integral
+from sullivan.algebra import MAX_DEGREE, Element, Generator, Monomial, _integral
 from sullivan.ellipticity import _echelon, is_elliptic_pure
 from sullivan.errors import (
     InvalidInput,
     NonConstantLength,
     NotElliptic,
     NotPure,
-    SearchExhausted,
     SearchSpaceTooLarge,
+    VerificationFailed,
 )
 from sullivan.extension import (
     _assignments,
@@ -27,6 +30,7 @@ from sullivan.extension import (
     _combine,
     _subspaces,
     _vector_pool,
+    FirstStage,
     exhaustive_homogeneous_search,
     extension_model,
     f0_extend,
@@ -36,7 +40,8 @@ from sullivan.extension import (
 )
 from sullivan.parsing import _ExprParser, parse_model
 
-MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 
 @pytest.fixture()
@@ -126,9 +131,11 @@ def test_combination_search(needs_combination):
     stage = first_stage(needs_combination)
     choice = find_homogeneous_regular_subset(stage)
     assert choice.subset is None
-    # a coefficient in {-1, 0, 1} suffices: the first widened candidate
-    assert (choice.height, choice.tried) == (1, 4)
-    assert names(choice.elements) == ["y3", "y1 - y2 - y3"]
+    # the first subset fails; greedily, y1, then y2 and y3 fail next to it
+    # and y2 - y3, the first height-1 vector, passes: d(y2 - y3) = w^2
+    assert (choice.height, choice.tried) == (1, 5)
+    assert names(choice.elements) == ["y1", "y2 - y3"]
+    assert names(choice.images) == ["x^2 + x*w", "w^2"]
     for e in choice.elements:
         assert e.is_homogeneous()
     report = verify_f0_extension(needs_combination, choice.elements)
@@ -139,20 +146,109 @@ def test_combination_search_determinism(needs_combination):
     stage = first_stage(needs_combination)
     a = find_homogeneous_regular_subset(stage)
     b = find_homogeneous_regular_subset(first_stage(needs_combination))
-    assert names(a.elements) == names(b.elements)
-    assert (a.height, a.tried) == (b.height, b.tried)
+    assert names(a.elements) == names(b.elements) == ["y1", "y2 - y3"]
+    assert (a.height, a.tried) == (b.height, b.tried) == (1, 5)
 
 
 def test_stage_search_tries_its_first_candidate_at_once():
-    # four active odds in one degree: the pick is the ninth candidate, and
-    # it is tested before the rest of height 1 is listed
+    # four active odds in one degree: after the first subset and y1, the
+    # second pick is the sixth vector tested beside y1, and it is tested
+    # before the rest of height 1 is listed
     model = next(m for m in _widening_models() if m.name == "needs-combination-2xw")
     stage = first_stage(model)
     start = time.perf_counter()
     choice = find_homogeneous_regular_subset(stage)
     assert time.perf_counter() - start < 0.5
-    assert names(choice.elements) == ["y4", "y1 - y2 - y3 - y4"]
-    assert (choice.height, choice.tried) == (1, 9)
+    assert names(choice.elements) == ["y1", "y2 - y3 - y4"]
+    assert (choice.height, choice.tried) == (1, 8)
+
+
+def _workloads():
+    """The benchmark's model recipes, ``bench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+def _finite(polys, degrees):
+    """The benchmark's finite-quotient predicate on exponent-tuple polynomials."""
+    gens = [Generator(f"x{i + 1}", d, i) for i, d in enumerate(degrees)]
+    elements = [Element({Monomial.make([(g, e) for g, e in zip(gens, exps) if e]): c
+                         for exps, c in p.items()}) for p in polys]
+    return groebner.quotient_is_finite_dimensional(groebner.buchberger(elements, gens))
+
+
+def _check_pick(stage, choice):
+    """A pick is regular, and its k-th element (from 0) has height at most
+    the proved bound, the least h with 2h + 1 > l^k."""
+    assert groebner.regular_sequence_failure(choice.images, stage.evens) is None
+    assert len(choice.elements) == len(stage.evens)
+    for k, e in enumerate(choice.elements):
+        assert max(map(abs, e.odd_linear_part().values())) <= (stage.length ** k + 1) // 2
+
+
+def _recorded_picks(monkeypatch, models):
+    """(stage, choice) of every stage that ``f0_extend`` runs on the models."""
+    picks = []
+
+    def recording(stage):
+        picks.append((stage, find_homogeneous_regular_subset(stage)))
+        return picks[-1][1]
+
+    monkeypatch.setattr(extension, "find_homogeneous_regular_subset", recording)
+    for model in models:
+        f0_extend(model)
+    return picks
+
+
+def test_stage_picks_are_regular_within_their_proved_height(random_suite_cache, monkeypatch):
+    # every stage of the suite and every scaling-ladder rung passes its first
+    # subset (tried = 1); the search-reject prefix models (n = 3, k = 4,
+    # l = 2: four odds x1*(linear form) ahead of a regular triple) take the
+    # greedy walk
+    workloads = _workloads()
+    suite = _recorded_picks(monkeypatch, random_suite_cache.get())
+    assert len(suite) > 300
+    ladder = [first_stage(parse_model(spec.text()))  # one stage each: all evens of degree 2
+              for spec in workloads.scaling_ladder(1, _finite)]
+    assert {(len(stage.evens), stage.length) for stage in ladder} == {(3, 2), (3, 3), (4, 2)}
+    ladder = [(stage, find_homogeneous_regular_subset(stage)) for stage in ladder]
+    for stage, choice in suite + ladder:
+        _check_pick(stage, choice)
+        assert (choice.tried, choice.height) == (1, 0)
+        assert choice.subset == tuple(g.name for g in stage.active[:len(stage.evens)])
+    rng = random.Random(1)
+    prefix = [parse_model(workloads.prefix_model(rng, t, 3, 2, 4, _finite).text())
+              for t in range(16)]
+    picks = _recorded_picks(monkeypatch, prefix)
+    assert len(picks) == len(prefix)
+    for stage, choice in picks:
+        _check_pick(stage, choice)
+        assert choice.tried > 1
+
+
+def test_stage_pick_refuses_a_stage_that_is_not_elliptic():
+    # hand-built stages: one active odd for two evens, and two whose images
+    # leave x2 free; each is refused before the greedy walk
+    model = build_model([("x1", 2), ("x2", 2), ("y1", 3), ("y2", 3)],
+                        {"y1": lambda e: e["x1"] ** 2, "y2": lambda e: e["x1"] * e["x2"]},
+                        name="x2-free")
+    evens = model.even_generators
+    for active in (model.odd_generators[:1], model.odd_generators):
+        with pytest.raises(NotElliptic, match="^the first stage of 'x2-free' is not elliptic$"):
+            find_homogeneous_regular_subset(FirstStage(model, 2, evens, active, ()))
+
+
+def test_stage_pick_past_its_proved_height_is_an_internal_fault(needs_combination,
+                                                                monkeypatch):
+    # a Krull dimension that never drops walks the units and height 1, the
+    # bound for both picks at l = 2, and stops at the first height-2 vector
+    stage = first_stage(needs_combination)
+    monkeypatch.setattr(extension, "_dimension", lambda gb: len(gb.variables))
+    with pytest.raises(VerificationFailed, match="^no regular pick 1 within height 1$"):
+        find_homogeneous_regular_subset(stage)
 
 
 def _golden_bases(row: dict):
@@ -161,8 +257,6 @@ def _golden_bases(row: dict):
     yield row["search"]["found"]
     yield [z["element"] for z in row["f0_extend"]["z_odd"]]
     for outcome in row["budgets"].values():
-        if "result" in outcome["stage"]:
-            yield outcome["stage"]["result"]["elements"]
         if "result" in outcome["search"]:
             yield outcome["search"]["result"]["found"]
 
@@ -451,7 +545,7 @@ def test_first_widened_candidate_is_reached_without_the_product():
         for _ in range(2 if d < 27 else 1):
             gens.append(Generator(f"y{len(gens)}", d, len(gens)))
     start = time.perf_counter()
-    for tried, height, picks in _candidates(gens, 2, 50000, "budget"):
+    for tried, height, picks in _candidates(gens, 2, 50000):
         if height:
             break
     assert time.perf_counter() - start < 0.5
@@ -462,7 +556,7 @@ def test_widening_past_height_one():
     gens = [Generator("y1", 3, 1), Generator("y2", 3, 2), Generator("y3", 5, 3)]
     seen, spans = [], set()
     with pytest.raises(SearchSpaceTooLarge):
-        for tried, height, picks in _candidates(gens, 2, 20, "budget"):
+        for tried, height, picks in _candidates(gens, 2, 20):
             seen.append(height)
             spans.add(sympy.Matrix([[pick.get(g, 0) for g in gens] for pick in picks])
                       .rref()[0].as_immutable())
@@ -472,11 +566,11 @@ def test_widening_past_height_one():
     assert sorted(set(seen)) == [0, 1, 2, 3, 4]
     gens = [Generator(f"y{i}", d, i) for i, d in enumerate((3, 3, 3, 5, 5), 1)]
     with pytest.raises(SearchSpaceTooLarge) as exc:
-        for _ in _candidates(gens, 4, 20, "budget"):
+        for _ in _candidates(gens, 4, 20):
             pass
     # the (3, 1) block takes degree 3 whole, as one subspace, so the budget
     # is reached, not the stall
-    assert str(exc.value) == "budget"
+    assert str(exc.value) == "search budget of 20 candidates exceeded"
 
 
 def test_whole_degree_assignments_are_skipped():
@@ -485,10 +579,15 @@ def test_whole_degree_assignments_are_skipped():
     # block's first pick is the fifth candidate
     gens = [Generator(f"y{i}", d, i) for i, d in enumerate((3, 3, 3, 5), 1)]
     heights = []
-    with pytest.raises(SearchSpaceTooLarge, match="^budget$"):
-        for tried, height, picks in _candidates(gens, 3, 5, "budget"):
+    with pytest.raises(SearchSpaceTooLarge, match="^search budget of 5 candidates exceeded$"):
+        for tried, height, picks in _candidates(gens, 3, 5):
             heights.append(height)
     assert heights == [0, 0, 0, 0, 1]
+
+
+def _pool(n, height):
+    """``_vector_pool``'s vectors through the given height."""
+    return [v for _, v in itertools.takewhile(lambda s: s[0] <= height, _vector_pool(n))]
 
 
 def _gens(degrees):
@@ -519,7 +618,7 @@ def _combination_walk(n, k, step):
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     seen = set()
     for height in itertools.count() if k < n else [0]:
-        for basis in itertools.combinations(_vector_pool(n, height) if height else units, k):
+        for basis in itertools.combinations(_pool(n, height) if height else units, k):
             step()
             key = _span_key({j: c for j, c in enumerate(v) if c} for v in basis)
             if len(key) == k and key not in seen:
@@ -551,7 +650,7 @@ def test_candidates_are_every_graded_span_once_at_its_height(degrees, p):
     vectors = []
     for d in sorted(set(degrees)):
         cols = [i for i, e in enumerate(degrees) if e == d]
-        for v in _vector_pool(len(cols), 2):
+        for v in _pool(len(cols), 2):
             row = [0] * n
             for i, c in zip(cols, v):
                 row[i] = c
@@ -566,7 +665,7 @@ def test_candidates_are_every_graded_span_once_at_its_height(degrees, p):
         expected[_rref([[int(i == j) for j in range(n)] for i in combo])[1]] = 0
     gens = _gens(degrees)
     got = {}
-    for tried, height, picks in _candidates(gens, p, 10**6, "budget"):
+    for tried, height, picks in _candidates(gens, p, 10**6):
         if height > 2:
             break
         rank, key = _rref([[pick.get(g, 0) for g in gens] for pick in picks])
@@ -586,8 +685,8 @@ def test_a_progressing_stream_reaches_its_budget():
                                ((3, 3, 3, 3, 3), 4, 40), ((3, 3, 3, 3, 3, 3), 5, 100),
                                ((3, 3, 3, 3, 3, 3), 4, 100), ((3, 3, 3, 3, 3, 5), 4, 137),
                                ((5, 7, 7, 7, 7, 7), 5, 61)]:
-        with pytest.raises(SearchSpaceTooLarge, match="^budget$"):
-            for _ in _candidates(_gens(degrees), p, budget, "budget"):
+        with pytest.raises(SearchSpaceTooLarge, match=f"^search budget of {budget} candidates exceeded$"):
+            for _ in _candidates(_gens(degrees), p, budget):
                 pass
 
 
@@ -595,8 +694,8 @@ def test_candidates_end_when_no_assignment_is_left():
     # p above the number of generators, and p = 0, leave no assignment with
     # a degree partly taken: the stream ends after its plain subsets
     gens = _gens((3, 3, 5))
-    assert list(_candidates(gens, 4, 20, "budget")) == []
-    assert list(_candidates(gens, 0, 20, "budget")) == [(1, 0, ())]
+    assert list(_candidates(gens, 4, 20)) == []
+    assert list(_candidates(gens, 0, 20)) == [(1, 0, ())]
 
 
 def test_single_degree_streams_keep_their_pinned_order():
@@ -608,11 +707,11 @@ def test_single_degree_streams_keep_their_pinned_order():
                        .read_text())
     for case in cases:
         gens = _gens(case["degrees"])
-        stream = _candidates(gens, case["p"], case["max_candidates"], "budget")
+        stream = _candidates(gens, case["p"], case["max_candidates"])
         got = [[tried, height, [[[g.name, c] for g, c in pick.items()] for pick in picks]]
                for tried, height, picks in itertools.islice(stream, len(case["yields"]))]
         assert got == case["yields"]
-    with pytest.raises(SearchSpaceTooLarge, match="^budget$"):
+    with pytest.raises(SearchSpaceTooLarge, match="^search budget of .* candidates exceeded$"):
         for _ in stream:
             pass
 

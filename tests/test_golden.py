@@ -9,9 +9,9 @@ refactor that changes any certificate, witness or report fails here.
 Only ``needs_combination`` takes a ``search`` in the CLI suite past the
 plain subsets, so ``golden/search_widening.json`` covers the combination
 candidates further: for three models that need them it holds the stage
-search's choice, the exhaustive search's outcome, the F0 extension, and what
-both searches do at candidate budgets 1, 3, 5 and 40 (the exception class,
-or the result).
+pick, the exhaustive search's outcome, the F0 extension, and what the
+exhaustive search does at candidate budgets 1, 3, 5 and 40 (the exception
+class, or the result); the stage pick takes no budget.
 
 After an intended change of output, regenerate both files with
 
@@ -57,7 +57,7 @@ def _widening_models():
     # 2-subset of the odds is regular.  The first variant adds an odd
     # generator in a second degree with zero differential, so the exhaustive
     # search mixes two degrees.  The second adds y4 in degree 3 with
-    # d(y4) = 2xw, so the stage search widens over four active odds.
+    # d(y4) = 2xw, so the stage pick walks four active odds.
     gens = [("x", 2), ("w", 2), ("y1", 3), ("y2", 3), ("y3", 3)]
     diffs = {"y1": lambda e: e["x"] ** 2 + e["x"] * e["w"],
              "y2": lambda e: e["x"] * e["w"] + e["w"] ** 2,
@@ -88,12 +88,8 @@ def widening_snapshot() -> str:
     for model in _widening_models():
         budgets = {}
         for budget in WIDENING_BUDGETS:
-            budgets[str(budget)] = {
-                "stage": _outcome(lambda: _choice_dict(find_homogeneous_regular_subset(
-                    first_stage(model), max_candidates=budget))),
-                "search": _outcome(lambda: exhaustive_homogeneous_search(
-                    model, max_candidates=budget).to_dict()),
-            }
+            budgets[str(budget)] = {"search": _outcome(lambda: exhaustive_homogeneous_search(
+                model, max_candidates=budget).to_dict())}
         rows.append({
             "model": model.name,
             "stage": _choice_dict(find_homogeneous_regular_subset(first_stage(model))),

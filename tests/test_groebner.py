@@ -746,6 +746,51 @@ def test_quotient_dimension_matches_brute_force_on_monomial_ideals(case):
     assert quotient_dimension(gb) == brute
 
 
+@st.composite
+def monomial_ideals(draw):
+    """Generators of 1 to 5 weighted variables, and 1 to 6 exponent tuples
+    with entries up to 3 (the zero tuple, the unit ideal, among them)."""
+    n = draw(st.integers(1, 5))
+    gens = [Generator(f"x{i}", draw(st.sampled_from((2, 4, 6))), i) for i in range(n)]
+    lead = draw(st.lists(st.tuples(*(st.integers(0, 3) for _ in range(n))),
+                         min_size=1, max_size=6))
+    return gens, lead
+
+
+@settings(PROPERTY, max_examples=300)
+@given(monomial_ideals())
+def test_dimension_matches_brute_force_on_monomial_ideals(case):
+    # the largest set of variables that holds no generator's support, -1
+    # when none does (the unit ideal)
+    gens, lead = case
+    n = len(gens)
+    gb = buchberger([element({e: 1}, gens) for e in lead], gens)
+    brute = max((k for k in range(n + 1) for s in itertools.combinations(range(n), k)
+                 if not any({j for j, x in enumerate(e) if x} <= set(s) for e in lead)),
+                default=-1)
+    assert groebner._dimension(gb) == brute
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.one_of(
+    weighted_sequences(counts=(-2, -1, 0), degrees=(4,), n_max=4),
+    # degree 8 in four variables makes the failures' ideal quotients slow
+    weighted_sequences(counts=(-2, -1, 0), degrees=(4, 8))), st.booleans(), st.booleans())
+def test_dimension_drops_at_each_element_exactly_for_regular_sequences(case, diagonal, share):
+    # Q[x] is Cohen-Macaulay, so homogeneous f_1, ..., f_k are regular exactly
+    # when each drops the Krull dimension by one (Matsumura, Thm 17.4)
+    gens, seq = case
+    if diagonal:  # f_i + x_i^a: regular sequences of full length become common
+        seq = [f + Element.from_generator(g) ** (f.degree() // g.degree)
+               for f, g in zip(seq, gens)]
+    if share and len(seq) > 1:  # a common factor x1 of the first and last fails
+        x1 = Element.from_generator(gens[0])
+        seq = [x1 * seq[0], *seq[1:-1], x1 * seq[-1]]
+    drops = all(groebner._dimension(buchberger(seq[:i + 1], gens)) == len(gens) - i - 1
+                for i in range(len(seq)))
+    assert drops == (regular_sequence_failure(seq, gens) is None)
+
+
 # -- the fraction-free path against Fraction arithmetic -------------------------
 
 #: nonzero rationals with small numerators and denominators, either sign
