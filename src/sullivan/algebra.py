@@ -90,13 +90,12 @@ class Generator:
         if self.degree < 2:
             raise InvalidModel(
                 f"generator {self.name!r} has degree {self.degree}; "
-                "simply connected models need degree >= 2"
-            )
+                "simply connected models need degree >= 2", self.name)
         if self.degree >= MAX_DEGREE or not 0 <= self.index < MAX_GENERATORS:
             raise InvalidModel(  # a differential image has degree |g| + 1
                 f"generator {self.name!r} (degree {self.degree}, position "
                 f"{self.index}) is outside the monomial layout: degrees below "
-                f"{MAX_DEGREE}, positions 0 to {MAX_GENERATORS - 1}")
+                f"{MAX_DEGREE}, positions 0 to {MAX_GENERATORS - 1}", self.name)
         object.__setattr__(self, "is_even", self.degree % 2 == 0)
         object.__setattr__(self, "_hash", hash((self.degree, self.index)))
 

@@ -17,9 +17,14 @@ class SullivanError(Exception):
 
 
 class InvalidModel(SullivanError):
-    """Structurally broken model: bad degree, duplicate name, foreign generator."""
+    """Structurally broken model: bad degree, duplicate name, foreign generator;
+    ``generator`` names the offending generator when one is."""
 
     code = "invalid-model"
+
+    def __init__(self, message, generator=None):
+        super().__init__(message)
+        self.generator = generator
 
 
 class InvalidInput(SullivanError):

@@ -11,16 +11,17 @@ The construction recurses stage by stage.  Each stage isolates the even
 generators of minimal degree together with the odd generators small enough to
 hit them, picks a regular set of odd combinations there (greedily, one at a
 time, by Krull dimension: prime avoidance bounds the walk, so it takes no
-budget), kills the stage, and continues on the quotient.  The hypotheses are
-checked once, on the input; each level inherits them.  With X0 the killed
-evens and P the killed odds, d(P) lies in (X0), so the next level's even ring
-Q[X]/(dY + (X0)) is a quotient of the finite-dimensional Q[X]/(dY), and its
-images keep a subset of the original terms, all of word length l: it is again
-pure, elliptic and of constant length l.  A stage inherits ellipticity
-likewise (``FirstStage``).  Chosen combinations lift to the original model
-verbatim: odd differentials live in the even subalgebra, so killing odd
-generators leaves them alone, and killing the lower even generators only
-shortens them.
+budget), kills the stage, and continues on the input less the killed set:
+no level model is built, a level's images are the input's with the killed
+generators set to zero.  The hypotheses are checked once, on the input; each
+level inherits them.  With X0 the killed evens and P the killed odds, d(P)
+lies in (X0), so the level's even ring Q[X]/(dY + (X0)) is a quotient of the
+finite-dimensional Q[X]/(dY), and its images keep a subset of the original
+terms, all of word length l: it is again pure, elliptic and of constant
+length l.  A stage inherits ellipticity likewise (``FirstStage``).  Chosen
+combinations lift to the original model verbatim: odd differentials live in
+the even subalgebra, so killing odd generators leaves them alone, and
+killing the lower even generators only shortens them.
 
 Every output is certified after the fact: the full differential sequence is
 re-checked for regularity over all even generators, and each even generator
@@ -64,16 +65,17 @@ from .model import SullivanModel
 
 @dataclass
 class FirstStage:
-    """The bottom slice of a pure elliptic constant-length model.
+    """The bottom slice of a pure elliptic constant-length model less a killed set.
 
-    ``evens`` are X0, the even generators of least degree |x0|; the odd
-    generators of degree at most l*|x0| - 1 split into ``active`` (nonzero
-    differential, so of that top degree with image in Q[X0]) and ``inert``.
-    The slice's sub-model is elliptic, so it is not built: the image of an
-    odd generator of degree above l*|x0| - 1 vanishes when X' = 0 (words of
-    length l in X0 have degree exactly l*|x0|), so Q[X0]/(d active) =
-    Q[X]/(dY + (X')), a quotient of the finite-dimensional Q[X]/(dY).
-    Likewise each later level of ``f0_extend`` inherits the model's hypotheses.
+    ``model`` is the input at every level.  ``evens`` are X0, the surviving
+    even generators of least degree |x0|; the surviving odd generators of
+    degree at most l*|x0| - 1 split by their image, the killed generators set
+    to zero, into ``active`` (nonzero ``images``, aligned with it: so of that
+    top degree and in Q[X0]) and ``inert``.  The slice's sub-model is
+    elliptic, so it is not built: the image of an odd generator of degree
+    above l*|x0| - 1 vanishes when X' = 0 (words of length l in X0 have degree
+    exactly l*|x0|), so Q[X0]/(d active) = Q[X]/(dY + (X')), a quotient of
+    the finite-dimensional Q[X]/(dY); each later level inherits likewise.
     """
 
     model: SullivanModel
@@ -81,6 +83,7 @@ class FirstStage:
     evens: tuple[Generator, ...]
     active: tuple[Generator, ...]
     inert: tuple[Generator, ...]
+    images: tuple[Element, ...]
 
 
 def first_stage(model: SullivanModel) -> FirstStage:
@@ -92,7 +95,7 @@ def first_stage(model: SullivanModel) -> FirstStage:
     differential to sit in the top degree of that range, with its image a
     polynomial in the slice's even generators; both facts are re-checked.
     The model's hypotheses are checked here; ``f0_extend``'s later levels
-    inherit them (module docstring) and go straight to the slice.
+    inherit them (module docstring) and slice the input less its killed set.
     """
     if not model.is_pure():
         raise NotPure(f"model {model.name!r} is not pure")
@@ -105,29 +108,29 @@ def first_stage(model: SullivanModel) -> FirstStage:
     if not length.is_constant:
         raise NonConstantLength(
             f"model {model.name!r} has differential length {length.render()}")
-    return _slice(model, length.value)
+    return _slice(model, length.value, set())
 
 
-def _slice(model: SullivanModel, l: int) -> FirstStage:
-    """``first_stage`` on a model already known to satisfy its hypotheses."""
-    evens = model.even_generators
+def _slice(model: SullivanModel, l: int, killed: set[Generator]) -> FirstStage:
+    """``first_stage`` of the model less ``killed``, its hypotheses known."""
+    evens = [g for g in model.even_generators if g not in killed]
     base_degree = evens[0].degree
     stage_evens = tuple(g for g in evens if g.degree == base_degree)
     bound = l * base_degree - 1
-    bounded = tuple(g for g in model.odd_generators if g.degree <= bound)
-    active = tuple(g for g in bounded if model.differential.get(g))
-    inert = tuple(g for g in bounded if not model.differential.get(g))
+    bounded = [g for g in model.odd_generators if g.degree <= bound and g not in killed]
+    images = {g: model.d_generator(g).substitute_zero(killed) for g in bounded}
+    active = tuple(g for g in bounded if images[g])
+    inert = tuple(g for g in bounded if not images[g])
     even_set = set(stage_evens)
     for g in active:
-        img = model.differential[g]
         if g.degree != bound:
             raise VerificationFailed(
                 f"{g.name} has degree {g.degree}, expected {bound} for a nonzero "
                 "differential in the first stage")
-        if not img.generators_used() <= even_set:
+        if not images[g].generators_used() <= even_set:
             raise VerificationFailed(
                 f"d({g.name}) leaves the minimal-degree even subalgebra")
-    return FirstStage(model, l, stage_evens, active, inert)
+    return FirstStage(model, l, stage_evens, active, inert, tuple(images[g] for g in active))
 
 
 # -- regular subsequence search -------------------------------------------------
@@ -280,14 +283,12 @@ def find_homogeneous_regular_subset(stage: FirstStage) -> RegularChoice:
     (2h+1)^m vectors of height at most h, so a pick exists at the least h
     with 2h + 1 > l^(k-1), and passing it is an internal fault.
     """
-    p, active, model = len(stage.evens), stage.active, stage.model
-    els = [_combine({g: 1}) for g in active[:p]]
-    imgs = [model.d(e) for e in els]
+    p, active, images = len(stage.evens), stage.active, list(stage.images)
+    els, imgs = [_combine({g: 1}) for g in active[:p]], images[:p]
     height, tried = 0, int(p > 0)
     if p and not quotient_is_finite_dimensional(buchberger(imgs, stage.evens)):
-        if not quotient_is_finite_dimensional(
-                buchberger([model.differential[g] for g in active], stage.evens)):
-            raise NotElliptic(f"the first stage of {model.name!r} is not elliptic")
+        if not quotient_is_finite_dimensional(buchberger(images, stage.evens)):
+            raise NotElliptic(f"the first stage of {stage.model.name!r} is not elliptic")
         units = [(0, tuple(int(i == j) for j in range(len(active)))) for i in range(len(active))]
         els, imgs, rows = [], [], {}
         for k in range(1, p + 1):
@@ -300,9 +301,9 @@ def find_homogeneous_regular_subset(stage: FirstStage) -> RegularChoice:
                 if len(grown) == len(rows):
                     continue  # inside the span of the earlier picks
                 tried += 1
-                e = _combine({g: c for g, c in zip(active, v) if c})
-                img = model.d(e)
+                img = sum((c * f for c, f in zip(v, images) if c), Element.zero())
                 if _dimension(buchberger(imgs + [img], stage.evens)) == p - k:
+                    e = _combine({g: c for g, c in zip(active, v) if c})
                     els, imgs, rows, height = els + [e], imgs + [img], grown, max(height, h)
                     break
     subset = tuple(e.render() for e in els) if height == 0 else None
@@ -511,9 +512,10 @@ def f0_extend(model: SullivanModel) -> ExtensionResult:
 
     Recursion on the even generators: take the first stage, pick a regular
     set of odd combinations there, kill the stage's even generators together
-    with pivot odd generators of the chosen span, and continue on the
-    quotient.  Choices made in a quotient lift verbatim: the lifted elements
-    keep their original differentials.
+    with pivot odd generators of the chosen span, and continue on the input
+    less the killed set; no level model is built, so the extension is the one
+    model made here.  Choices made at a level lift verbatim: the lifted
+    elements keep their original differentials.
 
     ``first_stage`` checks the model; later levels inherit its hypotheses
     (module docstring).  The odd basis is re-verified from scratch, which
@@ -523,31 +525,27 @@ def f0_extend(model: SullivanModel) -> ExtensionResult:
     if not model.is_pure():
         raise NotPure(f"model {model.name!r} is not pure")
 
-    current = model
+    odds = model.odd_generators
+    col = {_key(g): i for i, g in enumerate(odds)}
+    killed: set[Generator] = set()
     chosen: list[Element] = []
     trace: list[StageRecord] = []
-    level = 0
-    while current.even_generators:
-        level += 1
-        stage = first_stage(current) if level == 1 else _slice(current, stage.length)
+    while not killed.issuperset(model.even_generators):
+        stage = _slice(model, stage.length, killed) if trace else first_stage(model)
         choice = find_homogeneous_regular_subset(stage)
         chosen.extend(choice.elements)
-        col = {_key(g): i for i, g in enumerate(current.odd_generators)}
         rows = [{col[k]: c for k, c in e._t.items()} for e in choice.elements]
-        pivot_gens = [current.odd_generators[i] for i in sorted(_echelon(rows))]
-        survivors = [g for g in current.generators
-                     if g not in set(stage.evens) and g not in set(pivot_gens)]
+        pivot_gens = [odds[i] for i in sorted(_echelon(rows))]
+        killed.update(stage.evens, pivot_gens)
         trace.append(StageRecord(
-            level=level,
+            level=len(trace) + 1,
             evens=tuple(g.name for g in stage.evens),
             active=tuple(g.name for g in stage.active),
             inert=tuple(g.name for g in stage.inert),
             chosen=tuple(e.render() for e in choice.elements),
             killed_odd=tuple(g.name for g in pivot_gens),
-            survivors=tuple(g.name for g in survivors),
+            survivors=tuple(g.name for g in model.generators if g not in killed),
         ))
-        current = current.quotient_model(
-            list(stage.evens) + pivot_gens, name=f"{model.name}/level{level}")
 
     report = verify_f0_extension(model, chosen)
     if not report.passed:

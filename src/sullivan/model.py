@@ -217,13 +217,8 @@ class SullivanModel:
     # -- structural predicates --------------------------------------------
 
     def is_pure(self) -> bool:
-        """No differential on even generators; odd images in the even subalgebra."""
-        for g, img in self.differential.items():
-            if g.is_even and img:
-                return False
-            if not img.is_even_polynomial():
-                return False
-        return True
+        """No even differential, odd images in the even subalgebra: from the report."""
+        return self._report.pure
 
     def differential_length(self) -> DifferentialLength:
         """Word lengths of the differential images, from the validated report."""
@@ -266,7 +261,8 @@ class SullivanModel:
                     g.name, f"d^2({g.name}) = {self.d(img).render()} is nonzero")
         return ModelReport(
             name=self.name,
-            pure=self.is_pure(),
+            pure=all(not g.is_even and img.is_even_polynomial()
+                     for g, img in self.differential.items()),
             minimal=True,
             length=DifferentialLength.of(lengths),
             chi_pi=self.chi_pi(),

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .algebra import Element, _degree, make_generators
 from .errors import (
     InvalidModel,
-    InvalidInput,
     ModelSyntaxError,
     UnknownGenerator,
     ValidationError,
@@ -175,6 +174,7 @@ def parse_model(text: str) -> SullivanModel:
     """Parse and validate a model file; raises with line numbers on failure."""
     name = None
     decls: list[tuple[int, str, str, int, str | None]] = []
+    lines_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -202,17 +202,19 @@ def parse_model(text: str) -> SullivanModel:
         if parity == "even" and expr is not None:
             raise ModelSyntaxError(
                 "even generators cannot carry a differential here", lineno)
+        if gname in lines_of:
+            raise ModelSyntaxError("generator names must be unique within a model", lineno)
+        lines_of[gname] = lineno
         decls.append((lineno, parity, gname, deg, expr))
     if name is None:
         raise ModelSyntaxError('missing model "<name>" line', 1)
     if not decls:
         raise ModelSyntaxError("no generator declarations", 1)
 
-    lines_of = {gname: lineno for lineno, _, gname, _, _ in decls}
     try:
         gens = make_generators([(gname, deg) for _, _, gname, deg, _ in decls])
-    except (InvalidModel, InvalidInput) as ex:
-        raise ModelSyntaxError(str(ex), decls[0][0]) from ex
+    except InvalidModel as ex:  # names its generator: duplicates are refused above
+        raise ModelSyntaxError(str(ex), lines_of[ex.generator]) from ex
     env = {g.name: Element.from_generator(g) for g in gens}
     diffs: dict[str, Element] = {}
     for lineno, parity, gname, deg, expr in decls:

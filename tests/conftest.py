@@ -101,6 +101,13 @@ def inert_tower_text():
             "odd v : 3\nodd u : 5 = x*w\nodd t : 7 = w^2\n")
 
 
+@pytest.fixture(scope="session")
+def three_level_text():
+    # three stages; at level 2, u's image loses its x*v term to the killed x
+    return ('model "three-level"\neven x : 2\neven w : 4\neven v : 6\nodd y : 3 = x^2\n'
+            "odd u : 7 = w^2 + x*v\nodd t : 11 = v^2\n")
+
+
 # -- random pure elliptic constant-length models -----------------------------
 
 def _homogeneous_image(rng: random.Random, evens: list[Generator], l: int) -> Element:

@@ -149,8 +149,8 @@ def test_monomial_layout_capacity(tmp_path):
         numbers.append(tmp_path / f"{name}.model")
         numbers[-1].write_text(f'model "{name}"\n{text}')
     too_long = f"a number of more than {MAX_DIGITS} digits"
-    for path, message in ((past, f"error[syntax]: line 2: generator 'y' (degree {MAX_DEGREE}"),
-                          (many, "error[syntax]: line 2: generator 'x32'"),
+    for path, message in ((past, f"error[syntax]: line 3: generator 'y' (degree {MAX_DEGREE}"),
+                          (many, "error[syntax]: line 34: generator 'x32'"),
                           (numbers[0], f"error[syntax]: line 3: {too_long}"),
                           (numbers[1], f"error[syntax]: line 3: {too_long}"),
                           (numbers[2], f"error[syntax]: line 3: {too_long}")):
@@ -298,6 +298,29 @@ def test_extend_trace_keeps_inert_odds_on_both_levels(tmp_path, inert_tower_text
         {"level": 2, "evens": ["w"], "active": ["t"], "inert": ["v", "u"], "chosen": ["t"],
          "killed_odd": ["t"], "survivors": ["v", "u"]},
     ]
+
+
+def test_extend_trace_kills_a_lower_term_at_the_third_level(tmp_path, three_level_text):
+    # at level 2, d(u) = w^2 + x*v has lost x*v to the killed x; the chosen u
+    # lifts with its whole image, which the certificate of w uses
+    path = tmp_path / "three_level.model"
+    path.write_text(three_level_text)
+    code, out, err = run("extend", path, "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["trace"] == [
+        {"level": 1, "evens": ["x"], "active": ["y"], "inert": [], "chosen": ["y"],
+         "killed_odd": ["y"], "survivors": ["w", "v", "u", "t"]},
+        {"level": 2, "evens": ["w"], "active": ["u"], "inert": [], "chosen": ["u"],
+         "killed_odd": ["u"], "survivors": ["v", "t"]},
+        {"level": 3, "evens": ["v"], "active": ["t"], "inert": [], "chosen": ["t"],
+         "killed_odd": ["t"], "survivors": []},
+    ]
+    assert payload["z_odd"] == [{"element": "y", "degree": 3}, {"element": "u", "degree": 7},
+                                {"element": "t", "degree": 11}]
+    assert [c["witness"] for c in payload["certificates"]] == [
+        "z1", "-x*v*z2 + w^2*z2 + v^2*z1", "z3"]
+    assert payload["verification"]["quotient_dimension"] == 8
 
 
 def test_a_small_search_budget_exits_2_in_extend_and_search():

@@ -12,7 +12,7 @@ import pytest
 import sympy
 from test_golden import WIDENING, _widening_models
 
-from sullivan import build_model, extension, groebner, load_model
+from sullivan import SullivanModel, build_model, extension, groebner, load_model
 from sullivan.algebra import MAX_DEGREE, Element, Generator, Monomial, _integral
 from sullivan.ellipticity import _echelon, is_elliptic_pure
 from sullivan.errors import (
@@ -90,25 +90,35 @@ def test_first_stage_checks_its_input(request, fixture, error):
         first_stage(request.getfixturevalue(fixture))
 
 
+def _stage_view(stage):
+    return (stage.evens, stage.active, stage.inert, [e.render() for e in stage.images])
+
+
 def test_every_stage_of_an_extension_is_elliptic(random_suite_cache, tower_model,
-                                                 inert_tower_text):
+                                                 inert_tower_text, three_level_text):
     # first_stage builds no stage sub-model: it is elliptic because its model
-    # is (FirstStage).  Replay each trace and check that on every level.
-    models = [*random_suite_cache.get(), tower_model, parse_model(inert_tower_text)]
+    # is (FirstStage).  Replay each trace on the level models that
+    # quotient_model builds, and check that on every level; f0_extend's own
+    # levels, the input less the killed set, slice alike.
+    models = [*random_suite_cache.get(), tower_model,
+              parse_model(inert_tower_text), parse_model(three_level_text)]
     levels = 0
     for model in models:
         length = model.differential_length()
-        current = model
+        current, killed = model, set()
         for rec in f0_extend(model).trace:
             levels += 1
             stage = first_stage(current)
-            assert _slice(current, length.value) == stage  # f0_extend's later levels
+            sliced = _slice(model, length.value, killed)  # f0_extend's levels
+            assert _stage_view(sliced) == _stage_view(stage), (model.name, rec.level)
+            assert sliced.model is model
             assert current.is_pure()
             assert current.differential_length() == length, model.name
             assert [g.name for g in stage.evens] == list(rec.evens)
             sub = current.sub_model(stage.evens + stage.active + stage.inert)
             assert is_elliptic_pure(sub), (model.name, rec.level)
             current = current.quotient_model(rec.evens + rec.killed_odd)
+            killed |= {model.generator(n) for n in rec.evens + rec.killed_odd}
     assert levels > len(models)  # multi-stage models reach the later levels
 
 
@@ -237,8 +247,9 @@ def test_stage_pick_refuses_a_stage_that_is_not_elliptic():
                         name="x2-free")
     evens = model.even_generators
     for active in (model.odd_generators[:1], model.odd_generators):
+        images = tuple(model.d(g) for g in active)
         with pytest.raises(NotElliptic, match="^the first stage of 'x2-free' is not elliptic$"):
-            find_homogeneous_regular_subset(FirstStage(model, 2, evens, active, ()))
+            find_homogeneous_regular_subset(FirstStage(model, 2, evens, active, (), images))
 
 
 def test_stage_pick_past_its_proved_height_is_an_internal_fault(needs_combination,
@@ -434,6 +445,26 @@ def test_f0_extend_tests_ellipticity_once(request, monkeypatch, fixture):
     monkeypatch.setattr(extension, "is_elliptic_pure", counting)
     assert len(f0_extend(model).trace) == 2
     assert tested == [model.name]
+
+
+@pytest.mark.parametrize("fixture, levels", [
+    ("tower_model", 2), ("inert_tower_text", 2), ("three_level_text", 3)])
+def test_f0_extend_builds_only_the_extension_model(request, monkeypatch, fixture, levels):
+    # each level is the input less its killed set, so no level model is built
+    model = request.getfixturevalue(fixture)
+    if isinstance(model, str):
+        model = parse_model(model)
+    built = []
+    init = SullivanModel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("name"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SullivanModel, "__init__", counting)
+    result = f0_extend(model)
+    assert len(result.trace) == levels
+    assert built == [f"{model.name}/extension"]
 
 
 def test_f0_extend_no_evens(odd_spheres):

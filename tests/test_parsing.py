@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sullivan.algebra import MAX_DEGREE, MAX_GENERATORS
 from sullivan.errors import (
     DegreeMismatch,
     ModelSyntaxError,
@@ -131,6 +132,15 @@ def _one_image(expr):
     (_one_image("x^"), 3, "exponent must be a positive integer"),
     (_one_image("(x^2"), 3, "missing closing parenthesis"),
     ('even x : 2\nmodel "m"\n', 2, "model line must precede generator declarations"),
+    # make_generators' refusals name the offending declaration's line
+    ('model "m"\neven x : 2\nodd y : 3 = x^2\neven x : 4\n', 4,
+     "generator names must be unique within a model"),
+    ('model "m"\neven x : 2\nodd y : 3 = x^2\nodd u : 5\nodd big : 40001\n', 5,
+     "generator 'big' (degree 40001, position 3) is outside the monomial layout: "
+     f"degrees below {MAX_DEGREE}, positions 0 to {MAX_GENERATORS - 1}"),
+    ('model "m"\n' + "".join(f"odd y{i} : 3\n" for i in range(MAX_GENERATORS + 1)), 34,
+     "generator 'y32' (degree 3, position 32) is outside the monomial layout: "
+     f"degrees below {MAX_DEGREE}, positions 0 to {MAX_GENERATORS - 1}"),
 ])
 def test_syntax_errors_name_their_line(text, line, message):
     with pytest.raises(ModelSyntaxError) as exc:
