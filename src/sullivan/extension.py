@@ -10,8 +10,9 @@ generators) whose differentials are a regular sequence.
 The construction recurses stage by stage.  Each stage isolates the even
 generators of minimal degree together with the odd generators small enough to
 hit them, picks a regular set of odd combinations there (greedily, one at a
-time, by Krull dimension: prime avoidance bounds the walk, so it takes no
-budget), kills the stage, and continues on the input less the killed set:
+time, by Krull dimension, over the columns that no earlier pick leads at:
+prime avoidance bounds the walk, so it takes no budget), kills the stage's
+evens and the pick's pivots, and continues on the input less the killed set:
 no level model is built, a level's images are the input's with the killed
 generators set to zero.  The hypotheses are checked once, on the input; each
 level inherits them.  With X0 the killed evens and P the killed odds, d(P)
@@ -137,13 +138,15 @@ def _slice(model: SullivanModel, l: int, killed: set[Generator]) -> FirstStage:
 
 @dataclass
 class RegularChoice:
-    """A successful pick of stage combinations with regular differentials."""
+    """A successful pick of stage combinations with regular differentials;
+    each element is zero on the ``pivots`` before its own, which f0_extend kills."""
 
     elements: list[Element]
     images: list[Element]
     subset: tuple[str, ...] | None  # generator names when the pick is a plain subset
     height: int
     tried: int  # candidates tested, the first subset included
+    pivots: tuple[Generator, ...]  # the active generators the elements lead at, in order
 
 
 def _vector_pool(n: int):
@@ -269,45 +272,47 @@ def find_homogeneous_regular_subset(stage: FirstStage) -> RegularChoice:
     """Pick |evens| = p odd combinations of the stage with regular differentials.
 
     First the first p active odd generators, as a whole: for p elements a
-    finite-dimensional quotient is regularity.  Else the pick is greedy: the
-    k-th element, k = 1, ..., p, is the first vector outside the span of the
-    earlier ones (the units in declaration order, then ``_vector_pool``) whose
-    image drops the quotient's Krull dimension to p - k, which is regularity
-    as Q[X0] is Cohen-Macaulay (Matsumura, *Commutative Ring Theory*, 17.4).
-    A prefix of a regular sequence is regular, so the greedy walk would pick a
-    passing first subset too.  It never backtracks: the active images
-    generate an ideal primary to the maximal one (checked first, else
-    NotElliptic), so a vector fails only inside one of the at most l^(k-1)
-    minimal primes of the earlier picks' ideal (Bezout), each meeting the
-    span in a proper subspace; a hyperplane holds at most (2h+1)^(m-1) of the
-    (2h+1)^m vectors of height at most h, so a pick exists at the least h
-    with 2h + 1 > l^(k-1), and passing it is an internal fault.
+    finite-dimensional quotient is regularity.  Else the pick is greedy over
+    ``free``, the active columns no earlier pick leads at: pick k = 1, ..., p
+    is the first vector on ``free`` (units in declaration order, then
+    ``_vector_pool``) whose image drops the Krull dimension to p - k, which is
+    regularity as Q[X0] is Cohen-Macaulay (Matsumura, *Commutative Ring
+    Theory*, 17.4), and its first nonzero column leaves ``free``.  So each
+    class modulo the earlier picks has one vector on ``free``, and the class
+    decides the verdict: each is tried once, with no span test.  A prefix of
+    a regular sequence is regular, so the walk would pick a passing first
+    subset too.  It never backtracks: the active images generate an ideal
+    primary to the maximal one (checked first, else NotElliptic), so a class
+    fails only inside one of the at most l^(k-1) minimal primes of the
+    earlier picks' ideal (Bezout), each meeting Q^(m-k+1), the vectors on
+    ``free``, in a proper subspace; one holds at most (2h+1)^(m-k) of the
+    (2h+1)^(m-k+1) vectors of height at most h, so a pick exists at the
+    least h with 2h + 1 > l^(k-1), and passing it is an internal fault.
     """
     p, active, images = len(stage.evens), stage.active, list(stage.images)
-    els, imgs = [_combine({g: 1}) for g in active[:p]], images[:p]
+    els, imgs, free = [_combine({g: 1}) for g in active[:p]], images[:p], range(p, len(active))
     height, tried = 0, int(p > 0)
     if p and not quotient_is_finite_dimensional(buchberger(imgs, stage.evens)):
         if not quotient_is_finite_dimensional(buchberger(images, stage.evens)):
             raise NotElliptic(f"the first stage of {stage.model.name!r} is not elliptic")
-        units = [(0, tuple(int(i == j) for j in range(len(active)))) for i in range(len(active))]
-        els, imgs, rows = [], [], {}
+        els, imgs, free = [], [], list(range(len(active)))
         for k in range(1, p + 1):
             bound = (stage.length ** (k - 1) + 1) // 2  # the least h, 2h + 1 > l^(k-1)
-            for h, v in itertools.chain(units, ((h, v) for h, v in _vector_pool(len(active))
+            units = [(0, tuple(int(i == j) for j in free)) for i in free]
+            for h, v in itertools.chain(units, ((h, v) for h, v in _vector_pool(len(free))
                                                 if sum(map(bool, v)) > 1)):  # units came first
                 if h > bound:
                     raise VerificationFailed(f"no regular pick {k} within height {bound}")
-                grown = _echelon([*rows.values(), {j: c for j, c in enumerate(v) if c}])
-                if len(grown) == len(rows):
-                    continue  # inside the span of the earlier picks
                 tried += 1
-                img = sum((c * f for c, f in zip(v, images) if c), Element.zero())
+                img = sum((c * images[j] for c, j in zip(v, free) if c), Element.zero())
                 if _dimension(buchberger(imgs + [img], stage.evens)) == p - k:
-                    e = _combine({g: c for g, c in zip(active, v) if c})
-                    els, imgs, rows, height = els + [e], imgs + [img], grown, max(height, h)
+                    e = _combine({active[j]: c for c, j in zip(v, free) if c})
+                    els, imgs, height = els + [e], imgs + [img], max(height, h)
+                    free.remove(next(j for c, j in zip(v, free) if c))
                     break
     subset = tuple(e.render() for e in els) if height == 0 else None
-    return RegularChoice(els, imgs, subset, height, tried)
+    pivots = tuple(g for j, g in enumerate(active) if j not in free)
+    return RegularChoice(els, imgs, subset, height, tried, pivots)
 
 
 # -- extension construction ------------------------------------------------------
@@ -511,11 +516,11 @@ def f0_extend(model: SullivanModel) -> ExtensionResult:
     """Construct a verified F0-basis extension of a pure elliptic model.
 
     Recursion on the even generators: take the first stage, pick a regular
-    set of odd combinations there, kill the stage's even generators together
-    with pivot odd generators of the chosen span, and continue on the input
-    less the killed set; no level model is built, so the extension is the one
-    model made here.  Choices made at a level lift verbatim: the lifted
-    elements keep their original differentials.
+    set of odd combinations there, kill the stage's even generators and the
+    pivots that the pick reports (the odd generators its elements lead at),
+    and continue on the input less the killed set; no level model is built,
+    so the extension is the one model made here.  Choices made at a level
+    lift verbatim: the lifted elements keep their original differentials.
 
     ``first_stage`` checks the model; later levels inherit its hypotheses
     (module docstring).  The odd basis is re-verified from scratch, which
@@ -525,8 +530,6 @@ def f0_extend(model: SullivanModel) -> ExtensionResult:
     if not model.is_pure():
         raise NotPure(f"model {model.name!r} is not pure")
 
-    odds = model.odd_generators
-    col = {_key(g): i for i, g in enumerate(odds)}
     killed: set[Generator] = set()
     chosen: list[Element] = []
     trace: list[StageRecord] = []
@@ -534,16 +537,14 @@ def f0_extend(model: SullivanModel) -> ExtensionResult:
         stage = _slice(model, stage.length, killed) if trace else first_stage(model)
         choice = find_homogeneous_regular_subset(stage)
         chosen.extend(choice.elements)
-        rows = [{col[k]: c for k, c in e._t.items()} for e in choice.elements]
-        pivot_gens = [odds[i] for i in sorted(_echelon(rows))]
-        killed.update(stage.evens, pivot_gens)
+        killed.update(stage.evens, choice.pivots)
         trace.append(StageRecord(
             level=len(trace) + 1,
             evens=tuple(g.name for g in stage.evens),
             active=tuple(g.name for g in stage.active),
             inert=tuple(g.name for g in stage.inert),
             chosen=tuple(e.render() for e in choice.elements),
-            killed_odd=tuple(g.name for g in pivot_gens),
+            killed_odd=tuple(g.name for g in choice.pivots),
             survivors=tuple(g.name for g in model.generators if g not in killed),
         ))
 
@@ -628,10 +629,6 @@ def exhaustive_homogeneous_search(model: SullivanModel,
             failing_index=report.failing_index,
         ))
 
-    if p > len(odds):
-        outcome.subset_complete = True
-        outcome.fully_exhaustive = True
-        return outcome
     if p == 0:
         outcome.found = []
         outcome.subset_complete = True

@@ -13,11 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sullivan import load_model
 from sullivan.algebra import MAX_DEGREE, MAX_GENERATORS
 from sullivan.cli import main
+from sullivan.extension import exhaustive_homogeneous_search
 from sullivan.parsing import MAX_DIGITS
 from sullivan.errors import (
     ApplicabilityError,
+    NotElliptic,
     SullivanError,
     ValidationError,
     VerificationFailed,
@@ -256,6 +259,18 @@ def test_search_negative_exit_1():
     assert code == 1
     assert "no homogeneous F0-basis extension" in out
     assert err == ""
+
+
+def test_search_with_more_evens_than_odds_is_not_elliptic(tmp_path):
+    # Q[x, w]/(x^2) is infinite: the ellipticity guard refuses the model
+    # before any candidate count is compared
+    path = tmp_path / "wide.model"
+    path.write_text('model "m"\neven x : 2\neven w : 2\nodd y : 3 = x^2\n', encoding="utf-8")
+    with pytest.raises(NotElliptic):
+        exhaustive_homogeneous_search(load_model(path))
+    code, out, err = run("search", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[not-elliptic]: ")
 
 
 def test_search_negative_json_payload():

@@ -31,6 +31,7 @@ from sullivan.extension import (
     _subspaces,
     _vector_pool,
     FirstStage,
+    RegularChoice,
     exhaustive_homogeneous_search,
     extension_model,
     f0_extend,
@@ -260,6 +261,79 @@ def test_stage_pick_past_its_proved_height_is_an_internal_fault(needs_combinatio
     monkeypatch.setattr(extension, "_dimension", lambda gb: len(gb.variables))
     with pytest.raises(VerificationFailed, match="^no regular pick 1 within height 1$"):
         find_homogeneous_regular_subset(stage)
+
+
+def _reference_pick(stage):
+    """The greedy stage pick over every active column: each vector outside the
+    span of the earlier picks (an ``_echelon`` span test) is tried, and the
+    pivots are those of the picks' echelon form."""
+    p, active, images = len(stage.evens), stage.active, list(stage.images)
+    els, imgs = [_combine({g: 1}) for g in active[:p]], images[:p]
+    height, tried, rows = 0, int(p > 0), {i: {i: 1} for i in range(p)}
+    if p and not groebner.quotient_is_finite_dimensional(groebner.buchberger(imgs, stage.evens)):
+        units = [(0, tuple(int(i == j) for j in range(len(active)))) for i in range(len(active))]
+        els, imgs, rows = [], [], {}
+        for k in range(1, p + 1):
+            for h, v in itertools.chain(units, ((h, v) for h, v in _vector_pool(len(active))
+                                                if sum(map(bool, v)) > 1)):
+                assert h <= (stage.length ** (k - 1) + 1) // 2
+                grown = _echelon([*rows.values(), {j: c for j, c in enumerate(v) if c}])
+                if len(grown) == len(rows):
+                    continue
+                tried += 1
+                img = sum((c * f for c, f in zip(v, images) if c), Element.zero())
+                if groebner._dimension(groebner.buchberger(imgs + [img], stage.evens)) == p - k:
+                    e = _combine({g: c for g, c in zip(active, v) if c})
+                    els, imgs, rows, height = els + [e], imgs + [img], grown, max(height, h)
+                    break
+    subset = tuple(e.render() for e in els) if height == 0 else None
+    return RegularChoice(els, imgs, subset, height, tried,
+                         tuple(active[j] for j in sorted(_echelon(rows.values()))))
+
+
+def _pick_view(choice):
+    return names(choice.elements), choice.height, choice.tried, choice.pivots
+
+
+def _wide(n):
+    """W_n: evens x1..xn of degree 2, a = x1*x2 and yi = xi^2, in degree 3."""
+    return parse_model("\n".join([f'model "wide{n}"', *(f"even x{i} : 2" for i in range(1, n + 1)),
+                                  "odd a : 3 = x1*x2",
+                                  *(f"odd y{i} : 3 = x{i}^2" for i in range(1, n + 1))]))
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_stage_pick_tries_each_class_once(n):
+    # a, then y3..yn beside it (y1 and y2 fail first at each step: x1*x2
+    # kills them), then y1 - y2.  The walk over every column (_reference_pick)
+    # also tries each vector v + (an earlier pick), of the same class and
+    # verdict: 97 and 751 tries, with y1 - y2 - y3 - ... - yn last
+    stage = first_stage(_wide(n))
+    choice = find_homogeneous_regular_subset(stage)
+    assert choice.tried == 3 * n - 1
+    assert names(choice.elements)[-1] == "y1 - y2"
+    _check_pick(stage, choice)
+    assert [g.name for g in choice.pivots] == ["a", "y1", *(f"y{i}" for i in range(3, n + 1))]
+    if n == 6:
+        assert f0_extend(_wide(n)).verification.passed
+        reference = _reference_pick(stage)
+        _check_pick(stage, reference)
+        assert reference.tried == 97 > choice.tried
+        assert names(reference.elements)[-1] == "y1 - y2 - y3 - y4 - y5 - y6"
+
+
+def test_stage_pick_matches_the_walk_over_every_column(monkeypatch):
+    # where the earlier picks lead at their own columns only, walking the
+    # free columns changes nothing: the search-reject prefix models of
+    # test_stage_picks_are_regular_within_their_proved_height and the
+    # widening models, every stage f0_extend runs
+    rng = random.Random(1)
+    prefix = [parse_model(_workloads().prefix_model(rng, t, 3, 2, 4, _finite).text())
+              for t in range(16)]
+    picks = _recorded_picks(monkeypatch, prefix + _widening_models())
+    assert len(picks) == 16 + 3 and all(c.tried > 1 for _, c in picks)  # all walk
+    for stage, choice in picks:
+        assert _pick_view(_reference_pick(stage)) == _pick_view(choice), stage.model.name
 
 
 def _golden_bases(row: dict):
