@@ -27,7 +27,8 @@ killing the lower even generators only shortens them.
 Every output is certified after the fact: the full differential sequence is
 re-checked for regularity over all even generators, and each even generator
 gets an exactness certificate in the extension model.  Only the exhaustive
-search walks the candidate stream of whole picks (``_candidates``).
+search walks the candidate stream of whole picks (``_candidates``), which
+lists each degree's subspaces under their reduced bases (``_subspaces``).
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ from typing import Sequence
 from .algebra import Element, Generator, _key
 from .ellipticity import (
     ExactnessCertificate,
-    _echelon,
     exactness_certificate,
     is_elliptic_pure,
 )
@@ -173,37 +173,33 @@ def _assignments(caps: Sequence[int], p: int) -> list[tuple[int, ...]]:
             for rest in _assignments(caps[1:], p - k)]
 
 
-def _subspaces(n: int, k: int, step):
+def _subspaces(n: int, k: int):
     """Each k-subspace of Q^n once, as ``(height, basis)``: the coordinate ones
-    at height 0 in ``itertools.combinations`` order, then (if k < n) every other
-    at the least height h at which ``_vector_pool`` spans it, under its first
-    basis in combinations order of that pool: the greedy one, each vector the
-    pool's first outside the span of those before.  So a basis grows by the
-    first pool vector of each line modulo its span, if after its last; fed the
-    pivot rows, then v, ``_echelon`` adds one row, the same along the line.  A
-    k-basis is yielded if its last vector has height h and its support more
-    than k columns.  One ``step()`` per unit combination and per basis grown."""
+    at height 0 in ``itertools.combinations`` order, then (if 0 < k < n) every
+    other under its reduced basis, by height h = 1, 2, ....  A reduced basis
+    has rows r_1..r_k with leading columns c_1 < ... < c_k, each r_i primitive
+    in the integers, zero before c_i and at every other c_j, and positive at
+    c_i; scaling each row to 1 there gives the reduced row echelon form, which
+    is unique, so each subspace has one reduced basis, and its height is the
+    largest |entry|.  At height h, for the leading columns in combinations
+    order, the rows run in product order over their free columns (after the
+    lead, leading no row), the lead in 1..h and the rest in -h..h; a basis is
+    kept if its height is h and its support has more than k columns."""
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    for basis in itertools.combinations(units, k):
-        step()
-        yield 0, basis
-    for height in itertools.count(1) if k < n else []:
-        pool = [v for _, v in itertools.takewhile(lambda s: s[0] <= height, _vector_pool(n))]
-        def grow(basis, pivots, start):
-            lines = set()
-            for i, v in enumerate(pool):
-                grown = _echelon([*pivots.values(), {j: c for j, c in enumerate(v) if c}])
-                new = grown.keys() - pivots.keys()
-                if new and (line := frozenset(grown[new.pop()].items())) not in lines:
-                    lines.add(line)
-                    if i < start:
-                        continue
-                    step()
-                    if len(basis) + 1 < k:
-                        yield from grow(basis + (v,), grown, i + 1)
-                    elif max(map(abs, v)) == height and len(set().union(*grown.values())) > k:
-                        yield height, basis + (v,)
-        yield from grow((), {}, 0)
+    yield from ((0, basis) for basis in itertools.combinations(units, k))
+    for height in itertools.count(1) if 0 < k < n else []:
+        for leads in itertools.combinations(range(n), k):
+            rows = []
+            for c in leads:
+                cols = [c] + [j for j in range(c + 1, n) if j not in leads]
+                entries = itertools.product(range(1, height + 1),
+                                            *[range(-height, height + 1)] * (len(cols) - 1))
+                rows.append([tuple(dict(zip(cols, e)).get(j, 0) for j in range(n))
+                             for e in entries if gcd(*e) == 1])
+            for basis in itertools.product(*rows):
+                if (max(abs(a) for row in basis for a in row) == height
+                        and sum(map(any, zip(*basis))) > k):
+                    yield height, basis
 
 
 def _candidates(gens: Sequence[Generator], p: int, max_candidates: int):
@@ -213,14 +209,15 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int):
     one {generator: integer coefficient} combination per element, inside a
     single degree.  First the plain p-subsets in ``itertools.combinations``
     order (height 0).  A graded subspace is one subspace per degree, its
-    height the largest of theirs: so for heights 1, 2, ..., and the
-    assignments of p to the degrees in descending order, the product of the
-    degrees' ``_subspaces`` up to that height, the lowest degree slowest, less
-    the products of lower height.  Assignments that take each degree whole or
-    not at all span only plain subsets and are skipped.  Ends after the plain
-    subsets when no assignment is left.  More than ``max_candidates`` tried,
-    or 50 times as many steps (unit combinations, bases grown and products),
-    raises SearchSpaceTooLarge, an input problem like any budget the user sets.
+    height the largest of their reduced bases' heights: so for heights 1, 2,
+    ..., and the assignments of p to the degrees in descending order, the
+    product of the degrees' ``_subspaces`` up to that height, the lowest
+    degree slowest, less the products of lower height.  Assignments that take
+    each degree whole or not at all span only plain subsets and are skipped.
+    Ends after the plain subsets when no assignment is left; else each height
+    adds a candidate (a degree taken in part has a subspace of every height)
+    and skips only products already tried, so more than ``max_candidates``
+    tried, the one bound, raises SearchSpaceTooLarge, an input problem.
     """
     budget_message = f"search budget of {max_candidates} candidates exceeded"
     groups: dict[int, list[Generator]] = {}
@@ -238,18 +235,12 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int):
                    if any(0 < k < n for k, n in zip(a, sizes))]
     if not assignments:
         return
-    work = itertools.count(1)
-
-    def step():
-        if (done := next(work)) > 50 * max_candidates:
-            raise SearchSpaceTooLarge(f"candidate enumeration stalled after {done} steps")
-
     walks = {}  # (degree, k) -> a tee of its _subspaces, never advanced: copies replay it
 
     def product(pieces, height):  # itertools.product, drawing each walk only when reached
         d, k = pieces[0]
         if (d, k) not in walks:
-            walks[d, k] = itertools.tee(_subspaces(len(groups[d]), k, step), 1)[0]
+            walks[d, k] = itertools.tee(_subspaces(len(groups[d]), k), 1)[0]
         for piece in itertools.takewhile(lambda s: s[0] <= height, copy(walks[d, k])):
             for rest in product(pieces[1:], height) if pieces[1:] else [()]:
                 yield (piece,) + rest
@@ -257,7 +248,6 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int):
     for height in itertools.count(1):
         for pieces in assignments:
             for chosen in product(pieces, height):
-                step()
                 if max(h for h, _ in chosen) < height:
                     continue
                 tried += 1
@@ -606,12 +596,13 @@ def exhaustive_homogeneous_search(model: SullivanModel,
 
     Candidates are built degree by degree (homogeneity is free): first plain
     subsets of the odd generators in declaration order, then, by height 1,
-    2, ..., one subspace per degree, each graded subspace listed once
+    2, ..., one subspace per degree under its reduced basis, each graded
+    subspace listed once, its height the largest entry of its reduced bases
     (``_candidates``).  The first candidate passing verify_f0_extension
     wins.  When no assignment takes a degree in part, as
     for (3, 3, 5) at p = 3, the space is finite and exhausting it proves no
-    homogeneous F0 basis exists (``fully_exhaustive``); otherwise running past
-    the budget raises SearchSpaceTooLarge.
+    homogeneous F0 basis exists (``fully_exhaustive``); otherwise trying more
+    than ``max_candidates`` raises SearchSpaceTooLarge.
     """
     if not is_elliptic_pure(model):
         raise NotElliptic(f"model {model.name!r} is not elliptic")

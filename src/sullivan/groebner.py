@@ -602,11 +602,14 @@ def _dimension(gb: GroebnerBasis) -> int:
     """Krull dimension of the quotient, -1 for the zero ring, read off the
     leading monomials as dim Q[x]/I = dim Q[x]/in(I): the number of variables
     less the fewest variables that meet every leading monomial's support (Cox,
-    Little and O'Shea, *Ideals, Varieties, and Algorithms*, 9.3)."""
-    bits = [1 << j for j in range(len(gb.variables))]
-    supports = {sum(b for b, x in zip(bits, e) if x) for e in gb._leading}
-    sets = (sum(t) for k in range(len(bits) + 1) for t in itertools.combinations(bits, k))
-    return next((len(bits) - t.bit_count() for t in sets if all(s & t for s in supports)), -1)
+    Little and O'Shea, *Ideals, Varieties, and Algorithms*, 9.3), found by
+    branching on the variables of the smallest support not yet met."""
+    def cover(supports) -> int:  # the fewest variables meeting every support
+        least = min(supports, key=len, default=None)
+        return 0 if least is None else 1 + min(cover([s for s in supports if j not in s])
+                                               for j in least)
+    supports = {frozenset(j for j, x in enumerate(e) if x) for e in gb._leading}
+    return -1 if frozenset() in supports else len(gb.variables) - cover(supports)
 
 
 def quotient_dimension(gb: GroebnerBasis) -> int:

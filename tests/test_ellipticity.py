@@ -372,8 +372,8 @@ def added_row(pivots, v):
 @PROPERTY
 @given(matrices(), st.data())
 def test_the_added_row_keys_the_line_modulo_the_span(rows, data):
-    # the key extension._subspaces tells the lines modulo a basis's span
-    # apart by: w is drawn as c*v plus rows of S about half of the time
+    # the added row keys the line of v modulo the span of the rows: w is
+    # drawn as c*v plus rows of S about half of the time
     pivots = _echelon(integral(rows))
     vector = st.lists(st.integers(-2, 2), min_size=len(rows[0]), max_size=len(rows[0]))
     v = data.draw(vector)

@@ -2,6 +2,7 @@
 import importlib.util
 import itertools
 import json
+import math
 import pathlib
 import random
 import sys
@@ -13,7 +14,7 @@ import sympy
 from test_golden import WIDENING, _widening_models
 
 from sullivan import SullivanModel, build_model, extension, groebner, load_model
-from sullivan.algebra import MAX_DEGREE, Element, Generator, Monomial, _integral
+from sullivan.algebra import MAX_DEGREE, Element, Generator, Monomial
 from sullivan.ellipticity import _echelon, is_elliptic_pure
 from sullivan.errors import (
     InvalidInput,
@@ -699,58 +700,67 @@ def _gens(degrees):
     return [Generator(f"y{i}", d, i) for i, d in enumerate(degrees, 1)]
 
 
-def _rref(rows):
-    """The rank of the rows and their reduced row echelon form, flattened."""
+def _reduced(rows):
+    """The rank of the rows and the primitive reduced basis of their span:
+    sympy's reduced row echelon form, each row scaled to primitive integers."""
     m, pivots = sympy.Matrix(rows).rref()
-    return len(pivots), tuple(m)
+    basis = []
+    for row in m.tolist()[:len(pivots)]:
+        scale = math.lcm(*(int(c.q) for c in row))
+        ints = [int(c.p) * (scale // int(c.q)) for c in row]
+        basis.append(tuple(c // math.gcd(*ints) for c in ints))
+    return len(pivots), tuple(basis)
 
 
-def _span_key(rows):
-    """Reference: the span's reduced row echelon form, the key the walk over
-    combinations dropped repeated spans by."""
-    pivots = _echelon(_integral(row)[1] for row in rows)
-    reduced = _echelon(pivots[col] for col in sorted(pivots, reverse=True))
-    return tuple(tuple(sorted((k, Fraction(v, reduced[col][col]))
-                              for k, v in reduced[col].items()))
-                 for col in sorted(reduced))
+def _height(basis):
+    return max(abs(c) for row in basis for c in row)
 
 
-def _combination_walk(n, k, step):
-    """Reference: the walk ``_subspaces`` replaced.  It tries every k-tuple of
-    each height's pool (the unit vectors at height 0) in
-    ``itertools.combinations`` order and keeps the first tuple of each span
-    of rank k not met before."""
+@pytest.mark.parametrize("n, k, height", [(n, k, 2) for n in (1, 2, 3, 4) for k in range(n + 1)]
+                         + [(5, 1, 1), (5, 2, 1)])
+def test_subspaces_are_the_reduced_bases_by_height(n, k, height):
+    # brute force: one pool vector of at most that height per leading column
+    # (its first nonzero one, where the pool's vectors are positive and
+    # primitive), each zero at the others' leading columns, with support
+    # above k; sympy confirms each is the primitive reduced basis of its span
+    by_lead = {}
+    for v in _pool(n, height):
+        by_lead.setdefault(next(j for j, c in enumerate(v) if c), []).append(v)
+    expected = {}
+    for leads in itertools.combinations(sorted(by_lead), k):
+        for rows in itertools.product(*(by_lead[c] for c in leads)):
+            if (all(v[c] == 0 for v, lead in zip(rows, leads) for c in leads if c != lead)
+                    and sum(map(any, zip(*rows))) > k):
+                assert _reduced(rows) == (k, rows)
+                expected[rows] = _height(rows)
+    stream = list(itertools.takewhile(lambda s: s[0] <= height, _subspaces(n, k)))
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    seen = set()
-    for height in itertools.count() if k < n else [0]:
-        for basis in itertools.combinations(_pool(n, height) if height else units, k):
-            step()
-            key = _span_key({j: c for j, c in enumerate(v) if c} for v in basis)
-            if len(key) == k and key not in seen:
-                seen.add(key)
-                yield height, basis
+    plain = list(itertools.combinations(units, k))
+    assert stream[:len(plain)] == [(0, basis) for basis in plain]
+    widened = stream[len(plain):]
+    assert [h for h, _ in widened] == sorted(h for h, _ in widened)
+    assert all(h == _height(basis) for h, basis in widened)
+    assert len(widened) == len(expected)
+    assert {basis: h for h, basis in widened} == expected
 
 
-# (4, 3) has 260,672 subspaces through height 2, and the reference walk
-# takes minutes over them: its first 1,000 (680 of them through height 1)
-@pytest.mark.parametrize("n, k, height, limit",
-                         [(n, k, 2, None) for n in (2, 3, 4) for k in range(1, n)
-                          if (n, k) != (4, 3)] + [(4, 3, 2, 1000), (5, 1, 1, None),
-                                                  (5, 2, 1, None)])
-def test_subspaces_are_the_combination_walk_without_repeats(n, k, height, limit):
-    def through(walk):
-        stream = walk(n, k, lambda: None)
-        return list(itertools.islice(itertools.takewhile(lambda s: s[0] <= height, stream),
-                                     limit))
-    assert through(_subspaces) == through(_combination_walk)
+def test_subspaces_leave_height_one_promptly():
+    # one 4-of-5 degree: 5 coordinate subspaces, then 116 of height 1 (a
+    # walk over the pool's greedy bases took 190,275 steps, and 52 s, to
+    # leave height 1)
+    start = time.perf_counter()
+    index, (height, basis) = next((i, s) for i, s in enumerate(_subspaces(5, 4)) if s[0] == 2)
+    assert time.perf_counter() - start < 1
+    assert index == 5 + 116 and _height(basis) == 2
 
 
 @pytest.mark.parametrize("degrees, p", [((3, 3, 5), 2), ((3, 3, 5, 5), 2), ((3, 3, 5, 5), 3),
                                         ((3, 3, 3, 5), 2), ((3, 3, 3, 5), 3)])
 def test_candidates_are_every_graded_span_once_at_its_height(degrees, p):
     # brute force: every p-tuple of homogeneous pool vectors of height <= 2,
-    # each span at the least largest |entry| of a tuple spanning it, and the
-    # coordinate spans at height 0
+    # each span at the height of its primitive reduced basis (at most 2, and
+    # the largest of each degree's, since the degrees' rows have disjoint
+    # supports), and the coordinate spans at height 0
     n = len(degrees)
     vectors = []
     for d in sorted(set(degrees)):
@@ -759,40 +769,41 @@ def test_candidates_are_every_graded_span_once_at_its_height(degrees, p):
             row = [0] * n
             for i, c in zip(cols, v):
                 row[i] = c
-            vectors.append((max(map(abs, v)), row))
+            vectors.append(row)
     expected = {}
     for combo in itertools.combinations(vectors, p):
-        rank, key = _rref([row for _, row in combo])
-        if rank == p:
-            height = max(h for h, _ in combo)
-            expected[key] = min(expected.get(key, height), height)
+        rank, basis = _reduced(combo)
+        if rank == p and _height(basis) <= 2:
+            expected[basis] = _height(basis)
     for combo in itertools.combinations(range(n), p):
-        expected[_rref([[int(i == j) for j in range(n)] for i in combo])[1]] = 0
+        expected[_reduced([[int(i == j) for j in range(n)] for i in combo])[1]] = 0
     gens = _gens(degrees)
     got = {}
     for tried, height, picks in _candidates(gens, p, 10**6):
         if height > 2:
             break
-        rank, key = _rref([[pick.get(g, 0) for g in gens] for pick in picks])
-        assert rank == p and key not in got
-        got[key] = height
+        rank, basis = _reduced([[pick.get(g, 0) for g in gens] for pick in picks])
+        assert rank == p and basis not in got
+        got[basis] = height
     assert got == expected
 
 
 def test_a_progressing_stream_reaches_its_budget():
-    # the (3, 2) block lists each 3-subspace of degree 3 once and reaches the
-    # budget; walking the 40^3 tuples of degree 3's height-1 pool instead
-    # stalled after 1751 steps with 30 candidates.  The other cases stalled
-    # in the walk over every combination of a degree's pool, whose repeated
-    # spans were dropped one by one (yields, then the stall's steps): 15 at
-    # 3051, 12 at 2001, 6 at 5001, 45 at 5001, 37 at 6851 and 16 at 3051
-    for degrees, p, budget in [((3, 3, 3, 3, 7, 7), 5, 35), ((7, 7, 7, 7, 7), 4, 61),
-                               ((3, 3, 3, 3, 3), 4, 40), ((3, 3, 3, 3, 3, 3), 5, 100),
-                               ((3, 3, 3, 3, 3, 3), 4, 100), ((3, 3, 3, 3, 3, 5), 4, 137),
-                               ((5, 7, 7, 7, 7, 7), 5, 61)]:
+    # a degree taken in part lists a subspace at every height, so each
+    # stream goes on to its budget, the default 20,000 within 5 s (a walk
+    # over the pool's greedy bases stalled on these, or ran up to a minute)
+    cases = [((3, 3, 3, 3, 7, 7), 5, 35), ((7, 7, 7, 7, 7), 4, 61), ((3, 3, 3, 3, 3), 4, 40),
+             ((3, 3, 3, 3, 3, 3), 5, 100), ((3, 3, 3, 3, 3, 3), 4, 100),
+             ((3, 3, 3, 3, 3, 5), 4, 137), ((5, 7, 7, 7, 7, 7), 5, 61)]
+    cases += [(degrees, p, 20000) for degrees, p in [
+        ((3, 3, 3, 3, 3), 4), ((3,) * 6, 5), ((3,) * 8, 6), ((7, 7, 7, 7, 7), 4),
+        ((3, 3, 3, 5, 5), 4), ((3, 3, 3, 3, 7, 7), 5), ((3,) * 7, 3), ((3,) * 6 + (5,) * 6, 6)]]
+    for degrees, p, budget in cases:
+        start = time.perf_counter()
         with pytest.raises(SearchSpaceTooLarge, match=f"^search budget of {budget} candidates exceeded$"):
             for _ in _candidates(_gens(degrees), p, budget):
                 pass
+        assert time.perf_counter() - start < 5
 
 
 def test_candidates_end_when_no_assignment_is_left():
@@ -804,10 +815,9 @@ def test_candidates_end_when_no_assignment_is_left():
 
 
 def test_single_degree_streams_keep_their_pinned_order():
-    # captured from the stream that deduplicated whole candidates through one
-    # global set of span keys: (3, 3, 3, 3) at p = 2, first 60 yields, and
-    # (7, 7, 7, 7) at p = 3 with budget 32, the 26 yields before that stream
-    # stalled; this one goes on to the budget
+    # captured from the stream of reduced bases: (3, 3, 3, 3) at p = 2, its
+    # first 60 yields, and (7, 7, 7, 7) at p = 3 with budget 32, all 32
+    # yields; each stream then goes on to its budget
     cases = json.loads((pathlib.Path(__file__).parent / "golden" / "candidate_prefixes.json")
                        .read_text())
     for case in cases:

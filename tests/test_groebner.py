@@ -9,6 +9,7 @@ with plain graded reverse lexicographic.  Order-independent facts
 import itertools
 import math
 import random
+import time
 from unittest import mock
 from fractions import Fraction
 
@@ -769,6 +770,17 @@ def test_dimension_matches_brute_force_on_monomial_ideals(case):
                  if not any({j for j, x in enumerate(e) if x} <= set(s) for e in lead)),
                 default=-1)
     assert groebner._dimension(gb) == brute
+
+
+def test_dimension_of_a_finite_quotient_takes_no_subset_scan():
+    # 24 pure squares: the fewest variables meeting every support is all
+    # 24, which a scan over variable subsets by size reaches only after
+    # 2^24 - 1 smaller ones; the branching takes one variable per level
+    gens = [Generator(f"x{i}", 2, i) for i in range(24)]
+    gb = buchberger([Element.from_generator(g) ** 2 for g in gens], gens)
+    start = time.perf_counter()
+    assert groebner._dimension(gb) == 0
+    assert time.perf_counter() - start < 0.5
 
 
 @settings(PROPERTY, max_examples=100)
