@@ -185,7 +185,7 @@ def all_nilpotency_exponents(model: SullivanModel) -> dict[str, int]:
     return out
 
 
-# -- exact elimination (shared) ----------------------------------------------
+# -- exact elimination (for the cohomology ranks below) ----------------------
 
 def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Echelon form of sparse integer rows of column->value maps, as {pivot: row}.

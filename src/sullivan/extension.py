@@ -26,9 +26,11 @@ killing the lower even generators only shortens them.
 
 Every output is certified after the fact: the full differential sequence is
 re-checked for regularity over all even generators, and each even generator
-gets an exactness certificate in the extension model.  Only the exhaustive
-search walks the candidate stream of whole picks (``_candidates``), which
-lists each degree's subspaces under their reduced bases (``_subspaces``).
+gets an exactness certificate in the extension model.  The stage pick and
+the exhaustive search draw their integer combinations from one lazy
+enumerator, ``_subspaces``, which lists subspaces under their reduced bases:
+the pick takes its lines on the free columns, and the search, through its
+candidate stream of whole picks (``_candidates``), one subspace per degree.
 """
 from __future__ import annotations
 
@@ -149,15 +151,6 @@ class RegularChoice:
     pivots: tuple[Generator, ...]  # the active generators the elements lead at, in order
 
 
-def _vector_pool(n: int):
-    """Primitive integer vectors, first nonzero entry > 0, listed lazily as
-    ``(height, vector)`` by height max |entry| = 1, 2, ...; for n = 1 only (1,)."""
-    for h in itertools.count(1) if n > 1 else [1]:
-        for v in itertools.product(range(-h, h + 1), repeat=n):
-            if max(map(abs, v)) == h and next(a for a in v if a) > 0 and gcd(*v) == 1:
-                yield h, v
-
-
 def _combine(combination: dict[Generator, int]) -> Element:
     """The element sum(c * g) of a combination's {generator: c}, as one dict."""
     return Element._from_dict({_key(g): c for g, c in combination.items()},
@@ -184,19 +177,24 @@ def _subspaces(n: int, k: int):
     largest |entry|.  At height h, for the leading columns in combinations
     order, the rows run in product order over their free columns (after the
     lead, leading no row), the lead in 1..h and the rest in -h..h; a basis is
-    kept if its height is h and its support has more than k columns."""
+    kept if its height is h and its support has more than k columns.  Each
+    row is built only when the walk reaches it, so no row list precedes the
+    first basis.  For k = 1 these are the units, then by height the
+    primitive vectors with support above 1, positive at their lead."""
+    def bases(leads, height, i=0):  # itertools.product of the rows, each built when reached
+        cols = [leads[i]] + [j for j in range(leads[i] + 1, n) if j not in leads]
+        for e in itertools.product(range(1, height + 1),
+                                   *[range(-height, height + 1)] * (len(cols) - 1)):
+            if gcd(*e) == 1:
+                row = tuple(dict(zip(cols, e)).get(j, 0) for j in range(n))
+                for rest in bases(leads, height, i + 1) if i + 1 < k else [()]:
+                    yield (row,) + rest
+
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     yield from ((0, basis) for basis in itertools.combinations(units, k))
     for height in itertools.count(1) if 0 < k < n else []:
         for leads in itertools.combinations(range(n), k):
-            rows = []
-            for c in leads:
-                cols = [c] + [j for j in range(c + 1, n) if j not in leads]
-                entries = itertools.product(range(1, height + 1),
-                                            *[range(-height, height + 1)] * (len(cols) - 1))
-                rows.append([tuple(dict(zip(cols, e)).get(j, 0) for j in range(n))
-                             for e in entries if gcd(*e) == 1])
-            for basis in itertools.product(*rows):
+            for basis in bases(leads, height):
                 if (max(abs(a) for row in basis for a in row) == height
                         and sum(map(any, zip(*basis))) > k):
                     yield height, basis
@@ -264,20 +262,21 @@ def find_homogeneous_regular_subset(stage: FirstStage) -> RegularChoice:
     First the first p active odd generators, as a whole: for p elements a
     finite-dimensional quotient is regularity.  Else the pick is greedy over
     ``free``, the active columns no earlier pick leads at: pick k = 1, ..., p
-    is the first vector on ``free`` (units in declaration order, then
-    ``_vector_pool``) whose image drops the Krull dimension to p - k, which is
-    regularity as Q[X0] is Cohen-Macaulay (Matsumura, *Commutative Ring
-    Theory*, 17.4), and its first nonzero column leaves ``free``.  So each
-    class modulo the earlier picks has one vector on ``free``, and the class
-    decides the verdict: each is tried once, with no span test.  A prefix of
-    a regular sequence is regular, so the walk would pick a passing first
-    subset too.  It never backtracks: the active images generate an ideal
-    primary to the maximal one (checked first, else NotElliptic), so a class
-    fails only inside one of the at most l^(k-1) minimal primes of the
-    earlier picks' ideal (Bezout), each meeting Q^(m-k+1), the vectors on
-    ``free``, in a proper subspace; one holds at most (2h+1)^(m-k) of the
-    (2h+1)^(m-k+1) vectors of height at most h, so a pick exists at the
-    least h with 2h + 1 > l^(k-1), and passing it is an internal fault.
+    is the first vector on ``free`` (``_subspaces(len(free), 1)``: units in
+    declaration order, then each height by leading column) whose image
+    drops the Krull dimension to p - k, which is regularity as Q[X0] is
+    Cohen-Macaulay (Matsumura, *Commutative Ring Theory*, 17.4), and its
+    first nonzero column leaves ``free``.  So each class modulo the earlier
+    picks has one vector on ``free``, and the class decides the verdict:
+    each is tried once, with no span test.  A prefix of a regular sequence
+    is regular, so the walk would pick a passing first subset too.  It never
+    backtracks: the active images generate an ideal primary to the maximal
+    one (checked first, else NotElliptic), so a class fails only inside one
+    of the at most l^(k-1) minimal primes of the earlier picks' ideal
+    (Bezout), each meeting Q^(m-k+1), the vectors on ``free``, in a proper
+    subspace; one holds at most (2h+1)^(m-k) of the (2h+1)^(m-k+1) vectors
+    of height at most h, so a pick exists at the least h with
+    2h + 1 > l^(k-1), and passing it is an internal fault.
     """
     p, active, images = len(stage.evens), stage.active, list(stage.images)
     els, imgs, free = [_combine({g: 1}) for g in active[:p]], images[:p], range(p, len(active))
@@ -288,9 +287,7 @@ def find_homogeneous_regular_subset(stage: FirstStage) -> RegularChoice:
         els, imgs, free = [], [], list(range(len(active)))
         for k in range(1, p + 1):
             bound = (stage.length ** (k - 1) + 1) // 2  # the least h, 2h + 1 > l^(k-1)
-            units = [(0, tuple(int(i == j) for j in free)) for i in free]
-            for h, v in itertools.chain(units, ((h, v) for h, v in _vector_pool(len(free))
-                                                if sum(map(bool, v)) > 1)):  # units came first
+            for h, (v,) in _subspaces(len(free), 1):
                 if h > bound:
                     raise VerificationFailed(f"no regular pick {k} within height {bound}")
                 tried += 1

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from test_golden import WIDENING, _widening_models
+from test_golden import WIDENING, _needs_combination, _widening_models
 
 from sullivan import SullivanModel, build_model, extension, groebner, load_model
 from sullivan.algebra import MAX_DEGREE, Element, Generator, Monomial
@@ -30,7 +30,6 @@ from sullivan.extension import (
     _candidates,
     _combine,
     _subspaces,
-    _vector_pool,
     FirstStage,
     RegularChoice,
     exhaustive_homogeneous_search,
@@ -164,15 +163,47 @@ def test_combination_search_determinism(needs_combination):
 
 def test_stage_search_tries_its_first_candidate_at_once():
     # four active odds in one degree: after the first subset and y1, the
-    # second pick is the sixth vector tested beside y1, and it is tested
-    # before the rest of height 1 is listed
+    # units y2, y3 and y4 fail, and the second pick is the first vector of
+    # height 1, led at y2, tested before the rest of height 1 is listed
     model = next(m for m in _widening_models() if m.name == "needs-combination-2xw")
     stage = first_stage(model)
     start = time.perf_counter()
     choice = find_homogeneous_regular_subset(stage)
     assert time.perf_counter() - start < 0.5
     assert names(choice.elements) == ["y1", "y2 - y3 - y4"]
-    assert (choice.height, choice.tried) == (1, 8)
+    assert (choice.height, choice.tried) == (1, 6)
+
+
+def _ws(n):
+    """ws(n): needs-combination plus odds uI : 3 = (I + 2)*x*w for I < n, so
+    one degree holds n + 3 odds; both walks widen past its plain subsets."""
+    gens, diffs = _needs_combination()
+    return build_model(gens + [(f"u{i}", 3) for i in range(n)],
+                       {**diffs, **{f"u{i}": lambda e, c=i + 2: c * e["x"] * e["w"]
+                                    for i in range(n)}},
+                       name=f"ws{n}")
+
+
+def test_extend_reaches_height_one_at_once():
+    # ws(9): free y2, y3, u0..u8 beside y1, whose units all fail; the first
+    # vector of height 1, y2 - y3 - u0 - ... - u8, passes (its image is
+    # w*(w - 54x)).  A pool listed by product over all 11 columns reached
+    # it after every vector led at a later column, in about 3 s
+    start = time.perf_counter()
+    result = f0_extend(_ws(9))
+    assert time.perf_counter() - start < 0.5
+    assert names(result.odd_basis) == ["y1", "y2 - y3 - " + " - ".join(f"u{i}" for i in range(9))]
+
+
+def test_search_reaches_height_one_at_once():
+    # ws(12): 15 odds in one degree, p = 2; none of the 105 plain pairs is
+    # regular, and the first reduced basis of height 1 is.  Building every
+    # row of the leading columns before their first basis took over 30 s
+    start = time.perf_counter()
+    outcome = exhaustive_homogeneous_search(_ws(12))
+    assert time.perf_counter() - start < 2
+    assert outcome.tried == 106 and outcome.subset_complete
+    assert verify_f0_extension(_ws(12), outcome.found).passed
 
 
 def _workloads():
@@ -275,9 +306,9 @@ def _reference_pick(stage):
         units = [(0, tuple(int(i == j) for j in range(len(active)))) for i in range(len(active))]
         els, imgs, rows = [], [], {}
         for k in range(1, p + 1):
-            for h, v in itertools.chain(units, ((h, v) for h, v in _vector_pool(len(active))
+            bound = (stage.length ** (k - 1) + 1) // 2
+            for h, v in itertools.chain(units, ((h, v) for h, v in _pool(len(active), bound)
                                                 if sum(map(bool, v)) > 1)):
-                assert h <= (stage.length ** (k - 1) + 1) // 2
                 grown = _echelon([*rows.values(), {j: c for j, c in enumerate(v) if c}])
                 if len(grown) == len(rows):
                     continue
@@ -287,13 +318,15 @@ def _reference_pick(stage):
                     e = _combine({g: c for g, c in zip(active, v) if c})
                     els, imgs, rows, height = els + [e], imgs + [img], grown, max(height, h)
                     break
+            else:
+                pytest.fail(f"no regular pick {k} within height {bound}")
     subset = tuple(e.render() for e in els) if height == 0 else None
     return RegularChoice(els, imgs, subset, height, tried,
                          tuple(active[j] for j in sorted(_echelon(rows.values()))))
 
 
 def _pick_view(choice):
-    return names(choice.elements), choice.height, choice.tried, choice.pivots
+    return names(choice.elements), choice.height, choice.pivots
 
 
 def _wide(n):
@@ -325,16 +358,20 @@ def test_stage_pick_tries_each_class_once(n):
 
 def test_stage_pick_matches_the_walk_over_every_column(monkeypatch):
     # where the earlier picks lead at their own columns only, walking the
-    # free columns changes nothing: the search-reject prefix models of
+    # free columns, each height by leading column, picks the same elements:
+    # the search-reject prefix models of
     # test_stage_picks_are_regular_within_their_proved_height and the
-    # widening models, every stage f0_extend runs
+    # widening models, every stage f0_extend runs.  It tries no more: each
+    # class once, and a height's classes led at an earlier column first
     rng = random.Random(1)
     prefix = [parse_model(_workloads().prefix_model(rng, t, 3, 2, 4, _finite).text())
               for t in range(16)]
     picks = _recorded_picks(monkeypatch, prefix + _widening_models())
     assert len(picks) == 16 + 3 and all(c.tried > 1 for _, c in picks)  # all walk
     for stage, choice in picks:
-        assert _pick_view(_reference_pick(stage)) == _pick_view(choice), stage.model.name
+        reference = _reference_pick(stage)
+        assert _pick_view(reference) == _pick_view(choice), stage.model.name
+        assert choice.tried <= reference.tried, stage.model.name
 
 
 def _golden_bases(row: dict):
@@ -692,8 +729,26 @@ def test_whole_degree_assignments_are_skipped():
 
 
 def _pool(n, height):
-    """``_vector_pool``'s vectors through the given height."""
-    return [v for _, v in itertools.takewhile(lambda s: s[0] <= height, _vector_pool(n))]
+    """The primitive integer vectors of Q^n with first nonzero entry > 0, as
+    ``(height, vector)`` by height max |entry| = 1 .. ``height``: a brute
+    force over products, independent of ``_subspaces``."""
+    for h in range(1, height + 1):
+        for v in itertools.product(range(-h, h + 1), repeat=n):
+            if max(map(abs, v)) == h and next(a for a in v if a) > 0 and math.gcd(*v) == 1:
+                yield h, v
+
+
+def _reduced_bases(n, k, height):
+    """The reduced bases of the k-subspaces of Q^n of height at most
+    ``height``, the coordinate ones included: one pool vector per leading
+    column (its first nonzero one, where pool vectors are positive and
+    primitive), each zero at the others' leading columns."""
+    by_lead = {}
+    for _, v in _pool(n, height):
+        by_lead.setdefault(next(j for j, c in enumerate(v) if c), []).append(v)
+    return [rows for leads in itertools.combinations(sorted(by_lead), k)
+            for rows in itertools.product(*(by_lead[c] for c in leads))
+            if all(v[c] == 0 for v, lead in zip(rows, leads) for c in leads if c != lead)]
 
 
 def _gens(degrees):
@@ -719,20 +774,13 @@ def _height(basis):
 @pytest.mark.parametrize("n, k, height", [(n, k, 2) for n in (1, 2, 3, 4) for k in range(n + 1)]
                          + [(5, 1, 1), (5, 2, 1)])
 def test_subspaces_are_the_reduced_bases_by_height(n, k, height):
-    # brute force: one pool vector of at most that height per leading column
-    # (its first nonzero one, where the pool's vectors are positive and
-    # primitive), each zero at the others' leading columns, with support
+    # brute force: the reduced bases of at most that height with support
     # above k; sympy confirms each is the primitive reduced basis of its span
-    by_lead = {}
-    for v in _pool(n, height):
-        by_lead.setdefault(next(j for j, c in enumerate(v) if c), []).append(v)
     expected = {}
-    for leads in itertools.combinations(sorted(by_lead), k):
-        for rows in itertools.product(*(by_lead[c] for c in leads)):
-            if (all(v[c] == 0 for v, lead in zip(rows, leads) for c in leads if c != lead)
-                    and sum(map(any, zip(*rows))) > k):
-                assert _reduced(rows) == (k, rows)
-                expected[rows] = _height(rows)
+    for rows in _reduced_bases(n, k, height):
+        if sum(map(any, zip(*rows))) > k:
+            assert _reduced(rows) == (k, rows)
+            expected[rows] = _height(rows)
     stream = list(itertools.takewhile(lambda s: s[0] <= height, _subspaces(n, k)))
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     plain = list(itertools.combinations(units, k))
@@ -754,29 +802,36 @@ def test_subspaces_leave_height_one_promptly():
     assert index == 5 + 116 and _height(basis) == 2
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_subspaces_reach_height_one_at_once(k):
+    # 12 columns: each row is built when the walk reaches it, so the first
+    # height-1 basis is not behind every row its leading columns lead (3^11
+    # for k = 1; building those first took 2-3 s)
+    start = time.perf_counter()
+    index, (height, basis) = next((i, s) for i, s in enumerate(_subspaces(12, k)) if s[0])
+    assert time.perf_counter() - start < 0.05
+    assert index == math.comb(12, k) and height == 1
+    assert basis[0] == (1,) + (0,) * (k - 1) + (-1,) * (12 - k)
+
+
 @pytest.mark.parametrize("degrees, p", [((3, 3, 5), 2), ((3, 3, 5, 5), 2), ((3, 3, 5, 5), 3),
                                         ((3, 3, 3, 5), 2), ((3, 3, 3, 5), 3)])
 def test_candidates_are_every_graded_span_once_at_its_height(degrees, p):
-    # brute force: every p-tuple of homogeneous pool vectors of height <= 2,
-    # each span at the height of its primitive reduced basis (at most 2, and
-    # the largest of each degree's, since the degrees' rows have disjoint
-    # supports), and the coordinate spans at height 0
+    # brute force: a graded span of dimension p joins one subspace per
+    # degree, so its reduced basis joins their reduced bases (of height <= 2,
+    # coordinate ones included), the degrees' rows having disjoint supports;
+    # its height is theirs, the largest |entry|, or 0 for a coordinate span
     n = len(degrees)
-    vectors = []
+    blocks = []  # per degree, its reduced bases of every size, on all n columns
     for d in sorted(set(degrees)):
         cols = [i for i, e in enumerate(degrees) if e == d]
-        for v in _pool(len(cols), 2):
-            row = [0] * n
-            for i, c in zip(cols, v):
-                row[i] = c
-            vectors.append(row)
+        blocks.append([tuple(tuple(dict(zip(cols, v)).get(j, 0) for j in range(n)) for v in rows)
+                       for k in range(len(cols) + 1) for rows in _reduced_bases(len(cols), k, 2)])
     expected = {}
-    for combo in itertools.combinations(vectors, p):
-        rank, basis = _reduced(combo)
-        if rank == p and _height(basis) <= 2:
-            expected[basis] = _height(basis)
-    for combo in itertools.combinations(range(n), p):
-        expected[_reduced([[int(i == j) for j in range(n)] for i in combo])[1]] = 0
+    for parts in itertools.product(*blocks):
+        rows = sorted(itertools.chain(*parts), reverse=True)  # by leading column
+        if len(rows) == p:
+            expected[tuple(rows)] = 0 if sum(map(any, zip(*rows))) == p else _height(rows)
     gens = _gens(degrees)
     got = {}
     for tried, height, picks in _candidates(gens, p, 10**6):

@@ -52,16 +52,22 @@ def snapshot() -> str:
     return json.dumps(rows, indent=1) + "\n"
 
 
-def _widening_models():
-    # ``needs-combination`` is models/needs_combination.model: no plain
-    # 2-subset of the odds is regular.  The first variant adds an odd
-    # generator in a second degree with zero differential, so the exhaustive
-    # search mixes two degrees.  The second adds y4 in degree 3 with
-    # d(y4) = 2xw, so the stage pick walks four active odds.
+def _needs_combination():
+    """The generators and differentials of models/needs_combination.model,
+    for ``build_model``: no plain 2-subset of the odds is regular."""
     gens = [("x", 2), ("w", 2), ("y1", 3), ("y2", 3), ("y3", 3)]
     diffs = {"y1": lambda e: e["x"] ** 2 + e["x"] * e["w"],
              "y2": lambda e: e["x"] * e["w"] + e["w"] ** 2,
              "y3": lambda e: e["x"] * e["w"]}
+    return gens, diffs
+
+
+def _widening_models():
+    # ``needs-combination`` itself, then two variants.  The first adds an odd
+    # generator in a second degree with zero differential, so the exhaustive
+    # search mixes two degrees.  The second adds y4 in degree 3 with
+    # d(y4) = 2xw, so the stage pick walks four active odds.
+    gens, diffs = _needs_combination()
     return [build_model(gens, diffs, name="needs-combination"),
             build_model(gens + [("y4", 5)], diffs, name="needs-combination-4"),
             build_model(gens + [("y4", 3)],
