@@ -10,12 +10,24 @@ original model is.
 Ellipticity makes every even generator nilpotent in the quotient, and the
 smallest exponent landing a power inside the differential ideal comes with a
 checkable certificate: an element whose differential is exactly that power.
+
+Cohomology dimensions come from one of two exact rank computations.  The
+oracle ranks d on every monomial of Lambda V through the top degree asked
+for.  The structure theorem gives a pure elliptic model of constant length l
+on n even generators an F0 basis Z, whose images are a regular sequence;
+with Y' the odd generators outside Z's pivots, H(Lambda V) =
+H(Q[X]/(dZ) (x) Lambda Y') (Felix, Halperin and Thomas, *Rational Homotopy
+Theory*, section 14), a finite complex.  Both methods split off the inert
+generators first, so the complex has l^n * 2^r elements, r the non-inert
+ones of Y'.  It is ranked when the oracle's basis count is over
+``COMPLEX_ADVANTAGE`` times that size; both sizes are known before any work.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 from .algebra import (
@@ -25,6 +37,8 @@ from .algebra import (
     Element,
     Generator,
     _bases,
+    _degree,
+    _divisor,
     _factor,
     _fields,
     _integral,
@@ -243,6 +257,13 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
 
 # -- cohomology ranks (exact, degreewise) -------------------------------------
 
+#: the finite complex is taken when the oracle's basis count exceeds its size
+#: this many times; below that, the level loop and the normal forms cost more
+#: than the ranks they save (on the cohomology-oracle models, 12 and 16 gave
+#: the same choices, 30 a slower round)
+COMPLEX_ADVANTAGE = 16
+
+
 def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     """Dimensions of the cohomology in degrees 0 through up_to, as a list.
 
@@ -252,13 +273,15 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     image, splits the dga as Lambda V' (x) Lambda(g), so by Kunneth
     (Felix-Halperin-Thomas, Rational Homotopy Theory) ranks are taken on
     Lambda V' alone and each g is folded back in by ``algebra._series``.
-    Those ranks are exact, in integers, on bases listed by one ``_bases``
-    pass: each row is L * d of a basis monomial, which has the rank of d,
-    and goes straight into ``_echelon``.  A monomial m splits as c * r, c its
-    factor on the even generators with zero differential and r the rest.
-    As c is even and d(c) = 0, L * d(m) = c * L * d(r) (ibid., section 32):
-    ``model._scaled_d`` runs once per distinct r, at most 2^(odd generators)
-    for a parsed model, and each row is that image with c added to its keys.
+
+    Two methods rank Lambda V'.  The oracle (``_oracle_dims``) ranks d on
+    every monomial through degree up_to + 1.  For a pure elliptic model of
+    constant length l on n even generators, the structure theorem gives the
+    finite complex A (x) Lambda Y' instead (``_complex_dims``): Z the F0 basis
+    that ``extension._levels`` picks, A = Q[X]/(dZ) of dimension l^n, and Y'
+    the r non-inert odd generators that no level kills.  Its size l^n * 2^r
+    and the oracle's basis count are both known before any work; the complex
+    is taken when the count exceeds ``COMPLEX_ADVANTAGE`` times the size.
     """
     if up_to < 0:
         return []
@@ -269,9 +292,35 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
         raise InvalidInput(
             f"cohomology through degree {up_to} needs {size} basis monomials, "
             f"over the limit of {MAX_BASIS}; lower --up-to")
+    inert = _inert(model)
+    n, length = len(model.even_generators), model.differential_length()
+    r = sum(g not in inert for g in model.odd_generators) - n
+    cheaper = (model.is_pure() and length.is_constant
+               and size > COMPLEX_ADVANTAGE * length.value ** n * 2 ** r and is_elliptic(model))
+    dims = (_complex_dims if cheaper else _oracle_dims)(model, inert, up_to)
+    return _series(inert, dims, lambda n, g: n)  # times Q[g] or Lambda(g) for each inert g
+
+
+def _inert(model: SullivanModel) -> list[Generator]:
+    """The generators with no differential whose fields no image uses."""
     used = _used(m for img in model.differential.values() for m in img._t)
-    inert = [g for g in model.generators
-             if g not in model.differential and not _fields((g,)) & used]
+    return [g for g in model.generators
+            if g not in model.differential and not _fields((g,)) & used]
+
+
+def _oracle_dims(model: SullivanModel, inert: list[Generator], up_to: int) -> list[int]:
+    """Dimensions of H(Lambda V') in degrees 0 through up_to, V' the
+    generators outside ``inert``, by the ranks of d on every monomial.
+
+    Those ranks are exact, in integers, on bases listed by one ``_bases``
+    pass: each row is L * d of a basis monomial, which has the rank of d,
+    and goes straight into ``_echelon``.  A monomial m splits as c * r, c its
+    factor on the even generators with zero differential and r the rest.
+    As c is even and d(c) = 0, L * d(m) = c * L * d(r) (Felix, Halperin and
+    Thomas, section 32): ``model._scaled_d`` runs once per distinct r, at
+    most 2^(odd generators) for a parsed model, and each row is that image
+    with c added to its keys.
+    """
     kept = [g for g in model.generators if g not in inert]
     bases = _bases(kept, up_to + 1)
     cycles = _fields(g for g in kept if g.is_even and g not in model.differential)
@@ -289,5 +338,86 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
             if img:
                 rows.append({col[mm + c]: v for mm, v in img.items()})
         ranks.append(len(_echelon(rows)))
-    dims = [len(bases[k]) - ranks[k + 1] - ranks[k] for k in range(up_to + 1)]
-    return _series(inert, dims, lambda n, g: n)  # times Q[g] or Lambda(g) for each inert g
+    return [len(bases[k]) - ranks[k + 1] - ranks[k] for k in range(up_to + 1)]
+
+
+def _complex_dims(model: SullivanModel, inert: list[Generator], up_to: int) -> list[int]:
+    """Dimensions of H(Lambda V') in degrees 0 through up_to for a pure
+    elliptic model of constant length, from its F0 basis Z: the elements
+    that ``extension._levels`` picks, with Y' the odd generators outside
+    ``inert`` that no level kills (``_koszul_dims``)."""
+    from .extension import _levels  # extension imports this module
+
+    z: list[Element] = []
+    killed: set[Generator] = set()
+    for _, choice, killed in _levels(model):
+        z += choice.elements
+    rest = [g for g in model.odd_generators if g not in killed and g not in inert]
+    return _koszul_dims(model, z, rest, up_to)
+
+
+def _koszul_dims(model: SullivanModel, z: list[Element], rest: list[Generator],
+                 up_to: int) -> list[int]:
+    """Dimensions of H(A (x) Lambda Y', d) in degrees 0 through up_to, for
+    A = Q[X]/(dZ) and Y' = ``rest``, where Z and Y' together are a basis of
+    the odd generators that are not inert, and dZ is regular.
+
+    Then Lambda V' = Lambda(X + Z) (x) Lambda Y' is a relative Sullivan
+    algebra, Lambda(X + Z) -> A is a quasi-isomorphism (the Koszul complex of
+    a regular sequence), and base change along it keeps the cohomology, as
+    d(Y') lies in the base (Felix, Halperin and Thomas, *Rational Homotopy
+    Theory*, section 14).  So the ranks are taken on the finite complex with
+    d(a (x) y_S) = sum over the t-th factor y_j of S of
+    (-1)^(t-1) [a * dy_j] (x) y_(S - j).
+
+    One ``buchberger`` run on dZ must give a finite quotient of dimension
+    l^n for l the model's constant length and n its even generators
+    (Stanley's identity, which holds exactly when dZ is regular), else
+    VerificationFailed.  A's standard monomials through degree up_to are
+    listed by extending each one by the variables from its last on, as they
+    form an order ideal.  Each [a * dy_j] is the remainder of one ``_nf``,
+    kept per (a, j); a row is its terms over the lcm of their scales, and
+    ``_echelon`` ranks each degree's rows.
+    """
+    evens = model.even_generators
+    gb = buchberger([model.d(e) for e in z], evens)
+    expected = model.differential_length().value ** len(evens)
+    if not quotient_is_finite_dimensional(gb) or quotient_dimension(gb) != expected:
+        raise VerificationFailed(
+            f"the F0 basis of {model.name!r} does not give a quotient of dimension {expected}")
+    keys, lead = [_key(x) for x in evens], range(len(gb._exps))
+    standard, todo = [], [(0, 0)]
+    while todo:
+        a, i = todo.pop()
+        standard.append(a)
+        for j in range(i, len(keys)):
+            b = a + keys[j]
+            if _degree(b) <= up_to and _divisor(b, gb._exps, lead) is None:
+                todo.append((b, j))
+    ys = [(_key(y), y.degree, model.d_generator(y)._t) for y in rest]
+    remainders: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}  # (a, j) -> (S, R)
+    counts = [0] * (up_to + 1)
+    rows: list[list[dict[int, int]]] = [[] for _ in range(up_to + 1)]
+    for size in range(len(ys) + 1):
+        for s in itertools.combinations(range(len(ys)), size):
+            s_key, s_degree = sum(ys[j][0] for j in s), sum(ys[j][1] for j in s)
+            for a in standard:
+                k = _degree(a) + s_degree
+                if k > up_to:
+                    continue
+                counts[k] += 1
+                terms = []
+                for t, j in enumerate(s):
+                    if (a, j) not in remainders:
+                        den, rem, _ = _nf({a + m: c for m, c in ys[j][2].items()},
+                                          gb._basis, full=True)
+                        remainders[a, j] = den, rem
+                    den, rem = remainders[a, j]
+                    if rem:
+                        terms.append((-den if t % 2 else den, rem, s_key - ys[j][0]))
+                if terms:
+                    scale = lcm(*(abs(den) for den, _, _ in terms))
+                    rows[k].append({m + key: scale // den * v
+                                    for den, rem, key in terms for m, v in rem.items()})
+    ranks = [0] + [len(_echelon(r)) for r in rows]  # ranks[k + 1]: from degree k
+    return [counts[k] - ranks[k + 1] - ranks[k] for k in range(up_to + 1)]

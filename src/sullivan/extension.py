@@ -178,26 +178,35 @@ def _subspaces(n: int, k: int):
     order, the rows run in product order over their free columns (after the
     lead, leading no row), the lead in 1..h and the rest in -h..h; a basis is
     kept if its height is h and its support has more than k columns.  Each
-    row is built only when the walk reaches it, so no row list precedes the
-    first basis.  For k = 1 these are the units, then by height the
-    primitive vectors with support above 1, positive at their lead."""
-    def bases(leads, height, i=0):  # itertools.product of the rows, each built when reached
-        cols = [leads[i]] + [j for j in range(leads[i] + 1, n) if j not in leads]
+    leading column's rows are built once per height and leading columns, as
+    the walk first reaches them, and replayed from then on, so no row list
+    precedes the first basis.  For k = 1 these are the units, then by height
+    the primitive vectors with support above 1, positive at their lead."""
+    def rows(lead, leads, height):  # (row, its height, whether it leaves the leads)
+        cols = [lead] + [j for j in range(lead + 1, n) if j not in leads]
         for e in itertools.product(range(1, height + 1),
                                    *[range(-height, height + 1)] * (len(cols) - 1)):
             if gcd(*e) == 1:
-                row = tuple(dict(zip(cols, e)).get(j, 0) for j in range(n))
-                for rest in bases(leads, height, i + 1) if i + 1 < k else [()]:
-                    yield (row,) + rest
+                row = [0] * n
+                for j, a in zip(cols, e):
+                    row[j] = a
+                yield tuple(row), max(map(abs, e)), any(e[1:])
+
+    def bases(walks):  # itertools.product of the rows, each walk drawn only when reached
+        for row in copy(walks[0]):
+            for rest in bases(walks[1:]) if walks[1:] else [()]:
+                yield (row,) + rest
 
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     yield from ((0, basis) for basis in itertools.combinations(units, k))
     for height in itertools.count(1) if 0 < k < n else []:
         for leads in itertools.combinations(range(n), k):
-            for basis in bases(leads, height):
-                if (max(abs(a) for row in basis for a in row) == height
-                        and sum(map(any, zip(*basis))) > k):
-                    yield height, basis
+            # a tee never advanced: each copy replays what the walk has built
+            walks = [itertools.tee(rows(c, leads, height), 1)[0] for c in leads]
+            for basis in bases(walks):
+                # the leads are k columns: the support is larger when a row leaves them
+                if max(h for _, h, _ in basis) == height and any(o for _, _, o in basis):
+                    yield height, tuple(row for row, _, _ in basis)
 
 
 def _candidates(gens: Sequence[Generator], p: int, max_candidates: int):
@@ -303,6 +312,24 @@ def find_homogeneous_regular_subset(stage: FirstStage) -> RegularChoice:
 
 
 # -- extension construction ------------------------------------------------------
+
+def _levels(model: SullivanModel):
+    """The recursion's levels, as ``(stage, choice, killed)``: the level's
+    slice, its regular pick, and the killed set once the stage's evens and
+    the pick's pivots have joined it (the same set, grown level by level).
+    ``first_stage`` checks the model; each later level slices the input less
+    the killed set, until every even generator is killed (a model with none
+    has no level).  The picks' elements together are an F0 basis Z, and the
+    odd generators never killed complete it to a basis of the odd generators
+    (each pick leads at its own pivot and is zero on the earlier pivots)."""
+    killed: set[Generator] = set()
+    stage = None
+    while not killed.issuperset(model.even_generators):
+        stage = _slice(model, stage.length, killed) if stage else first_stage(model)
+        choice = find_homogeneous_regular_subset(stage)
+        killed.update(stage.evens, choice.pivots)
+        yield stage, choice, killed
+
 
 @dataclass
 class StageRecord:
@@ -517,14 +544,10 @@ def f0_extend(model: SullivanModel) -> ExtensionResult:
     if not model.is_pure():
         raise NotPure(f"model {model.name!r} is not pure")
 
-    killed: set[Generator] = set()
     chosen: list[Element] = []
     trace: list[StageRecord] = []
-    while not killed.issuperset(model.even_generators):
-        stage = _slice(model, stage.length, killed) if trace else first_stage(model)
-        choice = find_homogeneous_regular_subset(stage)
+    for stage, choice, killed in _levels(model):
         chosen.extend(choice.elements)
-        killed.update(stage.evens, choice.pivots)
         trace.append(StageRecord(
             level=len(trace) + 1,
             evens=tuple(g.name for g in stage.evens),

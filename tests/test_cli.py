@@ -26,6 +26,8 @@ from sullivan.errors import (
     VerificationFailed,
 )
 
+from test_ellipticity import _ladder_plus
+
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
@@ -419,6 +421,17 @@ def _dims_json(name, up_to, dims):
 def test_cohomology_json_is_pinned(path, up_to, expected):
     code, out, err = run("cohomology", MODELS / path, "--up-to", up_to, "--json")
     assert (code, out, err) == (0, expected, "")
+
+
+def test_cohomology_through_the_finite_complex_at_once(tmp_path):
+    # ladder model (4, 2) plus three odd generators: the oracle takes minutes
+    path = tmp_path / "ladder.model"
+    path.write_text(_ladder_plus(4, 2, 3))
+    start = time.perf_counter()
+    code, out, err = run("cohomology", path, "--up-to", "17")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out.endswith("total dimension through degree 17: 60\n")
 
 
 def test_cohomology_requires_up_to():

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sullivan import build_model, ellipticity
+from sullivan import build_model, ellipticity, load_model, parse_model
 from sullivan.algebra import MAX_DEGREE, Element, Generator, _integral, make_generators
 from sullivan.ellipticity import (
     ExactnessCertificate,
@@ -31,11 +31,14 @@ from sullivan.errors import (
     NotExact,
     NotPure,
     OddGeneratorPresent,
+    VerificationFailed,
 )
+from sullivan.extension import _combine
 from sullivan.groebner import member, quotient_dimension
 from sullivan.model import SullivanModel
 
-from conftest import brute_force_basis, make_random_model
+from conftest import MODELS, brute_force_basis, make_random_model
+from test_extension import _finite, _wide, _workloads, _ws
 
 
 def cp(n):
@@ -571,3 +574,91 @@ def test_the_cost_guard_counts_the_inert_generators(monkeypatch):
     monkeypatch.setattr(ellipticity, "_bases", no_work)
     with pytest.raises(InvalidInput, match="through degree 40 needs 1340340 basis monomials"):
         cohomology_dims(s2x5u, 40)
+
+
+# -- the finite complex A (x) Lambda Y' against the oracle -------------------------
+
+def _agree(model, up_to):
+    """The complex's dims, once they equal the oracle's in every degree."""
+    inert = ellipticity._inert(model)
+    dims = ellipticity._complex_dims(model, inert, up_to)
+    assert dims == ellipticity._oracle_dims(model, inert, up_to), model.name
+    return dims
+
+
+def _ladder_plus(n, l, e):
+    """The text of ladder model (n, l) plus e odd generators wj : 2l - 1,
+    each image one more dense form of length l drawn from the same stream,
+    so chi_pi = -e."""
+    workloads = _workloads()
+    rng = random.Random(1)
+    spec = workloads.ladder_model(rng, n, l, 0, _finite)
+    spec.odds += [(f"w{j}", 2 * l - 1, workloads.dense_form(rng, [2] * n, l))
+                  for j in range(1, e + 1)]
+    return spec.text()
+
+
+def test_the_complex_matches_the_oracle_on_the_shipped_models():
+    pure = [m for m in map(load_model, sorted(MODELS.glob("*.model")))
+            if m.is_pure() and m.differential_length().is_constant and is_elliptic(m)]
+    assert {m.name for m in pure} == {"cp1", "cp2", "cp3", "cp4", "s2", "coformal-tower",
+                                      "needs-combination"}
+    for model in pure:
+        _agree(model, model.formal_dimension() + 4)
+
+
+def test_the_complex_matches_the_oracle_where_the_pick_walks(inert_tower_text, three_level_text):
+    models = [_wide(4), _ws(3), parse_model(inert_tower_text), parse_model(three_level_text)]
+    for model in models:
+        _agree(model, model.formal_dimension() + 4)
+
+
+@pytest.mark.parametrize("n, l, e", [(2, 2, 1), (2, 2, 2), (2, 2, 3), (3, 2, 1), (3, 2, 2),
+                                     (2, 3, 1), (2, 3, 2), (3, 3, 1), (4, 2, 1)])
+def test_the_complex_matches_the_oracle_on_ladder_models_with_extra_odds(n, l, e):
+    model = parse_model(_ladder_plus(n, l, e))
+    f = model.formal_dimension()
+    dims = _agree(model, f + 2)
+    assert dims[f] == 1 and dims[f + 1:] == [0, 0]
+    assert all(dims[k] == dims[f - k] for k in range(f + 1))
+    assert sum((-1) ** k * d for k, d in enumerate(dims)) == 0  # chi_pi < 0
+
+
+def test_cohomology_takes_the_oracle_on_a_small_model(monkeypatch, cp2):
+    # CP^2 through degree 8: 8 basis monomials, against 16 * 3^1 * 2^0
+    def refused(*args):
+        raise AssertionError("the complex was taken")
+
+    monkeypatch.setattr(ellipticity, "_complex_dims", refused)
+    assert cohomology_dims(cp2, 8) == [1, 0, 1, 0, 1, 0, 0, 0, 0]
+
+
+def test_cohomology_takes_the_complex_on_a_large_model(monkeypatch):
+    # (4, 2) + 3 through degree 17: the oracle ranks d on 11,222 monomials
+    # for minutes; the complex has 2^4 * 2^3 = 128 elements
+    model = parse_model(_ladder_plus(4, 2, 3))
+
+    def refused(*args):
+        raise AssertionError("the oracle was taken")
+
+    monkeypatch.setattr(ellipticity, "_oracle_dims", refused)
+    start = time.perf_counter()
+    dims = cohomology_dims(model, 17)
+    assert time.perf_counter() - start < 1.0
+    assert sum(dims) == 60 and dims[17] == 1
+    assert all(dims[k] == dims[17 - k] for k in range(18))
+
+
+def test_the_complex_refuses_a_basis_that_is_not_regular():
+    # needs_combination: evens x, w; dy1 = x^2 + x*w, dy2 = x*w + w^2, dy3 = x*w
+    model = load_model(MODELS / "needs_combination.model")
+    y1, y2, y3 = model.odd_generators
+    # (x^2, x*w) leaves every power of w: not finite
+    with pytest.raises(VerificationFailed, match="quotient of dimension 4"):
+        ellipticity._koszul_dims(model, [_combine({y1: 1}), _combine({y3: 1})], [y2], 6)
+    # (x^2, x*w, w^2) is finite, but of dimension 3, not 2^2
+    with pytest.raises(VerificationFailed, match="quotient of dimension 4"):
+        ellipticity._koszul_dims(model, [_combine({y: 1}) for y in (y1, y2, y3)], [], 6)
+    # {y1, y2 - y3}, the pick of extend, passes
+    assert ellipticity._koszul_dims(model, [_combine({y1: 1}), _combine({y2: 1, y3: -1})],
+                                    [y3], 6) == cohomology_dims(model, 6)
