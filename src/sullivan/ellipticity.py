@@ -20,7 +20,8 @@ H(Q[X]/(dZ) (x) Lambda Y') (Felix, Halperin and Thomas, *Rational Homotopy
 Theory*, section 14), a finite complex.  Both methods split off the inert
 generators first, so the complex has l^n * 2^r elements, r the non-inert
 ones of Y'.  It is ranked when the oracle's basis count is over
-``COMPLEX_ADVANTAGE`` times that size; both sizes are known before any work.
+``COMPLEX_ADVANTAGE`` times that size; both sizes are known before any work,
+and ``MAX_BASIS`` bounds the one taken.
 """
 from __future__ import annotations
 
@@ -268,8 +269,8 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     """Dimensions of the cohomology in degrees 0 through up_to, as a list.
 
     Works for any valid model (pure or not).  The top degree is checked
-    against MAX_DEGREE and the basis monomials on every generator against
-    MAX_BASIS before any work.  An inert generator g, closed and in no
+    against MAX_DEGREE before any work, and MAX_BASIS bounds the method that
+    runs (below).  An inert generator g, closed and in no
     image, splits the dga as Lambda V' (x) Lambda(g), so by Kunneth
     (Felix-Halperin-Thomas, Rational Homotopy Theory) ranks are taken on
     Lambda V' alone and each g is folded back in by ``algebra._series``.
@@ -281,22 +282,30 @@ def cohomology_dims(model: SullivanModel, up_to: int) -> list[int]:
     that ``extension._levels`` picks, A = Q[X]/(dZ) of dimension l^n, and Y'
     the r non-inert odd generators that no level kills.  Its size l^n * 2^r
     and the oracle's basis count are both known before any work; the complex
-    is taken when the count exceeds ``COMPLEX_ADVANTAGE`` times the size.
+    is taken when the count exceeds ``COMPLEX_ADVANTAGE`` times the size
+    (and ``is_elliptic`` holds, tested only then).  The size of the method
+    taken must not exceed MAX_BASIS; a count over it on a model no complex
+    can serve, not pure or not of constant length, is refused before any work.
     """
     if up_to < 0:
         return []
     if up_to + 1 > MAX_DEGREE:  # basis_sizes would build a list of up_to + 2 entries
         raise _too_large((up_to + 1) << _S)
     size = sum(basis_sizes(model.generators, up_to + 1))
-    if size > MAX_BASIS:
-        raise InvalidInput(
-            f"cohomology through degree {up_to} needs {size} basis monomials, "
-            f"over the limit of {MAX_BASIS}; lower --up-to")
+    refusal = (f"cohomology through degree {up_to} needs {size} basis monomials, "
+               f"over the limit of {MAX_BASIS}; lower --up-to")
+    length = model.differential_length()
+    shaped = model.is_pure() and length.is_constant  # the complex may serve it
+    if size > MAX_BASIS and not shaped:
+        raise InvalidInput(refusal)
     inert = _inert(model)
-    n, length = len(model.even_generators), model.differential_length()
+    n = len(model.even_generators)
     r = sum(g not in inert for g in model.odd_generators) - n
-    cheaper = (model.is_pure() and length.is_constant
-               and size > COMPLEX_ADVANTAGE * length.value ** n * 2 ** r and is_elliptic(model))
+    elements = length.value ** n * 2 ** r if shaped else None
+    cheaper = shaped and size > COMPLEX_ADVANTAGE * elements and is_elliptic(model)
+    if (elements if cheaper else size) > MAX_BASIS:
+        raise InvalidInput(f"the finite complex of {model.name!r} has {elements} elements, "
+                           f"over the limit of {MAX_BASIS}" if cheaper else refusal)
     dims = (_complex_dims if cheaper else _oracle_dims)(model, inert, up_to)
     return _series(inert, dims, lambda n, g: n)  # times Q[g] or Lambda(g) for each inert g
 

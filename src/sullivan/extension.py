@@ -35,6 +35,7 @@ candidate stream of whole picks (``_candidates``), one subspace per degree.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass, field
 from math import gcd
@@ -214,12 +215,15 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int):
 
     Yields ``(tried, height, picks)`` as each is enumerated; ``picks`` holds
     one {generator: integer coefficient} combination per element, inside a
-    single degree.  First the plain p-subsets in ``itertools.combinations``
+    single degree (built once per row and shared by the picks that hold it:
+    read-only).  First the plain p-subsets in ``itertools.combinations``
     order (height 0).  A graded subspace is one subspace per degree, its
     height the largest of their reduced bases' heights: so for heights 1, 2,
     ..., and the assignments of p to the degrees in descending order, the
     product of the degrees' ``_subspaces`` up to that height, the lowest
-    degree slowest, less the products of lower height.  Assignments that take
+    degree slowest, less the products of lower height (each degree's walk is
+    drawn into a list as the product first reaches it, and replayed from the
+    list, cut at the height).  Assignments that take
     each degree whole or not at all span only plain subsets and are skipped.
     Ends after the plain subsets when no assignment is left; else each height
     adds a candidate (a degree taken in part has a subspace of every height)
@@ -242,27 +246,47 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int):
                    if any(0 < k < n for k, n in zip(a, sizes))]
     if not assignments:
         return
-    walks = {}  # (degree, k) -> a tee of its _subspaces, never advanced: copies replay it
+    walks = {}  # (degree, k) -> its _subspaces, and the subspaces drawn from it so far
+    combos = {}  # (degree, row) -> the row's combination, built once, shared by its picks
 
-    def product(pieces, height):  # itertools.product, drawing each walk only when reached
+    def product(pieces, height, reached=False):
+        """itertools.product of the pieces' subspaces up to ``height``, less the
+        tuples below it (``reached``: an earlier piece is at it), each walk
+        drawn only when reached and replayed from its list after."""
         d, k = pieces[0]
         if (d, k) not in walks:
-            walks[d, k] = itertools.tee(_subspaces(len(groups[d]), k), 1)[0]
-        for piece in itertools.takewhile(lambda s: s[0] <= height, copy(walks[d, k])):
-            for rest in product(pieces[1:], height) if pieces[1:] else [()]:
-                yield (piece,) + rest
+            walks[d, k] = _subspaces(len(groups[d]), k), []
+        stream, listed = walks[d, k]
+        last = len(pieces) == 1
+        # the last piece must reach the height itself; (h,) sorts below every
+        # (h, basis), so this skips the listed subspaces below it
+        i = bisect_left(listed, (height,)) if last and not reached else 0
+        while True:
+            if i == len(listed):
+                drawn = next(stream, None)
+                if drawn is None:
+                    return
+                listed.append(drawn)
+            piece = listed[i]
+            i += 1
+            if piece[0] > height:
+                return
+            if not last:
+                for rest in product(pieces[1:], height, reached or piece[0] == height):
+                    yield (piece,) + rest
+            elif reached or piece[0] == height:
+                yield piece,
 
     for height in itertools.count(1):
         for pieces in assignments:
             for chosen in product(pieces, height):
-                if max(h for h, _ in chosen) < height:
-                    continue
                 tried += 1
                 if tried > max_candidates:
                     raise SearchSpaceTooLarge(budget_message)
-                yield tried, height, tuple({g: c for g, c in zip(groups[d], v) if c}
-                                           for (d, _), (_, basis) in zip(pieces, chosen)
-                                           for v in basis)
+                yield tried, height, tuple(
+                    combos.get((d, v))
+                    or combos.setdefault((d, v), {g: c for g, c in zip(groups[d], v) if c})
+                    for (d, _), (_, basis) in zip(pieces, chosen) for v in basis)
 
 
 def find_homogeneous_regular_subset(stage: FirstStage) -> RegularChoice:
@@ -619,7 +643,19 @@ def exhaustive_homogeneous_search(model: SullivanModel,
     2, ..., one subspace per degree under its reduced basis, each graded
     subspace listed once, its height the largest entry of its reduced bases
     (``_candidates``).  The first candidate passing verify_f0_extension
-    wins.  When no assignment takes a degree in part, as
+    wins.  A sequence with a non-regular prefix is not regular, so the
+    search remembers the last candidate that failed the regular-sequence
+    check, at index i: its first i images and its report.  Each later
+    candidate whose images start with those is rejected with that report,
+    unverified; the stream lists candidates sharing a prefix one after
+    another, so one remembered prefix catches them.  Before a prefix is
+    kept, its Krull dimension is checked to exceed p - i, else
+    VerificationFailed: a second method, since homogeneous elements of the
+    Cohen-Macaulay Q[X] are regular exactly when each drops the dimension,
+    and the one that proves every extension of the prefix has an
+    infinite-dimensional quotient (Krull's principal ideal theorem: the
+    p - i elements after it drop the dimension by at most p - i).  When no
+    assignment takes a degree in part, as
     for (3, 3, 5) at p = 3, the space is finite and exhausting it proves no
     homogeneous F0 basis exists (``fully_exhaustive``); otherwise trying more
     than ``max_candidates`` raises SearchSpaceTooLarge.
@@ -630,11 +666,11 @@ def exhaustive_homogeneous_search(model: SullivanModel,
     odds = model.odd_generators
     outcome = SearchOutcome(None, 0, False, False)
 
-    def reject(names: tuple[str, ...], report: VerificationReport) -> None:
+    def reject(candidate: list[Element], report: VerificationReport) -> None:
         if len(outcome.rejected) >= MAX_REJECTIONS_KEPT:
             return
         outcome.rejected.append(RejectionRecord(
-            candidate=names,
+            candidate=tuple(e.render() for e in candidate),
             reason=report.first_failure or "unknown",
             witness=report.witness.render() if report.witness is not None else None,
             failing_index=report.failing_index,
@@ -645,15 +681,27 @@ def exhaustive_homogeneous_search(model: SullivanModel,
         outcome.subset_complete = True
         return outcome
 
+    prefix, kept = [], None  # the last failing prefix's images, and its report
     for tried, height, picks in _candidates(odds, p, max_candidates):
         outcome.tried = tried
         candidate = [_combine(c) for c in picks]
-        report = verify_f0_extension(model, candidate)
-        if report.passed:
-            outcome.found = candidate
-            outcome.subset_complete = height > 0
-            return outcome
-        reject(tuple(e.render() for e in candidate), report)
+        if kept is not None and [model.d(e) for e in candidate[:len(prefix)]] == prefix:
+            report = kept
+        else:
+            report = verify_f0_extension(model, candidate)
+            if report.passed:
+                outcome.found = candidate
+                outcome.subset_complete = height > 0
+                return outcome
+            kept = None
+            if report.first_failure == "regular_sequence":
+                i = report.failing_index
+                prefix, kept = [model.d(e) for e in candidate[:i]], report
+                if _dimension(buchberger(prefix, model.even_generators)) <= p - i:
+                    raise VerificationFailed(
+                        f"the failing prefix {', '.join(e.render() for e in candidate[:i])} "
+                        f"leaves Krull dimension at most {p - i}")
+        reject(candidate, report)
     # the plain subsets were the whole space
     outcome.subset_complete = True
     outcome.fully_exhaustive = True

@@ -44,8 +44,9 @@ zero-divisor witnesses only when the identity does not hold.  The count
 reads the leading monomials alone, slicing their staircase variable by
 variable.  A basis keeps each witness it has given (or None), keyed by the
 element, for as long as it lives: the cache returns the same basis object for
-a repeated prefix, so candidates sharing a failing prefix and element compute
-one ideal quotient.
+a repeated prefix, so sequences that share a regular prefix test its
+elements once between them.  (A search remembers a failing prefix itself
+and does not ask about it again.)
 
 No identity is re-verified here: the certificates built on lifted cofactors
 are re-checked by ``ellipticity.ExactnessCertificate.verify``.
@@ -513,9 +514,9 @@ def zero_divisor_witness(a: Element, gb: GroebnerBasis) -> Element | None:
     The zero element is a zero divisor exactly when the quotient ring is
     nonzero (witness 1); an element already in the ideal gets witness 1 too.
     Otherwise the witness is the first generator of (I : a) outside I.  The
-    verdict is deterministic, so it is kept on the basis, keyed by a: a
-    search asks the same prefix ideal about the same element once per
-    candidate that shares them, and only the first request does the work.
+    verdict is deterministic, so it is kept on the basis, keyed by a:
+    regular-sequence tests of sequences that share a prefix ask its ideal
+    about the same elements, and only the first request does the work.
     """
     _terms(a, gb.variables)  # a kept verdict must not let a foreign element through
     if a not in gb._witnesses:

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import pathlib
+import random
 import sys
 import time
 import weakref
@@ -27,6 +28,7 @@ from sullivan.errors import (
 )
 
 from test_ellipticity import _ladder_plus
+from test_extension import _finite, _prefix_dimension_agrees, _workloads
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -460,18 +462,43 @@ def test_cohomology_refuses_a_degree_past_the_layout():
 
 
 def test_cohomology_cost_guard_exit_2_at_once(tmp_path):
-    # five copies of S^2: 799,188 basis monomials through degree 41
-    s2x5 = tmp_path / "s2x5.model"
-    s2x5.write_text('model "s2x5"\n'
-                    + "".join(f"even x{i} : 2\n" for i in range(1, 6))
-                    + "".join(f"odd y{i} : 3 = x{i}^2\n" for i in range(1, 6)))
+    # five copies of S^2 and a non-pure c = a*b, which no finite complex
+    # serves: 3,332,379 basis monomials through degree 41
+    s2x5ab = tmp_path / "s2x5ab.model"
+    s2x5ab.write_text('model "s2x5ab"\n'
+                      + "".join(f"even x{i} : 2\n" for i in range(1, 6))
+                      + "".join(f"odd y{i} : 3 = x{i}^2\n" for i in range(1, 6))
+                      + "odd a : 3\nodd b : 3\nodd c : 5 = a*b\n")
     start = time.perf_counter()
-    code, out, err = run("cohomology", s2x5, "--up-to", "40")
+    code, out, err = run("cohomology", s2x5ab, "--up-to", "40")
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
     assert err.startswith("error[invalid-input]: cohomology through degree 40 needs "
-                          "799188 basis monomials")
+                          "3332379 basis monomials")
+    assert err.count("\n") == 1
+
+
+def test_cohomology_past_the_oracle_limit_through_the_complex(tmp_path):
+    # ladder model (5, 2) plus four odd generators: 193,863 monomials of
+    # Lambda V through degree 23, over MAX_BASIS, but a finite complex of
+    # 2^5 * 2^4 = 512 elements
+    path = tmp_path / "ladder.model"
+    path.write_text(_ladder_plus(5, 2, 4))
+    start = time.perf_counter()
+    code, out, err = run("cohomology", path, "--up-to", "22")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out.endswith("total dimension through degree 22: 192\n")
+
+
+def test_search_exits_3_when_a_failing_prefix_is_not_confirmed(monkeypatch, tmp_path):
+    _prefix_dimension_agrees(monkeypatch)
+    path = tmp_path / "prefix.model"
+    path.write_text(_workloads().prefix_model(random.Random(1), 0, 3, 2, 4, _finite).text())
+    code, out, err = run("search", path)
+    assert (code, out) == (3, "")
+    assert err.startswith("error[verification-failed]: the failing prefix a1, a2 ")
     assert err.count("\n") == 1
 
 

@@ -244,14 +244,52 @@ def test_cohomology_detects_infinite(not_elliptic):
     assert all(dims[k] >= 1 for k in range(0, 13, 2))
 
 
+def _s2x5ab(*extra):
+    """Five copies of S^2 and a non-pure c = a*b, which no finite complex serves."""
+    return build_model([(f"x{i}", 2) for i in range(5)] + [(f"y{i}", 3) for i in range(5)]
+                       + [("a", 3), ("b", 3), ("c", 5)] + list(extra),
+                       {**{f"y{i}": lambda e, i=i: e[f"x{i}"] ** 2 for i in range(5)},
+                        "c": lambda e: e["a"] * e["b"]})
+
+
 def test_cohomology_cost_guard_runs_before_any_work():
-    # five copies of S^2: 799,188 basis monomials through degree 41
+    # 3,332,379 basis monomials through degree 41
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match="needs 3332379 basis monomials"):
+        cohomology_dims(_s2x5ab(), 40)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_cost_guard_spares_what_the_complex_serves(monkeypatch):
+    # five copies of S^2: 799,188 monomials of Lambda V through degree 41,
+    # over MAX_BASIS, but a finite complex of 2^5 elements
     s2x5 = build_model([(f"x{i}", 2) for i in range(5)] + [(f"y{i}", 3) for i in range(5)],
                        {f"y{i}": lambda e, i=i: e[f"x{i}"] ** 2 for i in range(5)})
-    start = time.perf_counter()
-    with pytest.raises(InvalidInput, match="needs 799188 basis monomials"):
-        cohomology_dims(s2x5, 40)
-    assert time.perf_counter() - start < 1.0
+
+    def no_oracle(*args):
+        raise AssertionError("the oracle was chosen")
+
+    monkeypatch.setattr(ellipticity, "_oracle_dims", no_oracle)
+    dims = cohomology_dims(s2x5, 40)
+    assert dims[:11] == [math.comb(5, k // 2) if k % 2 == 0 else 0 for k in range(11)]
+    assert not any(dims[11:])
+
+
+def test_the_cost_guard_counts_the_complex_when_it_is_taken(monkeypatch):
+    # eleven copies of S^2 with d(yi) = xi^3 through their top degree 44:
+    # the complex has 3^11 = 177,147 elements, over MAX_BASIS, and the
+    # oracle's basis over 16 times that
+    c11 = build_model([(f"x{i}", 2) for i in range(11)] + [(f"y{i}", 5) for i in range(11)],
+                      {f"y{i}": lambda e, i=i: e[f"x{i}"] ** 3 for i in range(11)}, name="c11")
+
+    def no_work(*args):
+        raise AssertionError("ranking began before the cost guard")
+
+    monkeypatch.setattr(ellipticity, "_complex_dims", no_work)
+    monkeypatch.setattr(ellipticity, "_oracle_dims", no_work)
+    with pytest.raises(InvalidInput, match="^the finite complex of 'c11' has 177147 elements, "
+                                           "over the limit of 100000$"):
+        cohomology_dims(c11, 44)
 
 
 def test_cohomology_degree_guard_runs_before_basis_sizes(monkeypatch):
@@ -561,19 +599,15 @@ def test_closed_generators_in_an_image_are_not_split_off(nonpure_model):
 
 
 def test_the_cost_guard_counts_the_inert_generators(monkeypatch):
-    # s2x5 and an inert u of degree 3: 799,188 + 541,152 monomials through
-    # degree 41, refused before the inert generators are even looked for
-    s2x5u = build_model([(f"x{i}", 2) for i in range(5)]
-                        + [(f"y{i}", 3) for i in range(5)] + [("u", 3)],
-                        {f"y{i}": lambda e, i=i: e[f"x{i}"] ** 2 for i in range(5)})
-
+    # s2x5ab and an inert u of degree 3: 3,332,379 + 2,153,605 monomials
+    # through degree 41, refused before the inert generators are even looked for
     def no_work(*args):
         raise AssertionError("work began before the cost guard")
 
     monkeypatch.setattr(ellipticity, "_used", no_work)
     monkeypatch.setattr(ellipticity, "_bases", no_work)
-    with pytest.raises(InvalidInput, match="through degree 40 needs 1340340 basis monomials"):
-        cohomology_dims(s2x5u, 40)
+    with pytest.raises(InvalidInput, match="through degree 40 needs 5485984 basis monomials"):
+        cohomology_dims(_s2x5ab(("u", 3)), 40)
 
 
 # -- the finite complex A (x) Lambda Y' against the oracle -------------------------

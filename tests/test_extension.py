@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from test_golden import WIDENING, _needs_combination, _widening_models
+from test_golden import WIDENING, WIDENING_BUDGETS, _needs_combination, _widening_models
 
 from sullivan import SullivanModel, build_model, extension, groebner, load_model
 from sullivan.algebra import MAX_DEGREE, Element, Generator, Monomial
@@ -654,6 +654,93 @@ def test_search_decides_each_failing_prefix_once(monkeypatch):
     assert all(len(w) == 1 for w in witnesses.values())
     assert len(calls) == 3
     assert set(calls) == {((p,), a) for p, a in witnesses}
+
+
+def _reference_search(model, max_candidates=20000):
+    """``exhaustive_homogeneous_search`` with nothing remembered: every
+    candidate of the stream goes through ``verify_f0_extension``."""
+    p = len(model.even_generators)
+    outcome = extension.SearchOutcome(None, 0, False, False)
+    for tried, height, picks in _candidates(model.odd_generators, p, max_candidates):
+        outcome.tried = tried
+        candidate = [_combine(c) for c in picks]
+        report = verify_f0_extension(model, candidate)
+        if report.passed:
+            outcome.found, outcome.subset_complete = candidate, height > 0
+            return outcome
+        if len(outcome.rejected) < extension.MAX_REJECTIONS_KEPT:
+            outcome.rejected.append(extension.RejectionRecord(
+                tuple(e.render() for e in candidate), report.first_failure,
+                report.witness.render() if report.witness is not None else None,
+                report.failing_index))
+    outcome.subset_complete = outcome.fully_exhaustive = True
+    return outcome
+
+
+def _two_degrees():
+    return build_model([("x", 2), ("w", 2), ("y1", 3), ("y2", 3), ("y3", 5)],
+                       {"y1": lambda e: e["x"] ** 2 + e["x"] * e["w"],
+                        "y2": lambda e: e["x"] * e["w"] + e["w"] ** 2,
+                        "y3": lambda e: e["x"] ** 2 * e["w"] - e["x"] * e["w"] ** 2},
+                       name="two-degrees")
+
+
+def _outcome_or_error(search, model, budget):
+    try:
+        return search(model, budget).to_dict()
+    except SearchSpaceTooLarge as ex:
+        return str(ex)
+
+
+def test_remembered_prefixes_reject_as_verifying_each_candidate(mixed_model, tower_model,
+                                                                needs_combination):
+    # the triangles and both prefix families of the benchmark's search-reject
+    # recipe, and the shipped and widening models, each at the default budget
+    # and at the widening golden's budgets
+    workloads = _workloads()
+    models = [parse_model(spec.text()) for spec in workloads.search_reject(1, _finite)]
+    assert [m.name.rsplit("-", 1)[0] for m in models] == \
+        ["triangle"] * 4 + ["prefix-n3-k4"] * 16 + ["prefix-n4-k5"] * 4
+    models += [mixed_model, tower_model, needs_combination, _two_degrees(), _ws(3)]
+    models += _widening_models()
+    for model in models:
+        for budget in (20000,) + (WIDENING_BUDGETS if model.name.startswith("needs") else ()):
+            assert _outcome_or_error(exhaustive_homogeneous_search, model, budget) == \
+                _outcome_or_error(_reference_search, model, budget), (model.name, budget)
+
+
+def test_search_verifies_once_per_failing_prefix(monkeypatch):
+    # (4, 5) prefix model: candidates (a1, a2, ·, ·), (a1, a3, ·, ·), ...
+    # fail at index 2, and 21 + 15 + 10 + 6 of them share four prefixes
+    # before (a1, y1, y2, y3) passes
+    model = parse_model(_workloads().prefix_model(random.Random(1), 0, 4, 2, 5, _finite).text())
+    calls = []
+    verify = extension.verify_f0_extension
+
+    def counted(model, candidate):
+        calls.append([e.render() for e in candidate])
+        return verify(model, candidate)
+
+    monkeypatch.setattr(extension, "verify_f0_extension", counted)
+    out = exhaustive_homogeneous_search(model)
+    assert (out.tried, len(calls)) == (53, 5)
+    assert [c[:2] for c in calls] == [["a1", "a2"], ["a1", "a3"], ["a1", "a4"], ["a1", "a5"],
+                                      ["a1", "y1"]]
+    assert names(out.found) == ["a1", "y1", "y2", "y3"]
+
+
+def _prefix_dimension_agrees(monkeypatch):
+    """Patch the search's Krull dimension of a prefix of i images to p - i,
+    so it contradicts every failing prefix's zero-divisor verdict."""
+    monkeypatch.setattr(extension, "_dimension", lambda gb: len(gb.variables) - len(gb.inputs))
+
+
+def test_a_prefix_the_dimension_does_not_confirm_is_an_internal_fault(monkeypatch):
+    _prefix_dimension_agrees(monkeypatch)
+    spec = _workloads().prefix_model(random.Random(1), 0, 3, 2, 4, _finite)
+    with pytest.raises(VerificationFailed, match="^the failing prefix a1, a2 leaves Krull "
+                                                  "dimension at most 1$"):
+        exhaustive_homogeneous_search(parse_model(spec.text()))
 
 
 def test_search_budget(mixed_model):
