@@ -280,17 +280,25 @@ def _mul_into(t: dict[int, Scalar], a: Iterable[tuple[int, Scalar]],
                 t.pop(k, None)
 
 
-def _derive_into(t: dict[int, Scalar], m: int, c: Scalar,
-                 images: Iterable[tuple[Generator, Mapping[int, Scalar]]]) -> None:
-    """Add d(c*m) into t, for d of degree +1 with images (their terms) of
-    degree |g| + 1; int coefficients and images keep t in integers.
+def _image(g: Generator, terms: Mapping[int, Scalar]) -> tuple:
+    """g's image as ``_derive_into`` takes it: (g, its key, the terms,
+    whether a term has an odd factor)."""
+    return g, _key(g), terms.items(), bool(_used(terms) & _LOW)
+
+
+def _derive_into(t: dict[int, Scalar], m: int, c: Scalar, images: Iterable[tuple]) -> None:
+    """Add d(c*m) into t, for d of degree +1 with images of degree |g| + 1,
+    each given by ``_image``; int coefficients and images keep t in integers.
 
     Even generators and odd generators' images then commute with
     everything, so each even factor g^k gives k*c*d(g)*(m/g) and an odd
-    factor y with j odd factors before it gives (-1)^j*c*d(y)*(m/y).
+    factor y with j odd factors before it gives (-1)^j*c*d(y)*(m/y).  An
+    image with no odd factor needs no Koszul sign and has no odd square with
+    m/g, so it is added shifted by m/g, each key checked against the layout;
+    any other image goes through ``_mul_into``.
     """
     fields = -m
-    for g, image in images:
+    for g, key, image, odd in images:
         at = g.index * _W
         f = fields >> at & _FIELD
         if not f:
@@ -299,7 +307,19 @@ def _derive_into(t: dict[int, Scalar], m: int, c: Scalar,
             cf = -c if (fields & _LOW & ((1 << at) - 1)).bit_count() & 1 else c
         else:
             cf = f // g.degree * c
-        _mul_into(t, image.items(), ((m - _key(g), cf),))
+        rest = m - key
+        if odd:
+            _mul_into(t, image, ((rest, cf),))
+            continue
+        for k, v in image:
+            k += rest
+            if k > _LIMIT:
+                raise _too_large(k)
+            nc = t.get(k, 0) + v * cf
+            if nc:
+                t[k] = nc
+            else:
+                t.pop(k, None)
 
 
 def _exact(c) -> Scalar:

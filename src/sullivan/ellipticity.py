@@ -60,6 +60,8 @@ from .errors import (
 from .groebner import (
     GroebnerBasis,
     _nf,
+    _primitive,
+    _reduce,
     buchberger,
     member,
     quotient_dimension,
@@ -110,8 +112,17 @@ def nilpotency_exponent(model: SullivanModel, generator) -> int:
     dimension of the quotient ring, so the search always terminates.  It
     starts at b, the least power of the generator among the basis's leading
     monomials (1 when the basis holds 1): every lower power is a standard
-    monomial, so none lies in the ideal.  Each power is tested as its packed
-    term, by the first remainder term of its division by the basis.
+    monomial, so none lies in the ideal.
+
+    The powers are walked by their normal forms, as in the multiplication
+    step of FGLM (Faugere, Gianni, Lazard and Mora, 1993): x^b is reduced
+    fully once, then each r is replaced by the primitive part of the full
+    fraction-free normal form of x * r.  With S * x^n = R + (an element of
+    the ideal), S a nonzero integer and R reduced, x^(n+1) is congruent to
+    x * R / S, so x^(n+1) lies in the ideal exactly when NF(x * R) = 0.  A
+    normal form over a reduced basis is unique, so every step is exact and
+    N is the first n whose r is 0; dropping the content only keeps the
+    integers small.
     """
     g = model.generator(generator)
     if not g.is_even:
@@ -124,9 +135,13 @@ def nilpotency_exponent(model: SullivanModel, generator) -> int:
     cap = quotient_dimension(gb) + 1
     start = 1 if gb.contains_one else gb.pure_powers[gb.variables.index(g)]
     k = _key(g)
+    seen: dict[int, int] = {}  # the basis is fixed: its divisor lookups are kept
+    r = {start * k: 1}
     for n in range(start, cap + 1):
-        if not _nf({n * k: 1}, gb._basis, full=False)[1]:
+        r = _reduce(r, gb._basis, seen, True)[1]
+        if not r:
             return n
+        r = {m + k: c for m, c in _primitive(r)[1].items()}
     raise VerificationFailed(
         f"no power of {g.name} up to {cap} lies in the differential ideal")
 

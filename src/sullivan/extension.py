@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from copy import copy
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
@@ -183,7 +182,7 @@ def _subspaces(n: int, k: int):
     the walk first reaches them, and replayed from then on, so no row list
     precedes the first basis.  For k = 1 these are the units, then by height
     the primitive vectors with support above 1, positive at their lead."""
-    def rows(lead, leads, height):  # (row, its height, whether it leaves the leads)
+    def rows(lead, leads, height):  # (row, 1 if at the height | 2 if it leaves the leads)
         cols = [lead] + [j for j in range(lead + 1, n) if j not in leads]
         for e in itertools.product(range(1, height + 1),
                                    *[range(-height, height + 1)] * (len(cols) - 1)):
@@ -191,23 +190,32 @@ def _subspaces(n: int, k: int):
                 row = [0] * n
                 for j, a in zip(cols, e):
                     row[j] = a
-                yield tuple(row), max(map(abs, e)), any(e[1:])
+                yield tuple(row), (max(map(abs, e)) == height) | any(e[1:]) << 1
 
-    def bases(walks):  # itertools.product of the rows, each walk drawn only when reached
-        for row in copy(walks[0]):
-            for rest in bases(walks[1:]) if walks[1:] else [()]:
-                yield (row,) + rest
+    def replay(stream, listed):  # the rows listed so far, then the rest, listed as drawn
+        yield from listed
+        for row in stream:
+            listed.append(row)
+            yield row
+
+    def bases(walks):  # itertools.product of the rows, with the union of their flags
+        rest = walks[1:]
+        for row, flag in replay(*walks[0]):
+            if rest:
+                for tail, flags in bases(rest):
+                    yield (row,) + tail, flag | flags
+            else:
+                yield (row,), flag
 
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     yield from ((0, basis) for basis in itertools.combinations(units, k))
     for height in itertools.count(1) if 0 < k < n else []:
         for leads in itertools.combinations(range(n), k):
-            # a tee never advanced: each copy replays what the walk has built
-            walks = [itertools.tee(rows(c, leads, height), 1)[0] for c in leads]
-            for basis in bases(walks):
+            walks = [(rows(c, leads, height), []) for c in leads]
+            for basis, flags in bases(walks):
                 # the leads are k columns: the support is larger when a row leaves them
-                if max(h for _, h, _ in basis) == height and any(o for _, _, o in basis):
-                    yield height, tuple(row for row, _, _ in basis)
+                if flags == 3:
+                    yield height, basis
 
 
 def _candidates(gens: Sequence[Generator], p: int, max_candidates: int):

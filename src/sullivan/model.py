@@ -19,6 +19,7 @@ from .algebra import (
     Monomial,
     Scalar,
     _derive_into,
+    _image,
     _integral,
     enumerate_basis,
     make_generators,
@@ -142,6 +143,7 @@ class SullivanModel:
                 if img:
                     d[g] = img
         self.differential: dict[Generator, Element] = d
+        self._images = [_image(g, img._t) for g, img in d.items()]  # for d, built once
         self._table = {g.index: g for g in self.generators}
         self._dy_basis = None  # lazy Groebner cache, see ellipticity module
         self._scaled_images = None  # lazy (L, L * images), see _scaled_d
@@ -183,10 +185,9 @@ class SullivanModel:
         if isinstance(e, Generator):
             return self.d_generator(e)
         self._check_own(e)
-        images = [(g, img._t) for g, img in self.differential.items()]
         t: dict[int, Scalar] = {}
         for m, coeff in e._t.items():
-            _derive_into(t, m, coeff, images)
+            _derive_into(t, m, coeff, self._images)
         return Element._from_dict(t, self._table)
 
     def _check_own(self, e: Element) -> None:
@@ -206,7 +207,7 @@ class SullivanModel:
         if self._scaled_images is None:
             scale = lcm(*(c.denominator for img in self.differential.values()
                           for c in img._t.values()))
-            self._scaled_images = scale, [(g, _integral(img._t, scale)[1])
+            self._scaled_images = scale, [_image(g, _integral(img._t, scale)[1])
                                           for g, img in self.differential.items()]
         scale, images = self._scaled_images
         t: dict[int, int] = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import Element, _degree, make_generators
+from .algebra import _LOW, Element, Scalar, _degree, _exact, _key, _mul_into, make_generators
 from .errors import (
     InvalidModel,
     ModelSyntaxError,
@@ -58,26 +58,64 @@ def _digits(v: str, line: int) -> str:
     return v
 
 
-def _size(e: Element) -> tuple[int, int]:
-    """Largest term degree and largest coefficient bit count (floor log2) of e."""
-    degree = bits = 0
-    for m, c in e._t.items():
-        degree = max(degree, _degree(m))
-        bits = max(bits, c.numerator.bit_length() - 1,
-                   c.denominator.bit_length() - 1)
-    return degree, bits
+def _size(t: dict[int, Scalar]) -> tuple[int, int]:
+    """Largest term degree and largest coefficient bit count (floor log2) of
+    the terms t."""
+    bits = 1  # the bit length of the largest numerator or denominator
+    for c in t.values():
+        n = c.numerator.bit_length()
+        if n > bits:
+            bits = n
+        n = c.denominator.bit_length()
+        if n > bits:
+            bits = n
+    return _degree(max(t, default=0)), bits - 1  # a larger degree is a larger key
+
+
+def _times(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
+    """The product of the terms a and b: a single term times a single term
+    with at most one odd side adds their keys and multiplies their
+    coefficients, anything else goes through ``_mul_into``."""
+    if len(a) == 1 == len(b):
+        ((ka, ca),), ((kb, cb),) = a.items(), b.items()
+        if not -ka & _LOW or not -kb & _LOW:
+            return {ka + kb: ca * cb}
+    t: dict[int, Scalar] = {}
+    _mul_into(t, a.items(), b.items())
+    return t
+
+
+def _power(base: dict[int, Scalar], k: int) -> dict[int, Scalar]:
+    """base to the k-th power: a single term's key times k and coefficient to
+    the k, zero when it has an odd factor and k >= 2; anything else by
+    repeated squaring through ``_times``."""
+    if not k:
+        return {0: 1}
+    if len(base) == 1:
+        ((m, c),) = base.items()
+        return {m * k: c ** k} if k == 1 or not -m & _LOW else {}
+    out = {0: 1}
+    while k:
+        if k & 1:
+            out = _times(out, base)
+        base = _times(base, base) if k > 1 else base
+        k >>= 1
+    return out
 
 
 class _ExprParser:
     """Recursive descent over + - * ^ ( ) with rational coefficients.
 
-    The tokens are plain strings, kept in reverse above an empty end marker,
-    so the next one is ``toks[-1]``.  A product or power is refused before it
-    is expanded when a term would exceed ``max_degree``, the image degree, or
-    a coefficient MAX_COEFFICIENT_BITS bits.
+    Values are {packed monomial: coefficient} dicts, each owned by the
+    level that made it, so sums add into them in place; ``env`` maps each
+    generator's name to its packed monomial.  The tokens are plain strings,
+    kept in reverse above an empty end marker, so the next one is
+    ``toks[-1]``.  A product or power is refused before it is expanded when
+    a term would exceed ``max_degree``, the image degree, or a coefficient
+    MAX_COEFFICIENT_BITS bits.
     """
 
-    def __init__(self, text: str, env: dict[str, Element], line: int,
+    def __init__(self, text: str, env: dict[str, int], line: int,
                  max_degree: int):
         toks = []
         for tok, bad in _TOKEN.findall(text):
@@ -100,38 +138,41 @@ class _ExprParser:
                 f"a coefficient of about {bits} bits exceeds the limit of "
                 f"{MAX_COEFFICIENT_BITS}", self.line)
 
-    def parse(self) -> Element:
-        e = self.expr()
+    def parse(self) -> dict[int, Scalar]:
+        t = self.expr()
         if self.toks[-1]:
             raise ModelSyntaxError(
                 f"unexpected {self.toks[-1]!r} after expression", self.line)
-        return e
+        return t
 
-    def expr(self) -> Element:
+    def expr(self) -> dict[int, Scalar]:
         negate = self.toks[-1] == "-"
         if negate:
             self.toks.pop()
         acc = self.term()
         if negate:
-            acc = -acc
+            acc = {k: -c for k, c in acc.items()}
         while self.toks[-1] in ("+", "-"):
-            if self.toks.pop() == "+":
-                acc = acc + self.term()
-            else:
-                acc = acc - self.term()
+            sign = 1 if self.toks.pop() == "+" else -1
+            for k, c in self.term().items():
+                nc = acc.get(k, 0) + sign * c
+                if nc:
+                    acc[k] = nc
+                else:
+                    acc.pop(k, None)
         return acc
 
-    def term(self) -> Element:
+    def term(self) -> dict[int, Scalar]:
         acc = self.power()
         while self.toks[-1] == "*":
             self.toks.pop()
             rhs = self.power()
             (d1, b1), (d2, b2) = _size(acc), _size(rhs)
             self._check(d1 + d2, b1 + b2)
-            acc = acc * rhs
+            acc = _times(acc, rhs)
         return acc
 
-    def power(self) -> Element:
+    def power(self) -> dict[int, Scalar]:
         base = self.atom()
         if self.toks[-1] == "^":
             self.toks.pop()
@@ -141,31 +182,32 @@ class _ExprParser:
             k = int(v)
             degree, bits = _size(base)
             self._check(k * degree, k * bits)
-            return base ** k
+            return _power(base, k)
         return base
 
-    def atom(self) -> Element:
+    def atom(self) -> dict[int, Scalar]:
         v = self.toks.pop()
         if v[:1].isdigit():
             try:
-                return Element.scalar(Fraction(v) if "/" in v else int(v))
+                c = _exact(Fraction(v)) if "/" in v else int(v)
             except ZeroDivisionError:
                 raise ModelSyntaxError(f"zero denominator in {v}", self.line) from None
+            return {0: c} if c else {}
         if v.isidentifier():
-            e = self.env.get(v)
-            if e is None:
+            k = self.env.get(v)
+            if k is None:
                 raise UnknownGenerator(f"line {self.line}: unknown generator {v!r}")
-            return e
+            return {k: 1}
         if v == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ModelSyntaxError(
                     f"parentheses nested deeper than {MAX_NESTING}", self.line)
-            e = self.expr()
+            t = self.expr()
             if self.toks.pop() != ")":
                 raise ModelSyntaxError("missing closing parenthesis", self.line)
             self.depth -= 1
-            return e
+            return t
         raise ModelSyntaxError(
             "expected a number, generator, or parenthesized expression", self.line)
 
@@ -215,14 +257,15 @@ def parse_model(text: str) -> SullivanModel:
         gens = make_generators([(gname, deg) for _, _, gname, deg, _ in decls])
     except InvalidModel as ex:  # names its generator: duplicates are refused above
         raise ModelSyntaxError(str(ex), lines_of[ex.generator]) from ex
-    env = {g.name: Element.from_generator(g) for g in gens}
+    env = {g.name: _key(g) for g in gens}
+    table = {g.index: g for g in gens}
     diffs: dict[str, Element] = {}
     for lineno, parity, gname, deg, expr in decls:
         if expr is None:
             continue
         img = _ExprParser(expr, env, lineno, deg + 1).parse()
         if img:
-            diffs[gname] = img
+            diffs[gname] = Element._from_dict(img, table)
     try:
         return SullivanModel(gens, diffs, name=name)
     except ValidationError as ex:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from sullivan import build_model, load_model
-from sullivan.algebra import Element, Generator, Monomial, _derive_into
+from sullivan.algebra import Element, Generator, Monomial, _derive_into, _image
 from sullivan.groebner import buchberger, quotient_is_finite_dimensional
 from sullivan.model import SullivanModel
 
@@ -48,7 +48,7 @@ class Derivation:
         self._table = {g.index: g for g in self.generators}
 
     def d(self, e: Element) -> Element:
-        images = [(g, img._t) for g, img in self.differential.items()]
+        images = [_image(g, img._t) for g, img in self.differential.items()]
         t: dict = {}
         for m, c in e._t.items():
             _derive_into(t, m, c, images)

@@ -1,5 +1,6 @@
 """Graded-commutative arithmetic: signs, degrees, rendering."""
 import dataclasses
+import math
 import pathlib
 import random
 import time
@@ -22,8 +23,9 @@ from sullivan.algebra import (
     enumerate_basis,
     make_generators,
 )
-from sullivan.errors import InvalidInput, InvalidModel, SullivanError
+from sullivan.errors import DifferentialNotSquareZero, InvalidInput, InvalidModel, SullivanError
 from sullivan.extension import exhaustive_homogeneous_search, f0_extend
+from sullivan.model import SullivanModel
 from sullivan.parsing import parse_model
 
 from conftest import Derivation, brute_force_basis
@@ -294,15 +296,20 @@ def test_enumerate_basis_cost_guard_runs_before_any_work():
         enumerate_basis(s2x5, MAX_DEGREE + 1)
 
 
-@st.composite
-def term_lists(draw):
-    """1 to 6 generators of mixed parity at shuffled positions, and up to 5
-    terms over them (the unit among them): (even factors, odd factors,
-    nonzero rational coefficient of either sign)."""
+def _mixed_generators(draw):
+    """1 to 6 generators of mixed parity at shuffled positions."""
     degrees = draw(st.lists(st.sampled_from((2, 3, 4, 5, 6, 7)), min_size=1, max_size=6))
     positions = draw(st.permutations(range(len(degrees))))
-    gs = sorted((Generator(f"g{i}", d, p) for i, (d, p) in enumerate(zip(degrees, positions))),
-                key=lambda g: g.index)
+    return sorted((Generator(f"g{i}", d, p) for i, (d, p) in enumerate(zip(degrees, positions))),
+                  key=lambda g: g.index)
+
+
+@st.composite
+def term_lists(draw, gs=None):
+    """``_mixed_generators`` (unless given), and up to 5 terms over them (the
+    unit among them): (even factors, odd factors, nonzero rational
+    coefficient of either sign)."""
+    gs = gs or _mixed_generators(draw)
     terms = []
     for _ in range(draw(st.integers(1, 5))):
         ex = [draw(st.integers(0, 3 if g.is_even else 1)) for g in gs]
@@ -381,6 +388,98 @@ def test_int_and_fraction_coefficients_give_the_same_results(terms, s, k):
 
     for x, y in zip(results(a, b), results(_wrapped(a), _wrapped(b))):
         _agree(x, y)
+
+
+def _derive_by_products(terms, images):
+    """Reference: d of the terms by the kernel before the even-image path,
+    which sends every (generator, image terms) pair through ``_mul_into``."""
+    t = {}
+    for m, c in terms.items():
+        fields = -m
+        for g, image in images:
+            at = g.index * algebra._W
+            f = fields >> at & algebra._FIELD
+            if not f:
+                continue
+            if f & 1:
+                cf = -c if (fields & algebra._LOW & ((1 << at) - 1)).bit_count() & 1 else c
+            else:
+                cf = f // g.degree * c
+            algebra._mul_into(t, image.items(), ((m - algebra._key(g), cf),))
+    return t
+
+
+def _same_terms(got: dict, ref: dict) -> None:
+    """Equal terms in the same order, with the same coefficient types."""
+    assert [(k, c, type(c)) for k, c in got.items()] == [(k, c, type(c)) for k, c in ref.items()]
+
+
+def _assert_kernels_agree(generators, differential, d, scaled_d=None):
+    """d (and scaled_d, when given) against the reference on every monomial
+    through degree 12, and on one sum with rational coefficients of each
+    degree 9 to 12."""
+    images = [(g, img._t) for g, img in differential.items()]
+    scale = math.lcm(*(c.denominator for img in differential.values() for c in img._t.values()))
+    scaled = [(g, algebra._integral(img._t, scale)[1]) for g, img in differential.items()]
+    table = {g.index: g for g in generators}
+    bases = algebra._bases(generators, 12)
+    samples = [{m: 1} for ms in bases for m in ms]
+    samples += [{m: Fraction(i % 5 - 2, i % 3 + 1) or 3 for i, m in enumerate(ms)} for ms in bases[9:]]
+    for terms in samples:
+        _same_terms(d(Element._from_dict(terms, table))._t, _derive_by_products(terms, images))
+        if scaled_d is not None:
+            integral = algebra._integral(terms)[1]
+            got_scale, got = scaled_d(integral)
+            assert got_scale == scale
+            _same_terms(got, _derive_by_products(integral, scaled))
+
+
+def test_derivation_kernel_matches_the_products_on_a_nonpure_model():
+    # dz = y1*y2 has odd factors: its image takes _mul_into, dw = x^2 the shift
+    model = parse_model((pathlib.Path(__file__).resolve().parent.parent
+                         / "models" / "nonpure.model").read_text(encoding="utf-8"))
+    assert [odd for *_, odd in model._images] == [False, True]
+    _assert_kernels_agree(model.generators, model.differential, model.d, model._scaled_d)
+
+
+def test_derivation_kernel_matches_the_products_where_d_squared_fails():
+    # the model that the CI refuses at build time: d(z) = y*u, d^2(z) = x^2*u
+    x, y, u, z = gens(("x", 2), ("y", 3), ("u", 5), ("z", 7))
+    ex, ey, eu = (Element.from_generator(g) for g in (x, y, u))
+    images = {y: ex ** 2, z: ey * eu}
+    with pytest.raises(DifferentialNotSquareZero, match=r"d\^2\(z\) = x\^2\*u is nonzero"):
+        SullivanModel([x, y, u, z], images)
+    derivation = Derivation(images)
+    assert derivation.d(ey * eu) == ex ** 2 * eu
+    _assert_kernels_agree([x, y, u, z], derivation.differential, derivation.d)
+
+
+@st.composite
+def derivations(draw):
+    """Generators, an element over them, and an image over them for some of
+    them: odd factors (Koszul signs, odd squares) and rational coefficients."""
+    gs = _mixed_generators(draw)
+
+    def element():
+        return Element({Monomial.make(even, odd): c for even, odd, c in draw(term_lists(gs))})
+
+    return element(), {g: img for g in gs if draw(st.booleans()) for img in [element()] if img}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(derivations())
+def test_derivation_kernel_matches_the_products(case):
+    e, images = case
+    _same_terms(Derivation(images).d(e)._t,
+                _derive_by_products(e._t, [(g, img._t) for g, img in images.items()]))
+    # the scaled kernel, on the integral element and images
+    scale = math.lcm(*(c.denominator for img in images.values() for c in img._t.values()))
+    scaled = [(g, algebra._integral(img._t, scale)[1]) for g, img in images.items()]
+    integral = algebra._integral(e._t)[1]
+    t = {}
+    for m, c in integral.items():
+        algebra._derive_into(t, m, c, [algebra._image(g, img) for g, img in scaled])
+    _same_terms(t, _derive_by_products(integral, scaled))
 
 
 def test_engine_builds_int_coefficients_from_integral_models():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sullivan import build_model, ellipticity, load_model, parse_model
-from sullivan.algebra import MAX_DEGREE, Element, Generator, _integral, make_generators
+from sullivan.algebra import MAX_DEGREE, Element, Generator, _integral, _key, make_generators
 from sullivan.ellipticity import (
     ExactnessCertificate,
     _echelon,
@@ -33,8 +33,8 @@ from sullivan.errors import (
     OddGeneratorPresent,
     VerificationFailed,
 )
-from sullivan.extension import _combine
-from sullivan.groebner import member, quotient_dimension
+from sullivan.extension import _combine, f0_extend
+from sullivan.groebner import _nf, member, quotient_dimension
 from sullivan.model import SullivanModel
 
 from conftest import MODELS, brute_force_basis, make_random_model
@@ -114,6 +114,53 @@ def test_nilpotency_exponent_matches_the_search_from_one(seed):
     model = make_random_model(random.Random(seed), seed)
     for g in model.even_generators:
         assert nilpotency_exponent(model, g) == _exponent_from_one(model, g)
+
+
+def _exponent_from_scratch(model, g):
+    """Reference: the search before the walk by normal forms, which reduces
+    each power x^n from scratch, from b, to its first remainder term."""
+    gb = differential_ideal_basis(model)
+    cap = quotient_dimension(gb) + 1
+    start = 1 if gb.contains_one else gb.pure_powers[gb.variables.index(g)]
+    for n in range(start, cap + 1):
+        if not _nf({n * _key(g): 1}, gb._basis, full=False)[1]:
+            return n
+
+
+def _steps(model, g):
+    """The steps of the walk from b to N."""
+    gb = differential_ideal_basis(model)
+    start = 1 if gb.contains_one else gb.pure_powers[gb.variables.index(g)]
+    return nilpotency_exponent(model, g) - start
+
+
+def _assert_exponents_match(models):
+    for model in models:
+        for g in model.even_generators:
+            assert nilpotency_exponent(model, g) == _exponent_from_scratch(model, g), model.name
+
+
+def test_walked_exponents_match_on_the_suite_extensions(random_suite_cache):
+    _assert_exponents_match(f0_extend(m).extension for m in random_suite_cache.get())
+
+
+def test_walked_exponents_match_on_the_ladder_and_the_shipped_models():
+    ladder = [parse_model(spec.text()) for spec in _workloads().scaling_ladder(1, _finite)]
+    assert len(ladder) == 24
+    shipped = [m for m in map(load_model, sorted(MODELS.glob("*.model")))
+               if m.is_pure() and is_elliptic(m)]
+    assert len(shipped) == 9
+    _assert_exponents_match(ladder + shipped)
+
+
+def test_a_walk_of_several_steps_matches():
+    # Q[x, w]/(x^2 - w^2, w^5): x^2 = w^2 leads, but x^5 = x*w^4 survives and
+    # x^6 = w^6 is the first power in the ideal, whichever variable leads
+    model = build_model([("x", 2), ("w", 2), ("y", 3), ("u", 9)],
+                        {"y": lambda e: e["x"] ** 2 - e["w"] ** 2, "u": lambda e: e["w"] ** 5})
+    assert all_nilpotency_exponents(model) == {"x": 6, "w": 5}
+    assert max(_steps(model, g) for g in model.even_generators) >= 3
+    _assert_exponents_match([model])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

@@ -14,7 +14,7 @@ import sympy
 from test_golden import WIDENING, WIDENING_BUDGETS, _needs_combination, _widening_models
 
 from sullivan import SullivanModel, build_model, extension, groebner, load_model
-from sullivan.algebra import MAX_DEGREE, Element, Generator, Monomial
+from sullivan.algebra import MAX_DEGREE, Element, Generator, Monomial, _key
 from sullivan.ellipticity import _echelon, is_elliptic_pure
 from sullivan.errors import (
     InvalidInput,
@@ -390,9 +390,10 @@ def test_widening_golden_picks_all_verify():
     assert sorted(row["model"] for row in rows) == sorted(models)
     for row in rows:
         model = models[row["model"]]
-        env = {g.name: model.element(g.name) for g in model.generators}
+        env = {g.name: _key(g) for g in model.generators}
         for basis in _golden_bases(row):
-            elements = [_ExprParser(text, env, 0, MAX_DEGREE).parse() for text in basis]
+            elements = [Element._from_dict(_ExprParser(text, env, 0, MAX_DEGREE).parse(),
+                                           model._table) for text in basis]
             assert [e.render() for e in elements] == basis
             assert verify_f0_extension(model, elements).passed, (row["model"], basis)
 

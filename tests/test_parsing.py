@@ -4,16 +4,20 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sullivan.algebra import MAX_DEGREE, MAX_GENERATORS
+from sullivan.algebra import MAX_DEGREE, MAX_GENERATORS, Element, _degree, _key, make_generators
 from sullivan.errors import (
     DegreeMismatch,
     ModelSyntaxError,
     UnknownGenerator,
 )
 from sullivan.parsing import (
+    _GEN_LINE,
     MAX_COEFFICIENT_BITS,
     MAX_NESTING,
+    _ExprParser,
     load_model,
     parse_model,
     render_model,
@@ -223,3 +227,178 @@ def test_render_is_grammar_canonical(tower_model):
     assert lines[1] == "even x1 : 2"
     assert "odd y1 : 3 = x1^2" in lines
     assert text.endswith("\n")
+
+
+# -- the packed-term evaluator against the Element one ------------------------
+
+def _element_size(e: Element) -> tuple[int, int]:
+    """Reference for ``parsing._size``: largest term degree and largest
+    coefficient bit count (floor log2) of e."""
+    degree = bits = 0
+    for m, c in e._t.items():
+        degree = max(degree, _degree(m))
+        bits = max(bits, c.numerator.bit_length() - 1, c.denominator.bit_length() - 1)
+    return degree, bits
+
+
+class _ElementParser(_ExprParser):
+    """Reference: the evaluator before packed terms, on ``Element``
+    arithmetic over an env of name -> Element, with its guards; the
+    tokens, ``_check`` and ``parse`` are the parser's own."""
+
+    def expr(self):
+        negate = self.toks[-1] == "-"
+        if negate:
+            self.toks.pop()
+        acc = self.term()
+        if negate:
+            acc = -acc
+        while self.toks[-1] in ("+", "-"):
+            if self.toks.pop() == "+":
+                acc = acc + self.term()
+            else:
+                acc = acc - self.term()
+        return acc
+
+    def term(self):
+        acc = self.power()
+        while self.toks[-1] == "*":
+            self.toks.pop()
+            rhs = self.power()
+            (d1, b1), (d2, b2) = _element_size(acc), _element_size(rhs)
+            self._check(d1 + d2, b1 + b2)
+            acc = acc * rhs
+        return acc
+
+    def power(self):
+        base = self.atom()
+        if self.toks[-1] == "^":
+            self.toks.pop()
+            v = self.toks.pop()
+            if not v.isdigit():
+                raise ModelSyntaxError("exponent must be a positive integer", self.line)
+            k = int(v)
+            degree, bits = _element_size(base)
+            self._check(k * degree, k * bits)
+            return base ** k
+        return base
+
+    def atom(self):
+        v = self.toks.pop()
+        if v[:1].isdigit():
+            try:
+                return Element.scalar(Fraction(v) if "/" in v else int(v))
+            except ZeroDivisionError:
+                raise ModelSyntaxError(f"zero denominator in {v}", self.line) from None
+        if v.isidentifier():
+            e = self.env.get(v)
+            if e is None:
+                raise UnknownGenerator(f"line {self.line}: unknown generator {v!r}")
+            return e
+        if v == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ModelSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", self.line)
+            e = self.expr()
+            if self.toks.pop() != ")":
+                raise ModelSyntaxError("missing closing parenthesis", self.line)
+            self.depth -= 1
+            return e
+        raise ModelSyntaxError(
+            "expected a number, generator, or parenthesized expression", self.line)
+
+
+#: evens x, w and odds y, u, v: products of odd factors take Koszul signs,
+#: and an odd square vanishes
+_GENS = make_generators([("x", 2), ("w", 4), ("y", 3), ("u", 5), ("v", 3)])
+
+
+def _outcome(parser, env, text, line, max_degree):
+    """The parsed terms (key, coefficient, its type) in order, or the
+    refusal's type, text and line."""
+    try:
+        t = parser(text, env, line, max_degree).parse()
+    except (ModelSyntaxError, UnknownGenerator) as ex:
+        return type(ex), str(ex), getattr(ex, "line", None)
+    t = t._t if isinstance(t, Element) else t
+    return [(k, c, type(c)) for k, c in t.items()]
+
+
+def _assert_parsers_agree(text, line=7, max_degree=30):
+    got = _outcome(_ExprParser, {g.name: _key(g) for g in _GENS}, text, line, max_degree)
+    ref = _outcome(_ElementParser, {g.name: Element.from_generator(g) for g in _GENS},
+                   text, line, max_degree)
+    assert got == ref, text
+    return got
+
+
+@st.composite
+def _expressions(draw, depth=2):
+    """An expression of 1 to 3 terms, each a product of 1 to 3 factors: a
+    generator, a number, a fraction or (depth allowing) a parenthesized
+    expression, each perhaps raised to a power; rarely an unknown name, a
+    zero denominator or a number over the coefficient guard."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.integers(0, 19 if depth else 14))
+            if kind < 8:
+                f = draw(st.sampled_from([g.name for g in _GENS]))
+            elif kind < 11:
+                f = str(draw(st.integers(0, 12)))
+            elif kind < 14:
+                f = f"{draw(st.integers(0, 9))}/{draw(st.integers(1, 4))}"
+            elif kind < 15:
+                f = draw(st.sampled_from(["z", "1/0", "2^4097"]))
+            else:
+                f = f"({draw(_expressions(depth - 1))})"
+            if draw(st.integers(0, 3)) == 0:
+                f += f"^{draw(st.sampled_from([0, 1, 2, 3, 5]))}"
+            factors.append(f)
+        terms.append("*".join(factors))
+    text = "-" * draw(st.booleans()) + terms[0]
+    return text + "".join(f" {draw(st.sampled_from('+-'))} {t}" for t in terms[1:])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_expressions(), st.integers(0, 40))
+def test_packed_terms_match_the_element_evaluator(text, max_degree):
+    # the same terms in the same order with the same coefficient types, or
+    # the same refusal at the same line
+    _assert_parsers_agree(text, 7, max_degree)
+
+
+@pytest.mark.parametrize("expr", [
+    "(x + y)*(x - y)*u", "y*v + v*y", "v*y*u - u*y*v", "(y + u)^2", "y^2 + (x*y)^3 + (y*v)^2",
+    "(x + 1/2*w)^3 - 2/3*x*(x + w)", "3/6*x^2 + x^0*4/2", "-(x + (-2))", "(x^2 + w)^7",
+])
+def test_the_evaluators_agree_on_signs_squares_and_fractions(expr):
+    assert isinstance(_assert_parsers_agree(expr), list)
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("(x + w)^8", "a term of degree 32 exceeds the image degree 30"),
+    ("x*(x + w)^7*w", "a term of degree 34 exceeds the image degree 30"),
+    ("2^4097*x", f"a coefficient of about 4097 bits exceeds the limit of {MAX_COEFFICIENT_BITS}"),
+    ("(2^2048 + x)*(2^2049*x)",
+     f"a coefficient of about 4097 bits exceeds the limit of {MAX_COEFFICIENT_BITS}"),
+    ("x + 1/0", "zero denominator in 1/0"),
+])
+def test_the_evaluators_refuse_alike(expr, message):
+    assert _assert_parsers_agree(expr, 11, 30) == (ModelSyntaxError, f"line 11: {message}", 11)
+
+
+def test_the_evaluators_agree_on_the_shipped_images():
+    for path in sorted(MODELS.glob("*.model")):
+        text = path.read_text(encoding="utf-8")
+        model = parse_model(text)
+        env = {g.name: _key(g) for g in model.generators}
+        ref_env = {g.name: model.element(g.name) for g in model.generators}
+        for line in text.splitlines():
+            m = _GEN_LINE.match(line.split("#", 1)[0].strip())
+            if m and m.group(4):
+                degree = int(m.group(3)) + 1
+                assert (_outcome(_ExprParser, env, m.group(4), 1, degree)
+                        == _outcome(_ElementParser, ref_env, m.group(4), 1, degree)), path.name
