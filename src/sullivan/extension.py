@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 from .algebra import Element, Generator, _key
@@ -55,7 +55,7 @@ from .errors import (
     VerificationFailed,
 )
 from .groebner import (
-    _dimension,
+    _regular,
     buchberger,
     quotient_dimension,
     quotient_is_finite_dimensional,
@@ -305,19 +305,18 @@ def find_homogeneous_regular_subset(stage: FirstStage) -> RegularChoice:
     ``free``, the active columns no earlier pick leads at: pick k = 1, ..., p
     is the first vector on ``free`` (``_subspaces(len(free), 1)``: units in
     declaration order, then each height by leading column) whose image
-    drops the Krull dimension to p - k, which is regularity as Q[X0] is
-    Cohen-Macaulay (Matsumura, *Commutative Ring Theory*, 17.4), and its
-    first nonzero column leaves ``free``.  So each class modulo the earlier
-    picks has one vector on ``free``, and the class decides the verdict:
-    each is tried once, with no span test.  A prefix of a regular sequence
-    is regular, so the walk would pick a passing first subset too.  It never
-    backtracks: the active images generate an ideal primary to the maximal
-    one (checked first, else NotElliptic), so a class fails only inside one
-    of the at most l^(k-1) minimal primes of the earlier picks' ideal
-    (Bezout), each meeting Q^(m-k+1), the vectors on ``free``, in a proper
-    subspace; one holds at most (2h+1)^(m-k) of the (2h+1)^(m-k+1) vectors
-    of height at most h, so a pick exists at the least h with
-    2h + 1 > l^(k-1), and passing it is an internal fault.
+    keeps the picks regular (``groebner._regular``: the Krull dimension
+    drops to p - k), and its first nonzero column leaves ``free``.  So each
+    class modulo the earlier picks has one vector on ``free``, and the class
+    decides the verdict: each is tried once, with no span test.  A prefix of
+    a regular sequence is regular, so the walk would pick a passing first
+    subset too.  It never backtracks: the active images generate an ideal
+    primary to the maximal one (checked first, else NotElliptic), so a class
+    fails only inside one of the at most l^(k-1) minimal primes of the
+    earlier picks' ideal (Bezout), each meeting Q^(m-k+1), the vectors on
+    ``free``, in a proper subspace; one holds at most (2h+1)^(m-k) of the
+    (2h+1)^(m-k+1) vectors of height at most h, so a pick exists at the
+    least h with 2h + 1 > l^(k-1), and passing it is an internal fault.
     """
     p, active, images = len(stage.evens), stage.active, list(stage.images)
     els, imgs, free = [_combine({g: 1}) for g in active[:p]], images[:p], range(p, len(active))
@@ -333,7 +332,7 @@ def find_homogeneous_regular_subset(stage: FirstStage) -> RegularChoice:
                     raise VerificationFailed(f"no regular pick {k} within height {bound}")
                 tried += 1
                 img = sum((c * images[j] for c, j in zip(v, free) if c), Element.zero())
-                if _dimension(buchberger(imgs + [img], stage.evens)) == p - k:
+                if _regular(imgs + [img], stage.evens):
                     e = _combine({active[j]: c for c, j in zip(v, free) if c})
                     els, imgs, height = els + [e], imgs + [img], max(height, h)
                     free.remove(next(j for c, j in zip(v, free) if c))
@@ -493,10 +492,12 @@ def verify_f0_extension(model: SullivanModel, odd_basis: Sequence[Element]) -> V
 
     Checks run in order: homogeneity of every element, count against the
     even generators, closure of the differentials inside the even
-    subalgebra, then the regular-sequence property.  Regularity is decided
-    twice, by sequential zero-divisor tests (which produce a failing index
-    and witness) and by finite-dimensionality of the quotient; when the count
-    is right the two must agree.
+    subalgebra, then the regular-sequence property (``regular_sequence_failure``,
+    which gives a failing index and witness) and finite-dimensionality of the
+    quotient; when the count is right the two must agree.  A regular
+    homogeneous sequence of full length must also meet Stanley's identity,
+    quotient dimension * prod(w_j) = prod(deg f_i) ("Hilbert functions of
+    graded algebras", 1978), else VerificationFailed.
     """
     checks: list[CheckResult] = []
     evens = model.even_generators
@@ -551,6 +552,12 @@ def verify_f0_extension(model: SullivanModel, odd_basis: Sequence[Element]) -> V
             raise VerificationFailed(
                 "regular-sequence and finite-dimensionality tests disagree "
                 "on a full-length candidate")
+        if (homogeneous and count_ok and report.regular
+                and report.quotient_dim * prod(g.degree for g in evens)
+                != prod(img.degree() for img in images)):
+            raise VerificationFailed(
+                f"quotient dimension {report.quotient_dim} of a regular sequence "
+                "breaks Stanley's identity")
 
     report.passed = all(c.ok for c in checks)
     if not report.passed:
@@ -656,14 +663,13 @@ def exhaustive_homogeneous_search(model: SullivanModel,
     check, at index i: its first i images and its report.  Each later
     candidate whose images start with those is rejected with that report,
     unverified; the stream lists candidates sharing a prefix one after
-    another, so one remembered prefix catches them.  Before a prefix is
-    kept, its Krull dimension is checked to exceed p - i, else
-    VerificationFailed: a second method, since homogeneous elements of the
-    Cohen-Macaulay Q[X] are regular exactly when each drops the dimension,
-    and the one that proves every extension of the prefix has an
-    infinite-dimensional quotient (Krull's principal ideal theorem: the
-    p - i elements after it drop the dimension by at most p - i).  When no
-    assignment takes a degree in part, as
+    another, so one remembered prefix catches them.  A homogeneous failing
+    prefix leaves Krull dimension above p - i (``regular_sequence_failure``
+    found it so before its witness confirmed it), so every extension of it
+    has an infinite-dimensional quotient (Krull's principal ideal theorem:
+    the p - i elements after it drop the dimension by at most p - i); a
+    zero image keeps the dimension of the images before it, likewise.  When
+    no assignment takes a degree in part, as
     for (3, 3, 5) at p = 3, the space is finite and exhausting it proves no
     homogeneous F0 basis exists (``fully_exhaustive``); otherwise trying more
     than ``max_candidates`` raises SearchSpaceTooLarge.
@@ -703,12 +709,8 @@ def exhaustive_homogeneous_search(model: SullivanModel,
                 return outcome
             kept = None
             if report.first_failure == "regular_sequence":
-                i = report.failing_index
-                prefix, kept = [model.d(e) for e in candidate[:i]], report
-                if _dimension(buchberger(prefix, model.even_generators)) <= p - i:
-                    raise VerificationFailed(
-                        f"the failing prefix {', '.join(e.render() for e in candidate[:i])} "
-                        f"leaves Krull dimension at most {p - i}")
+                prefix = [model.d(e) for e in candidate[:report.failing_index]]
+                kept = report
         reject(candidate, report)
     # the plain subsets were the whole space
     outcome.subset_complete = True

@@ -36,17 +36,14 @@ monomial of a reduction step and each lifted combination is checked against
 the layout's MAX_DEGREE before it is multiplied further.  All computations
 are deterministic for a fixed input order.
 
-A sequence of as many weighted-homogeneous elements as variables is regular
-exactly when its quotient has dimension prod(deg f_i) / prod(w_j) (Stanley,
-"Hilbert functions of graded algebras", 1978).  ``regular_sequence_failure``
-decides that success case by counting standard monomials and computes
-zero-divisor witnesses only when the identity does not hold.  The count
-reads the leading monomials alone, slicing their staircase variable by
-variable.  A basis keeps each witness it has given (or None), keyed by the
-element, for as long as it lives: the cache returns the same basis object for
-a repeated prefix, so sequences that share a regular prefix test its
-elements once between them.  (A search remembers a failing prefix itself
-and does not ask about it again.)
+Regularity is decided in one place, ``regular_sequence_failure``, by one
+predicate, ``_regular``: Q[x] is Cohen-Macaulay, so weighted-homogeneous
+f_1..f_r are regular exactly when dim Q[x]/(f) = n - r (Matsumura,
+*Commutative Ring Theory*, 17.4), the Krull dimension read off the leading
+monomials.  A sequence that fails it is walked prefix by prefix to the
+first whose dimension does not drop, and a zero-divisor witness confirms
+that index: two methods agree on every homogeneous failure.  Sequences with
+zero or mixed-degree elements take the zero-divisor test at every prefix.
 
 No identity is re-verified here: the certificates built on lifted cofactors
 are re-checked by ``ellipticity.ExactnessCertificate.verify``.
@@ -58,7 +55,7 @@ from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -332,10 +329,10 @@ class GroebnerBasis:
 
     The provenance (each basis element as a combination of the inputs) is
     folded and lifted from the record of the Buchberger run on first use by
-    ``member(..., cofactors=True)``, and ``zero_divisor_witness`` keeps its
-    verdicts here, so both live exactly as long as the basis.  So do the
-    leading monomials as exponent tuples, decoded once, and the pure powers
-    and the count of standard monomials read from them, each on first use.
+    ``member(..., cofactors=True)``, so it lives exactly as long as the
+    basis.  So do the leading monomials as exponent tuples, decoded once, and
+    the pure powers and the count of standard monomials read from them, each
+    on first use.
     """
 
     def __init__(self, variables: Sequence[Generator], inputs: Sequence[Element],
@@ -351,7 +348,6 @@ class GroebnerBasis:
         self._basis = (self._polys, self._lms, self._exps, self._lcs)
         self._trace = trace  # the engine's origins and the kept records
         self._reps = None
-        self._witnesses: dict[Element, Element | None] = {}
 
     @cached_property
     def generators(self) -> list[Element]:
@@ -513,21 +509,9 @@ def zero_divisor_witness(a: Element, gb: GroebnerBasis) -> Element | None:
 
     The zero element is a zero divisor exactly when the quotient ring is
     nonzero (witness 1); an element already in the ideal gets witness 1 too.
-    Otherwise the witness is the first generator of (I : a) outside I.  The
-    verdict is deterministic, so it is kept on the basis, keyed by a:
-    regular-sequence tests of sequences that share a prefix ask its ideal
-    about the same elements, and only the first request does the work.
+    Otherwise the witness is the first generator of (I : a) outside I.
     """
-    _terms(a, gb.variables)  # a kept verdict must not let a foreign element through
-    if a not in gb._witnesses:
-        gb._witnesses[a] = _zero_divisor_witness(a, gb)
-    return gb._witnesses[a]
-
-
-def _zero_divisor_witness(a: Element, gb: GroebnerBasis) -> Element | None:
-    if not a:
-        return None if gb.contains_one else Element.one()
-    if member(a, gb):
+    if not a or member(a, gb):
         return None if gb.contains_one else Element.one()
     q = ideal_quotient(gb, a)
     for g in q.generators:
@@ -540,19 +524,30 @@ def regular_sequence_failure(seq: Sequence[Element], variables: Sequence[Generat
     """First failure of the regular-sequence property, as (1-based index, witness).
 
     Returns None when the sequence is regular.  Every element must lie in the
-    augmentation ideal (no constant term).  Success is decided by the Hilbert
-    identity when it applies; otherwise, and for every failure, each element
-    is tested for a zero divisor modulo the ideal of the ones before it.  The
-    first needs no ideal quotient: modulo the zero ideal only the zero
-    element is a zero divisor (witness 1).
+    augmentation ideal (no constant term).  A sequence of nonzero homogeneous
+    elements is regular when ``_regular`` holds, read off its full basis
+    alone; otherwise the first prefix that fails ``_regular`` (the whole
+    sequence at the latest) ends at the failing element, and a zero-divisor
+    witness modulo the elements before it must confirm it, else
+    VerificationFailed.  Any other sequence tests each element for a zero
+    divisor modulo the ideal of the ones before it; the first needs no ideal
+    quotient: modulo the zero ideal only the zero element is a zero divisor
+    (witness 1).
     """
     for a in seq:
         if 0 in _terms(a, variables):
             raise ConstantTermPresent(
                 f"sequence element {a.render()} has a constant term")
-    if _hilbert_identity_holds(seq, variables):
-        return None
-    if seq and not seq[0]:
+    if all(isinstance(a.degree(), int) for a in seq):  # nonzero and homogeneous
+        if _regular(seq, variables):
+            return None
+        i = next(i for i in range(1, len(seq) + 1) if not _regular(seq[:i], variables))
+        w = zero_divisor_witness(seq[i - 1], buchberger(list(seq[:i - 1]), variables))
+        if w is None:
+            raise VerificationFailed(
+                f"element {i} drops no Krull dimension but has no zero-divisor witness")
+        return i, w
+    if not seq[0]:
         return 1, Element.one()
     for i in range(1, len(seq)):
         w = zero_divisor_witness(seq[i], buchberger(list(seq[:i]), variables))
@@ -561,17 +556,10 @@ def regular_sequence_failure(seq: Sequence[Element], variables: Sequence[Generat
     return None
 
 
-def _hilbert_identity_holds(seq: Sequence[Element], variables: Sequence[Generator]) -> bool:
-    """Whether n nonzero weighted-homogeneous elements in n variables have a
-    finite-dimensional quotient of dimension prod(deg f_i) / prod(w_j), which
-    holds exactly when they form a regular sequence."""
-    degrees = [a.degree() for a in seq]  # not an int for zero or mixed degrees
-    if len(seq) != len(variables) or not all(isinstance(d, int) for d in degrees):
-        return False
-    gb = buchberger(list(seq), variables)
-    if not quotient_is_finite_dimensional(gb):
-        return False
-    return quotient_dimension(gb) * prod(g.degree for g in variables) == prod(degrees)
+def _regular(seq: Sequence[Element], variables: Sequence[Generator]) -> bool:
+    """Whether homogeneous elements of positive degree drop the Krull
+    dimension by one each: regularity, as Q[x] is Cohen-Macaulay."""
+    return _dimension(buchberger(list(seq), variables)) == len(variables) - len(seq)
 
 
 def is_regular_sequence(seq: Sequence[Element], variables: Sequence[Generator]):
@@ -604,13 +592,17 @@ def _dimension(gb: GroebnerBasis) -> int:
     leading monomials as dim Q[x]/I = dim Q[x]/in(I): the number of variables
     less the fewest variables that meet every leading monomial's support (Cox,
     Little and O'Shea, *Ideals, Varieties, and Algorithms*, 9.3), found by
-    branching on the variables of the smallest support not yet met."""
+    branching on the variables of the smallest support not yet met; a
+    finite quotient answers from its pure powers at once."""
+    if quotient_is_finite_dimensional(gb):
+        return -1 if gb.contains_one else 0
+
     def cover(supports) -> int:  # the fewest variables meeting every support
         least = min(supports, key=len, default=None)
         return 0 if least is None else 1 + min(cover([s for s in supports if j not in s])
                                                for j in least)
     supports = {frozenset(j for j, x in enumerate(e) if x) for e in gb._leading}
-    return -1 if frozenset() in supports else len(gb.variables) - cover(supports)
+    return len(gb.variables) - cover(supports)
 
 
 def quotient_dimension(gb: GroebnerBasis) -> int:

@@ -28,7 +28,7 @@ from sullivan.errors import (
 )
 
 from test_ellipticity import _ladder_plus
-from test_extension import _finite, _prefix_dimension_agrees, _workloads
+from test_extension import _finite, _witness_withheld, _workloads
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -493,13 +493,13 @@ def test_cohomology_past_the_oracle_limit_through_the_complex(tmp_path):
 
 
 def test_search_exits_3_when_a_failing_prefix_is_not_confirmed(monkeypatch, tmp_path):
-    _prefix_dimension_agrees(monkeypatch)
+    _witness_withheld(monkeypatch)
     path = tmp_path / "prefix.model"
     path.write_text(_workloads().prefix_model(random.Random(1), 0, 3, 2, 4, _finite).text())
     code, out, err = run("search", path)
     assert (code, out) == (3, "")
-    assert err.startswith("error[verification-failed]: the failing prefix a1, a2 ")
-    assert err.count("\n") == 1
+    assert err == ("error[verification-failed]: element 2 drops no Krull dimension but "
+                   "has no zero-divisor witness\n")
 
 
 def test_nilpotency_search_starts_at_the_pure_power(tmp_path):

@@ -287,10 +287,11 @@ def test_stage_pick_refuses_a_stage_that_is_not_elliptic():
 
 def test_stage_pick_past_its_proved_height_is_an_internal_fault(needs_combination,
                                                                 monkeypatch):
-    # a Krull dimension that never drops walks the units and height 1, the
-    # bound for both picks at l = 2, and stops at the first height-2 vector
+    # a pick that never keeps the images regular walks the units and height
+    # 1, the bound for both picks at l = 2, and stops at the first height-2
+    # vector
     stage = first_stage(needs_combination)
-    monkeypatch.setattr(extension, "_dimension", lambda gb: len(gb.variables))
+    monkeypatch.setattr(extension, "_regular", lambda seq, variables: False)
     with pytest.raises(VerificationFailed, match="^no regular pick 1 within height 1$"):
         find_homogeneous_regular_subset(stage)
 
@@ -409,6 +410,17 @@ def test_verify_passes_on_f0_model(f0_square):
     assert [c.name for c in report.checks] == [
         "homogeneous", "count", "closure", "regular_sequence",
         "finite_dimensional"]
+
+
+def test_verify_checks_stanleys_identity(f0_square, monkeypatch):
+    # a quotient dimension off by one on a regular full-length candidate
+    # breaks 4 * 2 * 2 = 4 * 4: an internal fault, not a report outcome
+    m = f0_square
+    quotient_dimension = extension.quotient_dimension
+    monkeypatch.setattr(extension, "quotient_dimension", lambda gb: quotient_dimension(gb) + 1)
+    with pytest.raises(VerificationFailed, match="^quotient dimension 5 of a regular sequence "
+                                                  "breaks Stanley's identity$"):
+        verify_f0_extension(m, [m.element("y1"), m.element("y2")])
 
 
 def test_verify_reports_regularity_failure(mixed_model):
@@ -730,17 +742,19 @@ def test_search_verifies_once_per_failing_prefix(monkeypatch):
     assert names(out.found) == ["a1", "y1", "y2", "y3"]
 
 
-def _prefix_dimension_agrees(monkeypatch):
-    """Patch the search's Krull dimension of a prefix of i images to p - i,
-    so it contradicts every failing prefix's zero-divisor verdict."""
-    monkeypatch.setattr(extension, "_dimension", lambda gb: len(gb.variables) - len(gb.inputs))
+def _witness_withheld(monkeypatch):
+    """Patch the zero-divisor test to find no witness, so it contradicts
+    every prefix whose Krull dimension does not drop."""
+    monkeypatch.setattr(groebner, "zero_divisor_witness", lambda a, gb: None)
 
 
 def test_a_prefix_the_dimension_does_not_confirm_is_an_internal_fault(monkeypatch):
-    _prefix_dimension_agrees(monkeypatch)
+    # the first candidate (a1, a2, a3) fails at index 2 by the dimension,
+    # and the withheld witness does not confirm it
+    _witness_withheld(monkeypatch)
     spec = _workloads().prefix_model(random.Random(1), 0, 3, 2, 4, _finite)
-    with pytest.raises(VerificationFailed, match="^the failing prefix a1, a2 leaves Krull "
-                                                  "dimension at most 1$"):
+    with pytest.raises(VerificationFailed, match="^element 2 drops no Krull dimension but "
+                                                  "has no zero-divisor witness$"):
         exhaustive_homogeneous_search(parse_model(spec.text()))
 
 

@@ -383,6 +383,11 @@ def test_zero_divisor_witness_properties(mixed_model):
     # an element of the ideal is witnessed by 1
     w1 = zero_divisor_witness(x1 * g1, gb1)
     assert w1 is not None and w1 == Element.one()
+    # an element must use the basis's variables: a same-position generator
+    # of another name is foreign
+    alias = Element.from_generator(Generator("z", gens[0].degree, gens[0].index))
+    with pytest.raises(UnknownGenerator):
+        zero_divisor_witness(alias, gb1)
 
 
 def test_ideal_quotient_runs_buchberger_once(monkeypatch, mixed_model):
@@ -403,41 +408,6 @@ def test_ideal_quotient_runs_buchberger_once(monkeypatch, mixed_model):
     assert [g.render() for g in q.generators] == ["x1"]
     for p in q.inputs:
         assert member(p * g2, gb1)
-
-
-def test_zero_divisor_witness_is_kept_on_the_basis(monkeypatch, mixed_model):
-    m = mixed_model
-    gens = m.even_generators
-    g1, g2 = (m.d(m.element(y)) for y in ("y1", "y2"))
-    groebner._CACHE.clear()
-    gb1 = buchberger([g1], gens)
-    calls = []
-
-    def counted(gb, a):
-        calls.append(a)
-        return ideal_quotient(gb, a)
-
-    monkeypatch.setattr(groebner, "ideal_quotient", counted)
-    w = zero_divisor_witness(g2, gb1)
-    assert w.render() == "x1"
-    # a second request, also with an equal element built anew, is answered
-    # from the basis
-    assert zero_divisor_witness(g2, gb1) is w
-    assert zero_divisor_witness(g2 + Element.zero(), gb1) is w
-    assert calls == [g2]
-    # the verdict lives as long as the basis: a rebuilt basis computes it again
-    groebner._CACHE.clear()
-    gb1_again = buchberger([g1], gens)
-    assert gb1_again is not gb1
-    assert zero_divisor_witness(g2, gb1_again) == w
-    assert calls == [g2, g2]
-    # a kept verdict does not skip the check that the element uses the
-    # basis's variables: a same-position generator of another name is foreign
-    x1 = gens[0]
-    alias = Element.from_generator(Generator("z", x1.degree, x1.index))
-    assert zero_divisor_witness(Element.from_generator(x1), gb1) is not None
-    with pytest.raises(UnknownGenerator):
-        zero_divisor_witness(alias, gb1)
 
 
 def test_zero_is_zero_divisor():
@@ -557,11 +527,8 @@ def weighted_sequences(draw, counts=(0, 0, 1), degrees=(4, 6, 8), n_max=3,
     return gens, seq
 
 
-def test_regular_sequence_failure_skips_the_zero_ideal(mixed_model, monkeypatch):
-    m = mixed_model
-    gens = m.even_generators
-    g1, g2 = (m.d(m.element(f"y{i}")) for i in (1, 2))
-    groebner._CACHE.clear()  # no basis with a kept verdict from an earlier test
+def _counted_quotients(monkeypatch):
+    """The elements ``ideal_quotient`` is asked about, in call order."""
     calls = []
 
     def counted(gb, a):
@@ -569,6 +536,14 @@ def test_regular_sequence_failure_skips_the_zero_ideal(mixed_model, monkeypatch)
         return ideal_quotient(gb, a)
 
     monkeypatch.setattr(groebner, "ideal_quotient", counted)
+    return calls
+
+
+def test_regular_sequence_failure_skips_the_zero_ideal(mixed_model, monkeypatch):
+    m = mixed_model
+    gens = m.even_generators
+    g1, g2 = (m.d(m.element(f"y{i}")) for i in (1, 2))
+    calls = _counted_quotients(monkeypatch)
     idx, witness = regular_sequence_failure([g1, g2], gens)
     assert (idx, witness.render()) == (2, "x1")
     assert calls == [g2]  # no quotient of the zero ideal by g1
@@ -612,13 +587,9 @@ def test_cache_hit_equals_fresh_computation(case):
     weighted_sequences(counts=(-1, 0, 0, 1), degrees=(4, 6)),
     # ideal quotients of mixed-degree ideals grow fast with the variables
     weighted_sequences(counts=(-1, 0, 0, 1), degrees=(4, 6), n_max=2, mixed=True)))
-def test_hilbert_identity_agrees_with_prefix_loop(case):
+def test_regular_sequence_failure_agrees_with_prefix_loop(case):
     gens, seq = case
     reference = _prefix_loop_failure(seq, gens)
-    if len(seq) == len(gens) and all(a.is_homogeneous() for a in seq):
-        assert groebner._hilbert_identity_holds(seq, gens) == (reference is None)
-    else:
-        assert not groebner._hilbert_identity_holds(seq, gens)
     assert regular_sequence_failure(seq, gens) == reference
     if reference is not None:  # the witness multiplies a into its prefix ideal
         idx, w = reference
@@ -626,29 +597,31 @@ def test_hilbert_identity_agrees_with_prefix_loop(case):
         assert member(w * seq[idx - 1], gb) and not member(w, gb)
 
 
-@PROPERTY
-@given(weighted_sequences(degrees=(4, 6)))
-def test_kept_witness_equals_fresh_computation(case):
-    gens, seq = case
-    x1 = Element.from_generator(gens[0])
-    # the prefix holds x1 * f_1, so x1 * a is a zero divisor (witnessed by
-    # f_1) unless f_1 lies in the ideal
-    prefix = [x1 * seq[0]] + seq[1:-1]
-    a = seq[-1]
-    elements = [a, x1 * a, Element.zero(), x1 * prefix[0]]
-    groebner._CACHE.clear()
-    gb = buchberger(prefix, gens)
-    kept = [zero_divisor_witness(e, gb) for e in elements]
-    assert all(zero_divisor_witness(e, gb) is w for e, w in zip(elements, kept))
-    assert kept[1] is not None or member(seq[0], gb)
-    assert kept[2] == kept[3] == Element.one()
-    for e, w in zip(elements, kept):
-        if w is not None:
-            assert member(w * e, gb) and not member(w, gb)
-        groebner._CACHE.clear()
-        fresh = buchberger(prefix, gens)
-        assert fresh is not gb and not fresh._witnesses
-        assert zero_divisor_witness(e, fresh) == w
+@pytest.mark.parametrize("index", [3, 4])
+def test_the_walk_finds_a_later_failing_index(index, monkeypatch):
+    # squares of the first index - 1 variables, then x1*x2: the prefix walk
+    # passes index - 1 elements, and one ideal quotient, by x1*x2 modulo
+    # the squares, gives the witness
+    gens = make_vars(*[(f"x{i}", 2) for i in range(1, 5)])
+    xs = els(gens)
+    seq = [x ** 2 for x in xs[:index - 1]] + [xs[0] * xs[1]]
+    calls = _counted_quotients(monkeypatch)
+    idx, w = regular_sequence_failure(seq, gens)
+    assert idx == index and w.render() == "x2"
+    assert calls == [seq[-1]]
+    gb = buchberger(seq[:-1], gens)
+    assert member(w * seq[-1], gb) and not member(w, gb)
+    assert (idx, w) == _prefix_loop_failure(seq, gens)
+
+
+def test_a_short_regular_sequence_takes_no_ideal_quotient(monkeypatch):
+    # two squares in three variables drop the dimension to 1: regular, read
+    # off their basis alone
+    gens = make_vars(("x", 2), ("w", 2), ("v", 2))
+    x, w, _ = els(gens)
+    calls = _counted_quotients(monkeypatch)
+    assert regular_sequence_failure([x ** 2, w ** 2], gens) is None
+    assert calls == []
 
 
 @PROPERTY
