@@ -591,11 +591,13 @@ class Element:
             return "0"
         parts: list[str] = []
         for i, (k, fs, c) in enumerate(self._ordered()):
-            neg = c < 0
-            mag = -c if neg else c
+            mag = str(c)  # sign and magnitude from the text, not by Fraction arithmetic
+            neg = mag[0] == "-"
+            if neg:
+                mag = mag[1:]
             if not k:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = _render(fs)
             else:
                 body = f"{mag}*{_render(fs)}"

@@ -668,8 +668,12 @@ def exhaustive_homogeneous_search(model: SullivanModel,
     found it so before its witness confirmed it), so every extension of it
     has an infinite-dimensional quotient (Krull's principal ideal theorem:
     the p - i elements after it drop the dimension by at most p - i); a
-    zero image keeps the dimension of the images before it, likewise.  When
-    no assignment takes a degree in part, as
+    zero image keeps the dimension of the images before it, likewise.  Each
+    pick is built once per search, its image derived only when a prefix
+    comparison first reads it, and its text rendered only when a kept
+    rejection record (the first ``MAX_REJECTIONS_KEPT``) first needs it; a
+    report's witness is rendered once.  When no assignment takes a degree
+    in part, as
     for (3, 3, 5) at p = 3, the space is finite and exhausting it proves no
     homogeneous F0 basis exists (``fully_exhaustive``); otherwise trying more
     than ``max_candidates`` raises SearchSpaceTooLarge.
@@ -680,13 +684,37 @@ def exhaustive_homogeneous_search(model: SullivanModel,
     odds = model.odd_generators
     outcome = SearchOutcome(None, 0, False, False)
 
-    def reject(candidate: list[Element], report: VerificationReport) -> None:
+    # per pick's items: [its element, its image, its rendered text], the last two on first read
+    built: dict = {}
+    # the last failing prefix's images and its report, and the rendered witness
+    # of the last verified report, rendered when a kept record first needs it
+    prefix, kept, witness = [], None, None
+
+    def pick(combination: dict[Generator, int]) -> list:
+        key = tuple(combination.items())
+        entry = built.get(key)
+        if entry is None:
+            entry = built[key] = [_combine(combination), None, None]
+        return entry
+
+    def image(entry: list) -> Element:
+        if entry[1] is None:
+            entry[1] = model.d(entry[0])
+        return entry[1]
+
+    def reject(entries: list[list], report: VerificationReport) -> None:
+        nonlocal witness
         if len(outcome.rejected) >= MAX_REJECTIONS_KEPT:
             return
+        for entry in entries:
+            if entry[2] is None:
+                entry[2] = entry[0].render()
+        if witness is None and report.witness is not None:
+            witness = report.witness.render()
         outcome.rejected.append(RejectionRecord(
-            candidate=tuple(e.render() for e in candidate),
+            candidate=tuple(entry[2] for entry in entries),
             reason=report.first_failure or "unknown",
-            witness=report.witness.render() if report.witness is not None else None,
+            witness=witness,
             failing_index=report.failing_index,
         ))
 
@@ -695,23 +723,23 @@ def exhaustive_homogeneous_search(model: SullivanModel,
         outcome.subset_complete = True
         return outcome
 
-    prefix, kept = [], None  # the last failing prefix's images, and its report
     for tried, height, picks in _candidates(odds, p, max_candidates):
         outcome.tried = tried
-        candidate = [_combine(c) for c in picks]
-        if kept is not None and [model.d(e) for e in candidate[:len(prefix)]] == prefix:
+        entries = [pick(c) for c in picks]
+        if kept is not None and all(image(e) == q for e, q in zip(entries, prefix)):
             report = kept
         else:
+            candidate = [entry[0] for entry in entries]
             report = verify_f0_extension(model, candidate)
             if report.passed:
                 outcome.found = candidate
                 outcome.subset_complete = height > 0
                 return outcome
-            kept = None
+            kept, witness = None, None
             if report.first_failure == "regular_sequence":
-                prefix = [model.d(e) for e in candidate[:report.failing_index]]
+                prefix = [image(e) for e in entries[:report.failing_index]]
                 kept = report
-        reject(candidate, report)
+        reject(entries, report)
     # the plain subsets were the whole space
     outcome.subset_complete = True
     outcome.fully_exhaustive = True

@@ -17,6 +17,11 @@ stays the lowest, or how far the scan got, so that the next lookup of that
 monomial scans only the elements appended since.  A reduced basis's tails
 are reduced the same way over its kept elements, and the chain criterion
 scans the elements outside its pair once, resuming after each divisor.
+The tails are reduced only when a basis's polynomials are first read: the
+minimal basis's leading monomials, known when the run ends, already answer
+finiteness, the Krull dimension and the quotient's dimension, as
+dim Q[x]/I = dim Q[x]/in(I), so a basis asked only those is never
+tail-reduced.
 
 A basis is kept as primitive integer polynomials g_k with positive leading
 coefficients (the monic ``generators`` are derived from them on first use).
@@ -297,20 +302,27 @@ class _Engine:
                 return True
         return False
 
-    def reduced(self):
-        """Minimal, tail-reduced basis sorted by ascending leading monomial.
-
-        Returns its elements, each primitive with a positive leading
-        coefficient, and per element its record (engine index, tail steps, g0).
-        A tail is reduced by the kept elements in that order: none of them
-        divides another's leading monomial, and an element's own leading
-        monomial divides no term of its tail.
-        """
+    def minimal(self) -> list[int]:
+        """The minimal basis's engine indices, by ascending leading monomial:
+        the elements whose leading monomial no kept one before them divides."""
         lms = self.lms
         kept: list[int] = []
         for i in sorted(range(len(self.polys)), key=lms.__getitem__):
             if _divisor(lms[i], self.exps, kept) is None:
                 kept.append(i)
+        return kept
+
+    def reduced(self):
+        """Minimal, tail-reduced basis sorted by ascending leading monomial.
+
+        Returns its elements, each primitive with a positive leading
+        coefficient, and per element its record (engine index, tail steps, g0).
+        A tail is reduced by the kept elements of ``minimal`` in that order:
+        none of them divides another's leading monomial, and an element's own
+        leading monomial divides no term of its tail.
+        """
+        lms = self.lms
+        kept = self.minimal()
         basis = tuple([part[i] for i in kept] for part in self.basis)
         seen: dict[int, int] = {}
         polys, records = [], []
@@ -327,27 +339,47 @@ class _Engine:
 class GroebnerBasis:
     """A reduced Groebner basis with provenance back to its input generators.
 
-    The provenance (each basis element as a combination of the inputs) is
-    folded and lifted from the record of the Buchberger run on first use by
-    ``member(..., cofactors=True)``, so it lives exactly as long as the
-    basis.  So do the leading monomials as exponent tuples, decoded once, and
-    the pure powers and the count of standard monomials read from them, each
-    on first use.
+    The leading monomials are the minimal basis's, known once the run ends;
+    they alone answer ``contains_one``, the pure powers, the Krull dimension
+    and the count of standard monomials (dim Q[x]/I = dim Q[x]/in(I)).  The
+    run's engine tail-reduces the polynomials on first read (``_basis``,
+    which ``generators``, ``member``, ``normal_form`` and ``ideal_quotient``
+    read) and is dropped then.  The provenance (each basis element as a
+    combination of the inputs) is folded and lifted from the record of the
+    run and of that reduction on first use by ``member(..., cofactors=True)``,
+    so it lives exactly as long as the basis.  So do the leading monomials as
+    exponent tuples, decoded once, and the pure powers and the count of
+    standard monomials read from them, each on first use.
     """
 
-    def __init__(self, variables: Sequence[Generator], inputs: Sequence[Element],
-                 polys, trace):
+    def __init__(self, variables: Sequence[Generator], inputs: Sequence[Element], engine):
         self.variables = tuple(variables)
         self.order = _Order(tuple(g.degree for g in self.variables), False)
         self.inputs = list(inputs)
         self._table = {g.index: g for g in self.variables}
-        self._polys = polys  # primitive integer, positive leading coefficient
-        self._lms = [max(p) for p in polys]
-        self._exps = [_exponents(lm) for lm in self._lms]
-        self._lcs = [p[lm] for p, lm in zip(polys, self._lms)]
-        self._basis = (self._polys, self._lms, self._exps, self._lcs)
-        self._trace = trace  # the engine's origins and the kept records
+        kept = engine.minimal()
+        self._lms = [engine.lms[i] for i in kept]
+        self._exps = [engine.exps[i] for i in kept]
+        self._engine = engine  # until the tail reduction
         self._reps = None
+
+    @cached_property
+    def _basis(self):
+        """(polys, lms, exps, lcs) of the reduced basis, the polynomials
+        primitive integer with positive leading coefficients: the engine
+        tail-reduces on first read, and its origins and the kept elements'
+        records stay as ``_trace`` for the provenance."""
+        polys, records = self._engine.reduced()
+        self._trace, self._engine = (self._engine.origins, records), None
+        return polys, self._lms, self._exps, [p[lm] for p, lm in zip(polys, self._lms)]
+
+    @property
+    def _polys(self) -> list[dict[int, int]]:
+        return self._basis[0]
+
+    @property
+    def _lcs(self) -> list[int]:
+        return self._basis[3]
 
     @cached_property
     def generators(self) -> list[Element]:
@@ -359,6 +391,7 @@ class GroebnerBasis:
         """Each basis element over the inputs, lifted in the run's order: a
         kept element's tail record folds from cofactor -1 at its engine element."""
         if self._reps is None:
+            self._basis  # the tail reduction keeps the kept elements' records
             origins, records = self._trace
             n = len(self.inputs)
             built = {~i: [1, [{0: 1} if j == i else {} for j in range(n)]] for i in range(n)}
@@ -405,9 +438,10 @@ def buchberger(elements: Sequence[Element], variables: Sequence[Generator]) -> G
     The variables are even generators in ascending position.  Deterministic
     for a fixed input order: S-pairs are processed by ascending lcm (ties by
     creation order) and useless pairs are dropped by the product and chain
-    criteria.  A repeated request with equal variables and inputs (in the
-    same order) returns the same basis object from a small cache of recent
-    results.
+    criteria.  The basis keeps the minimal basis's leading monomials and
+    tail-reduces its polynomials on first read (``GroebnerBasis._basis``).
+    A repeated request with equal variables and inputs (in the same order)
+    returns the same basis object from a small cache of recent results.
     """
     variables = tuple(variables)
     if any(a.index >= b.index for a, b in zip(variables, variables[1:])):
@@ -422,8 +456,7 @@ def buchberger(elements: Sequence[Element], variables: Sequence[Generator]) -> G
         return gb
     eng = _Engine([_terms(e, variables) for e in elements])
     eng.run()
-    polys, records = eng.reduced()
-    gb = GroebnerBasis(variables, list(elements), polys, (eng.origins, records))
+    gb = GroebnerBasis(variables, list(elements), eng)
     _CACHE[key] = gb
     if len(_CACHE) > _CACHE_SIZE:
         _CACHE.popitem(last=False)

@@ -742,6 +742,42 @@ def test_search_verifies_once_per_failing_prefix(monkeypatch):
     assert names(out.found) == ["a1", "y1", "y2", "y3"]
 
 
+def test_search_builds_each_pick_and_renders_each_witness_once(monkeypatch):
+    # the (4, 5) prefix model again: 53 candidates from few distinct picks,
+    # and 52 kept rejection records that share the reports of 4 failing
+    # verifications (whose witnesses may be one object: a cached basis's)
+    model = parse_model(_workloads().prefix_model(random.Random(1), 0, 4, 2, 5, _finite).text())
+    combined, witnesses, renders, verifying = [], [], [], []
+    combine, verify, render = extension._combine, extension.verify_f0_extension, Element.render
+
+    def counted_combine(combination):
+        combined.append(tuple(combination.items()))
+        return combine(combination)
+
+    def counted_verify(model, candidate):
+        verifying.append(True)  # its own check detail renders the witness
+        report = verify(model, candidate)
+        verifying.pop()
+        if not report.passed:
+            witnesses.append(report.witness)
+        return report
+
+    def counted_render(self):
+        if not verifying and any(w is self for w in witnesses):
+            renders.append(render(self))
+        return render(self)
+
+    monkeypatch.setattr(extension, "_combine", counted_combine)
+    monkeypatch.setattr(extension, "verify_f0_extension", counted_verify)
+    monkeypatch.setattr(Element, "render", counted_render)
+    out = exhaustive_homogeneous_search(model)
+    assert out.tried == 53 and len(out.rejected) == 52
+    assert combined and len(combined) == len(set(combined))  # at most once per distinct pick
+    assert len(witnesses) == 4 and None not in witnesses
+    assert renders == [render(w) for w in witnesses]  # one per failing verification
+    assert {r.witness for r in out.rejected} == set(renders)
+
+
 def _witness_withheld(monkeypatch):
     """Patch the zero-divisor test to find no witness, so it contradicts
     every prefix whose Krull dimension does not drop."""

@@ -654,6 +654,83 @@ def test_lazily_lifted_cofactors_certify(case, data):
         assert cert.verify(model)
 
 
+# -- tail reduction on first read ----------------------------------------------
+
+def _counted_reductions(monkeypatch):
+    """The engines whose basis ``_Engine.reduced`` tail-reduces, in call order."""
+    calls = []
+    reduced = groebner._Engine.reduced
+
+    def counted(self):
+        calls.append(self)
+        return reduced(self)
+
+    monkeypatch.setattr(groebner._Engine, "reduced", counted)
+    return calls
+
+
+def test_leading_monomials_alone_take_no_tail_reduction(monkeypatch):
+    # x^3 reduces the tail x^4 of y^2 + x^4: the reduced basis is (x^3, y^2)
+    gens = make_vars(("x", 2), ("y", 4))
+    x, y = els(gens)
+    groebner._CACHE.clear()
+    calls = _counted_reductions(monkeypatch)
+    assert groebner._regular([x ** 3, y ** 2 + x ** 4], gens)
+    gb = buchberger([x ** 3, y ** 2 + x ** 4], gens)
+    assert quotient_is_finite_dimensional(gb) and quotient_dimension(gb) == 6
+    infinite = buchberger([x * y, x ** 2 + x * y], gens)
+    assert not quotient_is_finite_dimensional(infinite) and groebner._dimension(infinite) == 1
+    assert calls == []
+    assert [g.render() for g in gb.generators] == ["x^3", "y^2"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("first", ["generators", "member", "provenance"])
+def test_the_first_read_of_the_polynomials_reduces_once(first, monkeypatch):
+    gens = make_vars(("x", 2), ("y", 4))
+    x, y = els(gens)
+    groebner._CACHE.clear()
+    calls = _counted_reductions(monkeypatch)
+    gb = buchberger([x ** 3, y ** 2 + x ** 4], gens)
+    reads = {"generators": lambda: gb.generators,
+             "member": lambda: member(y ** 2 * x, gb, cofactors=True),
+             "provenance": gb._provenance}
+    reads[first]()
+    assert len(calls) == 1
+    for read in reads.values():
+        read()
+    assert len(calls) == 1
+
+
+@PROPERTY
+@given(weighted_sequences(counts=(-1, 0, 1)), st.data())
+def test_a_basis_read_first_by_its_dimension_equals_one_reduced_at_once(case, data):
+    gens, seq = case
+    groebner._CACHE.clear()
+    eng = groebner._Engine([a._t for a in seq])  # the run and reduction, read at once
+    eng.run()
+    polys, _ = eng.reduced()
+    eager = buchberger(seq, gens)
+    eager.generators
+    groebner._CACHE.clear()
+    lazy = buchberger(seq, gens)
+    reduced = groebner._Engine.reduced
+    with mock.patch.object(groebner._Engine, "reduced", autospec=True,
+                           side_effect=reduced) as counted:
+        groebner._dimension(lazy)
+        assert counted.call_count == 0
+        lazy.generators
+        assert counted.call_count == 1
+    assert lazy._lms == [max(p) for p in polys]  # the minimal basis leads as the reduced one
+    assert lazy._polys == polys
+    assert lazy.generators == eager.generators
+    f = Element.zero()
+    for a in seq:
+        f = f + data.draw(homogeneous_polys(gens, 4)) * a
+    assert member(f, lazy, cofactors=True) == member(f, eager, cofactors=True)
+    assert lazy._provenance() == eager._provenance()
+
+
 # -- packed monomials against exponent tuples ------------------------------------
 
 @st.composite
@@ -966,6 +1043,7 @@ def test_lifted_reps_and_cofactors_equal_the_replay(case, scalars, data):
     seq = [Element.scalar(q) * a for q, a in zip(scalars, seq)]
     groebner._CACHE.clear()
     gb = buchberger(seq, gens)
+    gb._basis  # the tail reduction, which keeps the record
     replayed = _replayed_provenance(gb._trace, len(seq))
 
     def rational(rep):
@@ -1013,6 +1091,7 @@ def test_a_corrupted_replay_record_fails_the_certificate_check(mixed_model):
     groebner._CACHE.clear()
     gb = differential_ideal_basis(model)
     groebner._CACHE.clear()  # no later test may meet the corrupted basis
+    gb._basis  # the tail reduction, which keeps the record
     origins, records = gb._trace
     gb._trace = origins, [(i, steps, 2 * g0) for i, steps, g0 in records]  # halves each rep
     with pytest.raises(VerificationFailed, match="failed the differential check"):
