@@ -23,7 +23,9 @@ degrees up to MAX_DEGREE keep every guard bit clear; a product beyond that
 raises InvalidInput, and generators stay below MAX_DEGREE so that their
 differential images fit.  An element keeps a table of its generators by
 position, through which ``_powers`` reads a monomial's factors; the
-canonical term order is computed when terms are listed.
+canonical term order is computed when terms are listed.  Packed terms are
+added, multiplied and raised in one place each (``_submul``, ``_times``,
+``_power``), for ``Element`` and the parser alike.
 
 Elements are immutable by convention: every operation returns a fresh value.
 """
@@ -280,6 +282,54 @@ def _mul_into(t: dict[int, Scalar], a: Iterable[tuple[int, Scalar]],
                 t.pop(k, None)
 
 
+def _submul(p: dict[int, Scalar], q: Mapping[int, Scalar], c: Scalar, t: int) -> None:
+    """p -= c * x^t * q, in place, dropping zero terms."""
+    for m, v in q.items():
+        kk = m + t
+        nv = p.get(kk, 0) - c * v
+        if nv:
+            p[kk] = nv
+        else:
+            p.pop(kk, None)
+
+
+def _times(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
+    """The product of the terms a and b: a single term times a single term
+    with at most one odd side adds their keys and multiplies their
+    coefficients, anything else goes through ``_mul_into``."""
+    if len(a) == 1 == len(b):
+        ((ka, ca),), ((kb, cb),) = a.items(), b.items()
+        if not -ka & _LOW or not -kb & _LOW:
+            if ka + kb > _LIMIT:
+                raise _too_large(ka + kb)
+            return {ka + kb: ca * cb}
+    t: dict[int, Scalar] = {}
+    _mul_into(t, a.items(), b.items())
+    return t
+
+
+def _power(base: dict[int, Scalar], k: int) -> dict[int, Scalar]:
+    """base to the k-th power: a single term's key times k and coefficient to
+    the k, zero when it has an odd factor and k >= 2; anything else by
+    repeated squaring through ``_times``."""
+    if not k:
+        return {0: 1}
+    if len(base) == 1:
+        ((m, c),) = base.items()
+        if k > 1 and -m & _LOW:
+            return {}
+        if m * k > _LIMIT:
+            raise _too_large(m * k)
+        return {m * k: c ** k}
+    out = {0: 1}
+    while k:
+        if k & 1:
+            out = _times(out, base)
+        base = _times(base, base) if k > 1 else base
+        k >>= 1
+    return out
+
+
 def _image(g: Generator, terms: Mapping[int, Scalar]) -> tuple:
     """g's image as ``_derive_into`` takes it: (g, its key, the terms,
     whether a term has an odd factor)."""
@@ -516,12 +566,7 @@ class Element:
         if o is None:
             return NotImplemented
         t = dict(self._t)
-        for k, c in o._t.items():
-            nc = t.get(k, 0) + c
-            if nc:
-                t[k] = nc
-            else:
-                t.pop(k, None)
+        _submul(t, o._t, -1, 0)
         return Element._from_dict(t, _union(self, o))
 
     __radd__ = __add__
@@ -549,9 +594,7 @@ class Element:
             return Element._from_dict({k: c * v for k, v in self._t.items()}, self._g)
         if not isinstance(other, Element):
             return NotImplemented
-        t: dict[int, Scalar] = {}
-        _mul_into(t, self._t.items(), other._t.items())
-        return Element._from_dict(t, _union(self, other))
+        return Element._from_dict(_times(self._t, other._t), _union(self, other))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -566,14 +609,7 @@ class Element:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise InvalidModel("powers must be non-negative integers")
-        out = Element.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return Element._from_dict(_power(self._t, k), self._g)
 
     def __eq__(self, other):
         o = Element._lift(other)

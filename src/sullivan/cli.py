@@ -49,15 +49,6 @@ def _model_summary(model: SullivanModel) -> str:
     return f"{model.name}: {gens}"
 
 
-def _analyze_payload(model: SullivanModel, with_exponents: bool) -> dict:
-    report = replace(model.validate(), elliptic=ell.is_elliptic(model))  # the cached one stays
-    if report.elliptic and model.is_pure():
-        report.formal_dimension = model.formal_dimension()
-        if with_exponents:
-            report.exponents = ell.all_nilpotency_exponents(model)
-    return report.to_dict()
-
-
 def cmd_validate(args) -> int:
     model = load_model(args.model)
     report = model.validate()
@@ -70,7 +61,11 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     model = load_model(args.model)
-    payload = _analyze_payload(model, with_exponents=True)
+    report = replace(model.validate(), elliptic=ell.is_elliptic(model))  # the cached one stays
+    if report.elliptic and model.is_pure():
+        report.formal_dimension = model.formal_dimension()
+        report.exponents = ell.all_nilpotency_exponents(model)
+    payload = report.to_dict()
     _say(_model_summary(model), args)
     _say(f"pure={payload['pure']} minimal={payload['minimal']} "
          f"length={model.differential_length().render()} "

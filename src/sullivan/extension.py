@@ -31,11 +31,11 @@ the exhaustive search draw their integer combinations from one lazy
 enumerator, ``_subspaces``, which lists subspaces under their reduced bases:
 the pick takes its lines on the free columns, and the search, through its
 candidate stream of whole picks (``_candidates``), one subspace per degree.
+Both streams are products of walks drawn as first reached (``_product``).
 """
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import gcd, prod
 from typing import Sequence
@@ -166,6 +166,27 @@ def _assignments(caps: Sequence[int], p: int) -> list[tuple[int, ...]]:
             for rest in _assignments(caps[1:], p - k)]
 
 
+def _product(walks, within):
+    """``itertools.product`` over ``(stream, listed)`` walks, lazily: each walk
+    is drawn into its list as the product first reaches it, and replayed from
+    the list after; a walk ends before its first item that ``within`` fails."""
+    (stream, listed), rest = walks[0], walks[1:]
+    for item in itertools.takewhile(within, itertools.chain(listed, _drawn(stream, listed))):
+        if rest:
+            for tail in _product(rest, within):
+                yield (item,) + tail
+        else:
+            yield item,
+
+
+def _drawn(stream, listed):
+    """The rest of ``stream``, each item appended to ``listed`` as it is drawn;
+    a plain loop, so closing a left walk leaves the shared stream open."""
+    for item in stream:
+        listed.append(item)
+        yield item
+
+
 def _subspaces(n: int, k: int):
     """Each k-subspace of Q^n once, as ``(height, basis)``: the coordinate ones
     at height 0 in ``itertools.combinations`` order, then (if 0 < k < n) every
@@ -177,12 +198,13 @@ def _subspaces(n: int, k: int):
     largest |entry|.  At height h, for the leading columns in combinations
     order, the rows run in product order over their free columns (after the
     lead, leading no row), the lead in 1..h and the rest in -h..h; a basis is
-    kept if its height is h and its support has more than k columns.  Each
+    kept if its height is h and its support has more than k columns.  The
+    bases are the ``_product`` of one walk of rows per leading column, so each
     leading column's rows are built once per height and leading columns, as
-    the walk first reaches them, and replayed from then on, so no row list
-    precedes the first basis.  For k = 1 these are the units, then by height
-    the primitive vectors with support above 1, positive at their lead."""
-    def rows(lead, leads, height):  # (row, 1 if at the height | 2 if it leaves the leads)
+    the product first reaches them, and no row list precedes the first basis.
+    For k = 1 these are the units, then by height the primitive vectors with
+    support above 1, positive at their lead."""
+    def rows(lead, leads, height):  # (row, whether at the height, whether it leaves the leads)
         cols = [lead] + [j for j in range(lead + 1, n) if j not in leads]
         for e in itertools.product(range(1, height + 1),
                                    *[range(-height, height + 1)] * (len(cols) - 1)):
@@ -190,31 +212,17 @@ def _subspaces(n: int, k: int):
                 row = [0] * n
                 for j, a in zip(cols, e):
                     row[j] = a
-                yield tuple(row), (max(map(abs, e)) == height) | any(e[1:]) << 1
-
-    def replay(stream, listed):  # the rows listed so far, then the rest, listed as drawn
-        yield from listed
-        for row in stream:
-            listed.append(row)
-            yield row
-
-    def bases(walks):  # itertools.product of the rows, with the union of their flags
-        rest = walks[1:]
-        for row, flag in replay(*walks[0]):
-            if rest:
-                for tail, flags in bases(rest):
-                    yield (row,) + tail, flag | flags
-            else:
-                yield (row,), flag
+                yield tuple(row), max(map(abs, e)) == height, any(e[1:])
 
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     yield from ((0, basis) for basis in itertools.combinations(units, k))
     for height in itertools.count(1) if 0 < k < n else []:
         for leads in itertools.combinations(range(n), k):
             walks = [(rows(c, leads, height), []) for c in leads]
-            for basis, flags in bases(walks):
+            for chosen in _product(walks, lambda row: True):
+                basis, high, wide = zip(*chosen)
                 # the leads are k columns: the support is larger when a row leaves them
-                if flags == 3:
+                if any(high) and any(wide):
                     yield height, basis
 
 
@@ -228,73 +236,43 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int):
     order (height 0).  A graded subspace is one subspace per degree, its
     height the largest of their reduced bases' heights: so for heights 1, 2,
     ..., and the assignments of p to the degrees in descending order, the
-    product of the degrees' ``_subspaces`` up to that height, the lowest
-    degree slowest, less the products of lower height (each degree's walk is
-    drawn into a list as the product first reaches it, and replayed from the
-    list, cut at the height).  Assignments that take
+    ``_product`` of the degrees' ``_subspaces`` up to that height, the lowest
+    degree slowest, each walk kept across heights and assignments, less the
+    tuples with no subspace at the height.  Assignments that take
     each degree whole or not at all span only plain subsets and are skipped.
     Ends after the plain subsets when no assignment is left; else each height
     adds a candidate (a degree taken in part has a subspace of every height)
     and skips only products already tried, so more than ``max_candidates``
     tried, the one bound, raises SearchSpaceTooLarge, an input problem.
     """
-    budget_message = f"search budget of {max_candidates} candidates exceeded"
     groups: dict[int, list[Generator]] = {}
     for g in gens:
         groups.setdefault(g.degree, []).append(g)
     degrees = sorted(groups)
-    tried = 0
-    for combo in itertools.combinations(gens, p):
-        tried += 1
-        if tried > max_candidates:
-            raise SearchSpaceTooLarge(budget_message)
-        yield tried, 0, tuple({g: 1} for g in combo)
     sizes = [len(groups[d]) for d in degrees]
     assignments = [[(d, k) for d, k in zip(degrees, a) if k] for a in _assignments(sizes, p)
                    if any(0 < k < n for k, n in zip(a, sizes))]
-    if not assignments:
-        return
-    walks = {}  # (degree, k) -> its _subspaces, and the subspaces drawn from it so far
+    # (degree, k) -> its _subspaces, and the subspaces drawn from it so far
+    walks = {(d, k): (_subspaces(len(groups[d]), k), []) for a in assignments for d, k in a}
     combos = {}  # (degree, row) -> the row's combination, built once, shared by its picks
 
-    def product(pieces, height, reached=False):
-        """itertools.product of the pieces' subspaces up to ``height``, less the
-        tuples below it (``reached``: an earlier piece is at it), each walk
-        drawn only when reached and replayed from its list after."""
-        d, k = pieces[0]
-        if (d, k) not in walks:
-            walks[d, k] = _subspaces(len(groups[d]), k), []
-        stream, listed = walks[d, k]
-        last = len(pieces) == 1
-        # the last piece must reach the height itself; (h,) sorts below every
-        # (h, basis), so this skips the listed subspaces below it
-        i = bisect_left(listed, (height,)) if last and not reached else 0
-        while True:
-            if i == len(listed):
-                drawn = next(stream, None)
-                if drawn is None:
-                    return
-                listed.append(drawn)
-            piece = listed[i]
-            i += 1
-            if piece[0] > height:
-                return
-            if not last:
-                for rest in product(pieces[1:], height, reached or piece[0] == height):
-                    yield (piece,) + rest
-            elif reached or piece[0] == height:
-                yield piece,
+    def stream():
+        for combo in itertools.combinations(gens, p):
+            yield 0, tuple({g: 1} for g in combo)
+        for height in itertools.count(1) if assignments else []:
+            within = (height + 1,).__gt__  # up to the height: (h + 1,) sorts below (h + 1, basis)
+            for pieces in assignments:
+                for chosen in _product([walks[piece] for piece in pieces], within):
+                    if height in [h for h, _ in chosen]:
+                        yield height, tuple(
+                            combos.get((d, v))
+                            or combos.setdefault((d, v), {g: c for g, c in zip(groups[d], v) if c})
+                            for (d, _), (_, basis) in zip(pieces, chosen) for v in basis)
 
-    for height in itertools.count(1):
-        for pieces in assignments:
-            for chosen in product(pieces, height):
-                tried += 1
-                if tried > max_candidates:
-                    raise SearchSpaceTooLarge(budget_message)
-                yield tried, height, tuple(
-                    combos.get((d, v))
-                    or combos.setdefault((d, v), {g: c for g, c in zip(groups[d], v) if c})
-                    for (d, _), (_, basis) in zip(pieces, chosen) for v in basis)
+    for tried, (height, picks) in enumerate(stream(), 1):
+        if tried > max_candidates:
+            raise SearchSpaceTooLarge(f"search budget of {max_candidates} candidates exceeded")
+        yield tried, height, picks
 
 
 def find_homogeneous_regular_subset(stage: FirstStage) -> RegularChoice:

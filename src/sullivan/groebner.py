@@ -76,6 +76,7 @@ from .algebra import (
     _lcm,
     _powers,
     _quotient,
+    _submul,
     _used,
 )
 from .errors import (
@@ -130,17 +131,6 @@ def _primitive(p: dict[int, int]) -> tuple[int, dict[int, int]]:
     if p[max(p)] < 0:
         g0 = -g0
     return g0, p if g0 == 1 else {m: c // g0 for m, c in p.items()}
-
-
-def _submul(p: dict[int, int], q: dict[int, int], c: int, t: int) -> None:
-    """p -= c * x^t * q, in place, dropping zero terms."""
-    for m, v in q.items():
-        kk = m + t
-        nv = p.get(kk, 0) - c * v
-        if nv:
-            p[kk] = nv
-        else:
-            p.pop(kk, None)
 
 
 def _fold(steps, cofs: dict) -> dict:
@@ -222,7 +212,7 @@ def _reduce(p: dict[int, int], basis, seen: dict[int, int], full: bool):
                 for key in q:
                     q[key] *= a
         t = m - lms[k]
-        for key, v in polys[k].items():  # p -= c * x^t * g_k
+        for key, v in polys[k].items():  # p -= c * x^t * g_k, inline: faster than _submul
             key += t
             v = p.get(key, 0) - c * v
             if v:

@@ -18,7 +18,17 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import _LOW, Element, Scalar, _degree, _exact, _key, _mul_into, make_generators
+from .algebra import (
+    Element,
+    Scalar,
+    _degree,
+    _exact,
+    _key,
+    _power,
+    _submul,
+    _times,
+    make_generators,
+)
 from .errors import (
     InvalidModel,
     ModelSyntaxError,
@@ -72,47 +82,16 @@ def _size(t: dict[int, Scalar]) -> tuple[int, int]:
     return _degree(max(t, default=0)), bits - 1  # a larger degree is a larger key
 
 
-def _times(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
-    """The product of the terms a and b: a single term times a single term
-    with at most one odd side adds their keys and multiplies their
-    coefficients, anything else goes through ``_mul_into``."""
-    if len(a) == 1 == len(b):
-        ((ka, ca),), ((kb, cb),) = a.items(), b.items()
-        if not -ka & _LOW or not -kb & _LOW:
-            return {ka + kb: ca * cb}
-    t: dict[int, Scalar] = {}
-    _mul_into(t, a.items(), b.items())
-    return t
-
-
-def _power(base: dict[int, Scalar], k: int) -> dict[int, Scalar]:
-    """base to the k-th power: a single term's key times k and coefficient to
-    the k, zero when it has an odd factor and k >= 2; anything else by
-    repeated squaring through ``_times``."""
-    if not k:
-        return {0: 1}
-    if len(base) == 1:
-        ((m, c),) = base.items()
-        return {m * k: c ** k} if k == 1 or not -m & _LOW else {}
-    out = {0: 1}
-    while k:
-        if k & 1:
-            out = _times(out, base)
-        base = _times(base, base) if k > 1 else base
-        k >>= 1
-    return out
-
-
 class _ExprParser:
     """Recursive descent over + - * ^ ( ) with rational coefficients.
 
-    Values are {packed monomial: coefficient} dicts, each owned by the
-    level that made it, so sums add into them in place; ``env`` maps each
-    generator's name to its packed monomial.  The tokens are plain strings,
-    kept in reverse above an empty end marker, so the next one is
-    ``toks[-1]``.  A product or power is refused before it is expanded when
-    a term would exceed ``max_degree``, the image degree, or a coefficient
-    MAX_COEFFICIENT_BITS bits.
+    Values are {packed monomial: coefficient} dicts, added, multiplied and
+    raised by ``algebra``'s ``_submul``, ``_times`` and ``_power``, as
+    ``Element`` is; ``env`` maps each generator's name to its packed
+    monomial.  The tokens are plain strings, kept in reverse above an empty
+    end marker, so the next one is ``toks[-1]``.  A product or power is
+    refused before it is expanded when a term would exceed ``max_degree``,
+    the image degree, or a coefficient MAX_COEFFICIENT_BITS bits.
     """
 
     def __init__(self, text: str, env: dict[str, int], line: int,
@@ -146,20 +125,11 @@ class _ExprParser:
         return t
 
     def expr(self) -> dict[int, Scalar]:
-        negate = self.toks[-1] == "-"
-        if negate:
-            self.toks.pop()
-        acc = self.term()
-        if negate:
-            acc = {k: -c for k, c in acc.items()}
-        while self.toks[-1] in ("+", "-"):
-            sign = 1 if self.toks.pop() == "+" else -1
-            for k, c in self.term().items():
-                nc = acc.get(k, 0) + sign * c
-                if nc:
-                    acc[k] = nc
-                else:
-                    acc.pop(k, None)
+        acc: dict[int, Scalar] = {}
+        sign = self.toks.pop() if self.toks[-1] == "-" else "+"
+        while sign:  # each sign is popped before its term is read
+            _submul(acc, self.term(), 1 if sign == "-" else -1, 0)
+            sign = self.toks.pop() if self.toks[-1] in ("+", "-") else None
         return acc
 
     def term(self) -> dict[int, Scalar]:

@@ -390,6 +390,18 @@ def test_int_and_fraction_coefficients_give_the_same_results(terms, s, k):
         _agree(x, y)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(term_lists(), st.integers(0, 5))
+def test_power_is_the_repeated_product(terms, k):
+    # the packed power (a single term's key times k, or repeated squaring)
+    # against k - 1 plain products; single odd terms square to zero
+    a = Element({Monomial.make(even, odd): c for even, odd, c in terms})
+    ref = Element.one()
+    for _ in range(k):
+        ref = ref * a
+    _agree(a ** k, ref)
+
+
 def _derive_by_products(terms, images):
     """Reference: d of the terms by the kernel before the even-image path,
     which sends every (generator, image terms) pair through ``_mul_into``."""

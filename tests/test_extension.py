@@ -981,6 +981,47 @@ def test_candidates_are_every_graded_span_once_at_its_height(degrees, p):
     assert got == expected
 
 
+def _reference_candidates(gens, p, top):
+    """The candidate stream through height ``top``, not lazily: the plain
+    p-subsets, then for each height h and each assignment that takes some
+    degree in part, ``itertools.product`` of each degree's ``_subspaces``
+    listed through h, kept where the largest height is h."""
+    groups = {}
+    for g in gens:
+        groups.setdefault(g.degree, []).append(g)
+    degrees = sorted(groups)
+    sizes = [len(groups[d]) for d in degrees]
+    out = [(0, [{g: 1} for g in combo]) for combo in itertools.combinations(gens, p)]
+    for h in range(1, top + 1):
+        for a in _assignments(sizes, p):
+            if not any(0 < k < n for k, n in zip(a, sizes)):
+                continue
+            pieces = [(d, k) for d, k in zip(degrees, a) if k]
+            lists = [list(itertools.takewhile(lambda s: s[0] <= h, _subspaces(len(groups[d]), k)))
+                     for d, k in pieces]
+            for chosen in itertools.product(*lists):
+                if max(height for height, _ in chosen) == h:
+                    out.append((h, [{g: c for g, c in zip(groups[d], v) if c}
+                                    for (d, _), (_, basis) in zip(pieces, chosen) for v in basis]))
+    return out
+
+
+@pytest.mark.parametrize("degrees, p, count", [
+    ((3, 3, 3, 5), 2, 106), ((3, 3, 3, 5), 3, 58), ((3, 3, 5, 5), 2, 66), ((3, 3, 5, 5), 3, 16),
+    ((3, 3, 5, 5, 7, 7), 3, 560), ((3, 3, 3, 5, 5), 4, 65), ((3, 5, 5, 7, 7, 7), 3, 956)])
+def test_multi_degree_streams_keep_the_product_order(degrees, p, count):
+    # the lazy stream, in order through height 2, against the reference
+    gens = _gens(degrees)
+    got = []
+    for tried, height, picks in _candidates(gens, p, 10**6):
+        if height > 2:
+            break
+        assert tried == len(got) + 1
+        got.append((height, list(picks)))
+    assert len(got) == count
+    assert got == _reference_candidates(gens, p, 2)
+
+
 def test_a_progressing_stream_reaches_its_budget():
     # a degree taken in part lists a subspace at every height, so each
     # stream goes on to its budget, the default 20,000 within 5 s (a walk

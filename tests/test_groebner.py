@@ -227,6 +227,21 @@ def test_mixed_example_nonhomogeneous_pair_is_regular(mixed_model):
     assert ok and idx is None
 
 
+
+def test_a_mixed_degree_sequence_keeps_the_zero_divisor_walk():
+    # (y - x*y, z - x*z, x) generates (x, y, z), so the Krull dimension drops
+    # to 0 = 3 - 3 and _regular holds; yet y*(z - x*z) = z*(y - x*y) while y
+    # is not in (y - x*y), and the same elements with x first are regular.
+    # Off the graded case regularity depends on the order, which only the
+    # zero-divisor test sees
+    gens = make_vars(("x", 2), ("y", 2), ("z", 2))
+    x, y, z = els(gens)
+    seq = [y - x * y, z - x * z, x]
+    assert groebner._regular(seq, gens)
+    assert regular_sequence_failure(seq, gens) == (2, y)
+    assert regular_sequence_failure([x, y - x * y, z - x * z], gens) is None
+
+
 # -- structural properties ----------------------------------------------------
 
 def test_input_order_invariance(mixed_model):
@@ -994,7 +1009,7 @@ def _rep_submul(rep, other, c, t):
         rep[0] = both
     c *= both // d2
     for r, o in zip(rep[1], other[1]):
-        groebner._submul(r, o, c, t)
+        algebra._submul(r, o, c, t)
 
 
 def _rep_divide(rep, g0):
