@@ -193,10 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built on its first call."""
-    return build_parser()
+_parser = functools.cache(build_parser)  # the parser of ``main``, built on its first call
 
 
 def main(argv=None) -> int:

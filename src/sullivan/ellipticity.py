@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable
@@ -348,17 +349,14 @@ def _oracle_dims(model: SullivanModel, inert: list[Generator], up_to: int) -> li
     kept = [g for g in model.generators if g not in inert]
     bases = _bases(kept, up_to + 1)
     cycles = _fields(g for g in kept if g.is_even and g not in model.differential)
-    images: dict[int, dict[int, int]] = {}  # r -> L * d(r)
+    image = cache(lambda r: model._scaled_d({r: 1})[1])  # r -> L * d(r)
     ranks = [0]  # ranks[k + 1]: the rank of d from degree k
     for k in range(up_to + 1):
         col = {m: i for i, m in enumerate(bases[k + 1])}
         rows = []
         for m in bases[k]:
             c = _factor(m, cycles)
-            r = m - c
-            img = images.get(r)
-            if img is None:
-                img = images[r] = model._scaled_d({r: 1})[1]
+            img = image(m - c)
             if img:
                 rows.append({col[mm + c]: v for mm, v in img.items()})
         ranks.append(len(_echelon(rows)))
@@ -419,7 +417,11 @@ def _koszul_dims(model: SullivanModel, z: list[Element], rest: list[Generator],
             if _degree(b) <= up_to and _divisor(b, gb._exps, lead) is None:
                 todo.append((b, j))
     ys = [(_key(y), y.degree, model.d_generator(y)._t) for y in rest]
-    remainders: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}  # (a, j) -> (S, R)
+
+    @cache
+    def remainder(a: int, j: int) -> tuple[int, dict[int, int]]:  # (S, R) of a * dy_j
+        den, rem, _ = _nf({a + m: c for m, c in ys[j][2].items()}, gb._basis, full=True)
+        return den, rem
     counts = [0] * (up_to + 1)
     rows: list[list[dict[int, int]]] = [[] for _ in range(up_to + 1)]
     for size in range(len(ys) + 1):
@@ -432,11 +434,7 @@ def _koszul_dims(model: SullivanModel, z: list[Element], rest: list[Generator],
                 counts[k] += 1
                 terms = []
                 for t, j in enumerate(s):
-                    if (a, j) not in remainders:
-                        den, rem, _ = _nf({a + m: c for m, c in ys[j][2].items()},
-                                          gb._basis, full=True)
-                        remainders[a, j] = den, rem
-                    den, rem = remainders[a, j]
+                    den, rem = remainder(a, j)
                     if rem:
                         terms.append((-den if t % 2 else den, rem, s_key - ys[j][0]))
                 if terms:

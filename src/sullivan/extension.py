@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd, prod
 from typing import Sequence
 
@@ -198,13 +199,15 @@ def _subspaces(n: int, k: int):
     largest |entry|.  At height h, for the leading columns in combinations
     order, the rows run in product order over their free columns (after the
     lead, leading no row), the lead in 1..h and the rest in -h..h; a basis is
-    kept if its height is h and its support has more than k columns.  The
-    bases are the ``_product`` of one walk of rows per leading column, so each
-    leading column's rows are built once per height and leading columns, as
-    the product first reaches them, and no row list precedes the first basis.
+    kept if its height is h and its support has more than k columns, that is
+    if one row is both at the height and off the leading columns (at height 1
+    every row is at the height; above it, no unit row is).  The bases are the
+    ``_product`` of one walk of rows per leading column, so each leading
+    column's rows are built once per height and leading columns, as the
+    product first reaches them, and no row list precedes the first basis.
     For k = 1 these are the units, then by height the primitive vectors with
     support above 1, positive at their lead."""
-    def rows(lead, leads, height):  # (row, whether at the height, whether it leaves the leads)
+    def rows(lead, leads, height):  # (row, whether at the height and off the leads)
         cols = [lead] + [j for j in range(lead + 1, n) if j not in leads]
         for e in itertools.product(range(1, height + 1),
                                    *[range(-height, height + 1)] * (len(cols) - 1)):
@@ -212,7 +215,7 @@ def _subspaces(n: int, k: int):
                 row = [0] * n
                 for j, a in zip(cols, e):
                     row[j] = a
-                yield tuple(row), max(map(abs, e)) == height, any(e[1:])
+                yield tuple(row), max(map(abs, e)) == height and any(e[1:])
 
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     yield from ((0, basis) for basis in itertools.combinations(units, k))
@@ -220,9 +223,8 @@ def _subspaces(n: int, k: int):
         for leads in itertools.combinations(range(n), k):
             walks = [(rows(c, leads, height), []) for c in leads]
             for chosen in _product(walks, lambda row: True):
-                basis, high, wide = zip(*chosen)
-                # the leads are k columns: the support is larger when a row leaves them
-                if any(high) and any(wide):
+                basis, flags = zip(*chosen)
+                if any(flags):
                     yield height, basis
 
 
@@ -230,9 +232,10 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int):
     """Candidate picks of p homogeneous combinations of ``gens``, in search order.
 
     Yields ``(tried, height, picks)`` as each is enumerated; ``picks`` holds
-    one {generator: integer coefficient} combination per element, inside a
-    single degree (built once per row and shared by the picks that hold it:
-    read-only).  First the plain p-subsets in ``itertools.combinations``
+    one combination per element, inside a single degree, as a hashable tuple
+    of its (generator, nonzero integer coefficient) pairs (built once per
+    degree and row, and shared by the picks that hold it); a plain subset's
+    is ``((g, 1),)``.  First the plain p-subsets in ``itertools.combinations``
     order (height 0).  A graded subspace is one subspace per degree, its
     height the largest of their reduced bases' heights: so for heights 1, 2,
     ..., and the assignments of p to the degrees in descending order, the
@@ -254,20 +257,18 @@ def _candidates(gens: Sequence[Generator], p: int, max_candidates: int):
                    if any(0 < k < n for k, n in zip(a, sizes))]
     # (degree, k) -> its _subspaces, and the subspaces drawn from it so far
     walks = {(d, k): (_subspaces(len(groups[d]), k), []) for a in assignments for d, k in a}
-    combos = {}  # (degree, row) -> the row's combination, built once, shared by its picks
+    combination = cache(lambda d, v: tuple((g, c) for g, c in zip(groups[d], v) if c))
 
     def stream():
         for combo in itertools.combinations(gens, p):
-            yield 0, tuple({g: 1} for g in combo)
+            yield 0, tuple(((g, 1),) for g in combo)
         for height in itertools.count(1) if assignments else []:
             within = (height + 1,).__gt__  # up to the height: (h + 1,) sorts below (h + 1, basis)
             for pieces in assignments:
                 for chosen in _product([walks[piece] for piece in pieces], within):
                     if height in [h for h, _ in chosen]:
-                        yield height, tuple(
-                            combos.get((d, v))
-                            or combos.setdefault((d, v), {g: c for g, c in zip(groups[d], v) if c})
-                            for (d, _), (_, basis) in zip(pieces, chosen) for v in basis)
+                        yield height, tuple(combination(d, v) for (d, _), (_, basis)
+                                            in zip(pieces, chosen) for v in basis)
 
     for tried, (height, picks) in enumerate(stream(), 1):
         if tried > max_candidates:
@@ -431,9 +432,9 @@ class ExtensionResult:
         }
 
 
-def extension_model(model: SullivanModel, odd_basis: Sequence[Element],
-                    name: str | None = None) -> SullivanModel:
-    """The sub-model on all even generators plus the given odd combinations.
+def extension_model(model: SullivanModel, odd_basis: Sequence[Element]) -> SullivanModel:
+    """The sub-model on all even generators plus the given odd combinations,
+    named "<model>/extension".
 
     Each combination becomes a fresh odd generator whose differential is the
     combination's original differential, a polynomial in the original even
@@ -461,8 +462,7 @@ def extension_model(model: SullivanModel, odd_basis: Sequence[Element],
         next_index += 1
         new_gens.append(z)
         diffs[z] = model.d(u)
-    return SullivanModel(new_gens, diffs,
-                         name=name or f"{model.name}/extension")
+    return SullivanModel(new_gens, diffs, name=f"{model.name}/extension")
 
 
 def verify_f0_extension(model: SullivanModel, odd_basis: Sequence[Element]) -> VerificationReport:
@@ -646,15 +646,15 @@ def exhaustive_homogeneous_search(model: SullivanModel,
     found it so before its witness confirmed it), so every extension of it
     has an infinite-dimensional quotient (Krull's principal ideal theorem:
     the p - i elements after it drop the dimension by at most p - i); a
-    zero image keeps the dimension of the images before it, likewise.  Each
-    pick is built once per search, its image derived only when a prefix
-    comparison first reads it, and its text rendered only when a kept
-    rejection record (the first ``MAX_REJECTIONS_KEPT``) first needs it; a
-    report's witness is rendered once.  When no assignment takes a degree
-    in part, as
-    for (3, 3, 5) at p = 3, the space is finite and exhausting it proves no
-    homogeneous F0 basis exists (``fully_exhaustive``); otherwise trying more
-    than ``max_candidates`` raises SearchSpaceTooLarge.
+    zero image keeps the dimension of the images before it, likewise.  Three
+    caches keyed on the pick build its element once per search, derive its
+    image only when a prefix comparison first reads it, and render its text
+    only when a kept rejection record (the first ``MAX_REJECTIONS_KEPT``)
+    first needs it; a report's witness is rendered once.  When no assignment
+    takes a degree in part, as for (3, 3, 5) at p = 3, the space is finite
+    and exhausting it proves no homogeneous F0 basis exists
+    (``fully_exhaustive``); otherwise trying more than ``max_candidates``
+    raises SearchSpaceTooLarge.
     """
     if not is_elliptic_pure(model):
         raise NotElliptic(f"model {model.name!r} is not elliptic")
@@ -662,35 +662,22 @@ def exhaustive_homogeneous_search(model: SullivanModel,
     odds = model.odd_generators
     outcome = SearchOutcome(None, 0, False, False)
 
-    # per pick's items: [its element, its image, its rendered text], the last two on first read
-    built: dict = {}
+    # per pick: its element, its image and its rendered text, each on first read
+    element = cache(lambda pick: _combine(dict(pick)))
+    image = cache(lambda pick: model.d(element(pick)))
+    text = cache(lambda pick: element(pick).render())
     # the last failing prefix's images and its report, and the rendered witness
     # of the last verified report, rendered when a kept record first needs it
     prefix, kept, witness = [], None, None
 
-    def pick(combination: dict[Generator, int]) -> list:
-        key = tuple(combination.items())
-        entry = built.get(key)
-        if entry is None:
-            entry = built[key] = [_combine(combination), None, None]
-        return entry
-
-    def image(entry: list) -> Element:
-        if entry[1] is None:
-            entry[1] = model.d(entry[0])
-        return entry[1]
-
-    def reject(entries: list[list], report: VerificationReport) -> None:
+    def reject(picks: tuple, report: VerificationReport) -> None:
         nonlocal witness
         if len(outcome.rejected) >= MAX_REJECTIONS_KEPT:
             return
-        for entry in entries:
-            if entry[2] is None:
-                entry[2] = entry[0].render()
         if witness is None and report.witness is not None:
             witness = report.witness.render()
         outcome.rejected.append(RejectionRecord(
-            candidate=tuple(entry[2] for entry in entries),
+            candidate=tuple(map(text, picks)),
             reason=report.first_failure or "unknown",
             witness=witness,
             failing_index=report.failing_index,
@@ -703,11 +690,10 @@ def exhaustive_homogeneous_search(model: SullivanModel,
 
     for tried, height, picks in _candidates(odds, p, max_candidates):
         outcome.tried = tried
-        entries = [pick(c) for c in picks]
-        if kept is not None and all(image(e) == q for e, q in zip(entries, prefix)):
+        if kept is not None and all(image(c) == q for c, q in zip(picks, prefix)):
             report = kept
         else:
-            candidate = [entry[0] for entry in entries]
+            candidate = [element(c) for c in picks]
             report = verify_f0_extension(model, candidate)
             if report.passed:
                 outcome.found = candidate
@@ -715,9 +701,9 @@ def exhaustive_homogeneous_search(model: SullivanModel,
                 return outcome
             kept, witness = None, None
             if report.first_failure == "regular_sequence":
-                prefix = [image(e) for e in entries[:report.failing_index]]
+                prefix = [image(c) for c in picks[:report.failing_index]]
                 kept = report
-        reject(entries, report)
+        reject(picks, report)
     # the plain subsets were the whole space
     outcome.subset_complete = True
     outcome.fully_exhaustive = True

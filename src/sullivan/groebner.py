@@ -25,8 +25,9 @@ tail-reduced.
 
 A basis is kept as primitive integer polynomials g_k with positive leading
 coefficients (the monic ``generators`` are derived from them on first use).
-Each basis is computed once, and a small cache of recent bases (keyed on the
-exact inputs, in caller order) serves repeated requests for the same ideal.
+Each basis is computed once, and an ``lru_cache`` of the eight most recently
+used bases (keyed on the exact inputs, in caller order) serves repeated
+requests for the same ideal.
 Cofactors over the input generators f_i, which turn membership tests into
 certificates, are lifted on demand: the run records how it built each
 element (its S-pair or input, each reduction step, its content), and the
@@ -56,9 +57,9 @@ are re-checked by ``ellipticity.ExactnessCertificate.verify``.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -88,12 +89,6 @@ from .errors import (
     VerificationFailed,
     ZeroElement,
 )
-
-#: how many recent bases ``buchberger`` keeps; one extension asks for the
-#: same ideal about six times in a row, so a few entries catch the repeats
-_CACHE_SIZE = 8
-_CACHE: OrderedDict = OrderedDict()
-
 
 #: a basis's order, for reports: variable weights, elimination (never)
 _Order = namedtuple("_Order", "weights elim")
@@ -339,7 +334,7 @@ class GroebnerBasis:
     run and of that reduction on first use by ``member(..., cofactors=True)``,
     so it lives exactly as long as the basis.  So do the leading monomials as
     exponent tuples, decoded once, and the pure powers and the count of
-    standard monomials read from them, each on first use.
+    standard monomials read from them: each of these is a ``cached_property``.
     """
 
     def __init__(self, variables: Sequence[Generator], inputs: Sequence[Element], engine):
@@ -351,7 +346,6 @@ class GroebnerBasis:
         self._lms = [engine.lms[i] for i in kept]
         self._exps = [engine.exps[i] for i in kept]
         self._engine = engine  # until the tail reduction
-        self._reps = None
 
     @cached_property
     def _basis(self):
@@ -377,21 +371,21 @@ class GroebnerBasis:
         return [Element._from_dict({m: _quotient(c, lc) for m, c in p.items()}, self._table)
                 for p, lc in zip(self._polys, self._lcs)]
 
+    @cached_property
     def _provenance(self) -> list:
         """Each basis element over the inputs, lifted in the run's order: a
         kept element's tail record folds from cofactor -1 at its engine element."""
-        if self._reps is None:
-            self._basis  # the tail reduction keeps the kept elements' records
-            origins, records = self._trace
-            n = len(self.inputs)
-            built = {~i: [1, [{0: 1} if j == i else {} for j in range(n)]] for i in range(n)}
-            for k, (steps, g0) in enumerate(origins):
-                built[k] = _lift(_fold(steps, {}), built, n, g0)
-            # an empty tail with g0 = 1 would lift to a copy of the engine element's rep
-            reps = [built[i] if not steps and g0 == 1 else
-                    _lift(_fold(steps, {i: {0: -1}}), built, n, g0) for i, steps, g0 in records]
-            self._reps, self._trace = reps, None
-        return self._reps
+        self._basis  # the tail reduction keeps the kept elements' records
+        origins, records = self._trace
+        n = len(self.inputs)
+        built = {~i: [1, [{0: 1} if j == i else {} for j in range(n)]] for i in range(n)}
+        for k, (steps, g0) in enumerate(origins):
+            built[k] = _lift(_fold(steps, {}), built, n, g0)
+        # an empty tail with g0 = 1 would lift to a copy of the engine element's rep
+        reps = [built[i] if not steps and g0 == 1 else
+                _lift(_fold(steps, {i: {0: -1}}), built, n, g0) for i, steps, g0 in records]
+        self._trace = None  # kept until the lift succeeds, so a failed one raises again
+        return reps
 
     @property
     def contains_one(self) -> bool:
@@ -431,7 +425,7 @@ def buchberger(elements: Sequence[Element], variables: Sequence[Generator]) -> G
     criteria.  The basis keeps the minimal basis's leading monomials and
     tail-reduces its polynomials on first read (``GroebnerBasis._basis``).
     A repeated request with equal variables and inputs (in the same order)
-    returns the same basis object from a small cache of recent results.
+    returns the same basis object from ``_basis_of``'s cache of recent results.
     """
     variables = tuple(variables)
     if any(a.index >= b.index for a, b in zip(variables, variables[1:])):
@@ -439,18 +433,16 @@ def buchberger(elements: Sequence[Element], variables: Sequence[Generator]) -> G
     for g in variables:
         if not g.is_even:
             raise OddGeneratorPresent(f"variable {g!r} has odd degree")
-    key = (variables, tuple(elements))
-    gb = _CACHE.get(key)
-    if gb is not None:
-        _CACHE.move_to_end(key)
-        return gb
+    return _basis_of(variables, tuple(elements))
+
+
+#: one extension asks for the same ideal about six times in a row, so the
+#: eight most recently used bases catch the repeats
+@lru_cache(maxsize=8)
+def _basis_of(variables: tuple[Generator, ...], elements: tuple[Element, ...]) -> GroebnerBasis:
     eng = _Engine([_terms(e, variables) for e in elements])
     eng.run()
-    gb = GroebnerBasis(variables, list(elements), eng)
-    _CACHE[key] = gb
-    if len(_CACHE) > _CACHE_SIZE:
-        _CACHE.popitem(last=False)
-    return gb
+    return GroebnerBasis(variables, elements, eng)
 
 
 def normal_form(f: Element, gb: GroebnerBasis) -> tuple[Element, list[Element]]:
@@ -491,7 +483,7 @@ def member(f: Element, gb: GroebnerBasis, cofactors: bool = False):
     if not ok:
         return False, None
     # f = sum(C_k * g_k) / S = -sum(C_k * g_k) / -S over the basis's reps
-    den, out = _lift(_fold(steps, {}), gb._provenance(), len(gb.inputs), -s)
+    den, out = _lift(_fold(steps, {}), gb._provenance, len(gb.inputs), -s)
     cof_els = [Element._from_dict({m: _quotient(v, den) for m, v in c.items()}, gb._table)
                for c in out]
     return True, cof_els

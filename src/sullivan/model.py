@@ -10,6 +10,7 @@ so every model that exists is valid; ``validate`` returns the report it kept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -146,7 +147,6 @@ class SullivanModel:
         self._images = [_image(g, img._t) for g, img in d.items()]  # for d, built once
         self._table = {g.index: g for g in self.generators}
         self._dy_basis = None  # lazy Groebner cache, see ellipticity module
-        self._scaled_images = None  # lazy (L, L * images), see _scaled_d
         self._report = self._checked_report()
 
     # -- lookups --------------------------------------------------------
@@ -197,6 +197,13 @@ class SullivanModel:
             raise GeneratorMismatch(
                 "element uses foreign generators: " + ", ".join(sorted(x.name for x in foreign)))
 
+    @cached_property
+    def _scaled_images(self) -> tuple[int, list]:
+        """(L, L * images) for ``_scaled_d``, built on first use."""
+        scale = lcm(*(c.denominator for img in self.differential.values() for c in img._t.values()))
+        return scale, [_image(g, _integral(img._t, scale)[1])
+                       for g, img in self.differential.items()]
+
     def _scaled_d(self, terms: Mapping[int, int]) -> tuple[int, dict[int, int]]:
         """(L, L * d(terms)) in integers, for terms an {int monomial: int} map and
         L the lcm of the denominators in the differential images.
@@ -204,11 +211,6 @@ class SullivanModel:
         L is 1 when every image has integer coefficients; as a nonzero scalar
         it leaves the rank of d in every degree and the kernel unchanged.
         """
-        if self._scaled_images is None:
-            scale = lcm(*(c.denominator for img in self.differential.values()
-                          for c in img._t.values()))
-            self._scaled_images = scale, [_image(g, _integral(img._t, scale)[1])
-                                          for g, img in self.differential.items()]
         scale, images = self._scaled_images
         t: dict[int, int] = {}
         for m, c in terms.items():

@@ -653,7 +653,7 @@ def test_search_decides_each_failing_prefix_once(monkeypatch):
         return ideal_quotient(gb, a)
 
     monkeypatch.setattr(groebner, "ideal_quotient", counted)
-    groebner._CACHE.clear()
+    groebner._basis_of.cache_clear()
     out = exhaustive_homogeneous_search(model)
     assert names(out.found) == ["a1", "y2", "y3"]
     assert out.tried == 10 and len(out.rejected) == 9
@@ -676,7 +676,7 @@ def _reference_search(model, max_candidates=20000):
     outcome = extension.SearchOutcome(None, 0, False, False)
     for tried, height, picks in _candidates(model.odd_generators, p, max_candidates):
         outcome.tried = tried
-        candidate = [_combine(c) for c in picks]
+        candidate = [_combine(dict(c)) for c in picks]
         report = verify_f0_extension(model, candidate)
         if report.passed:
             outcome.found, outcome.subset_complete = candidate, height > 0
@@ -839,10 +839,10 @@ def test_widening_past_height_one():
     with pytest.raises(SearchSpaceTooLarge):
         for tried, height, picks in _candidates(gens, 2, 20):
             seen.append(height)
-            spans.add(sympy.Matrix([[pick.get(g, 0) for g in gens] for pick in picks])
+            spans.add(sympy.Matrix([[dict(pick).get(g, 0) for g in gens] for pick in picks])
                       .rref()[0].as_immutable())
             if height:
-                assert max(abs(c) for pick in picks for c in pick.values()) == height
+                assert max(abs(c) for pick in picks for _, c in pick) == height
     assert len(seen) == len(spans) == 20
     assert sorted(set(seen)) == [0, 1, 2, 3, 4]
     gens = [Generator(f"y{i}", d, i) for i, d in enumerate((3, 3, 3, 5, 5), 1)]
@@ -975,7 +975,7 @@ def test_candidates_are_every_graded_span_once_at_its_height(degrees, p):
     for tried, height, picks in _candidates(gens, p, 10**6):
         if height > 2:
             break
-        rank, basis = _reduced([[pick.get(g, 0) for g in gens] for pick in picks])
+        rank, basis = _reduced([[dict(pick).get(g, 0) for g in gens] for pick in picks])
         assert rank == p and basis not in got
         got[basis] = height
     assert got == expected
@@ -991,7 +991,7 @@ def _reference_candidates(gens, p, top):
         groups.setdefault(g.degree, []).append(g)
     degrees = sorted(groups)
     sizes = [len(groups[d]) for d in degrees]
-    out = [(0, [{g: 1} for g in combo]) for combo in itertools.combinations(gens, p)]
+    out = [(0, [((g, 1),) for g in combo]) for combo in itertools.combinations(gens, p)]
     for h in range(1, top + 1):
         for a in _assignments(sizes, p):
             if not any(0 < k < n for k, n in zip(a, sizes)):
@@ -1001,7 +1001,7 @@ def _reference_candidates(gens, p, top):
                      for d, k in pieces]
             for chosen in itertools.product(*lists):
                 if max(height for height, _ in chosen) == h:
-                    out.append((h, [{g: c for g, c in zip(groups[d], v) if c}
+                    out.append((h, [tuple((g, c) for g, c in zip(groups[d], v) if c)
                                     for (d, _), (_, basis) in zip(pieces, chosen) for v in basis]))
     return out
 
@@ -1057,7 +1057,7 @@ def test_single_degree_streams_keep_their_pinned_order():
     for case in cases:
         gens = _gens(case["degrees"])
         stream = _candidates(gens, case["p"], case["max_candidates"])
-        got = [[tried, height, [[[g.name, c] for g, c in pick.items()] for pick in picks]]
+        got = [[tried, height, [[[g.name, c] for g, c in pick] for pick in picks]]
                for tried, height, picks in itertools.islice(stream, len(case["yields"]))]
         assert got == case["yields"]
     with pytest.raises(SearchSpaceTooLarge, match="^search budget of .* candidates exceeded$"):

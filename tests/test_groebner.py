@@ -452,7 +452,7 @@ def test_quotient_dimension_raises_when_infinite():
 def test_quotient_facts_are_found_once_per_basis(monkeypatch):
     gens = make_vars(("x", 2), ("y", 4))
     x, y = els(gens)
-    groebner._CACHE.clear()
+    groebner._basis_of.cache_clear()
     gb = buchberger([x ** 3, y ** 2 + x ** 4], gens)
     decoded, counted = [], []
     count = groebner._count
@@ -584,17 +584,37 @@ def test_cache_hit_equals_fresh_computation(case):
     gens, seq = case
     first = buchberger(seq, gens)
     assert buchberger(list(seq), gens) is first
-    groebner._CACHE.clear()
+    groebner._basis_of.cache_clear()
     fresh = buchberger(seq, gens)
     assert fresh is not first
     assert (fresh._polys, fresh._lms) == (first._polys, first._lms)
     assert fresh.generators == first.generators
     # rescaled inputs are new cache keys for the same ideal, so the same
     # reduced basis
-    for k in range(2, 4 + groebner._CACHE_SIZE):
+    size = groebner._basis_of.cache_info().maxsize
+    for k in range(2, 4 + size):
         scaled = buchberger([Element.scalar(k) * a for a in seq], gens)
         assert scaled.generators == first.generators
-        assert len(groebner._CACHE) <= groebner._CACHE_SIZE
+        assert groebner._basis_of.cache_info().currsize <= size
+
+
+def test_the_basis_cache_evicts_the_least_recently_used():
+    # A and seven other ideals fill the cache; asking for A again makes it
+    # the most recent, so the next new ideal evicts the first of the seven
+    # and not A, which a first-in-first-out cache would evict
+    gens = make_vars(("x", 2), ("y", 2))
+    x, y = els(gens)
+    size = groebner._basis_of.cache_info().maxsize
+    groebner._basis_of.cache_clear()
+    a = buchberger([x ** 2, y ** 2], gens)
+    others = [buchberger([x ** 2, y ** k], gens) for k in range(3, size + 2)]
+    assert groebner._basis_of.cache_info().currsize == size
+    assert buchberger([x ** 2, y ** 2], gens) is a
+    buchberger([x ** 2, y ** (size + 2)], gens)
+    assert buchberger([x ** 2, y ** 2], gens) is a
+    first = buchberger([x ** 2, y ** 3], gens)
+    assert first is not others[0]
+    assert first.generators == others[0].generators
 
 
 @PROPERTY
@@ -643,14 +663,14 @@ def test_a_short_regular_sequence_takes_no_ideal_quotient(monkeypatch):
 @given(weighted_sequences(), st.data())
 def test_lazily_lifted_cofactors_certify(case, data):
     gens, seq = case
-    groebner._CACHE.clear()
+    groebner._basis_of.cache_clear()
     gb = buchberger(seq, gens)
-    assert gb._reps is None
+    assert "_provenance" not in vars(gb)
     f = Element.zero()
     for a in seq:
         f = f + data.draw(homogeneous_polys(gens, 4)) * a
     ok, cofs = member(f, gb, cofactors=True)
-    assert ok and gb._reps is not None
+    assert ok and "_provenance" in vars(gb)
     rebuilt = Element.zero()
     for q, a in zip(cofs, seq):
         rebuilt = rebuilt + q * a
@@ -688,7 +708,7 @@ def test_leading_monomials_alone_take_no_tail_reduction(monkeypatch):
     # x^3 reduces the tail x^4 of y^2 + x^4: the reduced basis is (x^3, y^2)
     gens = make_vars(("x", 2), ("y", 4))
     x, y = els(gens)
-    groebner._CACHE.clear()
+    groebner._basis_of.cache_clear()
     calls = _counted_reductions(monkeypatch)
     assert groebner._regular([x ** 3, y ** 2 + x ** 4], gens)
     gb = buchberger([x ** 3, y ** 2 + x ** 4], gens)
@@ -704,12 +724,12 @@ def test_leading_monomials_alone_take_no_tail_reduction(monkeypatch):
 def test_the_first_read_of_the_polynomials_reduces_once(first, monkeypatch):
     gens = make_vars(("x", 2), ("y", 4))
     x, y = els(gens)
-    groebner._CACHE.clear()
+    groebner._basis_of.cache_clear()
     calls = _counted_reductions(monkeypatch)
     gb = buchberger([x ** 3, y ** 2 + x ** 4], gens)
     reads = {"generators": lambda: gb.generators,
              "member": lambda: member(y ** 2 * x, gb, cofactors=True),
-             "provenance": gb._provenance}
+             "provenance": lambda: gb._provenance}
     reads[first]()
     assert len(calls) == 1
     for read in reads.values():
@@ -721,13 +741,13 @@ def test_the_first_read_of_the_polynomials_reduces_once(first, monkeypatch):
 @given(weighted_sequences(counts=(-1, 0, 1)), st.data())
 def test_a_basis_read_first_by_its_dimension_equals_one_reduced_at_once(case, data):
     gens, seq = case
-    groebner._CACHE.clear()
+    groebner._basis_of.cache_clear()
     eng = groebner._Engine([a._t for a in seq])  # the run and reduction, read at once
     eng.run()
     polys, _ = eng.reduced()
     eager = buchberger(seq, gens)
     eager.generators
-    groebner._CACHE.clear()
+    groebner._basis_of.cache_clear()
     lazy = buchberger(seq, gens)
     reduced = groebner._Engine.reduced
     with mock.patch.object(groebner._Engine, "reduced", autospec=True,
@@ -743,7 +763,7 @@ def test_a_basis_read_first_by_its_dimension_equals_one_reduced_at_once(case, da
     for a in seq:
         f = f + data.draw(homogeneous_polys(gens, 4)) * a
     assert member(f, lazy, cofactors=True) == member(f, eager, cofactors=True)
-    assert lazy._provenance() == eager._provenance()
+    assert lazy._provenance == eager._provenance
 
 
 # -- packed monomials against exponent tuples ------------------------------------
@@ -960,7 +980,7 @@ def test_fraction_free_division_matches_fraction_reference(case, data):
     assert ok
     ref = [dict() for _ in seq]
     _, cofs_ref = _fraction_nf(tuples(inside._t, gens), gb)
-    for cof, (d, nums), lc in zip(cofs_ref, gb._provenance(), gb._lcs):
+    for cof, (d, nums), lc in zip(cofs_ref, gb._provenance, gb._lcs):
         for i, r in enumerate(nums):
             ref[i] = _plus(ref[i], _times(cof, tuples(r, gens, d * lc)))
     assert lifted == [element(c, gens) for c in ref]
@@ -974,7 +994,7 @@ def test_tracked_reps_rebuild_the_primitive_basis(case, scalars):
     # rational coefficients and negative leading coefficients exercise the
     # signed content division and the lcm of denominators
     seq = [Element.scalar(q) * a for q, a in zip(scalars, seq)]
-    groebner._CACHE.clear()
+    groebner._basis_of.cache_clear()
     gb = buchberger(seq, gens)
     inputs = [tuples(e._t, gens) for e in seq]
 
@@ -986,7 +1006,7 @@ def test_tracked_reps_rebuild_the_primitive_basis(case, scalars):
             acc = _plus(acc, _times(tuples(r, gens), f))
         return {m: c / d for m, c in acc.items()}
 
-    for p, lm, rep in zip(gb._polys, gb._lms, gb._provenance()):
+    for p, lm, rep in zip(gb._polys, gb._lms, gb._provenance):
         assert rebuilt(rep) == tuples(p, gens)
         assert p[lm] > 0 and groebner._content(p.values()) == 1
 
@@ -1056,7 +1076,7 @@ def test_lifted_reps_and_cofactors_equal_the_replay(case, scalars, data):
     # rational scalars give negative leading coefficients and denominators
     # D > 1, so both signs of g0 and the lcm of denominators are exercised
     seq = [Element.scalar(q) * a for q, a in zip(scalars, seq)]
-    groebner._CACHE.clear()
+    groebner._basis_of.cache_clear()
     gb = buchberger(seq, gens)
     gb._basis  # the tail reduction, which keeps the record
     replayed = _replayed_provenance(gb._trace, len(seq))
@@ -1065,7 +1085,7 @@ def test_lifted_reps_and_cofactors_equal_the_replay(case, scalars, data):
         d, nums = rep
         return [tuples(r, gens, d) for r in nums]
 
-    assert [rational(r) for r in gb._provenance()] == [rational(r) for r in replayed]
+    assert [rational(r) for r in gb._provenance] == [rational(r) for r in replayed]
     inside = Element.zero()
     for a in seq:
         inside = inside + data.draw(homogeneous_polys(gens, 4)) * a
@@ -1083,7 +1103,7 @@ def test_lifted_reps_and_cofactors_equal_the_replay(case, scalars, data):
 def test_member_lifts_cofactors_without_a_second_run(monkeypatch, mixed_model):
     gens = mixed_model.even_generators
     seq = [mixed_model.d(mixed_model.element(y)) for y in ("y1", "y2", "y3")]
-    groebner._CACHE.clear()
+    groebner._basis_of.cache_clear()
     gb = buchberger(seq, gens)
     built = []
 
@@ -1103,9 +1123,9 @@ def test_a_corrupted_replay_record_fails_the_certificate_check(mixed_model):
     # the replay itself re-checks nothing: a record that misses its basis
     # element yields wrong cofactors, and the certificate's d-check catches them
     model = SullivanModel(mixed_model.generators, mixed_model.differential)
-    groebner._CACHE.clear()
+    groebner._basis_of.cache_clear()
     gb = differential_ideal_basis(model)
-    groebner._CACHE.clear()  # no later test may meet the corrupted basis
+    groebner._basis_of.cache_clear()  # no later test may meet the corrupted basis
     gb._basis  # the tail reduction, which keeps the record
     origins, records = gb._trace
     gb._trace = origins, [(i, steps, 2 * g0) for i, steps, g0 in records]  # halves each rep
@@ -1187,7 +1207,7 @@ def test_every_step_divides_by_the_first_divisor(case):
             runs.append((self, records, polys))
             return polys, records
 
-    groebner._CACHE.clear()
+    groebner._basis_of.cache_clear()
     with mock.patch.object(groebner, "_Engine", Recorded):
         gb = buchberger(seq[:-1], gens)
         ideal_quotient(gb, seq[-1])  # an elimination run, then the quotient's basis
