@@ -1,11 +1,20 @@
 """Command-line interface: validate, analyze, extend, search, bound, cohomology.
 
+Each ``cmd_<name>(model, args)`` returns ``(payload, lines, exit_code)`` and
+neither loads its model nor writes to stdout.  ``main`` loads the model once,
+so a missing file is reported before any option check, and prints one view:
+the JSON payload under ``--json``, else the text lines.  The text of
+``extend`` and ``search`` reads the strings their payload holds.
+
 Exit codes: 0 success; 1 mathematical negative result (the input is fine but
 the requested structure does not exist or a hypothesis fails); 2 input error
 (unparseable or invalid model, unsatisfiable configuration); 3 internal
 fault (a certified invariant broke, or any other unexpected exception; both
 indicate a bug); each package error's class declares its exit code
-(``errors``).  Every error is one ``error[<code>]: message`` line on stderr.
+(``errors``).  Every error but a usage error is one ``error[<code>]: message``
+line on stderr.  A usage error (an unknown option, a missing argument) is
+argparse's: a usage line and a message on stderr, exit 2, raised as
+``SystemExit`` when ``main`` is called in-process.
 
 JSON output is key-sorted and content-addressed: identical inputs produce
 byte-identical bytes.  The stage pick of ``extend`` and the candidates of
@@ -33,119 +42,85 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _emit(payload: dict, args) -> None:
-    if args.json:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _say(text: str, args) -> None:
-    if not args.json:
-        sys.stdout.write(text + "\n")
-
-
 def _model_summary(model: SullivanModel) -> str:
-    gens = ", ".join(
-        f"{g.name}:{g.degree}" for g in model.generators)
-    return f"{model.name}: {gens}"
+    return f"{model.name}: " + ", ".join(f"{g.name}:{g.degree}" for g in model.generators)
 
 
-def cmd_validate(args) -> int:
-    model = load_model(args.model)
+def cmd_validate(model: SullivanModel, args):
     report = model.validate()
-    _say(_model_summary(model), args)
-    _say(f"valid minimal model; pure={report.pure} "
-         f"length={report.length.render()} chi_pi={report.chi_pi}", args)
-    _emit(report.to_dict(), args)
-    return EXIT_OK
+    return report.to_dict(), [
+        _model_summary(model),
+        f"valid minimal model; pure={report.pure} "
+        f"length={report.length.render()} chi_pi={report.chi_pi}"], EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    model = load_model(args.model)
+def cmd_analyze(model: SullivanModel, args):
     report = replace(model.validate(), elliptic=ell.is_elliptic(model))  # the cached one stays
     if report.elliptic and model.is_pure():
         report.formal_dimension = model.formal_dimension()
         report.exponents = ell.all_nilpotency_exponents(model)
     payload = report.to_dict()
-    _say(_model_summary(model), args)
-    _say(f"pure={payload['pure']} minimal={payload['minimal']} "
-         f"length={model.differential_length().render()} "
-         f"elliptic={payload['elliptic']} chi_pi={payload['chi_pi']}", args)
+    lines = [_model_summary(model),
+             f"pure={payload['pure']} minimal={payload['minimal']} "
+             f"length={model.differential_length().render()} "
+             f"elliptic={payload['elliptic']} chi_pi={payload['chi_pi']}"]
     if "formal_dimension" in payload:
-        _say(f"formal dimension {payload['formal_dimension']}", args)
-    for name, n in sorted(payload.get("exponents", {}).items()):
-        _say(f"nilpotency exponent of {name}: {n}", args)
-    _emit(payload, args)
-    return EXIT_OK
+        lines.append(f"formal dimension {payload['formal_dimension']}")
+    lines += [f"nilpotency exponent of {name}: {n}"
+              for name, n in sorted(payload.get("exponents", {}).items())]
+    return payload, lines, EXIT_OK
 
 
-def cmd_extend(args) -> int:
-    model = load_model(args.model)
-    result = ext.f0_extend(model)
-    payload = result.to_dict()
-    _say(_model_summary(model), args)
-    if result.odd_basis:
-        _say("F0-basis extension found:", args)
-    else:
-        _say("F0-basis extension is empty (no even generators)", args)
-    for e, d in zip(result.odd_basis, result.odd_degrees):
-        _say(f"  degree {d}: {e.render()}", args)
-    for c in result.certificates:
-        _say(f"  certificate: d({c.witness.render()}) = "
-             f"{c.generator.name}^{c.exponent}", args)
-    _emit(payload, args)
-    return EXIT_OK
+def cmd_extend(model: SullivanModel, args):
+    payload = ext.f0_extend(model).to_dict()
+    lines = [_model_summary(model),
+             "F0-basis extension found:" if payload["z_odd"]
+             else "F0-basis extension is empty (no even generators)"]
+    lines += [f"  degree {z['degree']}: {z['element']}" for z in payload["z_odd"]]
+    lines += [f"  certificate: d({c['witness']}) = {c['generator']}^{c['exponent']}"
+              for c in payload["certificates"]]
+    return payload, lines, EXIT_OK
 
 
-def cmd_search(args) -> int:
-    model = load_model(args.model)
+def cmd_search(model: SullivanModel, args):
     if args.max_search < 1:
         raise InvalidInput(f"--max-search must be at least 1, got {args.max_search}")
-    outcome = ext.exhaustive_homogeneous_search(model, max_candidates=args.max_search)
-    payload = outcome.to_dict()
-    _emit(payload, args)
-    if outcome.found is None:
-        _say("no homogeneous F0-basis extension "
-             f"(tried {outcome.tried} candidates, "
-             f"exhaustive={outcome.fully_exhaustive})", args)
-        for r in outcome.rejected:
-            extra = f" (witness {r.witness})" if r.witness else ""
-            _say(f"  rejected {{{', '.join(r.candidate)}}}: {r.reason}{extra}", args)
-        return EXIT_NEGATIVE
-    _say("homogeneous F0 basis: " +
-         ", ".join(e.render() for e in outcome.found), args)
-    return EXIT_OK
+    payload = ext.exhaustive_homogeneous_search(
+        model, max_candidates=args.max_search).to_dict()
+    if payload["found"] is not None:
+        return payload, ["homogeneous F0 basis: " + ", ".join(payload["found"])], EXIT_OK
+    lines = ["no homogeneous F0-basis extension "
+             f"(tried {payload['tried']} candidates, "
+             f"exhaustive={payload['fully_exhaustive']})"]
+    for r in payload["rejected"]:
+        extra = f" (witness {r['witness']})" if r.get("witness") else ""
+        lines.append(f"  rejected {{{', '.join(r['candidate'])}}}: {r['reason']}{extra}")
+    return payload, lines, EXIT_NEGATIVE
 
 
-def cmd_bound(args) -> int:
-    model = load_model(args.model)
+def cmd_bound(model: SullivanModel, args):
     if args.pure_sub:
         names = [n for part in args.pure_sub for n in part.split(",") if n]
         report = bounds_mod.tc_upper_bound_nonpure(model, names)
     else:
         report = bounds_mod.tc_upper_bound(model)
-    _say(_model_summary(model), args)
-    _say(f"cat <= {report.cat_value}  [{report.cat_provenance}]", args)
-    _say(f"tc  <= {report.tc_upper}  [{report.tc_provenance}]", args)
-    for note in report.applicability_notes:
-        _say(f"note: {note}", args)
-    _emit(report.to_dict(), args)
-    return EXIT_OK
+    return report.to_dict(), [
+        _model_summary(model),
+        f"cat <= {report.cat_value}  [{report.cat_provenance}]",
+        f"tc  <= {report.tc_upper}  [{report.tc_provenance}]",
+        *(f"note: {note}" for note in report.applicability_notes)], EXIT_OK
 
 
-def cmd_cohomology(args) -> int:
-    model = load_model(args.model)
+def cmd_cohomology(model: SullivanModel, args):
     if args.up_to is None:
         raise InvalidInput("--up-to is required for cohomology")
     if args.up_to < 0:
         raise InvalidInput(f"--up-to {args.up_to} is negative")
     dims = ell.cohomology_dims(model, args.up_to)
-    _say(_model_summary(model), args)
-    for k, d in enumerate(dims):
-        if d or k == 0:
-            _say(f"H^{k} = {d}", args)
-    _say(f"total dimension through degree {args.up_to}: {sum(dims)}", args)
-    _emit({"model": model.name, "up_to": args.up_to, "dims": dims}, args)
-    return EXIT_OK
+    return {"model": model.name, "up_to": args.up_to, "dims": dims}, [
+        _model_summary(model),
+        *(f"H^{k} = {d}" for k, d in enumerate(dims) if d or k == 0),
+        f"total dimension through degree {args.up_to}: {sum(dims)}"], EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,8 +181,12 @@ def main(argv=None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
+        model = load_model(args.model)  # a missing file before any option check
         # looked up by name on each call: the cached parser binds no function
-        return globals()[f"cmd_{args.command}"](args)
+        payload, lines, code = globals()[f"cmd_{args.command}"](model, args)
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n" if args.json
+                         else "".join(line + "\n" for line in lines))
+        return code
     except SullivanError as ex:  # its class carries the exit code
         sys.stderr.write(f"error[{ex.code}]: {ex}\n")
         return ex.exit

@@ -171,26 +171,26 @@ def test_criterion_6_certificate_soundness(mixed_model):
             assert cert.power == power
 
 
-def _cli_suite() -> list:
-    """Every command against every applicable shipped model."""
+def _cli_suite(as_json: bool = True) -> list:
+    """Every command against every applicable shipped model, each with
+    ``--json`` last, or without it for the text view."""
     files = sorted(MODELS.glob("*.model"))
     invocations = []
     for path in files:
-        invocations.append(("validate", str(path), "--json"))
-        invocations.append(("analyze", str(path), "--json"))
+        invocations.append(("validate", str(path)))
+        invocations.append(("analyze", str(path)))
     for name in ("coformal_tower", "cp1", "cp2", "cp3", "cp4", "s2",
                  "odd_spheres", "mixed_length", "nonpure", "needs_combination"):
         path = str(MODELS / f"{name}.model")
-        invocations.append(("extend", path, "--json"))
-        invocations.append(("search", path, "--json"))
-        invocations.append(("bound", path, "--json"))
-    invocations.append(("bound", str(MODELS / "nonpure.model"),
-                        "--pure-sub", "x,w", "--json"))
+        invocations.append(("extend", path))
+        invocations.append(("search", path))
+        invocations.append(("bound", path))
+    invocations.append(("bound", str(MODELS / "nonpure.model"), "--pure-sub", "x,w"))
     for name in ("s2", "cp2", "coformal_tower"):
-        invocations.append(("cohomology", str(MODELS / f"{name}.model"),
-                            "--up-to", "20", "--json"))
+        invocations.append(("cohomology", str(MODELS / f"{name}.model"), "--up-to", "20"))
     results = []
     for argv in invocations:
+        argv += ("--json",) if as_json else ()
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli_main(list(argv))

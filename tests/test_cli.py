@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sullivan import load_model
-from sullivan.algebra import MAX_DEGREE, MAX_GENERATORS
+from sullivan.algebra import MAX_DEGREE, MAX_GENERATORS, Element
 from sullivan.cli import main
-from sullivan.extension import exhaustive_homogeneous_search
+from sullivan.extension import exhaustive_homogeneous_search, f0_extend
 from sullivan.parsing import MAX_DIGITS
 from sullivan.errors import (
     ApplicabilityError,
@@ -364,6 +364,34 @@ def test_a_search_budget_below_one_is_refused_before_the_search():
         assert err == f"error[invalid-input]: --max-search must be at least 1, got {budget}\n"
 
 
+def test_a_missing_file_is_reported_before_the_options_are_checked():
+    missing = MODELS / "missing.model"
+    for argv in (("search", missing, "--max-search", "0"), ("cohomology", missing)):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error[io]: ") and err.count("\n") == 1
+
+
+def test_the_cli_renders_nothing_the_extension_report_does_not(monkeypatch):
+    # both views print the strings of f0_extend's report: no element is
+    # rendered a second time for the text
+    path = MODELS / "coformal_tower.model"
+    renders, render = [], Element.render
+
+    def counted_render(self):
+        renders.append(True)
+        return render(self)
+
+    monkeypatch.setattr(Element, "render", counted_render)
+    f0_extend(load_model(path)).to_dict()
+    alone = len(renders)
+    assert alone
+    for extra in (("--json",), ()):
+        renders.clear()
+        assert run("extend", path, *extra)[0] == 0
+        assert len(renders) == alone
+
+
 def test_extend_no_evens_reports_empty():
     code, out, _ = run("extend", MODELS / "odd_spheres.model")
     assert code == 0
@@ -580,7 +608,7 @@ def test_internal_errors_map_to_exit_3(monkeypatch):
     import sullivan.cli as cli_mod
     from sullivan.errors import VerificationFailed
 
-    def boom(args):
+    def boom(model, args):
         raise VerificationFailed("invariant broke")
 
     monkeypatch.setattr(cli_mod, "cmd_validate", boom)
@@ -611,7 +639,7 @@ def _documented_exit(cls):
 def test_every_package_error_ends_in_its_documented_exit(cls, monkeypatch):
     import sullivan.cli as cli_mod
 
-    def boom(args):
+    def boom(model, args):
         raise cls(None, "it failed") if issubclass(cls, ValidationError) else cls("it failed")
 
     monkeypatch.setattr(cli_mod, "cmd_validate", boom)
@@ -646,7 +674,7 @@ def test_a_reimported_package_is_freed():
 def test_unexpected_exceptions_map_to_exit_3(monkeypatch):
     import sullivan.cli as cli_mod
 
-    def boom(args):
+    def boom(model, args):
         raise RecursionError("maximum recursion\ndepth exceeded")
 
     monkeypatch.setattr(cli_mod, "cmd_validate", boom)

@@ -1,10 +1,12 @@
-"""Golden snapshots: the full CLI suite, and the widening phases of both searches.
+"""Golden snapshots: the full CLI suite in both views, and the widening phases of both searches.
 
 ``golden/cli_suite.json`` holds, for each invocation of
 ``test_acceptance._cli_suite``, the arguments (model paths relative to the
-repository root), the exit code, stdout and stderr.  The test re-runs the
-suite and compares the serialized result with the file byte for byte, so a
-refactor that changes any certificate, witness or report fails here.
+repository root), the exit code, stdout and stderr.  ``golden/cli_text.json``
+holds the same for the suite run without ``--json``, the text view.  The
+tests re-run the suite and compare the serialized result with the file byte
+for byte, so a refactor that changes any certificate, witness or report, in
+either view, fails here.
 
 Only ``needs_combination`` takes a ``search`` in the CLI suite past the
 plain subsets, so ``golden/search_widening.json`` covers the combination
@@ -13,7 +15,7 @@ pick, the exhaustive search's outcome, the F0 extension, and what the
 exhaustive search does at candidate budgets 1, 3, 5 and 40 (the exception
 class, or the result); the stage pick takes no budget.
 
-After an intended change of output, regenerate both files with
+After an intended change of output, regenerate the three files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -33,6 +35,7 @@ from sullivan.extension import (
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_suite.json"
+TEXT = pathlib.Path(__file__).resolve().parent / "golden" / "cli_text.json"
 WIDENING = pathlib.Path(__file__).resolve().parent / "golden" / "search_widening.json"
 
 WIDENING_BUDGETS = (1, 3, 5, 40)
@@ -45,10 +48,10 @@ def _relative(arg: str) -> str:
     return arg
 
 
-def snapshot() -> str:
+def snapshot(as_json: bool = True) -> str:
     rows = [{"argv": [_relative(a) for a in argv], "exit": code,
              "stdout": out, "stderr": err}
-            for argv, code, out, err in _cli_suite()]
+            for argv, code, out, err in _cli_suite(as_json)]
     return json.dumps(rows, indent=1) + "\n"
 
 
@@ -110,10 +113,15 @@ def test_cli_suite_matches_golden_snapshot():
     assert snapshot() == GOLDEN.read_text(encoding="utf-8")
 
 
+def test_cli_text_view_matches_golden_snapshot():
+    assert snapshot(as_json=False) == TEXT.read_text(encoding="utf-8")
+
+
 def test_search_widening_matches_golden_snapshot():
     assert widening_snapshot() == WIDENING.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     GOLDEN.write_text(snapshot(), encoding="utf-8")
+    TEXT.write_text(snapshot(as_json=False), encoding="utf-8")
     WIDENING.write_text(widening_snapshot(), encoding="utf-8")
