@@ -312,8 +312,6 @@ def _power(base: dict[int, Scalar], k: int) -> dict[int, Scalar]:
     """base to the k-th power: a single term's key times k and coefficient to
     the k, zero when it has an odd factor and k >= 2; anything else by
     repeated squaring through ``_times``."""
-    if not k:
-        return {0: 1}
     if len(base) == 1:
         ((m, c),) = base.items()
         if k > 1 and -m & _LOW:
@@ -683,8 +681,6 @@ def _bases(generators: Sequence[Generator], top: int) -> list[list[int]]:
     each by descending position) lists each degree in canonical order
     whenever the even generators sit below the odd ones.
     """
-    if top > MAX_DEGREE:
-        raise _too_large(top << _S)
     order = sorted(generators, key=lambda g: (g.is_even, -g.index))
     keys = {g: _key(g) for g in order}  # one per sweep, not per monomial
     return _series(order, [[0] if r == 0 else [] for r in range(top + 1)],

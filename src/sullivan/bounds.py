@@ -42,22 +42,17 @@ class BoundReport:
 
     model: str
     chi_pi: int
-    cat_value: int | None = None
-    cat_provenance: str | None = None
-    tc_upper: int | None = None
-    tc_provenance: str | None = None
+    cat_value: int
+    cat_provenance: str
+    tc_upper: int
+    tc_provenance: str
     applicability_notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out: dict = {"model": self.model, "chi_pi": self.chi_pi,
-                     "applicability_notes": list(self.applicability_notes)}
-        if self.cat_value is not None:
-            out["cat_value"] = {"value": self.cat_value,
-                                "provenance": self.cat_provenance}
-        if self.tc_upper is not None:
-            out["tc_upper"] = {"value": self.tc_upper,
-                               "provenance": self.tc_provenance}
-        return out
+        return {"model": self.model, "chi_pi": self.chi_pi,
+                "applicability_notes": list(self.applicability_notes),
+                "cat_value": {"value": self.cat_value, "provenance": self.cat_provenance},
+                "tc_upper": {"value": self.tc_upper, "provenance": self.tc_provenance}}
 
 
 def _bound_report(model: SullivanModel, notes: list[str],
@@ -93,8 +88,6 @@ def _bound_report(model: SullivanModel, notes: list[str],
             raise VerificationFailed(
                 "coformal bound does not equal the generator count")
         notes.append(f"coformal: bound equals dim V = {tc}")
-    if chi < -cat:
-        notes.append("bound is below the category estimate (chi_pi < -cat)")
     return report
 
 

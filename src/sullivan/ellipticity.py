@@ -53,7 +53,6 @@ from .algebra import (
 from .errors import (
     InvalidInput,
     NotElliptic,
-    NotExact,
     NotPure,
     OddGeneratorPresent,
     VerificationFailed,
@@ -112,8 +111,8 @@ def nilpotency_exponent(model: SullivanModel, generator) -> int:
     Defined for even generators of pure elliptic models.  Bounded by the
     dimension of the quotient ring, so the search always terminates.  It
     starts at b, the least power of the generator among the basis's leading
-    monomials (1 when the basis holds 1): every lower power is a standard
-    monomial, so none lies in the ideal.
+    monomials: every lower power is a standard monomial, so none lies in the
+    ideal.  The basis never holds 1, as minimal images lie in (X)^2.
 
     The powers are walked by their normal forms, as in the multiplication
     step of FGLM (Faugere, Gianni, Lazard and Mora, 1993): x^b is reduced
@@ -134,7 +133,7 @@ def nilpotency_exponent(model: SullivanModel, generator) -> int:
     if not quotient_is_finite_dimensional(gb):
         raise NotElliptic(f"model {model.name!r} is not elliptic")
     cap = quotient_dimension(gb) + 1
-    start = 1 if gb.contains_one else gb.pure_powers[gb.variables.index(g)]
+    start = gb.pure_powers[gb.variables.index(g)]
     k = _key(g)
     seen: dict[int, int] = {}  # the basis is fixed: its divisor lookups are kept
     r = {start * k: 1}
@@ -181,24 +180,24 @@ class ExactnessCertificate:
         }
 
 
-def exactness_certificate(model: SullivanModel, generator,
-                          exponent: int | None = None) -> ExactnessCertificate:
+def exactness_certificate(model: SullivanModel, generator) -> ExactnessCertificate:
     """Certificate that the least nilpotent power of a generator is exact.
 
-    Membership cofactors c_y over the differential images are turned into
-    the witness sum(c_y * y), built as one dict: every c_y is even, so each
-    product is its packed terms shifted by y's key with Koszul sign +1, and
-    distinct y share no key.  The identity is re-verified before returning.
+    n is the ``nilpotency_exponent``, so x^n outside the differential ideal is
+    an internal fault (VerificationFailed).  Membership cofactors c_y over the
+    differential images are turned into the witness sum(c_y * y), built as
+    one dict: every c_y is even, so each product is its packed terms shifted
+    by y's key with Koszul sign +1, and distinct y share no key.  The identity
+    is re-verified before returning.
     """
     g = model.generator(generator)
-    n = nilpotency_exponent(model, g) if exponent is None else exponent
+    n = nilpotency_exponent(model, g)
     gb = differential_ideal_basis(model)
     x = Element.from_generator(g)
     power = x**n
     ok, cofs = member(power, gb, cofactors=True)
     if not ok:
-        raise NotExact(
-            f"{g.name}^{n} does not lie in the differential ideal")
+        raise VerificationFailed(f"{g.name}^{n} does not lie in the differential ideal")
     witness = Element._from_dict(
         {m + _key(y): v for c, y in zip(cofs, model.odd_generators) for m, v in c._t.items()},
         model._table)

@@ -105,10 +105,6 @@ class NotClosedUnderDifferential(ApplicabilityError):
     code = "not-closed-under-differential"
 
 
-class NotExact(ApplicabilityError):
-    code = "not-exact"
-
-
 class SubModelNotClosed(ApplicabilityError):
     code = "sub-model-not-closed"
 

@@ -678,7 +678,7 @@ def exhaustive_homogeneous_search(model: SullivanModel,
             witness = report.witness.render()
         outcome.rejected.append(RejectionRecord(
             candidate=tuple(map(text, picks)),
-            reason=report.first_failure or "unknown",
+            reason=report.first_failure,
             witness=witness,
             failing_index=report.failing_index,
         ))

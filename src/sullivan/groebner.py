@@ -49,7 +49,7 @@ f_1..f_r are regular exactly when dim Q[x]/(f) = n - r (Matsumura,
 monomials.  A sequence that fails it is walked prefix by prefix to the
 first whose dimension does not drop, and a zero-divisor witness confirms
 that index: two methods agree on every homogeneous failure.  Sequences with
-zero or mixed-degree elements take the zero-divisor test at every prefix.
+an element that mixes degrees take the zero-divisor test at every prefix.
 
 No identity is re-verified here: the certificates built on lifted cofactors
 are re-checked by ``ellipticity.ExactnessCertificate.verify``.
@@ -539,21 +539,21 @@ def regular_sequence_failure(seq: Sequence[Element], variables: Sequence[Generat
     """First failure of the regular-sequence property, as (1-based index, witness).
 
     Returns None when the sequence is regular.  Every element must lie in the
-    augmentation ideal (no constant term).  A sequence of nonzero homogeneous
+    augmentation ideal (no constant term).  A sequence of homogeneous
     elements is regular when ``_regular`` holds, read off its full basis
     alone; otherwise the first prefix that fails ``_regular`` (the whole
     sequence at the latest) ends at the failing element, and a zero-divisor
     witness modulo the elements before it must confirm it, else
-    VerificationFailed.  Any other sequence tests each element for a zero
-    divisor modulo the ideal of the ones before it; the first needs no ideal
-    quotient: modulo the zero ideal only the zero element is a zero divisor
-    (witness 1).
+    VerificationFailed.  A zero element drops no dimension, so the walk stops
+    at the first one at the latest, and a zero's witness is 1, with no ideal
+    quotient.  A sequence with an element that mixes degrees tests each
+    element for a zero divisor modulo the ideal of the ones before it.
     """
     for a in seq:
         if 0 in _terms(a, variables):
             raise ConstantTermPresent(
                 f"sequence element {a.render()} has a constant term")
-    if all(isinstance(a.degree(), int) for a in seq):  # nonzero and homogeneous
+    if all(a.is_homogeneous() for a in seq):  # zero elements included
         if _regular(seq, variables):
             return None
         i = next(i for i in range(1, len(seq) + 1) if not _regular(seq[:i], variables))
@@ -562,9 +562,7 @@ def regular_sequence_failure(seq: Sequence[Element], variables: Sequence[Generat
             raise VerificationFailed(
                 f"element {i} drops no Krull dimension but has no zero-divisor witness")
         return i, w
-    if not seq[0]:
-        return 1, Element.one()
-    for i in range(1, len(seq)):
+    for i in range(len(seq)):
         w = zero_divisor_witness(seq[i], buchberger(list(seq[:i]), variables))
         if w is not None:
             return i + 1, w

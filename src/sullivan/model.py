@@ -10,7 +10,7 @@ so every model that exists is valid; ``validate`` returns the report it kept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -20,6 +20,7 @@ from .algebra import (
     Monomial,
     Scalar,
     _derive_into,
+    _exact,
     _image,
     _integral,
     enumerate_basis,
@@ -144,7 +145,8 @@ class SullivanModel:
                 if img:
                     d[g] = img
         self.differential: dict[Generator, Element] = d
-        self._images = [_image(g, img._t) for g, img in d.items()]  # for d, built once
+        scale = lcm(*(c.denominator for img in d.values() for c in img._t.values()))
+        self._scaled = scale, [_image(g, _integral(img._t, scale)[1]) for g, img in d.items()]
         self._table = {g.index: g for g in self.generators}
         self._dy_basis = None  # lazy Groebner cache, see ellipticity module
         self._report = self._checked_report()
@@ -185,9 +187,12 @@ class SullivanModel:
         if isinstance(e, Generator):
             return self.d_generator(e)
         self._check_own(e)
+        scale, images = self._scaled
         t: dict[int, Scalar] = {}
         for m, coeff in e._t.items():
-            _derive_into(t, m, coeff, self._images)
+            _derive_into(t, m, coeff, images)
+        if scale != 1:
+            t = {m: _exact(Fraction(c, scale)) for m, c in t.items()}
         return Element._from_dict(t, self._table)
 
     def _check_own(self, e: Element) -> None:
@@ -197,21 +202,15 @@ class SullivanModel:
             raise GeneratorMismatch(
                 "element uses foreign generators: " + ", ".join(sorted(x.name for x in foreign)))
 
-    @cached_property
-    def _scaled_images(self) -> tuple[int, list]:
-        """(L, L * images) for ``_scaled_d``, built on first use."""
-        scale = lcm(*(c.denominator for img in self.differential.values() for c in img._t.values()))
-        return scale, [_image(g, _integral(img._t, scale)[1])
-                       for g, img in self.differential.items()]
-
     def _scaled_d(self, terms: Mapping[int, int]) -> tuple[int, dict[int, int]]:
         """(L, L * d(terms)) in integers, for terms an {int monomial: int} map and
-        L the lcm of the denominators in the differential images.
+        L the lcm of the denominators in the differential images, from the
+        table ``_scaled`` that ``d`` derives through as well.
 
         L is 1 when every image has integer coefficients; as a nonzero scalar
         it leaves the rank of d in every degree and the kernel unchanged.
         """
-        scale, images = self._scaled_images
+        scale, images = self._scaled
         t: dict[int, int] = {}
         for m, c in terms.items():
             _derive_into(t, m, c, images)

@@ -23,7 +23,13 @@ from sullivan.algebra import (
     enumerate_basis,
     make_generators,
 )
-from sullivan.errors import DifferentialNotSquareZero, InvalidInput, InvalidModel, SullivanError
+from sullivan.errors import (
+    DifferentialNotSquareZero,
+    GeneratorMismatch,
+    InvalidInput,
+    InvalidModel,
+    SullivanError,
+)
 from sullivan.extension import exhaustive_homogeneous_search, f0_extend
 from sullivan.model import SullivanModel
 from sullivan.parsing import parse_model
@@ -94,6 +100,20 @@ def test_scalar_lifting_and_division():
     assert 3 * ex == ex * 3
     assert (ex * Fraction(1, 2)) * 2 == ex
     assert (3 * ex) / 3 == ex
+
+
+def test_a_table_entry_that_no_term_uses_gives_way():
+    # b keeps u at position 0 in its table after its u terms cancel, so x,
+    # which a uses there, takes the position in a sum or product of the two
+    x, u, y = Generator("x", 2, 0), Generator("u", 2, 0), Generator("y", 2, 1)
+    ex, eu, ey = (Element.from_generator(g) for g in (x, u, y))
+    b = (eu + ey) - eu
+    assert b == ey and b._g == {0: u, 1: y}
+    for c in (ex + b, b + ex, ex * b, b * ex):
+        assert c._g == {0: x, 1: y}
+    assert ex + b == ex + ey and ex * b == ex * ey
+    with pytest.raises(GeneratorMismatch):
+        ex + eu  # both use position 0
 
 
 def test_products_past_the_layout_raise():
@@ -450,7 +470,7 @@ def test_derivation_kernel_matches_the_products_on_a_nonpure_model():
     # dz = y1*y2 has odd factors: its image takes _mul_into, dw = x^2 the shift
     model = parse_model((pathlib.Path(__file__).resolve().parent.parent
                          / "models" / "nonpure.model").read_text(encoding="utf-8"))
-    assert [odd for *_, odd in model._images] == [False, True]
+    assert [odd for *_, odd in model._scaled[1]] == [False, True]
     _assert_kernels_agree(model.generators, model.differential, model.d, model._scaled_d)
 
 

@@ -12,7 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sullivan import build_model, ellipticity, load_model, parse_model
-from sullivan.algebra import MAX_DEGREE, Element, Generator, _integral, _key, make_generators
+from sullivan.algebra import (
+    MAX_DEGREE,
+    Element,
+    Generator,
+    _derive_into,
+    _image,
+    _integral,
+    _key,
+    make_generators,
+)
 from sullivan.ellipticity import (
     ExactnessCertificate,
     _echelon,
@@ -28,7 +37,6 @@ from sullivan.errors import (
     GeneratorMismatch,
     InvalidInput,
     NotElliptic,
-    NotExact,
     NotPure,
     OddGeneratorPresent,
     VerificationFailed,
@@ -240,9 +248,10 @@ def test_certificate_verify_rejects_wrong_identities(which, mixed_model):
             ExactnessCertificate(g, n, w + foreign, cert.power).verify(m)
 
 
-def test_exactness_certificate_rejects_small_power(mixed_model):
-    with pytest.raises(NotExact):
-        exactness_certificate(mixed_model, "x1", exponent=6)
+def test_exactness_certificate_rejects_small_power(mixed_model, monkeypatch):
+    monkeypatch.setattr(ellipticity, "nilpotency_exponent", lambda model, g: 6)
+    with pytest.raises(VerificationFailed):
+        exactness_certificate(mixed_model, "x1")
 
 
 def test_certificate_to_dict(mixed_model):
@@ -543,6 +552,27 @@ def test_cohomology_dims_match_the_fraction_path(model):
     model.validate()
     assert model._scaled_d({})[0] > 1  # the differential is scaled by L != 1
     assert cohomology_dims(model, 8) == _reference_cohomology_dims(model, 8)
+
+
+@PROPERTY
+@given(rational_models(), st.data())
+def test_d_matches_the_fraction_table_with_int_coefficients(model, data):
+    # d derives through the table of L * images and divides by L: the values
+    # of the derivation through the images' own Fraction terms, with every
+    # integral coefficient an int
+    assert model._scaled[0] > 1
+    table = [_image(g, img._t) for g, img in model.differential.items()]
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    for k in range(1, 8):
+        basis = model.basis_of_degree(k)
+        cs = data.draw(st.lists(rational, min_size=len(basis), max_size=len(basis)))
+        for e in [Element({m: 1}) for m in basis] + [Element(dict(zip(basis, cs)))]:
+            reference: dict = {}
+            for m, c in e._t.items():
+                _derive_into(reference, m, c, table)
+            got = model.d(e)._t
+            assert got == reference
+            assert all(type(c) is int for c in got.values() if c.denominator == 1)
 
 
 @st.composite

@@ -432,6 +432,14 @@ def test_verify_reports_regularity_failure(mixed_model):
     assert report.witness is not None and report.witness.render() == "x1"
 
 
+def test_a_failing_report_names_its_index_and_witness():
+    m = parse_model('model "third"\neven x : 2\neven w : 2\neven v : 2\nodd y1 : 3 = x^2\n'
+                    'odd y2 : 3 = w^2\nodd y3 : 3 = x*w\nodd y4 : 3 = v^2\n')
+    out = verify_f0_extension(m, [m.element(y) for y in ("y1", "y2", "y3")]).to_dict()
+    assert (out["first_failure"], out["failing_index"], out["witness"]) == (
+        "regular_sequence", 3, "w")
+
+
 def test_verify_reports_inhomogeneous_combination(mixed_model):
     m = mixed_model
     basis = [m.element("y3"), m.element("y1") + m.element("y2")]

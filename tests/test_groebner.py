@@ -26,6 +26,7 @@ from sullivan.errors import (
     NotFiniteDimensional,
     UnknownGenerator,
     VerificationFailed,
+    ZeroElement,
 )
 from sullivan.model import SullivanModel
 from sullivan.groebner import (
@@ -431,6 +432,8 @@ def test_zero_is_zero_divisor():
     gb = buchberger([x ** 2], gens)
     w = zero_divisor_witness(Element.zero(), gb)
     assert w == Element.one()
+    with pytest.raises(ZeroElement):
+        ideal_quotient(gb, Element.zero())
 
 
 def test_constant_term_rejected():
@@ -576,6 +579,37 @@ def _prefix_loop_failure(seq, gens):
             return i + 1, w
         gb = buchberger(list(seq[: i + 1]), gens)
     return None
+
+
+def _zero_divisor_loop(seq, gens):
+    """Reference: the zero-divisor test at every prefix, with a leading zero
+    answered at once, as only the zero element is a zero divisor modulo the
+    zero ideal."""
+    if not seq[0]:
+        return 1, Element.one()
+    for i in range(1, len(seq)):
+        w = zero_divisor_witness(seq[i], buchberger(list(seq[:i]), gens))
+        if w is not None:
+            return i + 1, w
+    return None
+
+
+def test_zero_elements_get_one_regularity_answer(monkeypatch):
+    # a zero among homogeneous elements stops the Krull walk, as it drops no
+    # dimension, with witness 1; the zero-divisor loop gives the same answer
+    gens = make_vars(("x", 2), ("w", 2), ("v", 2))
+    x, w, v = els(gens)
+    zero = Element.zero()
+    homogeneous = [(zero,), (zero, zero), (zero, x), (x, zero), (x, zero, w),
+                   (x ** 2, x * w, zero), (x ** 2, w ** 2, zero), (x, w, v, zero),
+                   (x * w, zero, x)]
+    mixed = [(zero, x + x * w), (zero, x, w + x * w), (x + x * w, zero)]
+    for seq in homogeneous + mixed:
+        assert regular_sequence_failure(seq, gens) == _zero_divisor_loop(seq, gens), seq
+    calls = _counted_quotients(monkeypatch)
+    # the walk passes x^2 and w^2 on their basis alone, and the zero needs no quotient
+    assert regular_sequence_failure([x ** 2, w ** 2, zero], gens) == (3, Element.one())
+    assert calls == []
 
 
 @PROPERTY

@@ -12,6 +12,8 @@ from sullivan.errors import (
     DegreeMismatch,
     DifferentialNotSquareZero,
     NotClosedUnderDifferential,
+    NotDifferentialIdeal,
+    NotElliptic,
     NotMinimal,
     UnknownGenerator,
     VerificationFailed,
@@ -98,6 +100,10 @@ def test_formal_dimension():
     # cp^n has formal dimension 2n
     for n in (1, 2, 3, 4):
         assert cp(n).formal_dimension() == 2 * n
+    # Q[x1, x2]/(x1^2) is infinite: no top cohomology degree
+    m = build_model([("x1", 2), ("x2", 2), ("y", 3)], {"y": lambda e: e["x1"] ** 2})
+    with pytest.raises(NotElliptic):
+        m.formal_dimension()
 
 
 def test_formal_dimension_mixed(mixed_model):
@@ -111,6 +117,9 @@ def test_quotient_model(tower_model):
     assert q.d(q.element("y2")).is_zero()  # x1*x2 dies with x1
     assert q.d(q.element("y3")) == q.element("x2") ** 2
     q.validate()
+    # d(y2) = x1*x2 survives when y2 alone is killed
+    with pytest.raises(NotDifferentialIdeal, match=r"^cannot kill y2: d\(y2\) = x1\*x2 "):
+        tower_model.quotient_model(["y2"])
 
 
 def test_a_quotient_failing_its_checks_is_a_verification_failure(tower_model, monkeypatch):
